@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -66,7 +67,7 @@ bool PolicyKindFromName(const std::string& name, PolicyKind* out) {
   return false;
 }
 
-std::string ExperimentConfig::Validate() const {
+std::string ExperimentConfig::Validate(std::optional<TimeNs> last_arrival) const {
   if (num_workers < 1) {
     return "num_workers must be >= 1";
   }
@@ -166,11 +167,13 @@ std::string ExperimentConfig::Validate() const {
     }
   }
 
-  const TimeNs last_arrival =
-      workload.enabled() ? workload.ArrivalEnd() : (stream.empty() ? 0 : stream.back().at);
-  if (warmup >= EffectiveHorizon(*this, last_arrival)) {
+  if (!last_arrival) {
+    last_arrival =
+        workload.enabled() ? workload.ArrivalEnd() : (stream.empty() ? 0 : stream.back().at);
+  }
+  if (warmup >= EffectiveHorizon(*this, *last_arrival)) {
     return "warmup must end before the horizon (warmup=" + std::to_string(warmup) +
-           " ns, horizon=" + std::to_string(EffectiveHorizon(*this, last_arrival)) + " ns)";
+           " ns, horizon=" + std::to_string(EffectiveHorizon(*this, *last_arrival)) + " ns)";
   }
 
   const std::string fault_error = fault_plan.Validate();
@@ -188,16 +191,53 @@ std::string ExperimentConfig::Validate() const {
   return "";
 }
 
+namespace {
+
+// The flat path's source: replays a JobStream through a Feeder, dealing jobs
+// round-robin over the clients in arrival order.
+class StreamSource : public JobSource {
+ public:
+  // `stream` must outlive the source.
+  explicit StreamSource(const workload::JobStream& stream) : stream_(stream) {}
+
+  TimeNs last_arrival() const override { return stream_.empty() ? 0 : stream_.back().at; }
+  size_t offered_tasks() const override { return workload::TotalTasks(stream_); }
+  TimeNs offered_work() const override { return workload::TotalWork(stream_); }
+
+  void Start(Testbed* testbed, const std::vector<Client*>& clients) override {
+    // `clients` lives in RunExperiment for the whole run.
+    const std::vector<Client*>* targets = &clients;
+    feeder_.emplace(&testbed->simulator(), &stream_, clients.size(),
+                    [targets](size_t client, const std::vector<workload::TaskSpec>& tasks) {
+                      (*targets)[client]->SubmitJob(tasks);
+                    });
+    feeder_->Start();
+  }
+  bool done() const override { return feeder_->done(); }
+
+ private:
+  const workload::JobStream& stream_;
+  std::optional<Feeder> feeder_;
+};
+
+}  // namespace
+
 ExperimentResult RunExperiment(const ExperimentConfig& config) {
   const std::string error = config.Validate();
   DRACONIS_CHECK_MSG(error.empty(), "invalid ExperimentConfig: " + error);
 
   // Generate from the declarative spec when one is set; the generated stream
-  // must outlive the Feeder below, hence the local.
+  // must outlive the source, hence the local.
   const workload::JobStream generated =
       config.workload.enabled() ? config.workload.Generate() : workload::JobStream{};
-  const workload::JobStream& stream = config.workload.enabled() ? generated : config.stream;
-  const TimeNs last_arrival = stream.empty() ? 0 : stream.back().at;
+  StreamSource source(config.workload.enabled() ? generated : config.stream);
+  return RunExperiment(config, source);
+}
+
+ExperimentResult RunExperiment(const ExperimentConfig& config, JobSource& source) {
+  const TimeNs last_arrival = source.last_arrival();
+  const std::string error = config.Validate(last_arrival);
+  DRACONIS_CHECK_MSG(error.empty(), "invalid ExperimentConfig: " + error);
   const TimeNs horizon = EffectiveHorizon(config, last_arrival);
 
   const std::vector<topology::RackSpec> rack_specs = EffectiveRackSpecs(config);
@@ -313,11 +353,7 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
     testbed.metrics()->ConfigureFaultWindow(config.fault_plan.first_onset(), fault_clear);
   }
 
-  Feeder feeder(&simulator, &stream, client_ptrs.size(),
-                [&client_ptrs](size_t client, const std::vector<workload::TaskSpec>& tasks) {
-                  client_ptrs[client]->SubmitJob(tasks);
-                });
-  feeder.Start();
+  source.Start(&testbed, client_ptrs);
 
   // No-op throughput accounting: snapshot the deployment's decision count at
   // the window edges (executor pulls for pull-based kinds, worker
@@ -342,7 +378,7 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
       for (const auto& client : clients) {
         outstanding += client->outstanding();
       }
-      if (feeder.done() && outstanding == 0 && simulator.Now() > last_arrival) {
+      if (source.done() && outstanding == 0 && simulator.Now() > last_arrival) {
         result.drain_time = simulator.Now();
         simulator.Clear();
         return;
@@ -362,11 +398,12 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
   deployment->Harvest(result);
 
   MetricsHub* metrics = testbed.metrics();
-  const size_t offered_tasks = workload::TotalTasks(stream);
+  source.Harvest(*metrics, &result);
+  const size_t offered_tasks = source.offered_tasks();
   const double stream_seconds = last_arrival > 0 ? ToSeconds(last_arrival) : 1.0;
   result.offered_tasks_per_second = static_cast<double>(offered_tasks) / stream_seconds;
   result.offered_utilization =
-      static_cast<double>(workload::TotalWork(stream)) /
+      static_cast<double>(source.offered_work()) /
       (static_cast<double>(last_arrival > 0 ? last_arrival : 1) *
        static_cast<double>(total_executors));
   if (offered_tasks > 0) {

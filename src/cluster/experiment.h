@@ -1,12 +1,14 @@
-// One-call experiment harness. RunExperiment is a kind-blind orchestrator:
-// it builds a cluster::Testbed (cluster/testbed.h) from the config, resolves
-// the configured SchedulerKind through the DeploymentRegistry
-// (cluster/deployment.h) into a SchedulerDeployment — which owns all
-// kind-specific construction, wiring, client quirks, and counter harvest —
-// replays the generated job stream through round-robin clients, and derives
-// the summary statistics. Every figure-reproduction bench in bench/ is a
-// thin sweep over RunExperiment (see src/sweep/ for the parallel sweep
-// engine that drives it).
+// One-call experiment harness. RunExperiment is the single, kind-blind
+// experiment orchestrator: it builds a cluster::Testbed (cluster/testbed.h)
+// from the config, resolves the configured SchedulerKind through the
+// DeploymentRegistry (cluster/deployment.h) into a SchedulerDeployment —
+// which owns all kind-specific construction, wiring, client quirks, and
+// counter harvest — builds the clients, arms the fault plan, lets a JobSource
+// drive the clients, and derives the summary statistics. The flat path
+// replays the config's job stream; dag::RunDagExperiment passes a DAG source
+// (src/dag/experiment.h). Every figure-reproduction bench in bench/ is a thin
+// sweep over one of the two (see src/sweep/ for the parallel sweep engine
+// that drives them).
 //
 // This header is the public experiment API: it deliberately avoids the
 // per-scheduler baseline headers (their counters are flattened into
@@ -20,6 +22,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -151,7 +154,9 @@ struct ExperimentConfig {
   // short worker_resources table, replicating a single-instance scheduler, a
   // warmup past the horizon). Returns an empty string when valid, a
   // descriptive error otherwise. RunExperiment refuses invalid configs.
-  std::string Validate() const;
+  // The horizon check uses `last_arrival` when given (a JobSource's), the
+  // config's own workload or stream otherwise.
+  std::string Validate(std::optional<TimeNs> last_arrival = std::nullopt) const;
 };
 
 // §3.3 recovery metrics, filled only when the config carried a fault plan.
@@ -230,8 +235,42 @@ struct ExperimentResult {
 
   RecoveryStats recovery{};
 
-  // Filled by dag::RunDagExperiment (src/dag/experiment.h); inert otherwise.
+  // Filled at harvest by the DAG job source dag::RunDagExperiment passes to
+  // RunExperiment (src/dag/experiment.h); inert for flat job streams.
   DagRunStats dag{};
+};
+
+class Client;
+class Testbed;
+
+// Where an experiment's work comes from (DESIGN.md §7). RunExperiment builds
+// the testbed, the deployment and the clients, then hands the clients to the
+// source, which schedules its arrivals on them. The flat path's source
+// replays a JobStream through a Feeder; the DAG path's drives one
+// dag::FrontierDriver per client. Kept abstract so cluster never depends on
+// the layers above the client.
+class JobSource {
+ public:
+  virtual ~JobSource() = default;
+
+  // Arrival time of the last job (0 when there is none); with horizon == 0
+  // the run's horizon is this + 50 ms.
+  virtual TimeNs last_arrival() const = 0;
+  // Every task the source will offer, and their summed service time.
+  virtual size_t offered_tasks() const = 0;
+  virtual TimeNs offered_work() const = 0;
+
+  // Hooks the built clients and schedules the arrivals. Called once, after
+  // the fault plan is armed and before the run. The testbed and clients
+  // belong to RunExperiment and are destroyed when it returns: a source must
+  // not touch them after its Harvest.
+  virtual void Start(Testbed* testbed, const std::vector<Client*>& clients) = 0;
+  // True once the source will submit nothing more (drain poll; the poll
+  // also waits for the clients' outstanding tasks).
+  virtual bool done() const = 0;
+  // Adds the source's own results after the run, before the metrics move
+  // into the result.
+  virtual void Harvest(const MetricsHub& /*metrics*/, ExperimentResult* /*result*/) const {}
 };
 
 // The per-rack shape an experiment actually runs: the configured topology's
@@ -240,7 +279,13 @@ struct ExperimentResult {
 // wiring order (and thus NodeId assignment) has a single source of truth.
 std::vector<topology::RackSpec> EffectiveRackSpecs(const ExperimentConfig& config);
 
+// Runs the config's own workload (spec or explicit stream).
 ExperimentResult RunExperiment(const ExperimentConfig& config);
+
+// Runs `source` on the cluster `config` describes; the config's own
+// workload/stream are not replayed. The warmup/horizon check uses the
+// source's last arrival.
+ExperimentResult RunExperiment(const ExperimentConfig& config, JobSource& source);
 
 }  // namespace draconis::cluster
 

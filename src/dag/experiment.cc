@@ -1,176 +1,103 @@
 #include "dag/experiment.h"
 
-#include <algorithm>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "cluster/client.h"
-#include "cluster/deployment.h"
 #include "common/check.h"
-#include "sim/simulator.h"
 
 namespace draconis::dag {
+
+namespace {
+
+// Deals DAG jobs round-robin over one FrontierDriver per client (mirroring
+// the flat path's client rotation) and reports the job-level DagRunStats.
+class DagSource : public cluster::JobSource {
+ public:
+  DagSource(const DagWorkloadSpec& workload, const HedgePolicy& hedge)
+      : workload_(workload), hedge_(hedge), arrivals_(workload.Generate()) {
+    // Offered load: every task of every generated job, whether or not its
+    // frontier is ever reached before the horizon.
+    for (const DagJobArrival& arrival : arrivals_) {
+      offered_tasks_ += arrival.spec.tasks.size();
+      for (const TaskNode& node : arrival.spec.tasks) {
+        offered_work_ += node.duration;
+      }
+    }
+  }
+
+  TimeNs last_arrival() const override { return arrivals_.empty() ? 0 : arrivals_.back().at; }
+  size_t offered_tasks() const override { return offered_tasks_; }
+  TimeNs offered_work() const override { return offered_work_; }
+
+  void Start(cluster::Testbed* testbed, const std::vector<cluster::Client*>& clients) override {
+    for (cluster::Client* client : clients) {
+      drivers_.push_back(std::make_unique<FrontierDriver>(testbed, client, workload_, hedge_));
+    }
+    for (size_t j = 0; j < arrivals_.size(); ++j) {
+      drivers_[j % drivers_.size()]->EnqueueJob(arrivals_[j].at, std::move(arrivals_[j].spec));
+    }
+    for (const auto& driver : drivers_) {
+      driver->Start();
+    }
+  }
+
+  bool done() const override {
+    for (const auto& driver : drivers_) {
+      if (!driver->done()) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  void Harvest(const cluster::MetricsHub& metrics,
+               cluster::ExperimentResult* result) const override {
+    cluster::DagRunStats& dag = result->dag;
+    dag.active = true;
+    for (const auto& driver : drivers_) {
+      driver->Harvest(&dag);
+    }
+    dag.hedges_launched = metrics.hedges_launched();
+    dag.hedge_wins = metrics.hedge_wins();
+    dag.replicas_cancelled = metrics.cancellations();
+    dag.wasted_work = metrics.wasted_busy();
+    if (metrics.total_busy() > 0) {
+      dag.wasted_work_fraction = static_cast<double>(metrics.wasted_busy()) /
+                                 static_cast<double>(metrics.total_busy());
+    }
+  }
+
+ private:
+  const DagWorkloadSpec& workload_;
+  const HedgePolicy& hedge_;
+  std::vector<DagJobArrival> arrivals_;  // specs move into the drivers on Start
+  size_t offered_tasks_ = 0;
+  TimeNs offered_work_ = 0;
+  std::vector<std::unique_ptr<FrontierDriver>> drivers_;
+};
+
+}  // namespace
 
 cluster::ExperimentResult RunDagExperiment(const cluster::ExperimentConfig& config,
                                            const DagWorkloadSpec& workload,
                                            const HedgePolicy& hedge) {
-  // The DAG spec *is* the workload; the flat-stream channels must be empty,
-  // and the layers this path does not thread through yet are refused rather
-  // than silently ignored.
+  // The DAG spec *is* the workload; the flat-stream channels must be empty.
   DRACONIS_CHECK_MSG(!config.workload.enabled(),
                      "RunDagExperiment: config.workload must be empty (pass a DagWorkloadSpec)");
   DRACONIS_CHECK_MSG(config.stream.empty(),
                      "RunDagExperiment: config.stream must be empty (pass a DagWorkloadSpec)");
-  DRACONIS_CHECK_MSG(config.fault_plan.empty(),
-                     "RunDagExperiment: fault plans are not supported on the DAG path yet");
-  DRACONIS_CHECK_MSG(!config.cluster.enabled(),
-                     "RunDagExperiment: multi-rack topologies are not supported on the "
-                     "DAG path yet");
   DRACONIS_CHECK_MSG(!config.noop_executors,
-                     "RunDagExperiment: noop_executors discards completions, which the "
-                     "frontier driver depends on");
-  const std::string config_error = config.Validate();
-  DRACONIS_CHECK_MSG(config_error.empty(), "invalid ExperimentConfig: " + config_error);
+                     "RunDagExperiment: noop_executors makes clients fire-and-forget, so no "
+                     "completion ever reaches the frontier driver to unlock a successor");
   const std::string workload_error = workload.Validate();
   DRACONIS_CHECK_MSG(workload_error.empty(), "invalid DagWorkloadSpec: " + workload_error);
   const std::string hedge_error = hedge.Validate();
   DRACONIS_CHECK_MSG(hedge_error.empty(), "invalid HedgePolicy: " + hedge_error);
 
-  const std::vector<DagJobArrival> arrivals = workload.Generate();
-  const TimeNs last_arrival = arrivals.empty() ? 0 : arrivals.back().at;
-  const TimeNs horizon = config.horizon > 0 ? config.horizon : last_arrival + FromMillis(50);
-  DRACONIS_CHECK_MSG(config.warmup < horizon, "warmup must end before the horizon");
-
-  const size_t total_executors = config.num_workers * config.executors_per_worker;
-
-  cluster::TestbedConfig tc;
-  tc.seed = config.seed;
-  tc.num_workers = config.num_workers;
-  tc.num_racks = config.num_racks;
-  tc.warmup = config.warmup;
-  tc.horizon = horizon;
-  tc.priority_levels =
-      config.policy == cluster::PolicyKind::kPriority ? config.priority_levels : 0;
-  tc.node_series_bucket = config.node_series_bucket;
-  tc.network = config.network;
-  tc.trace = config.trace;
-  tc.sim_queue = config.sim_queue;
-  cluster::Testbed testbed(tc);
-  sim::Simulator& simulator = testbed.simulator();
-
-  // Same construction order as cluster::RunExperiment: scheduler, workers,
-  // clients — registration order fixes fabric NodeIds.
-  std::unique_ptr<cluster::SchedulerDeployment> deployment =
-      cluster::DeploymentRegistry::Get().Make(config);
-  deployment->Build(testbed);
-  deployment->WireWorkers(testbed);
-  const std::vector<net::NodeId>& scheduler_nodes = deployment->scheduler_nodes();
-  DRACONIS_CHECK_MSG(!scheduler_nodes.empty(), "deployment built no scheduler");
-
-  std::vector<std::unique_ptr<cluster::Client>> clients;
-  for (size_t c = 0; c < config.num_clients; ++c) {
-    cluster::ClientConfig cc;
-    cc.uid = static_cast<uint32_t>(c);
-    cc.timeout_multiplier = config.timeout_multiplier;
-    cc.timeout_floor = config.timeout_floor;
-    if (config.max_tasks_per_packet > 0) {
-      cc.max_tasks_per_packet = config.max_tasks_per_packet;
-    }
-    deployment->ConfigureClient(cc);
-    clients.push_back(std::make_unique<cluster::Client>(&testbed, cc));
-    clients.back()->SetScheduler(scheduler_nodes[c % scheduler_nodes.size()]);
-  }
-
-  // One driver per client; jobs dealt round-robin so every client carries a
-  // share of the stream (mirroring the Feeder's client rotation).
-  std::vector<std::unique_ptr<FrontierDriver>> drivers;
-  drivers.reserve(clients.size());
-  for (const auto& client : clients) {
-    drivers.push_back(std::make_unique<FrontierDriver>(&testbed, client.get(), workload, hedge));
-  }
-  for (size_t j = 0; j < arrivals.size(); ++j) {
-    drivers[j % drivers.size()]->EnqueueJob(arrivals[j].at, arrivals[j].spec);
-  }
-  for (const auto& driver : drivers) {
-    driver->Start();
-  }
-
-  cluster::ExperimentResult result;
-
-  sim::Timer drain_check;
-  if (config.run_to_completion) {
-    const TimeNs poll = FromMillis(10);
-    drain_check.Bind(&simulator, [&, poll] {
-      bool drained = simulator.Now() > last_arrival;
-      for (const auto& driver : drivers) {
-        drained = drained && driver->done();
-      }
-      for (const auto& client : clients) {
-        drained = drained && client->outstanding() == 0;
-      }
-      if (drained) {
-        result.drain_time = simulator.Now();
-        simulator.Clear();
-        return;
-      }
-      drain_check.ScheduleAfter(poll);
-    });
-    drain_check.ScheduleAfter(poll);
-  }
-
-  simulator.RunUntil(horizon + config.drain_margin);
-
-  if (testbed.recorder() != nullptr) {
-    testbed.recorder()->FinalizeAt(simulator.Now());
-    result.trace = testbed.TakeRecorder();
-  }
-
-  deployment->Harvest(result);
-
-  cluster::MetricsHub* metrics = testbed.metrics();
-  result.dag.active = true;
-  for (const auto& driver : drivers) {
-    driver->Harvest(&result.dag);
-  }
-  result.dag.hedges_launched = metrics->hedges_launched();
-  result.dag.hedge_wins = metrics->hedge_wins();
-  result.dag.replicas_cancelled = metrics->cancellations();
-  result.dag.wasted_work = metrics->wasted_busy();
-  if (metrics->total_busy() > 0) {
-    result.dag.wasted_work_fraction = static_cast<double>(metrics->wasted_busy()) /
-                                      static_cast<double>(metrics->total_busy());
-  }
-
-  // Offered load: every task of every generated job, whether or not its
-  // frontier was ever reached before the horizon.
-  size_t offered_tasks = 0;
-  TimeNs offered_work = 0;
-  for (const DagJobArrival& arrival : arrivals) {
-    offered_tasks += arrival.spec.tasks.size();
-    for (const TaskNode& node : arrival.spec.tasks) {
-      offered_work += node.duration;
-    }
-  }
-  const double stream_seconds = last_arrival > 0 ? ToSeconds(last_arrival) : 1.0;
-  result.offered_tasks_per_second = static_cast<double>(offered_tasks) / stream_seconds;
-  result.offered_utilization =
-      static_cast<double>(offered_work) /
-      (static_cast<double>(last_arrival > 0 ? last_arrival : 1) *
-       static_cast<double>(total_executors));
-  if (offered_tasks > 0) {
-    result.drop_fraction =
-        static_cast<double>(result.recirc_drops) / static_cast<double>(offered_tasks);
-  }
-
-  result.throughput_tps = metrics->CompletionThroughput();
-  result.executor_busy_fraction =
-      static_cast<double>(metrics->total_busy()) /
-      (static_cast<double>(horizon - config.warmup) * static_cast<double>(total_executors));
-
-  result.metrics = testbed.TakeMetrics();
-  return result;
+  DagSource source(workload, hedge);
+  return cluster::RunExperiment(config, source);
 }
 
 }  // namespace draconis::dag

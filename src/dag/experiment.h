@@ -1,13 +1,13 @@
 // One-call DAG experiment harness (docs/dag.md).
 //
-// RunDagExperiment mirrors cluster::RunExperiment — same Testbed, same
-// kind-blind SchedulerDeployment resolution, same round-robin clients — but
-// replaces the open-loop Feeder with one dag::FrontierDriver per client:
-// jobs are dealt round-robin across drivers, each driver submits frontiers
-// and (optionally) hedges stragglers, and the result carries the job-level
-// DagRunStats block beside the usual task-level metrics. It lives here
-// rather than in src/cluster/ because the driver sits *above* the client:
-// cluster must not depend on dag.
+// RunDagExperiment is cluster::RunExperiment with a DAG job source: the one
+// orchestrator builds the testbed, the deployment, the clients and the fault
+// plan, and the source gives each client a dag::FrontierDriver, deals jobs
+// round-robin across the drivers (each submits frontiers and optionally
+// hedges stragglers), and adds the job-level DagRunStats block beside the
+// usual task-level metrics. The source lives here rather than in
+// src/cluster/ because the driver sits *above* the client: cluster must not
+// depend on dag.
 
 #ifndef DRACONIS_DAG_EXPERIMENT_H_
 #define DRACONIS_DAG_EXPERIMENT_H_
@@ -19,10 +19,11 @@
 namespace draconis::dag {
 
 // Runs `workload` (DAG jobs) under `hedge` on the cluster described by
-// `config`. The config's own workload/stream must be empty (the DAG spec is
-// the workload), and fault plans / multi-rack topologies / no-op executors
-// are not supported on this path yet. Every registered scheduler kind works:
-// the driver only talks to the client API.
+// `config`, fault plans and multi-rack topologies included. The config's own
+// workload/stream must be empty (the DAG spec is the workload), and no-op
+// executors are refused: their clients are fire-and-forget, so no completion
+// would ever unlock a successor. Every registered scheduler kind works: the
+// driver only talks to the client API.
 cluster::ExperimentResult RunDagExperiment(const cluster::ExperimentConfig& config,
                                            const DagWorkloadSpec& workload,
                                            const HedgePolicy& hedge);

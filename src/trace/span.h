@@ -4,7 +4,7 @@
 // either an interval ([begin, end), e.g. a wire flight or queue residency)
 // or an instant (begin == end, e.g. an enqueue or a completion notice). The
 // record is a fixed-size POD so the hot path appends into a flat vector with
-// no per-event allocation, unlike p4::TracingProgram's old per-event string.
+// no per-event allocation.
 // Everything human-readable (names, lanes, Perfetto tracks) is derived at
 // export time from the Kind.
 

@@ -1,8 +1,9 @@
 // DAG workload subsystem (src/dag/, docs/dag.md): JobSpec validation and
 // JSON round-trips, shape generators, the critical-path lower bound, the
-// frontier driver end to end over RunDagExperiment, straggler hedging, and
-// the determinism contract (bit-identical repeats, including the per-point
-// sweep runner override the hedging bench relies on).
+// frontier driver end to end over RunDagExperiment (alone, through a
+// scheduler failover, and on a 2-rack topology), straggler hedging, and the
+// determinism contract (bit-identical repeats, including the per-point sweep
+// runner override the hedging bench relies on).
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include "dag/job_spec.h"
 #include "sweep/report.h"
 #include "sweep/sweep.h"
+#include "topology/topology.h"
 
 namespace draconis::dag {
 namespace {
@@ -330,6 +332,72 @@ TEST(DagExperimentTest, HedgingRescuesStragglersDeterministically) {
   EXPECT_EQ(sweep::ToJson(off_a), sweep::ToJson(off_b));
   const cluster::ExperimentResult on_again = RunDagExperiment(config, workload, hedge);
   EXPECT_EQ(sweep::ToJson(hedged), sweep::ToJson(on_again));
+}
+
+// DAG jobs through the §3.3 failover: the bench/plans/failover.json shape (a
+// scheduler_failover at 10 ms) on Draconis. Clients rehome to the standby on
+// timeouts, so every job still completes, the run reports its recovery
+// block, and a repeat replays bit-identically.
+TEST(DagExperimentTest, FailoverCompletesEveryJobAndReplays) {
+  DagWorkloadSpec workload = SmallSpec(DagShape::kFanOutFanIn);
+  workload.jobs_per_second = 300.0;
+  HedgePolicy hedge;
+  hedge.enabled = true;
+  cluster::ExperimentConfig config = SmallCluster();
+  config.fault_plan.SchedulerFailover(FromMillis(10));
+
+  const cluster::ExperimentResult a = RunDagExperiment(config, workload, hedge);
+  ASSERT_TRUE(a.dag.active);
+  EXPECT_GT(a.drain_time, 0);
+  EXPECT_GT(a.dag.jobs_submitted, 0u);
+  EXPECT_EQ(a.dag.jobs_completed, a.dag.jobs_submitted);
+  EXPECT_TRUE(a.recovery.fault_plan_active);
+  EXPECT_EQ(a.recovery.fault_events_started, 1u);
+  EXPECT_GT(a.counters.failovers, 0u);
+  EXPECT_GT(a.recovery.executor_rehomes, 0u);
+  EXPECT_EQ(a.recovery.tasks_lost, 0u);
+  const std::string json = sweep::ToJson(a);
+  EXPECT_NE(json.find("\"recovery\""), std::string::npos);
+  EXPECT_EQ(json, sweep::ToJson(RunDagExperiment(config, workload, hedge)));
+}
+
+// DAG jobs on a 2-rack ClusterTopology: one client homes to each rack, both
+// ToRs schedule, every job completes, and a repeat replays bit-identically.
+TEST(DagExperimentTest, TwoRackTopologyCompletesEveryJobAndReplays) {
+  DagWorkloadSpec workload = SmallSpec(DagShape::kFanOutFanIn);
+  workload.jobs_per_second = 300.0;
+  HedgePolicy hedge;
+  hedge.enabled = true;
+  cluster::ExperimentConfig config = SmallCluster();
+  config.cluster = topology::ClusterTopology::Uniform(2, 2, 4);
+
+  const cluster::ExperimentResult a = RunDagExperiment(config, workload, hedge);
+  ASSERT_TRUE(a.dag.active);
+  EXPECT_GT(a.drain_time, 0);
+  EXPECT_GT(a.dag.jobs_submitted, 0u);
+  EXPECT_EQ(a.dag.jobs_completed, a.dag.jobs_submitted);
+  EXPECT_EQ(a.num_racks, 2u);
+  ASSERT_EQ(a.rack_decisions.size(), 2u);
+  EXPECT_GT(a.rack_decisions[0], 0u);
+  EXPECT_GT(a.rack_decisions[1], 0u);
+  EXPECT_EQ(sweep::ToJson(a), sweep::ToJson(RunDagExperiment(config, workload, hedge)));
+}
+
+// With horizon = 0 the horizon is the DAG stream's last arrival + 50 ms, so a
+// warmup past 50 ms is valid as long as the stream runs longer than it.
+TEST(DagExperimentTest, DerivedHorizonFollowsTheDagStream) {
+  DagWorkloadSpec workload = SmallSpec(DagShape::kFanOutFanIn);
+  workload.jobs_per_second = 300.0;
+  workload.duration = FromMillis(200);
+  cluster::ExperimentConfig config = SmallCluster();
+  config.horizon = 0;
+  config.warmup = FromMillis(60);
+
+  const cluster::ExperimentResult result = RunDagExperiment(config, workload, HedgePolicy{});
+  ASSERT_TRUE(result.dag.active);
+  EXPECT_GT(result.dag.jobs_submitted, 0u);
+  EXPECT_EQ(result.dag.jobs_completed, result.dag.jobs_submitted);
+  EXPECT_GT(result.drain_time, FromMillis(60));
 }
 
 TEST(DagExperimentTest, SweepPointRunnerOverrideCarriesTheHedgePolicy) {

@@ -1,16 +1,10 @@
-// Tests for the supporting tooling: the flag parser, the packet tracer, and
-// trace file I/O.
+// Tests for the supporting tooling: the flag parser and trace file I/O.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 
 #include "common/flags.h"
-#include "core/draconis_program.h"
-#include "core/policy.h"
-#include "net/network.h"
-#include "p4/tracing.h"
-#include "sim/simulator.h"
 #include "workload/generators.h"
 #include "workload/trace_io.h"
 
@@ -166,77 +160,6 @@ TEST(FlagsTest, ChoiceRejectsUnlistedValue) {
 TEST(FlagsTest, ChoiceAlternativesListedInUsage) {
   SweepFlagsFixture f;
   EXPECT_NE(f.parser.Usage().find("[all|draconis|r2p2]"), std::string::npos);
-}
-
-// --- tracer ------------------------------------------------------------------
-
-TEST(TracingTest, RecordsPassesThroughToInnerProgram) {
-  sim::Simulator simulator;
-  net::NetworkConfig nc;
-  nc.max_jitter = 0;
-  net::Network network(&simulator, nc);
-  core::FcfsPolicy policy;
-  core::DraconisProgram program(&policy, core::DraconisConfig{});
-  p4::TracingProgram tracer(&program, 16);
-  p4::SwitchPipeline pipeline(&simulator, &tracer, p4::PipelineConfig{});
-  const net::NodeId sw = pipeline.AttachNetwork(&network);
-
-  class Sink : public net::Endpoint {
-   public:
-    void HandlePacket(net::Packet) override {}
-  } sink;
-  const net::NodeId client = network.Register(&sink, net::HostProfile::Wire());
-
-  net::Packet submission;
-  submission.op = net::OpCode::kJobSubmission;
-  submission.dst = sw;
-  net::TaskInfo task;
-  task.id = net::TaskId{1, 1, 1};
-  submission.tasks = {task};
-  network.Send(client, std::move(submission));
-  simulator.RunAll();
-
-  EXPECT_EQ(program.counters().tasks_enqueued, 1u);  // the inner program ran
-  const auto events = tracer.events();
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].op, net::OpCode::kJobSubmission);
-  EXPECT_NE(events[0].summary().find("job_submission"), std::string::npos);
-}
-
-TEST(TracingTest, FilterAndEviction) {
-  sim::Simulator simulator;
-  net::NetworkConfig nc;
-  nc.max_jitter = 0;
-  net::Network network(&simulator, nc);
-  core::FcfsPolicy policy;
-  core::DraconisProgram program(&policy, core::DraconisConfig{});
-  p4::TracingProgram tracer(&program, /*capacity=*/3);
-  tracer.SetFilter(
-      [](const net::Packet& pkt) { return pkt.op == net::OpCode::kTaskRequest; });
-  p4::SwitchPipeline pipeline(&simulator, &tracer, p4::PipelineConfig{});
-  const net::NodeId sw = pipeline.AttachNetwork(&network);
-
-  class Sink : public net::Endpoint {
-   public:
-    void HandlePacket(net::Packet) override {}
-  } sink;
-  const net::NodeId node = network.Register(&sink, net::HostProfile::Wire());
-
-  for (int i = 0; i < 5; ++i) {
-    net::Packet request;
-    request.op = net::OpCode::kTaskRequest;
-    request.dst = sw;
-    request.rtrv_prio = 1;
-    network.Send(node, std::move(request));
-  }
-  net::Packet other;
-  other.op = net::OpCode::kOther;
-  other.dst = sw;
-  network.Send(node, std::move(other));
-  simulator.RunAll();
-
-  EXPECT_EQ(tracer.recorded(), 5u);         // the kOther packet was filtered
-  EXPECT_EQ(tracer.events().size(), 3u);    // ring capacity
 }
 
 // --- trace I/O ----------------------------------------------------------------
