@@ -354,6 +354,84 @@ void ExpectStreamsEqual(const JobStream& a, const JobStream& b) {
   }
 }
 
+// FNV-1a over every field a scheduler sees: (at, task count, duration, tprops).
+uint64_t StreamDigest(const JobStream& stream) {
+  uint64_t h = 14695981039346656037ull;
+  const auto mix = [&h](uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  };
+  for (const JobArrival& job : stream) {
+    mix(static_cast<uint64_t>(job.at));
+    mix(job.tasks.size());
+    for (const TaskSpec& task : job.tasks) {
+      mix(static_cast<uint64_t>(task.duration));
+      mix(task.tprops);
+    }
+  }
+  return h;
+}
+
+TEST(WorkloadSpecTest, PinnedStreamDigests) {
+  // One pin per arrival kind and per tagger stage. Every RNG draw of every
+  // engine is covered, so a reordered draw or a changed default shows up as
+  // a changed digest; the run-level goldens in determinism_test ride on it.
+  WorkloadSpec open_loop;
+  open_loop.arrival = ArrivalKind::kOpenLoop;
+  open_loop.tasks_per_second = 120000.0;
+  open_loop.duration = FromMillis(20);
+  open_loop.tasks_per_job = 4;
+  open_loop.service =
+      ServiceTime::HeavyTail(ServiceTime::Pareto(FromMicros(250), 1.3), 0.01, 10.0);
+  open_loop.seed = 42;
+
+  WorkloadSpec phased;
+  phased.arrival = ArrivalKind::kPhased;
+  phased.tasks_per_second = 50000.0;
+  phased.phase_duration = FromMillis(10);
+  phased.service = ServiceTime::PaperBimodal();
+  phased.seed = 43;
+
+  WorkloadSpec google;
+  google.arrival = ArrivalKind::kGoogleTrace;
+  google.tasks_per_second = 200000.0;
+  google.duration = FromMillis(50);
+  google.priority_levels = 4;
+  google.seed = 44;
+
+  const auto tagged = [&open_loop](TaggerStage stage) {
+    WorkloadSpec spec = open_loop;
+    spec.taggers.push_back(std::move(stage));
+    return spec;
+  };
+
+  struct Pin {
+    const char* name;
+    WorkloadSpec spec;
+    size_t jobs;
+    uint64_t digest;
+  };
+  const Pin pins[] = {
+      {"open-loop", open_loop, 620, 11810935375034292359ull},
+      {"phased", phased, 1510, 15369954976551593335ull},
+      {"google-trace", google, 3686, 16013688570277805789ull},
+      {"locality", tagged(TaggerStage::Locality(10, 17)), 620, 12316512750015571661ull},
+      {"priority", tagged(TaggerStage::Priority(PaperPriorityMix(), 18)), 620,
+       10430874573680249627ull},
+      {"deadline", tagged(TaggerStage::Deadline(3.0, 200, 19)), 620,
+       16530968486327169244ull},
+      {"tenant", tagged(TaggerStage::Tenant(3, 20)), 620, 8274876523390906767ull},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(pin.name);
+    const JobStream stream = pin.spec.Generate();
+    EXPECT_EQ(stream.size(), pin.jobs);
+    EXPECT_EQ(StreamDigest(stream), pin.digest);
+  }
+}
+
 TEST(WorkloadSpecTest, GenerateIsDeterministic) {
   WorkloadSpec spec;
   spec.arrival = ArrivalKind::kOpenLoop;
