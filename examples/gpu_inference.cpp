@@ -11,7 +11,7 @@
 #include <cstdio>
 
 #include "cluster/experiment.h"
-#include "workload/generators.h"
+#include "workload/workload.h"
 
 using namespace draconis;
 using namespace draconis::cluster;
@@ -41,14 +41,15 @@ int main() {
 
   // 70% small-model requests (300 us, CPU), 30% large-model (1.5 ms, GPU).
   // This example needs a custom per-task rewrite (resource bits and mixed
-  // durations), so it uses the low-level generator + explicit stream path —
-  // the escape hatch the declarative WorkloadSpec deliberately keeps open.
-  workload::OpenLoopSpec spec;
+  // durations), so it generates the stream from a spec and rewrites it on
+  // the explicit stream path — the escape hatch ExperimentConfig keeps open.
+  workload::WorkloadSpec spec;
+  spec.arrival = workload::ArrivalKind::kOpenLoop;
   spec.tasks_per_second = 60000.0;
   spec.duration = FromMillis(500);
   spec.service = workload::ServiceTime::Fixed(FromMicros(300));
   spec.seed = 3;
-  config.stream = workload::GenerateOpenLoop(spec);
+  config.stream = spec.Generate();
   Rng rng(99);
   for (auto& job : config.stream) {
     for (auto& task : job.tasks) {

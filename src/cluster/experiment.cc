@@ -13,7 +13,6 @@
 #include "common/check.h"
 #include "fault/injector.h"
 #include "sim/simulator.h"
-#include "workload/generators.h"
 
 namespace draconis::cluster {
 
@@ -164,6 +163,16 @@ std::string ExperimentConfig::Validate(std::optional<TimeNs> last_arrival) const
     const std::string workload_error = workload.Validate();
     if (!workload_error.empty()) {
       return workload_error;
+    }
+    if (policy == PolicyKind::kLocality || locality_access_model) {
+      for (const workload::TaggerStage& stage : workload.taggers) {
+        if (stage.kind == workload::TaggerStage::Kind::kLocality &&
+            stage.num_nodes > num_workers) {
+          return "locality tagger spreads data over " + std::to_string(stage.num_nodes) +
+                 " nodes but the cluster has " + std::to_string(num_workers) +
+                 " workers; tag at most num_workers nodes";
+        }
+      }
     }
   }
 

@@ -182,13 +182,6 @@ double Value::AsDouble() const {
   return number_;
 }
 
-int64_t Value::AsInt() const {
-  DRACONIS_CHECK_MSG(is_number(), "JSON value is not a number");
-  const auto i = static_cast<int64_t>(number_);
-  DRACONIS_CHECK_MSG(static_cast<double>(i) == number_, "JSON number is not an integer");
-  return i;
-}
-
 const std::string& Value::AsString() const {
   DRACONIS_CHECK_MSG(is_string(), "JSON value is not a string");
   return string_;

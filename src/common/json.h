@@ -12,8 +12,12 @@
 #ifndef DRACONIS_COMMON_JSON_H_
 #define DRACONIS_COMMON_JSON_H_
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
+#include <optional>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -79,9 +83,25 @@ class Value {
   // mismatch rather than coerce).
   bool AsBool() const;
   double AsDouble() const;
-  int64_t AsInt() const;  // CHECK-fails when the number has a fraction
   const std::string& AsString() const;
   const std::vector<Value>& AsArray() const;
+
+  // The number as a T, or nullopt when the value is not a number, has a
+  // fraction, or lies outside T's range. Input from outside the program
+  // goes through here: the range is checked before the cast, so 1e30 or -1
+  // for an unsigned T is refused rather than undefined or wrapped.
+  template <typename T = int64_t>
+  std::optional<T> AsInt() const {
+    static_assert(std::is_integral_v<T>);
+    // T's min and max + 1 are powers of two, so both are exact doubles.
+    constexpr double kMin = static_cast<double>(std::numeric_limits<T>::min());
+    constexpr double kEnd = 2.0 * static_cast<double>(std::numeric_limits<T>::max() / 2 + 1);
+    if (!is_number() || !(number_ >= kMin && number_ < kEnd) ||
+        std::trunc(number_) != number_) {
+      return std::nullopt;
+    }
+    return static_cast<T>(number_);
+  }
 
   // Object member lookup; nullptr when absent (or when not an object).
   const Value* Find(const std::string& key) const;
@@ -104,6 +124,25 @@ class Value {
   std::vector<Value> array_;
   std::vector<std::pair<std::string, Value>> members_;  // document order
 };
+
+// Reads the integer member `key` of `obj` into `*field`. An absent member
+// leaves `*field` alone; a member that is not an integer `*field` can hold
+// is refused: false, and `*error` (when non-null) names the key.
+template <typename T>
+bool ReadInt(const Value& obj, const char* key, T* field, std::string* error) {
+  const Value* member = obj.Find(key);
+  if (member == nullptr) {
+    return true;
+  }
+  if (const std::optional<T> i = member->AsInt<T>()) {
+    *field = *i;
+    return true;
+  }
+  if (error != nullptr) {
+    *error = std::string("'") + key + "' must be an integer in range";
+  }
+  return false;
+}
 
 // Parses a complete JSON document. Returns false (and a "line N: ..." error
 // when `error` is non-null) on malformed input or trailing garbage.

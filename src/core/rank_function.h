@@ -89,7 +89,7 @@ class SrptRank : public RankFunction {
 };
 
 // Earliest deadline first. TPROPS carries the task's relative deadline in
-// microseconds (workload::TagDeadlines); rank = enqueue time + deadline, an
+// microseconds (the workload::TaggerStage deadline stage); rank = enqueue time + deadline, an
 // absolute nanosecond deadline. TPROPS = 0 degenerates to FIFO.
 class EdfRank : public RankFunction {
  public:

@@ -1,6 +1,7 @@
 #include "dag/job_spec.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "common/rng.h"
@@ -106,31 +107,29 @@ bool JobSpec::FromJson(const json::Value& v, JobSpec* out, std::string* error) {
       return fail("dag job: 'tasks' entries must be objects");
     }
     TaskNode node;
-    const json::Value* duration = t.Find("duration_ns");
-    if (duration == nullptr || !duration->is_number()) {
+    if (t.Find("duration_ns") == nullptr) {
       return fail("dag job: task " + std::to_string(parsed.tasks.size()) +
                   " is missing 'duration_ns'");
     }
-    node.duration = duration->AsInt();
+    if (!json::ReadInt(t, "duration_ns", &node.duration, error) ||
+        !json::ReadInt(t, "stage", &node.stage, error) ||
+        !json::ReadInt(t, "tprops", &node.tprops, error) ||
+        !json::ReadInt(t, "fn_id", &node.fn_id, error) ||
+        !json::ReadInt(t, "fn_par", &node.fn_par, error)) {
+      return false;
+    }
     if (const json::Value* deps = t.Find("deps"); deps != nullptr) {
       if (!deps->is_array()) {
         return fail("dag job: 'deps' must be an array");
       }
       for (const json::Value& dep : deps->AsArray()) {
-        if (!dep.is_number() || dep.AsInt() < 0) {
+        const std::optional<uint32_t> index = dep.AsInt<uint32_t>();
+        if (!index) {
           return fail("dag job: 'deps' entries must be non-negative task indices");
         }
-        node.deps.push_back(static_cast<uint32_t>(dep.AsInt()));
+        node.deps.push_back(*index);
       }
     }
-    const auto integer = [&t](const char* key, int64_t fallback) {
-      const json::Value* member = t.Find(key);
-      return member != nullptr && member->is_number() ? member->AsInt() : fallback;
-    };
-    node.stage = static_cast<uint32_t>(integer("stage", 0));
-    node.tprops = static_cast<uint32_t>(integer("tprops", 0));
-    node.fn_id = static_cast<uint32_t>(integer("fn_id", 0));
-    node.fn_par = static_cast<uint64_t>(integer("fn_par", 0));
     parsed.tasks.push_back(std::move(node));
   }
   const std::string invalid = parsed.Validate();
@@ -364,16 +363,14 @@ bool DagWorkloadSpec::FromJson(const json::Value& v, DagWorkloadSpec* out, std::
     const json::Value* member = v.Find(key);
     return member != nullptr && member->is_number() ? member->AsDouble() : fallback;
   };
-  const auto integer = [&v](const char* key, int64_t fallback) {
-    const json::Value* member = v.Find(key);
-    return member != nullptr && member->is_number() ? member->AsInt() : fallback;
-  };
-  parsed.depth = static_cast<uint32_t>(integer("depth", parsed.depth));
-  parsed.width = static_cast<uint32_t>(integer("width", parsed.width));
   parsed.edge_prob = number("edge_prob", parsed.edge_prob);
   parsed.jobs_per_second = number("jobs_per_second", parsed.jobs_per_second);
-  parsed.duration = integer("duration_ns", parsed.duration);
-  parsed.seed = static_cast<uint64_t>(integer("seed", static_cast<int64_t>(parsed.seed)));
+  if (!json::ReadInt(v, "depth", &parsed.depth, error) ||
+      !json::ReadInt(v, "width", &parsed.width, error) ||
+      !json::ReadInt(v, "duration_ns", &parsed.duration, error) ||
+      !json::ReadInt(v, "seed", &parsed.seed, error)) {
+    return false;
+  }
   if (const json::Value* service = v.Find("service"); service != nullptr) {
     if (!service->is_string()) {
       return fail("dag workload: 'service' must be a service-time name");

@@ -1,6 +1,7 @@
 #include "fault/plan.h"
 
 #include <cstdio>
+#include <optional>
 #include <utility>
 
 #include "common/check.h"
@@ -52,8 +53,8 @@ bool KindFromName(const std::string& name, EventKind* out) {
 // A duration member: integer nanoseconds or a unit string ("250us").
 bool ReadDuration(const json::Value& v, TimeNs* out, std::string* error,
                   const std::string& what) {
-  if (v.is_number()) {
-    *out = v.AsInt();
+  if (const std::optional<TimeNs> ns = v.AsInt<TimeNs>()) {
+    *out = *ns;
     return true;
   }
   if (v.is_string() && ParseDuration(v.AsString(), out)) {
@@ -80,14 +81,10 @@ bool ReadNodeRef(const json::Value* v, NodeRef* out, std::string* error,
     *error = what + ".role must be one of scheduler|standby|executor|client|node";
     return false;
   }
-  if (const json::Value* index = v->Find("index"); index != nullptr) {
-    if (!index->is_number()) {
-      *error = what + ".index must be an integer (-1 = all instances)";
-      return false;
-    }
-    out->index = static_cast<int32_t>(index->AsInt());
-  } else {
-    out->index = 0;
+  out->index = 0;
+  if (!json::ReadInt(*v, "index", &out->index, nullptr)) {
+    *error = what + ".index must be an integer (-1 = all instances)";
+    return false;
   }
   return true;
 }
@@ -250,7 +247,7 @@ bool FaultPlan::FromJson(const std::string& text, FaultPlan* out, std::string* e
     }
   }
   if (const json::Value* version = doc.Find("schema_version"); version != nullptr) {
-    if (!version->is_number() || version->AsInt() != 1) {
+    if (version->AsInt() != 1) {
       *error = "unsupported fault plan schema_version (expected 1)";
       return false;
     }

@@ -1,12 +1,37 @@
 #include "workload/workload.h"
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <utility>
 
 #include "common/check.h"
-#include "workload/generators.h"
-#include "workload/google_trace.h"
+#include "common/rng.h"
 
 namespace draconis::workload {
+
+size_t TotalTasks(const JobStream& stream) {
+  size_t total = 0;
+  for (const JobArrival& job : stream) {
+    total += job.tasks.size();
+  }
+  return total;
+}
+
+TimeNs TotalWork(const JobStream& stream) {
+  TimeNs total = 0;
+  for (const JobArrival& job : stream) {
+    for (const TaskSpec& task : job.tasks) {
+      total += task.duration;
+    }
+  }
+  return total;
+}
+
+const std::vector<double>& PaperPriorityMix() {
+  static const std::vector<double> kMix = {1.2, 1.7, 64.6, 32.2};
+  return kMix;
+}
 
 const char* ArrivalKindName(ArrivalKind kind) {
   switch (kind) {
@@ -104,18 +129,61 @@ TaggerStage TaggerStage::Tenant(uint32_t num_tenants, uint64_t seed) {
 }
 
 void TaggerStage::Apply(JobStream& stream) const {
+  const std::string invalid = Validate();
+  DRACONIS_CHECK_MSG(invalid.empty(), "invalid TaggerStage: " + invalid);
+  Rng rng(seed);
   switch (kind) {
     case Kind::kLocality:
-      TagLocality(stream, num_nodes, seed);
+      for (JobArrival& job : stream) {
+        for (TaskSpec& task : job.tasks) {
+          task.tprops = static_cast<uint32_t>(rng.NextBelow(num_nodes));
+        }
+      }
       return;
-    case Kind::kPriority:
-      TagPriorities(stream, mix, seed);
+    case Kind::kPriority: {
+      double total = 0.0;
+      for (double w : mix) {
+        total += w;
+      }
+      for (JobArrival& job : stream) {
+        for (TaskSpec& task : job.tasks) {
+          double u = rng.NextDouble() * total;
+          uint32_t level = static_cast<uint32_t>(mix.size());
+          for (size_t i = 0; i < mix.size(); ++i) {
+            if (u < mix[i]) {
+              level = static_cast<uint32_t>(i + 1);
+              break;
+            }
+            u -= mix[i];
+          }
+          task.tprops = level;
+        }
+      }
       return;
+    }
     case Kind::kDeadline:
-      TagDeadlines(stream, slack, jitter_us, seed);
+      for (JobArrival& job : stream) {
+        for (TaskSpec& task : job.tasks) {
+          const double service_us = static_cast<double>(task.duration) / 1000.0;
+          // TPROPS holds 32 bits: saturate before the cast, which a huge
+          // slack from JSON would otherwise overflow.
+          uint64_t deadline_us =
+              static_cast<uint64_t>(std::min(service_us * slack, double{UINT32_MAX}));
+          if (deadline_us < 1) {
+            deadline_us = 1;
+          }
+          deadline_us += rng.NextBelow(static_cast<uint64_t>(jitter_us) + 1);
+          task.tprops = static_cast<uint32_t>(std::min<uint64_t>(deadline_us, UINT32_MAX));
+        }
+      }
       return;
     case Kind::kTenant:
-      TagTenants(stream, num_tenants, seed);
+      for (JobArrival& job : stream) {
+        const uint32_t tenant = static_cast<uint32_t>(rng.NextBelow(num_tenants));
+        for (TaskSpec& task : job.tasks) {
+          task.tprops = tenant;
+        }
+      }
       return;
   }
 }
@@ -144,8 +212,8 @@ std::string TaggerStage::Validate() const {
       return "";
     }
     case Kind::kDeadline:
-      if (slack <= 0.0) {
-        return "deadline tagger: slack must be positive";
+      if (!std::isfinite(slack) || slack <= 0.0) {
+        return "deadline tagger: slack must be positive and finite";
       }
       return "";
     case Kind::kTenant:
@@ -199,20 +267,22 @@ bool TaggerStage::FromJson(const json::Value& v, TaggerStage* out, std::string* 
       !StageFromName(stage->AsString(), &parsed.kind)) {
     return fail("tagger: missing or unknown 'stage'");
   }
-  const json::Value* seed = v.Find("seed");
-  if (seed == nullptr || !seed->is_number()) {
-    return fail("tagger: missing 'seed'");
-  }
-  parsed.seed = static_cast<uint64_t>(seed->AsInt());
-  switch (parsed.kind) {
-    case Kind::kLocality: {
-      const json::Value* nodes = v.Find("num_nodes");
-      if (nodes == nullptr || !nodes->is_number()) {
-        return fail("locality tagger: missing 'num_nodes'");
-      }
-      parsed.num_nodes = static_cast<uint32_t>(nodes->AsInt());
-      break;
+  // Every integer member of a stage is required.
+  const auto integer = [&v, &fail, error](const char* key, auto* field) {
+    if (v.Find(key) == nullptr) {
+      return fail(std::string("tagger: missing '") + key + "'");
     }
+    return json::ReadInt(v, key, field, error);
+  };
+  if (!integer("seed", &parsed.seed)) {
+    return false;
+  }
+  switch (parsed.kind) {
+    case Kind::kLocality:
+      if (!integer("num_nodes", &parsed.num_nodes)) {
+        return false;
+      }
+      break;
     case Kind::kPriority: {
       const json::Value* mix = v.Find("mix");
       if (mix == nullptr || !mix->is_array()) {
@@ -229,23 +299,20 @@ bool TaggerStage::FromJson(const json::Value& v, TaggerStage* out, std::string* 
     }
     case Kind::kDeadline: {
       const json::Value* slack = v.Find("slack");
-      const json::Value* jitter = v.Find("jitter_us");
-      if (slack == nullptr || !slack->is_number() || jitter == nullptr ||
-          !jitter->is_number()) {
-        return fail("deadline tagger: missing 'slack' or 'jitter_us'");
+      if (slack == nullptr || !slack->is_number()) {
+        return fail("deadline tagger: missing 'slack'");
       }
       parsed.slack = slack->AsDouble();
-      parsed.jitter_us = static_cast<uint32_t>(jitter->AsInt());
-      break;
-    }
-    case Kind::kTenant: {
-      const json::Value* tenants = v.Find("num_tenants");
-      if (tenants == nullptr || !tenants->is_number()) {
-        return fail("tenant tagger: missing 'num_tenants'");
+      if (!integer("jitter_us", &parsed.jitter_us)) {
+        return false;
       }
-      parsed.num_tenants = static_cast<uint32_t>(tenants->AsInt());
       break;
     }
+    case Kind::kTenant:
+      if (!integer("num_tenants", &parsed.num_tenants)) {
+        return false;
+      }
+      break;
   }
   const std::string invalid = parsed.Validate();
   if (!invalid.empty()) {
@@ -257,6 +324,87 @@ bool TaggerStage::FromJson(const json::Value& v, TaggerStage* out, std::string* 
 
 // --- WorkloadSpec ------------------------------------------------------------
 
+namespace {
+
+// The arrival engines. Each draws from one Rng(spec.seed) in a fixed order:
+// the stream digests in tests/workload_test.cc pin that order.
+
+JobStream OpenLoopArrivals(const WorkloadSpec& spec) {
+  Rng rng(spec.seed);
+  JobStream stream;
+  const double jobs_per_second =
+      spec.tasks_per_second / static_cast<double>(spec.tasks_per_job);
+  TimeNs at = rng.NextPoissonGap(jobs_per_second);
+  while (at < spec.duration) {
+    JobArrival job;
+    job.at = at;
+    job.tasks.reserve(spec.tasks_per_job);
+    for (size_t i = 0; i < spec.tasks_per_job; ++i) {
+      TaskSpec task;
+      task.duration = spec.service.Sample(rng);
+      job.tasks.push_back(task);
+    }
+    stream.push_back(std::move(job));
+    at += rng.NextPoissonGap(jobs_per_second);
+  }
+  return stream;
+}
+
+JobStream PhasedArrivals(const WorkloadSpec& spec) {
+  Rng rng(spec.seed);
+  JobStream stream;
+  const TimeNs total = 3 * spec.phase_duration;
+  TimeNs at = rng.NextPoissonGap(spec.tasks_per_second);
+  while (at < total) {
+    const auto phase = static_cast<uint32_t>(at / spec.phase_duration);  // 0, 1, 2
+    JobArrival job;
+    job.at = at;
+    TaskSpec task;
+    task.duration = spec.service.Sample(rng);
+    task.tprops = 1u << phase;  // A=1, B=2, C=4
+    job.tasks.push_back(task);
+    stream.push_back(std::move(job));
+    at += rng.NextPoissonGap(spec.tasks_per_second);
+  }
+  return stream;
+}
+
+JobStream GoogleTraceArrivals(const WorkloadSpec& spec) {
+  Rng rng(spec.seed);
+  JobStream stream;
+  TimeNs at = 0;
+  while (at < spec.duration) {
+    const auto burst = static_cast<size_t>(rng.NextBoundedPareto(
+        1.0, static_cast<double>(spec.max_job_size) + 0.999, spec.burst_alpha));
+    JobArrival job;
+    job.at = at;
+    job.tasks.reserve(burst);
+    for (size_t i = 0; i < burst; ++i) {
+      TaskSpec task;
+      task.duration = static_cast<TimeNs>(rng.NextLognormalWithMean(
+          static_cast<double>(spec.mean_task_duration), spec.duration_sigma));
+      if (task.duration < 1) {
+        task.duration = 1;
+      }
+      job.tasks.push_back(task);
+    }
+    stream.push_back(std::move(job));
+
+    // Keep the long-run task rate at the target: the mean gap to the next
+    // burst carries this burst's worth of tasks.
+    const double gap_seconds =
+        rng.NextExponential(static_cast<double>(burst) / spec.tasks_per_second);
+    TimeNs gap = static_cast<TimeNs>(gap_seconds * kSecond);
+    at += gap > 0 ? gap : 1;
+  }
+  if (spec.priority_levels > 0) {
+    TaggerStage::Priority(PaperPriorityMix(), rng.NextU64()).Apply(stream);
+  }
+  return stream;
+}
+
+}  // namespace
+
 JobStream WorkloadSpec::Generate() const {
   const std::string invalid = Validate();
   DRACONIS_CHECK_MSG(invalid.empty(), "invalid WorkloadSpec: " + invalid);
@@ -264,38 +412,15 @@ JobStream WorkloadSpec::Generate() const {
   switch (arrival) {
     case ArrivalKind::kNone:
       return stream;
-    case ArrivalKind::kOpenLoop: {
-      OpenLoopSpec spec;
-      spec.tasks_per_second = tasks_per_second;
-      spec.duration = duration;
-      spec.tasks_per_job = tasks_per_job;
-      spec.service = service;
-      spec.seed = seed;
-      stream = GenerateOpenLoop(spec);
+    case ArrivalKind::kOpenLoop:
+      stream = OpenLoopArrivals(*this);
       break;
-    }
-    case ArrivalKind::kPhased: {
-      ResourcePhasesSpec spec;
-      spec.tasks_per_second = tasks_per_second;
-      spec.phase_duration = phase_duration;
-      spec.service = service;
-      spec.seed = seed;
-      stream = GenerateResourcePhases(spec);
+    case ArrivalKind::kPhased:
+      stream = PhasedArrivals(*this);
       break;
-    }
-    case ArrivalKind::kGoogleTrace: {
-      GoogleTraceSpec spec;
-      spec.duration = duration;
-      spec.mean_tasks_per_second = tasks_per_second;
-      spec.mean_task_duration = mean_task_duration;
-      spec.duration_sigma = duration_sigma;
-      spec.burst_alpha = burst_alpha;
-      spec.max_job_size = max_job_size;
-      spec.priority_levels = priority_levels;
-      spec.seed = seed;
-      stream = GenerateGoogleTrace(spec);
+    case ArrivalKind::kGoogleTrace:
+      stream = GoogleTraceArrivals(*this);
       break;
-    }
   }
   for (const TaggerStage& stage : taggers) {
     stage.Apply(stream);
@@ -429,22 +554,18 @@ bool WorkloadSpec::FromJson(const json::Value& v, WorkloadSpec* out, std::string
     const json::Value* member = v.Find(key);
     return member != nullptr && member->is_number() ? member->AsDouble() : fallback;
   };
-  const auto integer = [&v](const char* key, int64_t fallback) {
-    const json::Value* member = v.Find(key);
-    return member != nullptr && member->is_number() ? member->AsInt() : fallback;
-  };
   parsed.tasks_per_second = number("tasks_per_second", parsed.tasks_per_second);
-  parsed.duration = integer("duration_ns", parsed.duration);
-  parsed.tasks_per_job = static_cast<size_t>(
-      integer("tasks_per_job", static_cast<int64_t>(parsed.tasks_per_job)));
-  parsed.phase_duration = integer("phase_duration_ns", parsed.phase_duration);
-  parsed.mean_task_duration = integer("mean_task_duration_ns", parsed.mean_task_duration);
   parsed.duration_sigma = number("duration_sigma", parsed.duration_sigma);
   parsed.burst_alpha = number("burst_alpha", parsed.burst_alpha);
-  parsed.max_job_size = static_cast<uint32_t>(integer("max_job_size", parsed.max_job_size));
-  parsed.priority_levels =
-      static_cast<uint32_t>(integer("priority_levels", parsed.priority_levels));
-  parsed.seed = static_cast<uint64_t>(integer("seed", static_cast<int64_t>(parsed.seed)));
+  if (!json::ReadInt(v, "duration_ns", &parsed.duration, error) ||
+      !json::ReadInt(v, "tasks_per_job", &parsed.tasks_per_job, error) ||
+      !json::ReadInt(v, "phase_duration_ns", &parsed.phase_duration, error) ||
+      !json::ReadInt(v, "mean_task_duration_ns", &parsed.mean_task_duration, error) ||
+      !json::ReadInt(v, "max_job_size", &parsed.max_job_size, error) ||
+      !json::ReadInt(v, "priority_levels", &parsed.priority_levels, error) ||
+      !json::ReadInt(v, "seed", &parsed.seed, error)) {
+    return false;
+  }
   const json::Value* service = v.Find("service");
   if (service != nullptr) {
     if (!service->is_string() ||
@@ -469,23 +590,6 @@ bool WorkloadSpec::FromJson(const json::Value& v, WorkloadSpec* out, std::string
   const std::string invalid = parsed.Validate();
   if (!invalid.empty()) {
     return fail(invalid);
-  }
-  *out = std::move(parsed);
-  return true;
-}
-
-bool WorkloadSpec::FromName(const std::string& name, WorkloadSpec* out,
-                            std::string* error) {
-  WorkloadSpec parsed;
-  if (!ArrivalKindFromName(name, &parsed.arrival)) {
-    if (error != nullptr) {
-      std::string choices;
-      for (const std::string& n : ArrivalKindNames()) {
-        choices += (choices.empty() ? "" : ", ") + n;
-      }
-      *error = "unknown workload '" + name + "'; expected one of: " + choices;
-    }
-    return false;
   }
   *out = std::move(parsed);
   return true;

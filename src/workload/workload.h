@@ -8,11 +8,11 @@
 // ExperimentConfig::workload instead of hand-building JobStreams, which is
 // what lets one flag (--service-time, --heavy-tail-*) re-shape every bench.
 //
-// Determinism contract: Generate() delegates to the exact generator engines
-// (GenerateOpenLoop / GenerateResourcePhases / GenerateGoogleTrace) and then
-// applies each tagger with its own seed, so a spec that mirrors a legacy
-// call sequence reproduces the same JobStream bit for bit — the pinned
-// goldens in tests/determinism_test.cc ride on this.
+// Determinism contract: Generate() is the only stream generator. It runs
+// the arrival engine on Rng(seed) and then each tagger on its own
+// Rng(stage.seed), so a spec's stream is a pure function of the spec. The
+// per-kind stream digests in tests/workload_test.cc pin every draw; the
+// run-level goldens in tests/determinism_test.cc ride on them.
 
 #ifndef DRACONIS_WORKLOAD_WORKLOAD_H_
 #define DRACONIS_WORKLOAD_WORKLOAD_H_
@@ -28,22 +28,52 @@
 
 namespace draconis::workload {
 
-// Which arrival process drives the stream. kNone disables the spec (the
-// legacy ExperimentConfig::stream path stays authoritative).
-enum class ArrivalKind { kNone, kOpenLoop, kPhased, kGoogleTrace };
+// Which arrival process drives the stream. kNone disables the spec (an
+// explicit ExperimentConfig::stream is used instead).
+enum class ArrivalKind {
+  kNone,
+  // Poisson arrivals at tasks_per_second over [0, duration), in jobs of
+  // tasks_per_job tasks with durations drawn from `service`.
+  kOpenLoop,
+  // Fig. 11's resource phases: Poisson single-task jobs over three
+  // consecutive phases of phase_duration; a task in phase p requires
+  // resource bit p (A=1, B=2, C=4) in TPROPS.
+  kPhased,
+  // A synthetic stand-in for the accelerated Google 2011 cluster trace
+  // (§8.4). The real trace is bulk data we do not ship; what the paper's
+  // evaluation uses from it is (a) bursty job arrivals that "may submit
+  // hundreds of tasks at once", (b) a skewed task-duration distribution
+  // accelerated to a target mean (500 us or 5 ms), and (c) the 12-level
+  // priority labels mapped onto 4 levels with the observed mix. This
+  // process reproduces those three: bounded-Pareto job sizes in
+  // [1, max_job_size] with shape burst_alpha, lognormal task durations
+  // (mean_task_duration, duration_sigma), and, when priority_levels is 4,
+  // the paper's priority mix.
+  kGoogleTrace,
+};
 
 const char* ArrivalKindName(ArrivalKind kind);
 bool ArrivalKindFromName(const std::string& name, ArrivalKind* out);
 // The registerable arrival-process names, for flags and list_schedulers.
 const std::vector<std::string>& ArrivalKindNames();
 
-// The paper's 4-level priority mix (1.2% / 1.7% / 64.6% / 32.2%), shared by
-// the google-trace generator and the priority tagger stage. Defined in
-// generators.cc; re-declared here so benches only need this header.
+// The paper's 4-level priority mix after mapping Google's 12 levels onto 4
+// (§8.6): 1.2% / 1.7% / 64.6% / 32.2%. Shared by the google-trace arrival
+// process and the priority tagger stage.
 const std::vector<double>& PaperPriorityMix();
 
-// One named, parameterized tagging stage; stages run in declaration order,
-// each with its own Rng(seed), exactly like the free-standing Tag* calls.
+// One named, parameterized tagging stage that stamps TPROPS on every task;
+// stages run in declaration order, each with its own Rng(seed):
+//   kLocality: a uniformly random data-local node in [0, num_nodes)
+//              (Fig. 10: unreplicated data, evenly partitioned).
+//   kPriority: a 1-based priority level drawn from `mix` (fractions per
+//              level; normalized).
+//   kDeadline: a relative deadline in microseconds (the EDF rank function's
+//              input, docs/pifo.md): `slack` x the task's own service time
+//              plus up to `jitter_us` of uniform extra laxity, floored at 1.
+//   kTenant:   a uniformly random tenant id in [0, num_tenants) per job (all
+//              tasks of a job belong to one tenant; the WFQ rank's input).
+// Apply() also tags an explicit stream after the fact.
 struct TaggerStage {
   enum class Kind { kLocality, kPriority, kDeadline, kTenant };
 
@@ -77,7 +107,7 @@ struct WorkloadSpec {
   size_t tasks_per_job = 1;
   // kPhased: three consecutive phases of this length (Fig. 11).
   TimeNs phase_duration = FromSeconds(30);
-  // kGoogleTrace shape (see google_trace.h).
+  // kGoogleTrace shape (see ArrivalKind::kGoogleTrace).
   TimeNs mean_task_duration = FromMicros(500);
   double duration_sigma = 1.2;
   double burst_alpha = 1.3;
@@ -108,11 +138,6 @@ struct WorkloadSpec {
   void WriteJson(json::Writer& w) const;
   std::string ToJson() const;
   static bool FromJson(const json::Value& v, WorkloadSpec* out, std::string* error);
-
-  // A default spec with the named arrival process ("open-loop", "phased",
-  // "google-trace").
-  static bool FromName(const std::string& name, WorkloadSpec* out,
-                       std::string* error = nullptr);
 };
 
 }  // namespace draconis::workload

@@ -300,7 +300,7 @@ class RackSchedEdfTest : public ::testing::Test {
               TimeNs enqueue_time = -1) {
     net::Packet p = Task(tid, duration);
     p.op = net::OpCode::kTaskAssignment;
-    p.tasks[0].tprops = deadline_us;  // TagDeadlines stores relative us here
+    p.tasks[0].tprops = deadline_us;  // the deadline tagger stores relative us here
     p.tasks[0].meta.enqueue_time = enqueue_time >= 0 ? enqueue_time : simulator.Now();
     p.client_addr = client_node;
     p.dst = worker->node_id();

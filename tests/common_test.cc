@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
 
 #include "common/check.h"
 #include "common/json.h"
@@ -296,6 +297,23 @@ TEST(JsonParseTest, KeysPreserveDocumentOrder) {
   std::string error;
   ASSERT_TRUE(json::Parse(R"({"z": 1, "a": 2, "m": 3})", &doc, &error)) << error;
   EXPECT_EQ(doc.Keys(), (std::vector<std::string>{"z", "a", "m"}));
+}
+
+TEST(JsonParseTest, AsIntRefusesFractionsAndOutOfRangeNumbers) {
+  json::Value doc;
+  std::string error;
+  ASSERT_TRUE(json::Parse(
+      R"({"frac": 2.5, "huge": 1e30, "neg": -1, "u32max": 4294967295, "s": "7"})", &doc,
+      &error))
+      << error;
+  EXPECT_EQ(doc.Find("frac")->AsInt(), std::nullopt);
+  EXPECT_EQ(doc.Find("huge")->AsInt(), std::nullopt);
+  EXPECT_EQ(doc.Find("huge")->AsInt<uint64_t>(), std::nullopt);
+  EXPECT_EQ(doc.Find("neg")->AsInt(), -1);
+  EXPECT_EQ(doc.Find("neg")->AsInt<uint32_t>(), std::nullopt);
+  EXPECT_EQ(doc.Find("u32max")->AsInt<uint32_t>(), 4294967295u);
+  EXPECT_EQ(doc.Find("u32max")->AsInt<int32_t>(), std::nullopt);
+  EXPECT_EQ(doc.Find("s")->AsInt(), std::nullopt);  // not a number
 }
 
 TEST(JsonParseTest, RoundTripsWriterOutput) {

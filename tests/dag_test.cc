@@ -107,6 +107,10 @@ TEST(JobSpecTest, FromJsonRejectsMalformedDocuments) {
       R"({"tasks": [{"deps": []}]})",                     // missing duration
       R"({"tasks": [{"duration_ns": 5, "deps": [0]}]})",  // self dependency
       R"({"tasks": [{"duration_ns": 5, "deps": ["x"]}]})",  // non-numeric dep
+      R"({"tasks": [{"duration_ns": 1e30}]})",               // out of range
+      R"({"tasks": [{"duration_ns": 2.5}]})",                // fractional
+      R"({"tasks": [{"duration_ns": 5, "tprops": -1}]})",    // negative unsigned
+      R"({"tasks": [{"duration_ns": 5, "fn_id": 4294967296}]})",  // wider than 32 bits
   };
   for (const std::string& text : bad) {
     json::Value value;
@@ -220,6 +224,22 @@ TEST(DagWorkloadSpecTest, JsonRoundTripsExactly) {
   ASSERT_TRUE(DagWorkloadSpec::FromJson(value, &parsed, &error)) << error;
   EXPECT_EQ(parsed.ToJson(), spec.ToJson());
   EXPECT_EQ(parsed.label(), spec.label());
+}
+
+TEST(DagWorkloadSpecTest, FromJsonRefusesIntegersTheFieldCannotHold) {
+  for (const char* text : {
+           R"({"shape": "chain", "depth": -1})",
+           R"({"shape": "fanout", "width": 4294967297})",
+           R"({"shape": "chain", "duration_ns": 1e30})",
+           R"({"shape": "chain", "seed": 0.5})",
+       }) {
+    json::Value value;
+    std::string error;
+    ASSERT_TRUE(json::Parse(text, &value, &error)) << text;
+    DagWorkloadSpec parsed;
+    EXPECT_FALSE(DagWorkloadSpec::FromJson(value, &parsed, &error)) << text;
+    EXPECT_NE(error.find("must be an integer in range"), std::string::npos) << error;
+  }
 }
 
 TEST(DagWorkloadSpecTest, ValidateAndFlagsRejectBadValues) {

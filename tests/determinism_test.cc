@@ -13,8 +13,7 @@
 #include "fault/plan.h"
 #include "sim/simulator.h"
 #include "topology/topology.h"
-#include "workload/generators.h"
-#include "workload/google_trace.h"
+#include "workload/workload.h"
 
 namespace draconis {
 namespace {
@@ -30,12 +29,13 @@ cluster::ExperimentConfig MakeConfig(uint64_t seed) {
   config.max_tasks_per_packet = 1;
   config.seed = seed;
 
-  workload::OpenLoopSpec spec;
+  workload::WorkloadSpec spec;
+  spec.arrival = workload::ArrivalKind::kOpenLoop;
   spec.tasks_per_second = 0.6 * 16 / 100e-6;
   spec.duration = config.horizon;
   spec.service = workload::ServiceTime::PaperExponential();
   spec.seed = seed;
-  config.stream = workload::GenerateOpenLoop(spec);
+  config.stream = spec.Generate();
   return config;
 }
 
@@ -71,12 +71,14 @@ TEST(DeterminismTest, DifferentSeedsDifferButAgreeStatistically) {
 }
 
 TEST(DeterminismTest, GoogleTraceGenerationIsSeedStable) {
-  workload::GoogleTraceSpec spec;
+  workload::WorkloadSpec spec;
+  spec.arrival = workload::ArrivalKind::kGoogleTrace;
+  spec.tasks_per_second = 200000.0;
   spec.duration = FromMillis(50);
   spec.priority_levels = 4;
   spec.seed = 33;
-  workload::JobStream a = workload::GenerateGoogleTrace(spec);
-  workload::JobStream b = workload::GenerateGoogleTrace(spec);
+  workload::JobStream a = spec.Generate();
+  workload::JobStream b = spec.Generate();
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
     ASSERT_EQ(a[i].at, b[i].at);
@@ -96,7 +98,7 @@ TEST(DeterminismTest, ParallelPriorityStagesMatchProbingResults) {
     cluster::ExperimentConfig config = MakeConfig(9);
     config.policy = cluster::PolicyKind::kPriority;
     config.priority_levels = 4;
-    workload::TagPriorities(config.stream, {1, 1, 1, 1}, 4);
+    workload::TaggerStage::Priority({1, 1, 1, 1}, 4).Apply(config.stream);
     // (parallel stages require the shadow-copy dequeue, the default)
     config.parallel_priority_stages = parallel;
     return cluster::RunExperiment(config);
@@ -129,13 +131,14 @@ cluster::ExperimentConfig Fig05aMiniConfig() {
   config.timeout_multiplier = 5.0;
   config.seed = 42;
 
-  workload::OpenLoopSpec spec;
+  workload::WorkloadSpec spec;
+  spec.arrival = workload::ArrivalKind::kOpenLoop;
   spec.tasks_per_second = 100e3 * 16.0 / 160.0;  // the 100 ktps point, scaled
   spec.duration = config.horizon;
   spec.tasks_per_job = 10;
   spec.service = workload::ServiceTime::Fixed(FromMicros(500));
   spec.seed = config.seed;
-  config.stream = workload::GenerateOpenLoop(spec);
+  config.stream = spec.Generate();
   return config;
 }
 
@@ -284,13 +287,13 @@ TEST(DeterminismTest, NonDefaultSwitchPoliciesReplayBitIdentically) {
     config.wfq_weights = {3, 1};
     switch (policy) {
       case core::SwitchPolicy::kStrictPriority:
-        workload::TagPriorities(config.stream, {1, 2, 3, 4}, 11);
+        workload::TaggerStage::Priority({1, 2, 3, 4}, 11).Apply(config.stream);
         break;
       case core::SwitchPolicy::kEdf:
-        workload::TagDeadlines(config.stream, /*slack=*/3.0, /*jitter_us=*/200, 12);
+        workload::TaggerStage::Deadline(/*slack=*/3.0, /*jitter_us=*/200, 12).Apply(config.stream);
         break;
       case core::SwitchPolicy::kWfq:
-        workload::TagTenants(config.stream, /*num_tenants=*/2, 13);
+        workload::TaggerStage::Tenant(/*num_tenants=*/2, 13).Apply(config.stream);
         break;
       default:
         break;

@@ -10,7 +10,7 @@
 #include "cluster/experiment.h"
 #include "common/check.h"
 #include "topology/topology.h"
-#include "workload/generators.h"
+#include "workload/workload.h"
 
 namespace draconis::cluster {
 namespace {
@@ -25,12 +25,13 @@ ExperimentConfig TinyConfig(double tasks_per_second = 40000.0) {
   config.horizon = FromMillis(20);
   config.max_tasks_per_packet = 1;
 
-  workload::OpenLoopSpec spec;
+  workload::WorkloadSpec spec;
+  spec.arrival = workload::ArrivalKind::kOpenLoop;
   spec.tasks_per_second = tasks_per_second;
   spec.duration = config.horizon;
   spec.service = workload::ServiceTime::Fixed(FromMicros(100));
   spec.seed = 3;
-  config.stream = workload::GenerateOpenLoop(spec);
+  config.stream = spec.Generate();
   return config;
 }
 
@@ -106,12 +107,13 @@ TEST(ExperimentTest, PipelineOverridesAreHonored) {
   config.pipeline.recirc_queue_depth = 1;
   ExperimentConfig heavy = config;
   heavy.stream = [] {
-    workload::OpenLoopSpec spec;
+    workload::WorkloadSpec spec;
+    spec.arrival = workload::ArrivalKind::kOpenLoop;
     spec.tasks_per_second = 76000.0;  // ~95% of 8 executors
     spec.duration = FromMillis(20);
     spec.service = workload::ServiceTime::Fixed(FromMicros(100));
     spec.seed = 3;
-    return workload::GenerateOpenLoop(spec);
+    return spec.Generate();
   }();
   ExperimentResult result = RunExperiment(heavy);
   EXPECT_GT(result.recirc_drops, 0u);
@@ -321,6 +323,29 @@ TEST(ValidateTest, RejectsWarmupPastTheHorizon) {
   config.warmup = config.horizon;
   const std::string error = config.Validate();
   EXPECT_NE(error.find("warmup"), std::string::npos) << error;
+}
+
+TEST(ValidateTest, RejectsLocalityTaggerWiderThanTheCluster) {
+  // A tag naming worker 9 on a 4-worker cluster would abort the run at the
+  // first lookup of that node; Validate() must refuse it up front.
+  ExperimentConfig config = TinyConfig();
+  config.stream.clear();
+  config.num_workers = 4;
+  config.workload.arrival = workload::ArrivalKind::kOpenLoop;
+  config.workload.tasks_per_second = 40000.0;
+  config.workload.duration = config.horizon;
+  config.workload.taggers.push_back(workload::TaggerStage::Locality(10, 17));
+  for (const bool policy : {true, false}) {
+    config.policy = policy ? PolicyKind::kLocality : PolicyKind::kFcfs;
+    config.locality_access_model = !policy;
+    const std::string error = config.Validate();
+    EXPECT_NE(error.find("locality tagger"), std::string::npos) << error;
+  }
+  config.workload.taggers.back().num_nodes = 4;
+  EXPECT_EQ(config.Validate(), "");
+  config.locality_access_model = false;
+  config.workload.taggers.back().num_nodes = 10;  // no locality consumer: tags are inert
+  EXPECT_EQ(config.Validate(), "");
 }
 
 TEST(ValidateTest, RunExperimentRefusesInvalidConfigs) {

@@ -172,6 +172,15 @@ TEST(FaultPlanJsonTest, RejectsMalformedPlans) {
       {R"({"events": [{"kind": "latency_degrade", "start": 0}]})", "needs an extra_latency"},
       {R"({"events": [{"kind": "latency_degrade", "start": 0, "extra_latency": -5}]})",
        "extra_latency must be > 0"},
+      // Integers are range-checked before any cast, never truncated or wrapped.
+      {R"({"schema_version": 1.5, "events": []})", "unsupported fault plan schema_version"},
+      {R"({"events": [{"kind": "scheduler_failover", "start": 10000000.5}]})",
+       "start must be integer nanoseconds"},
+      {R"({"events": [{"kind": "scheduler_failover", "start": 1e30}]})",
+       "start must be integer nanoseconds"},
+      {R"({"events": [{"kind": "node_crash", "start": 0,
+                       "target": {"role": "node", "index": 4294967296}}]})",
+       "index must be an integer"},
   };
   for (const BadPlanCase& c : cases) {
     FaultPlan plan;

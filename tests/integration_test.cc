@@ -5,13 +5,13 @@
 #include <gtest/gtest.h>
 
 #include "cluster/experiment.h"
-#include "workload/generators.h"
+#include "workload/workload.h"
 
 namespace draconis::cluster {
 namespace {
 
-using workload::GenerateOpenLoop;
-using workload::OpenLoopSpec;
+using workload::ArrivalKind;
+using workload::WorkloadSpec;
 
 ExperimentConfig SmallCluster(SchedulerKind kind, double tasks_per_second,
                               TimeNs task_duration = FromMicros(100)) {
@@ -22,12 +22,13 @@ ExperimentConfig SmallCluster(SchedulerKind kind, double tasks_per_second,
   config.num_clients = 2;
   config.warmup = FromMillis(5);
 
-  OpenLoopSpec spec;
+  WorkloadSpec spec;
+  spec.arrival = ArrivalKind::kOpenLoop;
   spec.tasks_per_second = tasks_per_second;
   spec.duration = FromMillis(40);
   spec.service = workload::ServiceTime::Fixed(task_duration);
   spec.seed = 9;
-  config.stream = GenerateOpenLoop(spec);
+  config.stream = spec.Generate();
   config.horizon = FromMillis(40);
   return config;
 }
@@ -46,13 +47,14 @@ ExperimentConfig PaperCluster(SchedulerKind kind, double tasks_per_second,
   config.warmup = FromMillis(5);
   config.max_tasks_per_packet = 1;
 
-  OpenLoopSpec spec;
+  WorkloadSpec spec;
+  spec.arrival = ArrivalKind::kOpenLoop;
   spec.tasks_per_second = tasks_per_second;
   spec.duration = FromMillis(40);
   spec.tasks_per_job = tasks_per_job;
   spec.service = workload::ServiceTime::Fixed(task_duration);
   spec.seed = 9;
-  config.stream = GenerateOpenLoop(spec);
+  config.stream = spec.Generate();
   config.horizon = FromMillis(40);
   return config;
 }
@@ -162,12 +164,13 @@ TEST(IntegrationServer, SocketServerSaturatesBelowDpdkServer) {
        {std::tuple{SchedulerKind::kDraconisDpdkServer, 700e3, 2e6},
         std::tuple{SchedulerKind::kDraconisSocketServer, 100e3, 450e3}}) {
     ExperimentConfig config = PaperCluster(kind, 1.0, 0);  // stream replaced below
-    OpenLoopSpec spec;
+    WorkloadSpec spec;
+    spec.arrival = ArrivalKind::kOpenLoop;
     spec.tasks_per_second = 4e6;  // far beyond both servers' capacity
     spec.duration = FromMillis(40);
     spec.tasks_per_job = 64;  // batched submissions, as a framework would
     spec.service = workload::ServiceTime::Fixed(0);
-    config.stream = GenerateOpenLoop(spec);
+    config.stream = spec.Generate();
     config.max_tasks_per_packet = 0;  // MTU-sized batches, not 1-task trains
     config.noop_executors = true;
     config.horizon = FromMillis(40);
@@ -191,7 +194,7 @@ TEST(IntegrationDraconis, PriorityPolicyEndToEnd) {
   ExperimentConfig config = SmallCluster(SchedulerKind::kDraconis, 140000.0);
   config.policy = PolicyKind::kPriority;
   config.priority_levels = 4;
-  workload::TagPriorities(config.stream, {0.1, 0.2, 0.3, 0.4}, 3);
+  workload::TaggerStage::Priority({0.1, 0.2, 0.3, 0.4}, 3).Apply(config.stream);
   ExperimentResult result = RunExperiment(config);
   ASSERT_GT(result.metrics->tasks_completed(), 1000u);
   // Under load, high-priority queueing delay must not exceed low-priority.
@@ -206,7 +209,8 @@ TEST(IntegrationDraconis, LocalityPolicyImprovesPlacement) {
     config.policy = policy;
     config.num_racks = 2;
     config.locality_access_model = true;
-    workload::TagLocality(config.stream, static_cast<uint32_t>(config.num_workers), 17);
+    workload::TaggerStage::Locality(static_cast<uint32_t>(config.num_workers), 17)
+        .Apply(config.stream);
     return config;
   };
   ExperimentResult fcfs = RunExperiment(make(PolicyKind::kFcfs));

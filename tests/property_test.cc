@@ -12,7 +12,7 @@
 #include "cluster/experiment.h"
 #include "common/rng.h"
 #include "core/switch_queue.h"
-#include "workload/generators.h"
+#include "workload/workload.h"
 
 namespace draconis {
 namespace {
@@ -253,12 +253,13 @@ TEST_P(ConservationTest, EveryTaskCompletesExactlyOnce) {
   config.run_to_completion = true;
   config.max_tasks_per_packet = 1;
 
-  workload::OpenLoopSpec spec;
+  workload::WorkloadSpec spec;
+  spec.arrival = workload::ArrivalKind::kOpenLoop;
   spec.tasks_per_second = param.utilization * 16 / 100e-6;
   spec.duration = FromMillis(20);
   spec.service = workload::ServiceTime::Fixed(FromMicros(100));
   spec.seed = 1234;
-  config.stream = workload::GenerateOpenLoop(spec);
+  config.stream = spec.Generate();
 
   cluster::ExperimentResult result = cluster::RunExperiment(config);
   EXPECT_GE(result.drain_time, 0) << "cluster did not drain";
@@ -310,18 +311,19 @@ TEST_P(PolicyDisciplineTest, NoRegisterViolationsUnderLoad) {
   config.locality_access_model = config.policy == cluster::PolicyKind::kLocality;
   config.timeout_multiplier = 10.0;
 
-  workload::OpenLoopSpec spec;
+  workload::WorkloadSpec spec;
+  spec.arrival = workload::ArrivalKind::kOpenLoop;
   spec.tasks_per_second = 0.7 * 24 / 100e-6;
   spec.duration = FromMillis(30);
   spec.service = workload::ServiceTime::Fixed(FromMicros(100));
   spec.seed = 5;
-  config.stream = workload::GenerateOpenLoop(spec);
+  config.stream = spec.Generate();
   switch (config.policy) {
     case cluster::PolicyKind::kPriority:
-      workload::TagPriorities(config.stream, {1, 2, 3, 4}, 6);
+      workload::TaggerStage::Priority({1, 2, 3, 4}, 6).Apply(config.stream);
       break;
     case cluster::PolicyKind::kLocality:
-      workload::TagLocality(config.stream, 6, 7);
+      workload::TaggerStage::Locality(6, 7).Apply(config.stream);
       break;
     case cluster::PolicyKind::kResource:
       for (auto& job : config.stream) {

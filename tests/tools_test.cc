@@ -5,8 +5,8 @@
 #include <cstdio>
 
 #include "common/flags.h"
-#include "workload/generators.h"
 #include "workload/trace_io.h"
+#include "workload/workload.h"
 
 namespace draconis {
 namespace {
@@ -165,12 +165,13 @@ TEST(FlagsTest, ChoiceAlternativesListedInUsage) {
 // --- trace I/O ----------------------------------------------------------------
 
 TEST(TraceIoTest, RoundTrip) {
-  workload::OpenLoopSpec spec;
+  workload::WorkloadSpec spec;
+  spec.arrival = workload::ArrivalKind::kOpenLoop;
   spec.tasks_per_second = 50000;
   spec.duration = FromMillis(5);
   spec.tasks_per_job = 3;
   spec.seed = 99;
-  workload::JobStream original = workload::GenerateOpenLoop(spec);
+  workload::JobStream original = spec.Generate();
   original[0].tasks[0].tprops = 7;
   original[0].tasks[1].oversized_param_bytes = 4096;
 

@@ -24,7 +24,7 @@
 #include "sim/simulator.h"
 #include "trace/export.h"
 #include "trace/recorder.h"
-#include "workload/generators.h"
+#include "workload/workload.h"
 
 namespace draconis {
 namespace {
@@ -147,13 +147,14 @@ cluster::ExperimentConfig TracedConfig() {
   config.trace.enabled = true;
   config.trace.sample_period = 1;
 
-  workload::OpenLoopSpec spec;
+  workload::WorkloadSpec spec;
+  spec.arrival = workload::ArrivalKind::kOpenLoop;
   spec.tasks_per_second = 0.5 * 16 / 100e-6;
   spec.duration = config.horizon;
   spec.tasks_per_job = 10;
   spec.service = workload::ServiceTime::Fixed(FromMicros(100));
   spec.seed = config.seed;
-  config.stream = workload::GenerateOpenLoop(spec);
+  config.stream = spec.Generate();
   return config;
 }
 
