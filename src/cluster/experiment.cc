@@ -164,13 +164,22 @@ std::string ExperimentConfig::Validate(std::optional<TimeNs> last_arrival) const
     if (!workload_error.empty()) {
       return workload_error;
     }
-    if (policy == PolicyKind::kLocality || locality_access_model) {
-      for (const workload::TaggerStage& stage : workload.taggers) {
-        if (stage.kind == workload::TaggerStage::Kind::kLocality &&
-            stage.num_nodes > num_workers) {
-          return "locality tagger spreads data over " + std::to_string(stage.num_nodes) +
-                 " nodes but the cluster has " + std::to_string(num_workers) +
-                 " workers; tag at most num_workers nodes";
+  }
+  // The locality consumers read tprops as a data node in [0, num_workers);
+  // a node outside the cluster would abort the run at its first lookup.
+  if (policy == PolicyKind::kLocality || locality_access_model) {
+    const std::string too_wide = "locality tags name data nodes outside the cluster's " +
+                                 std::to_string(num_workers) + " workers";
+    for (const workload::TaggerStage& stage : workload.taggers) {
+      if (stage.kind == workload::TaggerStage::Kind::kLocality &&
+          stage.num_nodes > num_workers) {
+        return too_wide;
+      }
+    }
+    for (const workload::JobArrival& job : stream) {
+      for (const workload::TaskSpec& task : job.tasks) {
+        if (task.tprops >= num_workers) {
+          return too_wide;
         }
       }
     }

@@ -88,12 +88,7 @@ std::string JobSpec::ToJson() const {
 }
 
 bool JobSpec::FromJson(const json::Value& v, JobSpec* out, std::string* error) {
-  const auto fail = [error](std::string msg) {
-    if (error != nullptr) {
-      *error = std::move(msg);
-    }
-    return false;
-  };
+  const auto fail = [error](std::string msg) { return json::Fail(error, std::move(msg)); };
   if (!v.is_object()) {
     return fail("dag job: expected an object");
   }
@@ -107,15 +102,15 @@ bool JobSpec::FromJson(const json::Value& v, JobSpec* out, std::string* error) {
       return fail("dag job: 'tasks' entries must be objects");
     }
     TaskNode node;
+    const std::string where = "dag job: task " + std::to_string(parsed.tasks.size());
     if (t.Find("duration_ns") == nullptr) {
-      return fail("dag job: task " + std::to_string(parsed.tasks.size()) +
-                  " is missing 'duration_ns'");
+      return fail(where + " is missing 'duration_ns'");
     }
-    if (!json::ReadInt(t, "duration_ns", &node.duration, error) ||
-        !json::ReadInt(t, "stage", &node.stage, error) ||
-        !json::ReadInt(t, "tprops", &node.tprops, error) ||
-        !json::ReadInt(t, "fn_id", &node.fn_id, error) ||
-        !json::ReadInt(t, "fn_par", &node.fn_par, error)) {
+    if (!json::ReadInt(t, where, "duration_ns", &node.duration, error) ||
+        !json::ReadInt(t, where, "stage", &node.stage, error) ||
+        !json::ReadInt(t, where, "tprops", &node.tprops, error) ||
+        !json::ReadInt(t, where, "fn_id", &node.fn_id, error) ||
+        !json::ReadInt(t, where, "fn_par", &node.fn_par, error)) {
       return false;
     }
     if (const json::Value* deps = t.Find("deps"); deps != nullptr) {
@@ -344,12 +339,7 @@ std::string DagWorkloadSpec::ToJson() const {
 }
 
 bool DagWorkloadSpec::FromJson(const json::Value& v, DagWorkloadSpec* out, std::string* error) {
-  const auto fail = [error](std::string msg) {
-    if (error != nullptr) {
-      *error = std::move(msg);
-    }
-    return false;
-  };
+  const auto fail = [error](std::string msg) { return json::Fail(error, std::move(msg)); };
   if (!v.is_object()) {
     return fail("dag workload: expected an object");
   }
@@ -365,10 +355,10 @@ bool DagWorkloadSpec::FromJson(const json::Value& v, DagWorkloadSpec* out, std::
   };
   parsed.edge_prob = number("edge_prob", parsed.edge_prob);
   parsed.jobs_per_second = number("jobs_per_second", parsed.jobs_per_second);
-  if (!json::ReadInt(v, "depth", &parsed.depth, error) ||
-      !json::ReadInt(v, "width", &parsed.width, error) ||
-      !json::ReadInt(v, "duration_ns", &parsed.duration, error) ||
-      !json::ReadInt(v, "seed", &parsed.seed, error)) {
+  if (!json::ReadInt(v, "dag workload", "depth", &parsed.depth, error) ||
+      !json::ReadInt(v, "dag workload", "width", &parsed.width, error) ||
+      !json::ReadInt(v, "dag workload", "duration_ns", &parsed.duration, error) ||
+      !json::ReadInt(v, "dag workload", "seed", &parsed.seed, error)) {
     return false;
   }
   if (const json::Value* service = v.Find("service"); service != nullptr) {

@@ -82,7 +82,7 @@ bool ReadNodeRef(const json::Value* v, NodeRef* out, std::string* error,
     return false;
   }
   out->index = 0;
-  if (!json::ReadInt(*v, "index", &out->index, nullptr)) {
+  if (!json::ReadInt(*v, what, "index", &out->index, nullptr)) {
     *error = what + ".index must be an integer (-1 = all instances)";
     return false;
   }

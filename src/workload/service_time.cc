@@ -144,12 +144,7 @@ ServiceTime ServiceTime::PaperExponential() {
 }
 
 bool ServiceTime::FromName(const std::string& name, ServiceTime* out, std::string* error) {
-  const auto fail = [error](std::string msg) {
-    if (error != nullptr) {
-      *error = std::move(msg);
-    }
-    return false;
-  };
+  const auto fail = [error](std::string msg) { return json::Fail(error, std::move(msg)); };
   const size_t colon = name.find(':');
   const std::string head =
       AsciiLower(colon == std::string::npos ? name : name.substr(0, colon));

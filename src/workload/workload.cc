@@ -252,12 +252,7 @@ void TaggerStage::WriteJson(json::Writer& w) const {
 }
 
 bool TaggerStage::FromJson(const json::Value& v, TaggerStage* out, std::string* error) {
-  const auto fail = [error](std::string msg) {
-    if (error != nullptr) {
-      *error = std::move(msg);
-    }
-    return false;
-  };
+  const auto fail = [error](std::string msg) { return json::Fail(error, std::move(msg)); };
   if (!v.is_object()) {
     return fail("tagger: expected an object");
   }
@@ -272,7 +267,7 @@ bool TaggerStage::FromJson(const json::Value& v, TaggerStage* out, std::string* 
     if (v.Find(key) == nullptr) {
       return fail(std::string("tagger: missing '") + key + "'");
     }
-    return json::ReadInt(v, key, field, error);
+    return json::ReadInt(v, "tagger", key, field, error);
   };
   if (!integer("seed", &parsed.seed)) {
     return false;
@@ -445,8 +440,8 @@ std::string WorkloadSpec::Validate() const {
   if (arrival == ArrivalKind::kNone) {
     return "";
   }
-  if (tasks_per_second <= 0.0) {
-    return "workload: tasks_per_second must be positive";
+  if (!std::isfinite(tasks_per_second) || tasks_per_second <= 0.0) {
+    return "workload: tasks_per_second must be positive and finite";
   }
   if ((arrival == ArrivalKind::kOpenLoop || arrival == ArrivalKind::kGoogleTrace) &&
       duration <= 0) {
@@ -462,7 +457,7 @@ std::string WorkloadSpec::Validate() const {
     if (mean_task_duration <= 0) {
       return "workload: mean_task_duration must be positive";
     }
-    if (duration_sigma <= 0.0 || burst_alpha <= 0.0) {
+    if (!(duration_sigma > 0.0) || !(burst_alpha > 0.0)) {
       return "workload: duration_sigma and burst_alpha must be positive";
     }
     if (max_job_size == 0) {
@@ -532,12 +527,7 @@ std::string WorkloadSpec::ToJson() const {
 }
 
 bool WorkloadSpec::FromJson(const json::Value& v, WorkloadSpec* out, std::string* error) {
-  const auto fail = [error](std::string msg) {
-    if (error != nullptr) {
-      *error = std::move(msg);
-    }
-    return false;
-  };
+  const auto fail = [error](std::string msg) { return json::Fail(error, std::move(msg)); };
   if (!v.is_object()) {
     return fail("workload: expected an object");
   }
@@ -557,13 +547,13 @@ bool WorkloadSpec::FromJson(const json::Value& v, WorkloadSpec* out, std::string
   parsed.tasks_per_second = number("tasks_per_second", parsed.tasks_per_second);
   parsed.duration_sigma = number("duration_sigma", parsed.duration_sigma);
   parsed.burst_alpha = number("burst_alpha", parsed.burst_alpha);
-  if (!json::ReadInt(v, "duration_ns", &parsed.duration, error) ||
-      !json::ReadInt(v, "tasks_per_job", &parsed.tasks_per_job, error) ||
-      !json::ReadInt(v, "phase_duration_ns", &parsed.phase_duration, error) ||
-      !json::ReadInt(v, "mean_task_duration_ns", &parsed.mean_task_duration, error) ||
-      !json::ReadInt(v, "max_job_size", &parsed.max_job_size, error) ||
-      !json::ReadInt(v, "priority_levels", &parsed.priority_levels, error) ||
-      !json::ReadInt(v, "seed", &parsed.seed, error)) {
+  if (!json::ReadInt(v, "workload", "duration_ns", &parsed.duration, error) ||
+      !json::ReadInt(v, "workload", "tasks_per_job", &parsed.tasks_per_job, error) ||
+      !json::ReadInt(v, "workload", "phase_duration_ns", &parsed.phase_duration, error) ||
+      !json::ReadInt(v, "workload", "mean_task_duration_ns", &parsed.mean_task_duration, error) ||
+      !json::ReadInt(v, "workload", "max_job_size", &parsed.max_job_size, error) ||
+      !json::ReadInt(v, "workload", "priority_levels", &parsed.priority_levels, error) ||
+      !json::ReadInt(v, "workload", "seed", &parsed.seed, error)) {
     return false;
   }
   const json::Value* service = v.Find("service");

@@ -106,15 +106,7 @@ TEST(ExperimentTest, PipelineOverridesAreHonored) {
   config.pipeline.recirc_rate_pps = 1e3;
   config.pipeline.recirc_queue_depth = 1;
   ExperimentConfig heavy = config;
-  heavy.stream = [] {
-    workload::WorkloadSpec spec;
-    spec.arrival = workload::ArrivalKind::kOpenLoop;
-    spec.tasks_per_second = 76000.0;  // ~95% of 8 executors
-    spec.duration = FromMillis(20);
-    spec.service = workload::ServiceTime::Fixed(FromMicros(100));
-    spec.seed = 3;
-    return spec.Generate();
-  }();
+  heavy.stream = TinyConfig(76000.0).stream;  // ~95% of 8 executors
   ExperimentResult result = RunExperiment(heavy);
   EXPECT_GT(result.recirc_drops, 0u);
 }
@@ -326,25 +318,29 @@ TEST(ValidateTest, RejectsWarmupPastTheHorizon) {
 }
 
 TEST(ValidateTest, RejectsLocalityTaggerWiderThanTheCluster) {
-  // A tag naming worker 9 on a 4-worker cluster would abort the run at the
-  // first lookup of that node; Validate() must refuse it up front.
+  // Worker 9 on a 4-worker cluster would abort the run mid-way: Validate() refuses it.
   ExperimentConfig config = TinyConfig();
   config.stream.clear();
   config.num_workers = 4;
   config.workload.arrival = workload::ArrivalKind::kOpenLoop;
-  config.workload.tasks_per_second = 40000.0;
   config.workload.duration = config.horizon;
   config.workload.taggers.push_back(workload::TaggerStage::Locality(10, 17));
   for (const bool policy : {true, false}) {
     config.policy = policy ? PolicyKind::kLocality : PolicyKind::kFcfs;
     config.locality_access_model = !policy;
-    const std::string error = config.Validate();
-    EXPECT_NE(error.find("locality tagger"), std::string::npos) << error;
+    EXPECT_NE(config.Validate().find("outside the cluster's 4 workers"), std::string::npos);
   }
   config.workload.taggers.back().num_nodes = 4;
   EXPECT_EQ(config.Validate(), "");
   config.locality_access_model = false;
   config.workload.taggers.back().num_nodes = 10;  // no locality consumer: tags are inert
+  EXPECT_EQ(config.Validate(), "");
+
+  config.policy = PolicyKind::kLocality;  // an explicit stream is checked task by task
+  config.stream = config.workload.Generate();
+  config.workload = workload::WorkloadSpec{};
+  EXPECT_NE(config.Validate().find("outside the cluster's 4 workers"), std::string::npos);
+  workload::TaggerStage::Locality(4, 17).Apply(config.stream);
   EXPECT_EQ(config.Validate(), "");
 }
 

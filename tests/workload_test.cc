@@ -15,6 +15,32 @@
 namespace draconis::workload {
 namespace {
 
+WorkloadSpec MakeSpec(ArrivalKind arrival) {
+  WorkloadSpec spec;
+  spec.arrival = arrival;
+  return spec;
+}
+
+// FNV-1a over every field a scheduler sees: (at, task count, duration, tprops).
+uint64_t StreamDigest(const JobStream& stream) {
+  uint64_t h = 14695981039346656037ull;
+  const auto mix = [&h](uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  };
+  for (const JobArrival& job : stream) {
+    mix(static_cast<uint64_t>(job.at));
+    mix(job.tasks.size());
+    for (const TaskSpec& task : job.tasks) {
+      mix(static_cast<uint64_t>(task.duration));
+      mix(task.tprops);
+    }
+  }
+  return h;
+}
+
 // --- ServiceTime -------------------------------------------------------------
 
 TEST(ServiceTimeTest, FixedAlwaysSame) {
@@ -84,8 +110,7 @@ TEST(ServiceTimeTest, LabelsAreInformative) {
 // --- Open-loop generator -------------------------------------------------------
 
 TEST(OpenLoopTest, RateIsRespected) {
-  WorkloadSpec spec;
-  spec.arrival = ArrivalKind::kOpenLoop;
+  WorkloadSpec spec = MakeSpec(ArrivalKind::kOpenLoop);
   spec.tasks_per_second = 200000.0;
   spec.duration = FromMillis(500);
   spec.seed = 6;
@@ -95,8 +120,7 @@ TEST(OpenLoopTest, RateIsRespected) {
 }
 
 TEST(OpenLoopTest, ArrivalsSortedWithinDuration) {
-  WorkloadSpec spec;
-  spec.arrival = ArrivalKind::kOpenLoop;
+  WorkloadSpec spec = MakeSpec(ArrivalKind::kOpenLoop);
   spec.duration = FromMillis(50);
   JobStream stream = spec.Generate();
   ASSERT_FALSE(stream.empty());
@@ -109,8 +133,7 @@ TEST(OpenLoopTest, ArrivalsSortedWithinDuration) {
 }
 
 TEST(OpenLoopTest, BatchedJobs) {
-  WorkloadSpec spec;
-  spec.arrival = ArrivalKind::kOpenLoop;
+  WorkloadSpec spec = MakeSpec(ArrivalKind::kOpenLoop);
   spec.tasks_per_job = 10;
   spec.duration = FromMillis(20);
   JobStream stream = spec.Generate();
@@ -119,9 +142,15 @@ TEST(OpenLoopTest, BatchedJobs) {
   }
 }
 
+TEST(OpenLoopTest, Deterministic) {
+  WorkloadSpec spec = MakeSpec(ArrivalKind::kOpenLoop);
+  spec.seed = 77;
+  spec.duration = FromMillis(10);
+  EXPECT_EQ(StreamDigest(spec.Generate()), StreamDigest(spec.Generate()));
+}
+
 TEST(OpenLoopTest, TotalWorkMatchesMeanService) {
-  WorkloadSpec spec;
-  spec.arrival = ArrivalKind::kOpenLoop;
+  WorkloadSpec spec = MakeSpec(ArrivalKind::kOpenLoop);
   spec.tasks_per_second = 100000.0;
   spec.duration = FromMillis(200);
   spec.service = ServiceTime::Fixed(FromMicros(100));
@@ -133,8 +162,7 @@ TEST(OpenLoopTest, TotalWorkMatchesMeanService) {
 // --- Taggers -------------------------------------------------------------------
 
 TEST(TaggerTest, LocalityCoversAllNodesRoughlyEvenly) {
-  WorkloadSpec spec;
-  spec.arrival = ArrivalKind::kOpenLoop;
+  WorkloadSpec spec = MakeSpec(ArrivalKind::kOpenLoop);
   spec.duration = FromMillis(200);
   spec.tasks_per_second = 100000.0;
   JobStream stream = spec.Generate();
@@ -160,8 +188,7 @@ TEST(TaggerTest, DeadlineSaturatesAtTheTpropsWidth) {
 }
 
 TEST(TaggerTest, PriorityMixMatchesFractions) {
-  WorkloadSpec spec;
-  spec.arrival = ArrivalKind::kOpenLoop;
+  WorkloadSpec spec = MakeSpec(ArrivalKind::kOpenLoop);
   spec.duration = FromMillis(400);
   spec.tasks_per_second = 100000.0;
   JobStream stream = spec.Generate();
@@ -183,8 +210,7 @@ TEST(TaggerTest, PriorityMixMatchesFractions) {
 // --- Resource phases -------------------------------------------------------------
 
 TEST(ResourcePhasesTest, ThreePhasesWithEscalatingBits) {
-  WorkloadSpec spec;
-  spec.arrival = ArrivalKind::kPhased;
+  WorkloadSpec spec = MakeSpec(ArrivalKind::kPhased);
   spec.phase_duration = FromMillis(100);
   spec.tasks_per_second = 50000.0;
   spec.service = ServiceTime::Fixed(FromMillis(10));
@@ -201,8 +227,7 @@ TEST(ResourcePhasesTest, ThreePhasesWithEscalatingBits) {
 // --- Google-like trace -------------------------------------------------------------
 
 TEST(GoogleTraceTest, MeanRateAndDuration) {
-  WorkloadSpec spec;
-  spec.arrival = ArrivalKind::kGoogleTrace;
+  WorkloadSpec spec = MakeSpec(ArrivalKind::kGoogleTrace);
   spec.duration = FromSeconds(1);
   spec.tasks_per_second = 100000.0;
   spec.seed = 12;
@@ -212,8 +237,7 @@ TEST(GoogleTraceTest, MeanRateAndDuration) {
 }
 
 TEST(GoogleTraceTest, TaskDurationsAverageToTarget) {
-  WorkloadSpec spec;
-  spec.arrival = ArrivalKind::kGoogleTrace;
+  WorkloadSpec spec = MakeSpec(ArrivalKind::kGoogleTrace);
   spec.duration = FromSeconds(1);
   spec.tasks_per_second = 100000.0;
   spec.mean_task_duration = FromMicros(500);
@@ -225,8 +249,7 @@ TEST(GoogleTraceTest, TaskDurationsAverageToTarget) {
 }
 
 TEST(GoogleTraceTest, IsBursty) {
-  WorkloadSpec spec;
-  spec.arrival = ArrivalKind::kGoogleTrace;
+  WorkloadSpec spec = MakeSpec(ArrivalKind::kGoogleTrace);
   spec.duration = FromSeconds(1);
   spec.tasks_per_second = 100000.0;
   spec.max_job_size = 300;
@@ -242,8 +265,7 @@ TEST(GoogleTraceTest, IsBursty) {
 }
 
 TEST(GoogleTraceTest, PriorityTaggingOptional) {
-  WorkloadSpec spec;
-  spec.arrival = ArrivalKind::kGoogleTrace;
+  WorkloadSpec spec = MakeSpec(ArrivalKind::kGoogleTrace);
   spec.tasks_per_second = 200000.0;
   spec.duration = FromMillis(200);
   spec.priority_levels = 4;
@@ -348,24 +370,15 @@ TEST(ServiceTimeTest, FromNameRejectsMalformedNames) {
 
 // --- Declarative workload specs ------------------------------------------------
 
-// FNV-1a over every field a scheduler sees: (at, task count, duration, tprops).
-uint64_t StreamDigest(const JobStream& stream) {
-  uint64_t h = 14695981039346656037ull;
-  const auto mix = [&h](uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  };
-  for (const JobArrival& job : stream) {
-    mix(static_cast<uint64_t>(job.at));
-    mix(job.tasks.size());
-    for (const TaskSpec& task : job.tasks) {
-      mix(static_cast<uint64_t>(task.duration));
-      mix(task.tprops);
-    }
-  }
-  return h;
+TEST(WorkloadSpecTest, GenerateIsDeterministic) {
+  WorkloadSpec spec = MakeSpec(ArrivalKind::kOpenLoop);
+  spec.tasks_per_second = 150000.0;
+  spec.duration = FromMillis(20);
+  spec.tasks_per_job = 10;
+  spec.service = ServiceTime::PaperBimodal();
+  spec.seed = 91;
+  spec.taggers.push_back(TaggerStage::Locality(10, 17));
+  EXPECT_EQ(StreamDigest(spec.Generate()), StreamDigest(spec.Generate()));
 }
 
 TEST(WorkloadSpecTest, PinnedStreamDigests) {
@@ -373,8 +386,7 @@ TEST(WorkloadSpecTest, PinnedStreamDigests) {
   // engine is covered, so a reordered draw, a changed default or any
   // non-determinism shows up as a changed digest; the run-level goldens in
   // determinism_test ride on it.
-  WorkloadSpec open_loop;
-  open_loop.arrival = ArrivalKind::kOpenLoop;
+  WorkloadSpec open_loop = MakeSpec(ArrivalKind::kOpenLoop);
   open_loop.tasks_per_second = 120000.0;
   open_loop.duration = FromMillis(20);
   open_loop.tasks_per_job = 4;
@@ -382,15 +394,13 @@ TEST(WorkloadSpecTest, PinnedStreamDigests) {
       ServiceTime::HeavyTail(ServiceTime::Pareto(FromMicros(250), 1.3), 0.01, 10.0);
   open_loop.seed = 42;
 
-  WorkloadSpec phased;
-  phased.arrival = ArrivalKind::kPhased;
+  WorkloadSpec phased = MakeSpec(ArrivalKind::kPhased);
   phased.tasks_per_second = 50000.0;
   phased.phase_duration = FromMillis(10);
   phased.service = ServiceTime::PaperBimodal();
   phased.seed = 43;
 
-  WorkloadSpec google;
-  google.arrival = ArrivalKind::kGoogleTrace;
+  WorkloadSpec google = MakeSpec(ArrivalKind::kGoogleTrace);
   google.tasks_per_second = 200000.0;
   google.duration = FromMillis(50);
   google.priority_levels = 4;
@@ -428,8 +438,7 @@ TEST(WorkloadSpecTest, PinnedStreamDigests) {
 }
 
 TEST(WorkloadSpecTest, JsonRoundTripReproducesTheSpec) {
-  WorkloadSpec spec;
-  spec.arrival = ArrivalKind::kGoogleTrace;
+  WorkloadSpec spec = MakeSpec(ArrivalKind::kGoogleTrace);
   spec.tasks_per_second = 240000.0;
   spec.duration = FromMillis(80);
   spec.mean_task_duration = FromMicros(500);
@@ -452,8 +461,7 @@ TEST(WorkloadSpecTest, JsonRoundTripReproducesTheSpec) {
 }
 
 TEST(WorkloadSpecTest, OpenLoopJsonRoundTripKeepsServiceModel) {
-  WorkloadSpec spec;
-  spec.arrival = ArrivalKind::kOpenLoop;
+  WorkloadSpec spec = MakeSpec(ArrivalKind::kOpenLoop);
   spec.service = ServiceTime::HeavyTail(ServiceTime::Pareto(FromMicros(250), 1.3),
                                         0.01, 10.0);
   spec.duration = FromMillis(10);
@@ -499,6 +507,10 @@ TEST(WorkloadSpecTest, ValidateCatchesBadSpecs) {
   EXPECT_EQ(spec.Validate(), "");  // kNone is always valid
   spec.arrival = ArrivalKind::kOpenLoop;
   spec.tasks_per_second = 0.0;
+  EXPECT_NE(spec.Validate(), "");
+  spec.tasks_per_second = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_NE(spec.Validate(), "");
+  spec.tasks_per_second = std::numeric_limits<double>::infinity();
   EXPECT_NE(spec.Validate(), "");
   spec.tasks_per_second = 1000.0;
   EXPECT_EQ(spec.Validate(), "");
