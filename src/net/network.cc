@@ -54,7 +54,35 @@ bool Network::IsSwitch(NodeId node) const {
   return false;
 }
 
-void Network::Send(NodeId from, Packet pkt) {
+void Network::Send(NodeId from, Packet pkt) { Launch(from, Park(std::move(pkt))); }
+
+void Network::SendAfter(TimeNs delay, NodeId from, Packet pkt) {
+  const uint32_t slot = Park(std::move(pkt));
+  simulator_->ScheduleAfter(delay, [this, from, slot] { Launch(from, slot); });
+}
+
+uint32_t Network::Park(Packet pkt) {
+  if (free_in_flight_.empty()) {
+    in_flight_.push_back(std::move(pkt));
+    return static_cast<uint32_t>(in_flight_.size() - 1);
+  }
+  const uint32_t slot = free_in_flight_.back();
+  free_in_flight_.pop_back();
+  in_flight_[slot] = std::move(pkt);
+  return slot;
+}
+
+void Network::Unpark(uint32_t slot) { free_in_flight_.push_back(slot); }
+
+void Network::DropParked(uint32_t slot) {
+  ++packets_dropped_;
+  RecordNetDrops(in_flight_[slot]);
+  Unpark(slot);
+}
+
+void Network::Launch(NodeId from, uint32_t slot) {
+  // Nothing below parks a packet, so the slab (and this reference) stays put.
+  Packet& pkt = in_flight_[slot];
   DRACONIS_CHECK_MSG(from < hosts_.size(), "unknown sender");
   DRACONIS_CHECK_MSG(pkt.dst < hosts_.size(), "unknown destination");
   pkt.src = from;
@@ -63,15 +91,13 @@ void Network::Send(NodeId from, Packet pkt) {
   }
 
   if (hosts_[from].disconnected || hosts_[pkt.dst].disconnected) {
-    ++packets_dropped_;
-    RecordNetDrops(pkt);
+    DropParked(slot);
     return;
   }
   if (!drop_rules_.empty()) {
     auto it = drop_rules_.find(PairKey(from, pkt.dst));
     if (it != drop_rules_.end() && fault_rng_.NextBool(it->second)) {
-      ++packets_dropped_;
-      RecordNetDrops(pkt);
+      DropParked(slot);
       return;
     }
   }
@@ -125,35 +151,48 @@ void Network::Send(NodeId from, Packet pkt) {
   // delivery, so `disconnected` is re-checked at NIC arrival and again at
   // hand-off (a crashed switch must not keep serving queued packets).
   const NodeId dst = pkt.dst;
-  simulator_->ScheduleAt(arrives, [this, dst, pkt = std::move(pkt)]() mutable {
-    Host& host = hosts_[dst];
-    if (host.disconnected) {
-      ++packets_dropped_;
-      RecordNetDrops(pkt);
-      return;
-    }
-    const TimeNs now_rx = simulator_->Now();
-    host.busy_until = std::max(host.busy_until, now_rx) + host.profile.rx_cost;
-    const TimeNs deliver_at = host.busy_until + host.profile.stack_latency;
-    if (recorder_ != nullptr && deliver_at > now_rx) {
-      for (const TaskInfo& t : pkt.tasks) {
-        if (recorder_->Sampled(t.id)) {
-          recorder_->Record(t.id, trace::Kind::kHostRx, now_rx, deliver_at,
-                            static_cast<uint64_t>(host.profile.rx_cost), dst,
-                            t.meta.attempt, static_cast<uint16_t>(pkt.op));
-        }
+  simulator_->ScheduleAt(arrives, [this, dst, slot] { Arrive(dst, slot); });
+}
+
+void Network::Arrive(NodeId dst, uint32_t slot) {
+  Host& host = hosts_[dst];
+  if (host.disconnected) {
+    DropParked(slot);
+    return;
+  }
+  const Packet& pkt = in_flight_[slot];
+  const TimeNs now_rx = simulator_->Now();
+  host.busy_until = std::max(host.busy_until, now_rx) + host.profile.rx_cost;
+  const TimeNs deliver_at = host.busy_until + host.profile.stack_latency;
+  if (recorder_ != nullptr && deliver_at > now_rx) {
+    for (const TaskInfo& t : pkt.tasks) {
+      if (recorder_->Sampled(t.id)) {
+        recorder_->Record(t.id, trace::Kind::kHostRx, now_rx, deliver_at,
+                          static_cast<uint64_t>(host.profile.rx_cost), dst,
+                          t.meta.attempt, static_cast<uint16_t>(pkt.op));
       }
     }
-    simulator_->ScheduleAt(deliver_at, [this, dst, pkt = std::move(pkt)]() mutable {
-      if (hosts_[dst].disconnected) {
-        ++packets_dropped_;
-        RecordNetDrops(pkt);
-        return;
-      }
-      ++packets_delivered_;
-      hosts_[dst].endpoint->HandlePacket(std::move(pkt));
-    });
-  });
+  }
+  // A zero-cost hop (the switch's Wire profile) delivers at the arrival
+  // instant. If no other event is due now, a delivery scheduled here would
+  // be the very next event, so run it inline: the global (at, seq) order is
+  // unchanged, only the delivery's sequence number is never drawn.
+  if (deliver_at == now_rx && !simulator_->AnyEventDueNow()) {
+    Deliver(dst, slot);
+    return;
+  }
+  simulator_->ScheduleAt(deliver_at, [this, dst, slot] { Deliver(dst, slot); });
+}
+
+void Network::Deliver(NodeId dst, uint32_t slot) {
+  if (hosts_[dst].disconnected) {
+    DropParked(slot);
+    return;
+  }
+  ++packets_delivered_;
+  Packet pkt = std::move(in_flight_[slot]);
+  Unpark(slot);  // before the handler, which may send and reuse the slot
+  hosts_[dst].endpoint->HandlePacket(std::move(pkt));
 }
 
 void Network::RecordNetDrops(const Packet& pkt) {

@@ -113,6 +113,11 @@ class Network {
   // `pkt.src` is stamped with `from`.
   void Send(NodeId from, Packet pkt);
 
+  // Send(from, pkt) after `delay` (>= 0), e.g. at a switch pass's egress.
+  // The packet waits in the in-flight slab; Send's checks apply when it
+  // leaves.
+  void SendAfter(TimeNs delay, NodeId from, Packet pkt);
+
   // Fault injection: every packet from -> to is dropped with `probability`.
   // Probability draws come from the dedicated fault stream (fault_seed), so a
   // rule — even with p=0 — never perturbs the jitter of surviving packets.
@@ -134,6 +139,9 @@ class Network {
 
   uint64_t packets_delivered() const { return packets_delivered_; }
   uint64_t packets_dropped() const { return packets_dropped_; }
+  // Packets in the in-flight slab: handed to Send/SendAfter, and neither
+  // delivered nor dropped yet.
+  size_t packets_in_flight() const { return in_flight_.size() - free_in_flight_.size(); }
 
   sim::Simulator* simulator() const { return simulator_; }
 
@@ -144,6 +152,19 @@ class Network {
     TimeNs busy_until = 0;  // single packet-processing core
     bool disconnected = false;
   };
+
+  // The hop path. A packet is parked in the in-flight slab once, and the
+  // events that carry it capture only {this, node, slot index}: 16 trivially
+  // copyable bytes, which std::function stores inline, so a hop never
+  // allocates.
+  uint32_t Park(Packet pkt);
+  void Unpark(uint32_t slot);
+  // Send on a parked packet (applies the checks, drops and latency model).
+  void Launch(NodeId from, uint32_t slot);
+  // NIC arrival at dst, then hand-off to its endpoint.
+  void Arrive(NodeId dst, uint32_t slot);
+  void Deliver(NodeId dst, uint32_t slot);
+  void DropParked(uint32_t slot);
 
   void RecordNetDrops(const Packet& pkt);
   bool IsSwitch(NodeId node) const;
@@ -159,6 +180,8 @@ class Network {
   std::vector<uint32_t> rack_of_;     // parallel to hosts_; all 0 by default
   std::vector<TimeNs> uplink_busy_;   // per-rack aggregation uplink server
   std::unordered_map<uint64_t, double> drop_rules_;  // (from << 32 | to) -> p
+  std::vector<Packet> in_flight_;        // slab; free slots hold moved-from packets
+  std::vector<uint32_t> free_in_flight_;  // free slab slots, reused LIFO
   TimeNs latency_penalty_ = 0;
   uint64_t packets_delivered_ = 0;
   uint64_t packets_dropped_ = 0;

@@ -61,7 +61,8 @@ void SwitchPipeline::RunPass(net::Packet pkt, uint32_t pass_number) {
   }
   RecordPerTask(pkt, trace::Kind::kSwitchPass, simulator_->Now(),
                 simulator_->Now() + config_.pass_latency, pass_number);
-  PassContext ctx(this, pass_number);
+  pass_registers_.Reset();
+  PassContext ctx(this, pass_number, &pass_registers_);
   program_->OnPass(ctx, std::move(pkt));
 }
 
@@ -82,12 +83,7 @@ void SwitchPipeline::EmitFromPass(net::Packet pkt) {
   ++counters_.emitted;
   DRACONIS_CHECK_MSG(network_ != nullptr, "pipeline not attached to a network");
   // Egress after the remaining pipeline traversal time.
-  auto* network = network_;
-  const net::NodeId self = node_id_;
-  simulator_->ScheduleAfter(config_.pass_latency,
-                    [network, self, pkt = std::move(pkt)]() mutable {
-                      network->Send(self, std::move(pkt));
-                    });
+  network_->SendAfter(config_.pass_latency, node_id_, std::move(pkt));
 }
 
 void SwitchPipeline::RecirculateFromPass(net::Packet pkt, bool guaranteed) {

@@ -65,16 +65,16 @@ class PassContext {
   void Drop(const net::Packet& pkt, const std::string& reason);
 
   // The register-access guard for this pass.
-  PacketPass& registers() { return registers_; }
+  PacketPass& registers() { return *registers_; }
 
  private:
   friend class SwitchPipeline;
-  PassContext(SwitchPipeline* pipeline, uint32_t pass_number)
-      : pipeline_(pipeline), pass_number_(pass_number) {}
+  PassContext(SwitchPipeline* pipeline, uint32_t pass_number, PacketPass* registers)
+      : pipeline_(pipeline), pass_number_(pass_number), registers_(registers) {}
 
   SwitchPipeline* pipeline_;
   uint32_t pass_number_;
-  PacketPass registers_;
+  PacketPass* registers_;  // the pipeline's guard, reset for this pass
 };
 
 // A P4 program: invoked once per pipeline pass.
@@ -164,10 +164,12 @@ class SwitchPipeline : public net::Endpoint {
   net::NodeId node_id_ = net::kInvalidNode;
   PipelineCounters counters_;
   ResourceLedger ledger_;
+  // One register-access guard for every pass (passes never nest), reset at
+  // the start of each so its access list keeps its capacity.
+  PacketPass pass_registers_;
 
   TimeNs recirc_interval_;
   TimeNs recirc_next_free_ = 0;
-  size_t recirc_backlog_ = 0;
 };
 
 }  // namespace draconis::p4

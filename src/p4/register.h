@@ -21,6 +21,7 @@
 #ifndef DRACONIS_P4_REGISTER_H_
 #define DRACONIS_P4_REGISTER_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -38,6 +39,10 @@ class PacketPass {
   PacketPass() = default;
   PacketPass(const PacketPass&) = delete;
   PacketPass& operator=(const PacketPass&) = delete;
+
+  // Starts a new pass with a fresh budget. Keeps the access list's capacity,
+  // so a guard reused pass after pass stops allocating.
+  void Reset() { accessed_.clear(); }
 
   // Returns true if this is the first access to `reg` in this pass.
   bool TryMarkAccess(const void* reg) {
@@ -84,10 +89,18 @@ class RegisterArray {
  public:
   // `wire_bytes_per_element` is the hardware footprint of one element, which
   // can be smaller than sizeof(T) because T carries simulation metadata.
+  //
+  // Elements live in chunks of 2^10, each built (every element a copy of
+  // `initial`) the first time one of its elements is touched: a 164 K-entry
+  // queue costs no page faults at set-up, and its resident memory is the
+  // chunks the run touched. One reserved block would not do that: once the
+  // allocator serves it from recycled heap pages, whether its untouched
+  // tail is resident depends on the heap's history.
   RegisterArray(std::string name, size_t size, T initial = T{},
                 ResourceLedger* ledger = nullptr, size_t wire_bytes_per_element = sizeof(T))
-      : name_(std::move(name)), values_(size, initial) {
+      : name_(std::move(name)), size_(size), initial_(std::move(initial)) {
     DRACONIS_CHECK(size > 0);
+    chunks_.resize(((size - 1) >> kChunkLog2) + 1);
     if (ledger != nullptr) {
       ledger->Account(name_, size, size * wire_bytes_per_element);
     }
@@ -96,44 +109,38 @@ class RegisterArray {
   RegisterArray(const RegisterArray&) = delete;
   RegisterArray& operator=(const RegisterArray&) = delete;
 
-  size_t size() const { return values_.size(); }
+  size_t size() const { return size_; }
   const std::string& name() const { return name_; }
 
   // --- Stateful-ALU operations (each consumes this pass's single access) ----
 
-  T Read(PacketPass& pass, size_t i) {
-    Claim(pass, i);
-    return values_[i];
-  }
+  T Read(PacketPass& pass, size_t i) { return Claim(pass, i); }
 
-  void Write(PacketPass& pass, size_t i, T value) {
-    Claim(pass, i);
-    values_[i] = std::move(value);
-  }
+  void Write(PacketPass& pass, size_t i, T value) { Claim(pass, i) = std::move(value); }
 
   // Atomic fetch-and-add; returns the previous value.
   T ReadAndAdd(PacketPass& pass, size_t i, T delta) {
-    Claim(pass, i);
-    T old = values_[i];
-    values_[i] = old + delta;
+    T& slot = Claim(pass, i);
+    T old = slot;
+    slot = old + delta;
     return old;
   }
 
   // Atomic exchange; returns the previous value.
   T Exchange(PacketPass& pass, size_t i, T value) {
-    Claim(pass, i);
-    T old = std::move(values_[i]);
-    values_[i] = std::move(value);
+    T& slot = Claim(pass, i);
+    T old = std::move(slot);
+    slot = std::move(value);
     return old;
   }
 
   // Predicated exchange: writes only if `condition` (a predicate computed
   // from packet metadata in earlier stages); always returns the old value.
   T ConditionalExchange(PacketPass& pass, size_t i, bool condition, T value) {
-    Claim(pass, i);
-    T old = values_[i];
+    T& slot = Claim(pass, i);
+    T old = slot;
     if (condition) {
-      values_[i] = std::move(value);
+      slot = std::move(value);
     }
     return old;
   }
@@ -145,9 +152,9 @@ class RegisterArray {
   // loops, no external state mutation.
   template <typename Fn>
   T Update(PacketPass& pass, size_t i, Fn fn) {
-    Claim(pass, i);
-    T old = values_[i];
-    values_[i] = fn(old);
+    T& slot = Claim(pass, i);
+    T old = slot;
+    slot = fn(old);
     return old;
   }
 
@@ -155,11 +162,11 @@ class RegisterArray {
   // `current <= ceiling` (the stateful-ALU comparison). Returns {old value,
   // whether the add happened}.
   std::pair<T, bool> AddIfAtMost(PacketPass& pass, size_t i, T ceiling, T delta) {
-    Claim(pass, i);
-    T old = values_[i];
+    T& slot = Claim(pass, i);
+    T old = slot;
     const bool applied = !(ceiling < old);
     if (applied) {
-      values_[i] = old + delta;
+      slot = old + delta;
     }
     return {old, applied};
   }
@@ -169,24 +176,42 @@ class RegisterArray {
   // plane uses this for initialization and monitoring only.
 
   const T& ControlPlaneRead(size_t i) const {
-    DRACONIS_CHECK(i < values_.size());
-    return values_[i];
+    DRACONIS_CHECK(i < size_);
+    const std::vector<T>& chunk = chunks_[i >> kChunkLog2];
+    return chunk.empty() ? initial_ : chunk[i & kChunkMask];
   }
 
   void ControlPlaneWrite(size_t i, T value) {
-    DRACONIS_CHECK(i < values_.size());
-    values_[i] = std::move(value);
+    DRACONIS_CHECK(i < size_);
+    At(i) = std::move(value);
   }
 
  private:
-  void Claim(PacketPass& pass, size_t i) {
-    DRACONIS_CHECK_MSG(i < values_.size(), "register index out of range: " + name_);
+  T& Claim(PacketPass& pass, size_t i) {
+    DRACONIS_CHECK_MSG(i < size_, "register index out of range: " + name_);
     DRACONIS_CHECK_MSG(pass.TryMarkAccess(this),
                        "register accessed twice in one packet pass: " + name_);
+    return At(i);
+  }
+
+  // About 100 KB of queue entries per chunk.
+  static constexpr int kChunkLog2 = 10;
+  static constexpr size_t kChunkMask = (size_t{1} << kChunkLog2) - 1;
+
+  // Builds the chunk holding `i` on first touch.
+  T& At(size_t i) {
+    const size_t c = i >> kChunkLog2;
+    std::vector<T>& chunk = chunks_[c];
+    if (chunk.empty()) {
+      chunk.assign(std::min(size_ - (c << kChunkLog2), kChunkMask + 1), initial_);
+    }
+    return chunk[i & kChunkMask];
   }
 
   std::string name_;
-  std::vector<T> values_;
+  size_t size_;
+  T initial_;
+  std::vector<std::vector<T>> chunks_;  // empty until one of its elements is touched
 };
 
 }  // namespace draconis::p4

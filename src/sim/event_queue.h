@@ -73,7 +73,9 @@ std::vector<QueueBackend> AllQueueBackends();
 // PeekTop may reorganize internal storage but never changes the pop order.
 // Keys are opaque: a backend must not inspect `slot` or drop keys (the
 // simulator cancels lazily, by letting a stale key surface and discarding
-// it, so every pushed key must eventually pop).
+// it, so every pushed key must eventually pop). The one exception is a
+// LadderQueue given the simulator's liveness words (AttachLiveness), which
+// may drop exactly the keys the simulator would discard.
 class EventQueue {
  public:
   virtual ~EventQueue() = default;

@@ -14,16 +14,6 @@ TimeNs SaturatingAdd(TimeNs base, TimeNs delta) {
 
 }  // namespace
 
-void LadderQueue::PushTop(EventKey key) {
-  if (top_.empty()) {
-    top_min_ = top_max_ = key.at;
-  } else {
-    top_min_ = std::min(top_min_, key.at);
-    top_max_ = std::max(top_max_, key.at);
-  }
-  top_.push_back(key);
-}
-
 void LadderQueue::Clear() {
   live_ = 0;
   bottom_.clear();
@@ -37,6 +27,18 @@ void LadderQueue::Clear() {
   }
   depth_ = 0;
   top_.clear();
+}
+
+void LadderQueue::DropDead(std::vector<EventKey>& keys) {
+  if (gens_ == nullptr) {
+    return;
+  }
+  const std::vector<uint64_t>& gens = *gens_;
+  const auto dead = std::remove_if(keys.begin(), keys.end(), [&gens](const EventKey& key) {
+    return gens[key.slot] != key.seq + 1;
+  });
+  live_ -= static_cast<size_t>(keys.end() - dead);
+  keys.erase(dead, keys.end());
 }
 
 bool LadderQueue::EnsureBottom() {
@@ -115,6 +117,7 @@ bool LadderQueue::EnsureBottom() {
 }
 
 void LadderQueue::SpawnRung(TimeNs start, int parent_width_log2) {
+  DropDead(spread_scratch_);
   // Parents within the wheel span whose keys are dense enough (the drain
   // walks every empty slot, so >= 1 key per 16 slots) skip the
   // intermediate levels and go straight to sorted-by-construction 1 ns
@@ -153,13 +156,22 @@ void LadderQueue::SpawnRung(TimeNs start, int parent_width_log2) {
 }
 
 void LadderQueue::SpreadTop() {
+  DropDead(top_);
+  if (top_.empty()) {
+    return;
+  }
+  const auto [lo, hi] = std::minmax_element(
+      top_.begin(), top_.end(),
+      [](const EventKey& a, const EventKey& b) { return a.at < b.at; });
+  const TimeNs top_min = lo->at;
+  const TimeNs top_max = hi->at;
   // Size bucket width to the actual min..max span so sparse far-future sets
   // (a handful of timeouts ms ahead) land in distinct buckets — but cover
   // kCoverageFactor times the span: steady-state workloads keep scheduling
   // into the same horizon while the rung drains, and the extra coverage
   // lets those pushes land in rung buckets directly instead of cycling
   // through the top again on the next epoch.
-  const TimeNs base_span = top_max_ - top_min_ + 1;
+  const TimeNs base_span = top_max - top_min + 1;
   const TimeNs span =
       base_span > std::numeric_limits<TimeNs>::max() / kCoverageFactor
           ? std::numeric_limits<TimeNs>::max()
@@ -186,13 +198,12 @@ void LadderQueue::SpreadTop() {
   const size_t cap =
       width_log2 == 0 ? static_cast<size_t>(kWheelSpan) : kRungBuckets;
   const size_t nbuckets = std::max(
-      (static_cast<size_t>(top_max_ - top_min_) >> width_log2) + 1,
+      (static_cast<size_t>(top_max - top_min) >> width_log2) + 1,
       std::min<size_t>(cap, (static_cast<size_t>(span) >> width_log2) + 1));
   Rung& rung = rungs_[0];
   depth_ = 1;
-  rung.start = top_min_;
-  rung.end = SaturatingAdd(top_min_, static_cast<TimeNs>(nbuckets)
-                                         << width_log2);
+  rung.start = top_min;
+  rung.end = SaturatingAdd(top_min, static_cast<TimeNs>(nbuckets) << width_log2);
   rung.width_log2 = width_log2;
   rung.cur = 0;
   rung.count = top_.size();
@@ -200,11 +211,11 @@ void LadderQueue::SpreadTop() {
     rung.buckets.resize(nbuckets);
   }
   for (const EventKey& key : top_) {
-    rung.buckets[static_cast<size_t>(key.at - top_min_) >> width_log2]
+    rung.buckets[static_cast<size_t>(key.at - top_min) >> width_log2]
         .push_back(key);
   }
   top_.clear();
-  bottom_end_ = top_min_;
+  bottom_end_ = top_min;
 }
 
 }  // namespace draconis::sim

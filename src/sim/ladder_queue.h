@@ -15,7 +15,8 @@
 //            the finest rung starts at bottom_end_, each coarser rung starts
 //            where the finer one ends.
 //   top      the far-future overflow: one unsorted vector for everything
-//            beyond the last rung's horizon, with its min/max tracked.
+//            beyond the last rung's horizon; its min..max span is measured
+//            when it is spread.
 //
 // Epoch advance is lazy. When the bottom drains, the finest rung's next
 // non-empty bucket is taken: a sparse bucket (<= kSortThreshold keys, or
@@ -40,6 +41,15 @@
 // bucketed. Inserts that land below bottom_end_ (schedules for the
 // already-sorted window) binary-search into the undrained suffix of the
 // bottom, which stays small by construction (a gather batch's worth).
+//
+// Liveness filter: a Simulator attaches its per-slot generation words
+// (simulator.h), and every re-spread — of the top or of a dense bucket —
+// then drops the keys the run loop would discard on pop: those whose word
+// is no longer `seq + 1` (cancelled events, superseded timer arms). The
+// executor watchdog is the bulk of them: armed 1 ms ahead, superseded
+// microseconds later. Dropping a dead key cannot change the pop order of
+// the live ones. Without attached words the queue keeps every key, which
+// is the raw EventQueue contract.
 //
 // `final` so the Simulator's calls through a concrete member devirtualize.
 
@@ -88,7 +98,7 @@ class LadderQueue final : public EventQueue {
         return;
       }
     }
-    PushTop(key);
+    top_.push_back(key);  // far future
   }
 
   bool PeekTop(EventKey* out) override {
@@ -111,15 +121,22 @@ class LadderQueue final : public EventQueue {
 
   void Clear() override;
 
+  // Lets spreads drop dead keys: a key is live iff
+  // (*gens)[key.slot] == key.seq + 1. `gens` must outlive the queue.
+  void AttachLiveness(const std::vector<uint64_t>* gens) { gens_ = gens; }
+
  private:
   // 2^6 buckets per rung: one cache-friendly bucket array per spread, and a
   // span shrink factor of 64x per ladder level.
   static constexpr int kRungBucketsLog2 = 6;
   static constexpr size_t kRungBuckets = size_t{1} << kRungBucketsLog2;
   // Buckets at most this large are batch-sorted into the bottom; larger ones
-  // re-spread one level finer. Sized so the sort stays in-cache and the
-  // bottom's sorted-insert memmove window stays short.
-  static constexpr size_t kSortThreshold = 64;
+  // re-spread one level finer. It also caps how many keys a refill gathers,
+  // and so how far ahead the sorted bottom reaches: short re-arms (switch
+  // egress, host rx) that land inside it pay a sorted insert. At 64, 44% of
+  // fig-5a pushes did, moving 28 keys each; at 16 a refill is more frequent
+  // but cheap, and most of those pushes append to a rung bucket instead.
+  static constexpr size_t kSortThreshold = 16;
   // SpreadTop covers this multiple of the observed top span: steady-state
   // workloads keep scheduling into the same horizon while the rung drains,
   // and the headroom lets those pushes land in rung buckets directly
@@ -143,8 +160,6 @@ class LadderQueue final : public EventQueue {
     std::vector<std::vector<EventKey>> buckets;
   };
 
-  // Far-future fallback of Push: appends to the top and tracks its span.
-  void PushTop(EventKey key);
   // Refills the drained bottom from the rungs/top. Returns false when the
   // queue is empty. Maintains the invariant that bottom_end_ equals the
   // start of the first undrained bucket (or rung/top region) on return.
@@ -153,9 +168,14 @@ class LadderQueue final : public EventQueue {
   // [start, start + 2^parent_width_log2).
   void SpawnRung(TimeNs start, int parent_width_log2);
   // Spreads the whole top into a fresh rung[0] sized to its min..max span.
+  // Leaves the queue empty if every top key was dead.
   void SpreadTop();
+  // With liveness words attached, removes dead keys from `keys` (keeping
+  // the order of the rest).
+  void DropDead(std::vector<EventKey>& keys);
 
   size_t live_ = 0;
+  const std::vector<uint64_t>* gens_ = nullptr;  // liveness words, if attached
 
   // Bottom: sorted ascending by (at, seq), drained by index.
   std::vector<EventKey> bottom_;
@@ -166,8 +186,6 @@ class LadderQueue final : public EventQueue {
   size_t depth_ = 0;
 
   std::vector<EventKey> top_;  // far future, unsorted
-  TimeNs top_min_ = 0;
-  TimeNs top_max_ = 0;
 
   std::vector<EventKey> spread_scratch_;  // reused bucket-spread staging
 };

@@ -92,6 +92,25 @@ uint64_t Simulator::Run(bool bounded, TimeNs until) {
   return RunLoop(heap_, bounded, until);
 }
 
+template <typename Queue>
+bool Simulator::LiveKeyDueNow(Queue& queue) {
+  EventKey key;
+  while (queue.PeekTop(&key) && key.at <= now_) {
+    if (gens_[key.slot] == key.seq + 1) {
+      return true;
+    }
+    queue.PopTop();
+  }
+  return false;
+}
+
+bool Simulator::AnyEventDueNow() {
+  if (backend_ == QueueBackend::kLadder) {
+    return LiveKeyDueNow(ladder_);
+  }
+  return LiveKeyDueNow(heap_);
+}
+
 uint64_t Simulator::RunUntil(TimeNs until) { return Run(/*bounded=*/true, until); }
 
 uint64_t Simulator::RunAll() { return Run(/*bounded=*/false, 0); }

@@ -34,7 +34,9 @@
 //    plus the generation the slot had when the event was scheduled. A
 //    cancelled or fired slot bumps to a new generation on reuse, so a stale
 //    handle can never touch the slot's next occupant. Cancelled events are
-//    dropped lazily when their queue key surfaces.
+//    dropped lazily when their queue key surfaces. The ladder backend reads
+//    the generation words too, so it drops a dead key the next time it
+//    re-spreads it instead of carrying it down to the run loop.
 //
 // Handles and timers index into the simulator's slab and must not outlive
 // it (in practice they are members of objects that already hold the
@@ -130,7 +132,9 @@ class Timer {
 class Simulator {
  public:
   explicit Simulator(QueueBackend backend = kDefaultQueueBackend)
-      : backend_(backend) {}
+      : backend_(backend) {
+    ladder_.AttachLiveness(&gens_);
+  }
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
@@ -161,6 +165,13 @@ class Simulator {
   // handles and timers all report !pending() afterwards.
   void Clear();
 
+  // True if a live event is queued to fire at Now(). Called from inside an
+  // event, a false answer means an event scheduled at Now() would fire next,
+  // so the caller may run it inline instead (net::Network does this for
+  // zero-cost hops). Cancelled or superseded keys at the queue top are
+  // popped while looking; the run loop would discard them anyway.
+  bool AnyEventDueNow();
+
   // Number of live (scheduled, not yet fired or cancelled) events.
   size_t pending_events() const { return live_; }
   uint64_t executed_events() const { return executed_; }
@@ -189,6 +200,8 @@ class Simulator {
   uint64_t Run(bool bounded, TimeNs until);
   template <typename Queue>
   uint64_t RunLoop(Queue& queue, bool bounded, TimeNs until);
+  template <typename Queue>
+  bool LiveKeyDueNow(Queue& queue);
 
   // Timer plumbing.
   uint32_t RegisterTimer(Timer* timer);

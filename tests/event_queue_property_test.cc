@@ -261,6 +261,76 @@ TEST_P(EventQueuePropertyTest, SameInstantClustersKeepSchedulingOrder) {
   }
 }
 
+// The executor pull pattern (cluster/executor.h): a pull arms the watchdog
+// 1 ms ahead, and the no-op that comes back microseconds later re-arms the
+// same timer near, so almost every far key is dead before the queue ever
+// spreads it. Far cancellable one-shots (client timeouts) are cancelled at
+// random too. The ladder drops those keys at re-spread; the firing order
+// and the live count must still match the oracle exactly.
+TEST_P(EventQueuePropertyTest, SupersededFarArmsMatchReference) {
+  constexpr int kExecutors = 48;
+  constexpr TimeNs kWatchdog = 1'000'000;
+  for (uint64_t seed = 200; seed < 206; ++seed) {
+    Simulator sim(GetParam());
+    ReferenceQueue ref;
+    std::vector<int> fired;
+    std::vector<std::unique_ptr<Timer>> timers;
+    std::vector<std::optional<uint64_t>> timer_seq(kExecutors);
+    std::vector<LiveHandle> handles;
+    for (int e = 0; e < kExecutors; ++e) {
+      timers.push_back(std::make_unique<Timer>(&sim, [&fired, e] { fired.push_back(-(e + 1)); }));
+    }
+    auto arm = [&](int e, TimeNs at) {
+      timers[e]->ScheduleAt(at);
+      if (timer_seq[e].has_value()) {
+        ref.Cancel(*timer_seq[e]);
+      }
+      timer_seq[e] = ref.Schedule(at, -(e + 1));
+    };
+    Rng rng(seed);
+    int next_id = 0;
+    for (int round = 0; round < 600; ++round) {
+      for (int e = 0; e < kExecutors; ++e) {
+        const uint64_t op = rng.NextBelow(10);
+        if (op < 4) {
+          arm(e, sim.Now() + kWatchdog + static_cast<TimeNs>(rng.NextBelow(64)));
+        } else if (op < 8) {
+          arm(e, sim.Now() + 2000 + static_cast<TimeNs>(rng.NextBelow(6000)));
+        } else if (op < 9) {
+          const TimeNs at =
+              sim.Now() + kWatchdog / 2 + static_cast<TimeNs>(rng.NextBelow(kWatchdog));
+          const int id = next_id++;
+          EventHandle h = sim.ScheduleAt(at, [&fired, id] { fired.push_back(id); }, kCancellable);
+          handles.push_back(LiveHandle{h, ref.Schedule(at, id)});
+        } else if (!handles.empty()) {
+          LiveHandle& lh = handles[rng.NextBelow(handles.size())];
+          lh.handle.Cancel();
+          ref.Cancel(lh.ref_seq);
+        }
+      }
+      fired.clear();
+      const TimeNs until = sim.Now() + 1 + static_cast<TimeNs>(rng.NextBelow(4000));
+      const uint64_t ran = sim.RunUntil(until);
+      const std::vector<int> expected = ref.RunUntil(until);
+      ASSERT_EQ(fired, expected) << "seed=" << seed << " round=" << round;
+      ASSERT_EQ(ran, expected.size());
+      ASSERT_EQ(sim.pending_events(), ref.live()) << "seed=" << seed << " round=" << round;
+      for (int e = 0; e < kExecutors; ++e) {
+        if (timer_seq[e].has_value() && !ref.IsPending(*timer_seq[e])) {
+          timer_seq[e].reset();
+        }
+      }
+      if (handles.size() > 256) {
+        handles.erase(handles.begin(), handles.begin() + 128);
+      }
+    }
+    fired.clear();
+    sim.RunAll();
+    ASSERT_EQ(fired, ref.RunUntil(sim.Now())) << "seed=" << seed;
+    ASSERT_EQ(sim.pending_events(), 0u);
+  }
+}
+
 std::string BackendName(const ::testing::TestParamInfo<QueueBackend>& param) {
   return QueueBackendName(param.param);
 }
@@ -321,6 +391,43 @@ TEST(EventQueueDifferentialTest, HeapAndLadderPopIdenticalStreams) {
       ASSERT_EQ(a.seq, b.seq) << "seed=" << seed;
     }
     ASSERT_TRUE(ladder.empty());
+  }
+}
+
+// With liveness words attached, the ladder drops exactly the dead keys when
+// it spreads them, and pops the live ones in (at, seq) order.
+TEST(EventQueueDifferentialTest, LadderLivenessFilterDropsOnlyDeadKeys) {
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng rng(seed);
+    std::vector<uint64_t> gens;
+    std::vector<EventKey> live;
+    LadderQueue ladder;
+    ladder.AttachLiveness(&gens);
+    for (uint32_t i = 0; i < 4000; ++i) {
+      const EventKey key{static_cast<TimeNs>(rng.NextBelow(i % 3 == 0 ? 1'000'000 : 5000)), i, i};
+      const bool dead = rng.NextBool(0.4);
+      gens.push_back(dead ? 0 : key.seq + 1);
+      ladder.Push(key);
+      if (!dead) {
+        live.push_back(key);
+      }
+    }
+    std::sort(live.begin(), live.end(), EventKeyBefore);
+    // Every key is still in the top, so the first peek spreads them all.
+    EventKey top{};
+    ASSERT_TRUE(ladder.PeekTop(&top));
+    ASSERT_EQ(ladder.size(), live.size()) << "seed=" << seed;
+    std::vector<uint64_t> popped;
+    while (ladder.PeekTop(&top)) {
+      const EventKey key = ladder.PopTop();
+      ASSERT_EQ(gens[key.slot], key.seq + 1) << "dead key popped, seed=" << seed;
+      popped.push_back(key.seq);
+    }
+    ASSERT_TRUE(ladder.empty());
+    ASSERT_EQ(popped.size(), live.size()) << "seed=" << seed;
+    for (size_t i = 0; i < live.size(); ++i) {
+      ASSERT_EQ(popped[i], live[i].seq) << "seed=" << seed << " i=" << i;
+    }
   }
 }
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "net/network.h"
@@ -404,6 +405,162 @@ TEST(NetworkTest, CountsDeliveredPackets) {
   }
   f.simulator.RunAll();
   EXPECT_EQ(f.network.packets_delivered(), 5u);
+}
+
+// Every packet handed to the fabric is delivered, dropped, or still parked
+// in the in-flight slab, on each of the three drop paths: a drop rule at
+// send, a disconnect before NIC arrival, and a disconnect between arrival
+// and hand-off.
+TEST(NetworkTest, PacketsAreConservedOnEveryDropPath) {
+  Fixture f;
+  Recorder a;
+  Recorder b;
+  Recorder slow;
+  const NodeId ida = f.network.Register(&a, HostProfile::Wire());
+  const NodeId idb = f.network.Register(&b, HostProfile::Wire());
+  const NodeId ids = f.network.Register(&slow, HostProfile{0, 500, 0});  // rx 500 ns
+  uint64_t sends = 0;
+  auto send = [&](NodeId to) {
+    Packet p;
+    p.dst = to;
+    f.network.Send(ida, std::move(p));
+    ++sends;
+  };
+  auto conserved = [&] {
+    return sends == f.network.packets_delivered() + f.network.packets_dropped() +
+                        f.network.packets_in_flight();
+  };
+
+  // Drop rule: lost at send, never parked.
+  f.network.InjectDrop(ida, idb, 1.0);
+  send(idb);
+  send(idb);
+  EXPECT_EQ(f.network.packets_dropped(), 2u);
+  EXPECT_EQ(f.network.packets_in_flight(), 0u);
+  EXPECT_TRUE(conserved());
+  f.network.ClearDropRules();
+
+  // Disconnect before arrival: sent at 0, lost at the NIC at t=2000.
+  send(idb);
+  send(idb);
+  EXPECT_EQ(f.network.packets_in_flight(), 2u);
+  EXPECT_TRUE(conserved());
+  f.simulator.ScheduleAt(1000, [&] { f.network.Disconnect(idb); });
+  f.simulator.RunUntil(1500);
+  EXPECT_EQ(f.network.packets_in_flight(), 2u);
+  f.simulator.RunUntil(2500);
+  EXPECT_EQ(f.network.packets_dropped(), 4u);
+  EXPECT_EQ(f.network.packets_in_flight(), 0u);
+  EXPECT_TRUE(conserved());
+  f.network.Reconnect(idb);
+
+  // Disconnect between arrival (t=4500) and hand-off (t=5000 and t=5500).
+  send(ids);
+  send(ids);
+  f.simulator.RunUntil(4500);
+  EXPECT_EQ(f.network.packets_in_flight(), 2u);
+  EXPECT_TRUE(conserved());
+  f.network.Disconnect(ids);
+  f.simulator.RunAll();
+  EXPECT_TRUE(slow.received.empty());
+  EXPECT_EQ(f.network.packets_dropped(), 6u);
+  EXPECT_EQ(f.network.packets_delivered(), 0u);
+  EXPECT_EQ(f.network.packets_in_flight(), 0u);
+  EXPECT_TRUE(conserved());
+}
+
+// The slab drains to empty after each burst and its slots are reused: a
+// slot freed by a dropped task-carrying packet must not leak that packet's
+// fields into the next packet parked there.
+TEST(NetworkTest, InFlightSlabDrainsAndIsReusedAcrossBursts) {
+  Fixture f;
+  Recorder a;
+  Recorder b;
+  Recorder c;
+  const NodeId ida = f.network.Register(&a, HostProfile::Wire());
+  const NodeId idb = f.network.Register(&b, HostProfile::Wire());
+  const NodeId idc = f.network.Register(&c, HostProfile::Wire());
+  constexpr uint32_t kBurst = 16;
+  for (uint32_t burst = 0; burst < 3; ++burst) {
+    for (uint32_t i = 0; i < kBurst; ++i) {
+      Packet p;
+      p.uid = burst * 100 + i;
+      p.dst = i % 2 == 0 ? idb : idc;
+      if (burst < 2) {
+        p.tasks.resize(3);
+      }
+      f.network.Send(ida, std::move(p));
+    }
+    EXPECT_EQ(f.network.packets_in_flight(), kBurst);
+    if (burst == 1) {
+      f.network.Disconnect(idc);  // burst 1's packets to c die at arrival
+    }
+    f.simulator.RunAll();
+    f.network.Reconnect(idc);
+    EXPECT_EQ(f.network.packets_in_flight(), 0u);
+  }
+  EXPECT_EQ(f.network.packets_dropped(), kBurst / 2);
+  EXPECT_EQ(c.received.size(), kBurst);
+  ASSERT_EQ(b.received.size(), 3 * kBurst / 2);
+  for (uint32_t k = 0; k < b.received.size(); ++k) {
+    const uint32_t burst = k / (kBurst / 2);
+    EXPECT_EQ(b.received[k].uid, burst * 100 + 2 * (k % (kBurst / 2)));
+    EXPECT_EQ(b.received[k].tasks.size(), burst < 2 ? 3u : 0u);
+  }
+}
+
+// A zero-cost hop (Wire profile) delivers at its arrival instant. With
+// another live event already due then, the delivery is scheduled behind it;
+// with nothing else due (or only a cancelled key), it runs inline: the same
+// order, one event fewer.
+TEST(NetworkTest, ZeroCostDeliveryYieldsToEventsDueAtTheSameInstant) {
+  class LoggingEndpoint : public Endpoint {
+   public:
+    explicit LoggingEndpoint(std::vector<int>* log) : log_(log) {}
+    void HandlePacket(Packet) override { log_->push_back(1); }
+
+   private:
+    std::vector<int>* log_;
+  };
+  struct Case {
+    TimeNs other_at;
+    bool cancel_other;
+    std::vector<int> order;  // 1 = delivery, 2 = the other event
+    uint64_t executed;
+  };
+  // The packet is sent at 0 and arrives at t=2000; the other event is
+  // scheduled after the send, so its seq is later than the arrival's.
+  const Case cases[] = {
+      {2000, false, {2, 1}, 3},  // arrival, other, delivery
+      {2001, false, {1, 2}, 2},  // arrival + inline delivery, other
+      {2000, true, {1}, 1},      // the cancelled key does not hold it back
+  };
+  for (sim::QueueBackend backend : sim::AllQueueBackends()) {
+    for (const Case& c : cases) {
+      SCOPED_TRACE(std::string(sim::QueueBackendName(backend)) +
+                   " other_at=" + std::to_string(c.other_at) +
+                   " cancel=" + std::to_string(c.cancel_other));
+      sim::Simulator simulator(backend);
+      Network network(&simulator, Fixture::Config());
+      std::vector<int> log;
+      Recorder a;
+      LoggingEndpoint b(&log);
+      const NodeId ida = network.Register(&a, HostProfile::Wire());
+      const NodeId idb = network.Register(&b, HostProfile::Wire());
+      Packet p;
+      p.dst = idb;
+      network.Send(ida, std::move(p));
+      sim::EventHandle other =
+          simulator.ScheduleAt(c.other_at, [&log] { log.push_back(2); }, sim::kCancellable);
+      if (c.cancel_other) {
+        other.Cancel();
+      }
+      simulator.RunAll();
+      EXPECT_EQ(log, c.order);
+      EXPECT_EQ(simulator.executed_events(), c.executed);
+      EXPECT_EQ(network.packets_delivered(), 1u);
+    }
+  }
 }
 
 }  // namespace

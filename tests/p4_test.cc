@@ -123,6 +123,35 @@ TEST(RegisterTest, OutOfRangeIndexThrows) {
   EXPECT_THROW(reg.Read(pass, 2), draconis::CheckFailure);
 }
 
+// Elements are built on first touch: untouched ones read as the initial
+// value on both planes, touching a far index leaves the others alone, and a
+// reference handed out earlier survives later growth.
+TEST(RegisterTest, UntouchedElementsReadAsInitialValue) {
+  // Three storage chunks of 1024, the last one partial.
+  RegisterArray<uint32_t> reg("r", 3000, 7);
+  EXPECT_EQ(reg.ControlPlaneRead(2999), 7u);
+  reg.ControlPlaneWrite(0, 1);
+  const uint32_t& first = reg.ControlPlaneRead(0);
+  {
+    PacketPass pass;
+    reg.Write(pass, 1500, 3);
+  }
+  {
+    PacketPass pass;
+    reg.Write(pass, 2999, 4);
+  }
+  EXPECT_EQ(reg.ControlPlaneRead(1023), 7u);
+  EXPECT_EQ(reg.ControlPlaneRead(1024), 7u);
+  EXPECT_EQ(reg.ControlPlaneRead(1499), 7u);
+  EXPECT_EQ(reg.ControlPlaneRead(1500), 3u);
+  EXPECT_EQ(reg.ControlPlaneRead(2048), 7u);
+  EXPECT_EQ(reg.ControlPlaneRead(2999), 4u);
+  EXPECT_EQ(first, 1u);  // building other chunks never moves an element
+  PacketPass pass;
+  EXPECT_EQ(reg.Read(pass, 2998), 7u);
+  EXPECT_THROW(reg.ControlPlaneRead(3000), draconis::CheckFailure);
+}
+
 TEST(RegisterTest, ControlPlaneWriteBypassesBudget) {
   RegisterArray<uint32_t> reg("r", 1);
   PacketPass pass;
@@ -288,6 +317,52 @@ TEST_F(PipelineFixture, ProgramDropsAreCountedByReason) {
   simulator.RunAll();
   EXPECT_EQ(pipeline->counters().program_drops.at("testing"), 2u);
   EXPECT_TRUE(sink.received.empty());
+}
+
+// Bumps one register per pass, `accesses` times, and recirculates `bounces`
+// times before echoing the packet back.
+class CounterProgram : public SwitchProgram {
+ public:
+  CounterProgram(uint32_t bounces, int accesses) : bounces_(bounces), accesses_(accesses) {}
+
+  void OnPass(PassContext& ctx, net::Packet pkt) override {
+    for (int i = 0; i < accesses_; ++i) {
+      counter.ReadAndAdd(ctx.registers(), 0, 1);
+    }
+    if (ctx.pass_number() < bounces_) {
+      ctx.Recirculate(std::move(pkt));
+      return;
+    }
+    pkt.dst = pkt.src;
+    ctx.Emit(std::move(pkt));
+  }
+
+  RegisterArray<uint64_t> counter{"counter", 1};
+
+ private:
+  uint32_t bounces_;
+  int accesses_;
+};
+
+// The pipeline reuses one register-access guard and resets it at every
+// pass: the same array may be touched on consecutive passes of one packet
+// (recirculation) and by back-to-back packets.
+TEST_F(PipelineFixture, RegisterBudgetResetsOnEveryPass) {
+  CounterProgram program(/*bounces=*/3, /*accesses=*/1);
+  Build(&program, PipelineConfig{});
+  SendOne();
+  SendOne();
+  EXPECT_NO_THROW(simulator.RunAll());
+  EXPECT_EQ(program.counter.ControlPlaneRead(0), 8u);
+  EXPECT_EQ(sink.received.size(), 2u);
+}
+
+// ... while a second access within one pass still throws.
+TEST_F(PipelineFixture, SecondAccessInOnePassStillThrows) {
+  CounterProgram program(/*bounces=*/0, /*accesses=*/2);
+  Build(&program, PipelineConfig{});
+  SendOne();
+  EXPECT_THROW(simulator.RunAll(), draconis::CheckFailure);
 }
 
 }  // namespace
