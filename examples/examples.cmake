@@ -15,6 +15,7 @@ draconis_add_example(locality_cache)
 draconis_add_example(gpu_inference)
 draconis_add_example(cluster_sim)
 draconis_add_example(list_schedulers)
+draconis_add_example(repin_spread)
 
 # Smoke-test the examples as part of ctest (each asserts on its own output).
 add_test(NAME example_quickstart COMMAND example_quickstart)
