@@ -32,7 +32,9 @@ namespace draconis::cluster {
 // per-component constants bit for bit (tests/determinism_test.cc pins
 // per-scheduler golden results against them).
 enum class SeedDomain {
-  kNetwork,    // fabric jitter
+  kLink,       // per-link fabric jitter: the base that Network::LinkSeed
+               // mixes with (src, dst), so a link's stream depends only on
+               // (seed, src, dst)
   kRackSched,  // power-of-two sampling
   kSparrow,    // probe targets (per-scheduler-instance via `index`)
   kFault,      // fault-injection decisions (src/fault/); never consumed

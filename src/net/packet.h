@@ -170,6 +170,11 @@ struct Packet {
   // --- Simulation metadata ----------------------------------------------------
   TimeNs created_at = -1;     // when the original packet was sent
   uint32_t pipeline_passes = 0;  // pipeline traversals so far (recirculations)
+  // Stamped by each launch onto the fabric: when this hop left, and its
+  // index among the packets of its directed link (src, dst). A switch
+  // orders same-instant ingress by (sent_at, src, link_seq).
+  TimeNs sent_at = -1;
+  uint64_t link_seq = 0;
 
   // Payload bytes on the wire: Ethernet+IP+UDP framing plus the Draconis
   // header and per-task TASK_INFO entries.
