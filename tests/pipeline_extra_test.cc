@@ -75,6 +75,40 @@ struct Rig {
   net::NodeId node = net::kInvalidNode;
 };
 
+// Same-instant ingress runs in canonical (launch time, source port,
+// per-link sequence) order, whatever order the arrival events were
+// scheduled in.
+TEST(PipelineExtraTest, SameInstantArrivalsServedInCanonicalOrder) {
+  for (const bool low_port_first : {true, false}) {
+    Rig rig(PipelineConfig{});
+    Sink other;
+    const net::NodeId low = rig.node;
+    const net::NodeId high = rig.network->Register(&other, net::HostProfile::Wire());
+    ASSERT_LT(low, high);
+    auto send = [&rig](net::NodeId from, uint32_t uid) {
+      net::Packet p;
+      p.uid = uid;
+      p.dst = rig.switch_node;
+      rig.network->Send(from, std::move(p));
+    };
+    // Equal sizes, no jitter: all four arrive in the same nanosecond.
+    if (low_port_first) {
+      send(low, 1);
+      send(low, 2);
+      send(high, 3);
+      send(high, 4);
+    } else {
+      send(high, 3);
+      send(high, 4);
+      send(low, 1);
+      send(low, 2);
+    }
+    rig.simulator.RunAll();
+    EXPECT_EQ(rig.program.order, (std::vector<uint32_t>{1, 2, 3, 4}));
+    EXPECT_EQ(rig.pipeline.counters().passes, 4u);
+  }
+}
+
 TEST(PipelineExtraTest, PacketsProcessedInArrivalOrder) {
   Rig rig(PipelineConfig{});
   for (uint32_t i = 0; i < 10; ++i) {
