@@ -35,6 +35,7 @@ void MalcolmDeployment::ConfigureClient(cluster::ClientConfig& client) {
 }
 
 void MalcolmDeployment::Harvest(cluster::ExperimentResult& result) {
+  pipeline_->CheckConservation();
   result.switch_counters = pipeline_->counters();
   result.recirculation_share = result.switch_counters.RecirculationShare();
   result.recirc_drops = result.switch_counters.recirc_drops;

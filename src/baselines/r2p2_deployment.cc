@@ -39,6 +39,7 @@ void R2P2Deployment::ConfigureClient(cluster::ClientConfig& client) {
 }
 
 void R2P2Deployment::Harvest(cluster::ExperimentResult& result) {
+  pipeline_->CheckConservation();
   result.switch_counters = pipeline_->counters();
   result.recirculation_share = result.switch_counters.RecirculationShare();
   result.recirc_drops = result.switch_counters.recirc_drops;

@@ -89,6 +89,7 @@ void PullBasedDeployment::WireWorkers(Testbed& testbed) {
     const net::NodeId tor = scheduler_nodes_[multi_rack ? r : 0];
     for (size_t i = rack_first_executor_[r]; i < rack_first_executor_[r + 1]; ++i) {
       const size_t slot = multi_rack ? (i - rack_first_executor_[r]) % kStaggerWrap : i;
+      executors_[i]->SetParking(ParkingFor(multi_rack ? r : 0));
       executors_[i]->Start(tor, static_cast<TimeNs>(1 + slot * 211));
     }
   }
@@ -104,10 +105,11 @@ std::vector<net::NodeId> PullBasedDeployment::WorkerNodes() const {
 }
 
 void PullBasedDeployment::RehomeRackExecutors(Testbed& testbed, size_t rack,
-                                              net::NodeId scheduler) {
+                                              net::NodeId scheduler, PollParking* parking) {
   DRACONIS_CHECK(rack + 1 < rack_first_executor_.size());
   for (size_t i = rack_first_executor_[rack]; i < rack_first_executor_[rack + 1]; ++i) {
     executors_[i]->Rehome(scheduler);
+    executors_[i]->SetParking(parking);
     testbed.metrics()->RecordExecutorRehome();
   }
 }

@@ -75,6 +75,11 @@ class SchedulerDeployment {
     return false;
   }
 
+  // Hands every idle poll train a fast-forward has parked back to its
+  // executor (see core/poll_roster.h). The fault injector calls it before
+  // every fault action; kinds that park nothing keep the default no-op.
+  virtual void WakeIdlePollers() {}
+
   // Fabric addresses of the scheduler instances; clients are assigned
   // round-robin across them.
   const std::vector<net::NodeId>& scheduler_nodes() const { return scheduler_nodes_; }
@@ -110,9 +115,18 @@ class PullBasedDeployment : public SchedulerDeployment {
   using SchedulerDeployment::SchedulerDeployment;
 
   // §3.3: point one rack's executor fleet at `scheduler` (each executor's
-  // pull watchdog re-issues any request lost to the failed switch). Legacy
-  // single-switch configs are rack 0.
-  void RehomeRackExecutors(Testbed& testbed, size_t rack, net::NodeId scheduler);
+  // pull watchdog re-issues any request lost to the failed switch), whose
+  // poll roster is `parking` (nullable). Legacy single-switch configs are
+  // rack 0.
+  void RehomeRackExecutors(Testbed& testbed, size_t rack, net::NodeId scheduler,
+                           PollParking* parking);
+
+  // The roster that may park idle polls toward rack `rack`'s scheduler
+  // (nullable, the default: every poll runs as events).
+  virtual PollParking* ParkingFor(size_t rack) {
+    (void)rack;
+    return nullptr;
+  }
 
  private:
   // The policy-specific executor property word (EXEC_RSRC bitmap for the

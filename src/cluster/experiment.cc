@@ -358,7 +358,8 @@ ExperimentResult RunExperiment(const ExperimentConfig& config, JobSource& source
             }
             return {};
           },
-          [&] { deployment->Failover(testbed); }});
+          [&] { deployment->Failover(testbed); },
+          [&] { deployment->WakeIdlePollers(); }});
   injector.Arm();
   if (!config.fault_plan.empty()) {
     // During->post boundary: an event that never clears (a failover) counts
@@ -413,6 +414,9 @@ ExperimentResult RunExperiment(const ExperimentConfig& config, JobSource& source
     result.trace = testbed.TakeRecorder();
   }
 
+  testbed.network().CheckConservation();
+  result.events_executed = simulator.executed_events();
+  result.packets_delivered = testbed.network().packets_delivered();
   deployment->Harvest(result);
 
   MetricsHub* metrics = testbed.metrics();

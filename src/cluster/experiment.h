@@ -222,6 +222,10 @@ struct ExperimentResult {
   double throughput_tps = 0.0;       // completions (or no-op pulls) per second
   double executor_busy_fraction = 0.0;
   TimeNs drain_time = -1;  // when the last task completed (run_to_completion)
+  // Host cost of the run: simulator events executed, and fabric packets
+  // handed to their endpoint (elided idle polls included).
+  uint64_t events_executed = 0;
+  uint64_t packets_delivered = 0;
 
   // Multi-rack topology results; num_racks stays 0 for legacy single-switch
   // runs (the sweep JSON emits the block only when it is set).

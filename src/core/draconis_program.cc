@@ -350,12 +350,37 @@ void DraconisProgram::Assign(p4::PassContext& ctx, const QueueEntry& entry,
   ctx.Emit(std::move(assignment));
 }
 
-void DraconisProgram::SendNoOp(p4::PassContext& ctx, net::NodeId executor) {
-  ++counters_.noops_sent;
+net::Packet DraconisProgram::NoOpFor(net::NodeId executor) {
   net::Packet noop;
   noop.op = net::OpCode::kNoOpTask;
   noop.dst = executor;
-  ctx.Emit(std::move(noop));
+  return noop;
+}
+
+void DraconisProgram::SendNoOp(p4::PassContext& ctx, net::NodeId executor) {
+  ++counters_.noops_sent;
+  ctx.Emit(NoOpFor(executor));
+}
+
+bool DraconisProgram::PollsArePure() const {
+  if (pifo_ != nullptr) {
+    return false;
+  }
+  for (const auto& q : queues_) {
+    if (!q->shadow_copy_dequeue()) {
+      return false;
+    }
+  }
+  return queues_.size() == 1 || parallel_priority_stages_;
+}
+
+bool DraconisProgram::QueuesIdle() const {
+  for (const auto& q : queues_) {
+    if (q->cp_occupancy() != 0 || q->cp_add_repair_flag() || q->cp_retrieve_repair_flag()) {
+      return false;
+    }
+  }
+  return true;
 }
 
 void DraconisProgram::LaunchRepair(p4::PassContext& ctx, size_t q, net::RepairTarget target,

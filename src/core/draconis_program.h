@@ -107,6 +107,18 @@ class DraconisProgram : public p4::SwitchProgram {
   // Optional task-lifecycle recorder (nullable; never affects behaviour).
   void SetRecorder(trace::Recorder* recorder) { recorder_ = recorder; }
 
+  // --- Idle-poll fast-forward seam (core/poll_roster.h) --------------------
+  // Whether a task_request that finds every queue empty changes no register
+  // state: the shadow-copy dequeue, and one pass probes every level (a
+  // single queue, or parallel priority stages) instead of recirculating.
+  bool PollsArePure() const;
+  // Every queue is empty and has no repair pending: a task_request now gets
+  // a no-op, and the pass changes nothing but counters.
+  bool QueuesIdle() const;
+  void CreditElidedNoOps(uint64_t n) { counters_.noops_sent += n; }
+  // The no-op answer to the executor at `executor`.
+  static net::Packet NoOpFor(net::NodeId executor);
+
  private:
   void HandleSubmission(p4::PassContext& ctx, net::Packet pkt);
   void HandleTaskRequest(p4::PassContext& ctx, net::Packet pkt);

@@ -87,6 +87,7 @@ class SwitchQueue {
   SwitchQueue& operator=(const SwitchQueue&) = delete;
 
   size_t capacity() const { return capacity_; }
+  bool shadow_copy_dequeue() const { return shadow_copy_dequeue_; }
 
   struct EnqueueResult {
     bool added = false;    // the entry was written into the queue

@@ -70,6 +70,9 @@ void Injector::RecordWindow(const FaultEvent& e) const {
 
 void Injector::StartEvent(size_t index) {
   const FaultEvent& e = plan_.events()[index];
+  if (hooks_.before_action) {
+    hooks_.before_action();
+  }
   ++events_started_;
   net::Network& network = testbed_->network();
   RecordWindow(e);
@@ -107,6 +110,9 @@ void Injector::StartEvent(size_t index) {
 
 void Injector::ClearEvent(size_t index) {
   const FaultEvent& e = plan_.events()[index];
+  if (hooks_.before_action) {
+    hooks_.before_action();
+  }
   ++events_cleared_;
   net::Network& network = testbed_->network();
   switch (e.kind) {

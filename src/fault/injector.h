@@ -35,6 +35,10 @@ struct InjectorHooks {
   // Called at a scheduler_failover onset, after the active scheduler has
   // been disconnected: promote the standby, rehome the executor fleet.
   std::function<void()> on_failover;
+  // Called before every onset and clearance touches the fabric: hand any
+  // parked idle poll back to its executor (core/poll_roster.h), whose
+  // arithmetic assumes fault-free links.
+  std::function<void()> before_action;
 };
 
 class Injector {
