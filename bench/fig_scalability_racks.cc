@@ -86,11 +86,6 @@ ExperimentConfig PointConfig(const RackPoint& p, TimeNs horizon) {
   config.drain_margin = FromMicros(50);
   config.max_tasks_per_packet = 1;
   config.seed = 97;
-  if (p.mode == Mode::kBalanced) {
-    // Balanced executors are mostly idle between tasks; stretch the pull
-    // backoff so the sweep's event count tracks tasks, not empty polls.
-    config.executor_template.max_retry = FromMicros(64);
-  }
 
   config.workload.arrival = workload::ArrivalKind::kOpenLoop;
   config.workload.tasks_per_second = offered;
