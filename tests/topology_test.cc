@@ -202,6 +202,19 @@ TEST(SeedDomainTest, PlacementSeedsArePinnedAndRackIndexed) {
   EXPECT_EQ(testbed.SeedFor(cluster::SeedDomain::kPlacement, 2), 4354685564937264477ull);
 }
 
+// Per-link jitter streams: kLink is the base, and the stream of the directed
+// link (src, dst) is a pure function of (base, src, dst).
+TEST(SeedDomainTest, LinkSeedsArePinnedAndDirected) {
+  cluster::TestbedConfig tc;
+  tc.seed = 42;
+  cluster::Testbed testbed(tc);
+  const uint64_t base = testbed.SeedFor(cluster::SeedDomain::kLink);
+  EXPECT_EQ(base, 332971ull);  // seed * 7927 + 37
+  EXPECT_EQ(net::Network::LinkSeed(base, 0, 1), 16730155655999140185ull);
+  EXPECT_EQ(net::Network::LinkSeed(base, 1, 0), 8190547032669912707ull);
+  EXPECT_EQ(net::Network::LinkSeed(base, 3, 0), 10920366540823165533ull);
+}
+
 TEST(SeedDomainTest, PlacementSeedsAreStableUnderClusterShapeChanges) {
   cluster::TestbedConfig small;
   small.seed = 7;
