@@ -53,15 +53,6 @@ void Executor::SendRequest() {
   pull_timer_.ScheduleAfter(config_.request_timeout);
 }
 
-TimeNs Executor::NextPollDelay(Rng& rng, TimeNs& retry_interval, TimeNs max_retry) {
-  // Jittered by +-50% so an idle fleet's polls stay desynchronized (a fixed
-  // period phase-locks the pollers and opens dead zones as long as the
-  // period).
-  const TimeNs wait = retry_interval / 2 + static_cast<TimeNs>(rng.NextBelow(retry_interval));
-  retry_interval = std::min(retry_interval * 2, max_retry);
-  return std::max<TimeNs>(wait, 1);
-}
-
 void Executor::Resume(const PollState& state, TimeNs timer_at) {
   rng_ = state.rng;
   retry_interval_ = state.retry_interval;

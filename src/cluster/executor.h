@@ -14,6 +14,7 @@
 #ifndef DRACONIS_CLUSTER_EXECUTOR_H_
 #define DRACONIS_CLUSTER_EXECUTOR_H_
 
+#include <algorithm>
 #include <cstdint>
 
 #include "cluster/metrics.h"
@@ -103,7 +104,14 @@ class Executor : public net::Endpoint {
   // The no-op backoff: the delay before the next pull, jittered +-50%
   // around `retry_interval`, which then doubles up to `max_retry`. The eager
   // path and the fast-forward both advance a train through this call.
-  static TimeNs NextPollDelay(Rng& rng, TimeNs& retry_interval, TimeNs max_retry);
+  static TimeNs NextPollDelay(Rng& rng, TimeNs& retry_interval, TimeNs max_retry) {
+    // Jittered by +-50% so an idle fleet's polls stay desynchronized (a
+    // fixed period phase-locks the pollers and opens dead zones as long as
+    // the period).
+    const TimeNs wait = retry_interval / 2 + static_cast<TimeNs>(rng.NextBelow(retry_interval));
+    retry_interval = std::min(retry_interval * 2, max_retry);
+    return std::max<TimeNs>(wait, 1);
+  }
   TimeNs max_retry() const { return config_.max_retry; }
   // A task_request toward the current scheduler.
   net::Packet MakeRequest() const;

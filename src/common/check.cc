@@ -13,4 +13,8 @@ void CheckFailed(const char* expr, const char* file, int line, const std::string
   throw CheckFailure(os.str());
 }
 
+void CheckFailed(const char* expr, const char* file, int line) {
+  CheckFailed(expr, file, line, std::string());
+}
+
 }  // namespace draconis::internal

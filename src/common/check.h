@@ -24,6 +24,9 @@ class CheckFailure : public std::logic_error {
 namespace internal {
 [[noreturn]] void CheckFailed(const char* expr, const char* file, int line,
                               const std::string& message);
+// DRACONIS_CHECK's failure path: builds no std::string at the call site, so
+// a check inlined into a hot function adds one cold call and no cleanup.
+[[noreturn, gnu::cold]] void CheckFailed(const char* expr, const char* file, int line);
 }  // namespace internal
 
 }  // namespace draconis
@@ -31,7 +34,7 @@ namespace internal {
 #define DRACONIS_CHECK(expr)                                                    \
   do {                                                                          \
     if (!(expr)) {                                                              \
-      ::draconis::internal::CheckFailed(#expr, __FILE__, __LINE__, "");         \
+      ::draconis::internal::CheckFailed(#expr, __FILE__, __LINE__);             \
     }                                                                           \
   } while (0)
 

@@ -6,23 +6,9 @@
 
 namespace draconis {
 
-uint64_t Rng::NextU64() {
-  state_ += kGamma;
-  uint64_t z = state_;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
-
 double Rng::NextDouble() {
   // 53 high bits -> uniform double in [0, 1).
   return static_cast<double>(NextU64() >> 11) * 0x1.0p-53;
-}
-
-uint64_t Rng::NextBelow(uint64_t bound) {
-  DRACONIS_CHECK(bound > 0);
-  // Multiply-shift; bias is negligible for simulation bounds (< 2^32).
-  return static_cast<uint64_t>((static_cast<__uint128_t>(NextU64()) * bound) >> 64);
 }
 
 int64_t Rng::NextInRange(int64_t lo, int64_t hi) {

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 
+#include "common/check.h"
 #include "common/time.h"
 
 namespace draconis {
@@ -17,14 +18,25 @@ class Rng {
  public:
   explicit Rng(uint64_t seed) : state_(seed + kGamma) {}
 
-  // Next raw 64-bit value.
-  uint64_t NextU64();
+  // Next raw 64-bit value. This and NextBelow are inline: the idle-poll
+  // fast-forward draws them once per elided hop.
+  uint64_t NextU64() {
+    state_ += kGamma;
+    uint64_t z = state_;
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+    return z ^ (z >> 31);
+  }
 
   // Uniform in [0, 1).
   double NextDouble();
 
   // Uniform integer in [0, bound). bound must be > 0.
-  uint64_t NextBelow(uint64_t bound);
+  uint64_t NextBelow(uint64_t bound) {
+    DRACONIS_CHECK(bound > 0);
+    // Multiply-shift; bias is negligible for simulation bounds (< 2^32).
+    return static_cast<uint64_t>((static_cast<__uint128_t>(NextU64()) * bound) >> 64);
+  }
 
   // Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
   int64_t NextInRange(int64_t lo, int64_t hi);

@@ -58,6 +58,8 @@ struct HostProfile {
   }
   // The switch data plane: free at this layer (timed by the p4 pipeline).
   static HostProfile Wire() { return HostProfile{}; }
+
+  bool operator==(const HostProfile&) const = default;
 };
 
 struct NetworkConfig {
@@ -190,6 +192,8 @@ class Network {
     TimeNs wire = 0;     // edge hops x propagation + serialization
     bool cross_rack = false;
     TimeNs uplink = 0;   // serialization on the source rack's uplink
+
+    bool operator==(const HopCost&) const = default;
   };
   HopCost CostOf(NodeId from, NodeId to, size_t wire_size) const;
 
@@ -201,6 +205,7 @@ class Network {
   // (`tx_busy`) serializes its sends, then the wire, the two-tier surcharge,
   // `link`'s jitter draw and the fault penalty. Advances `tx_busy` and
   // `link` (one draw, one sequence number).
+  // Inline (below the class): the fast-forward times every elided hop here.
   HopTiming LaunchTiming(NodeId from, const HopCost& cost, TimeNs now, TimeNs& tx_busy,
                          Link& link);
   // The receive half: NIC arrival at `now_rx` -> hand-off to an endpoint
@@ -285,6 +290,35 @@ class Network {
   uint64_t packets_dropped_ = 0;
   uint64_t cross_rack_packets_ = 0;
 };
+
+inline Network::HopTiming Network::LaunchTiming(NodeId from, const HopCost& cost, TimeNs now,
+                                                TimeNs& tx_busy, Link& link) {
+  // Transmit-side CPU occupancy: the sender's core serializes its sends.
+  tx_busy = std::max(tx_busy, now) + cost.tx_cost;
+  HopTiming t;
+  t.departs = tx_busy;
+
+  // Two-tier model: endpoints in different racks route via the aggregation
+  // tier — two extra tier hops plus queueing/serialization on the source
+  // rack's uplink (a single busy server per rack). Same-rack traffic (the
+  // only kind on an unconfigured fabric) pays nothing here.
+  TimeNs tier_extra = 0;
+  if (cost.cross_rack) {
+    ++cross_rack_packets_;
+    tier_extra = 2 * config_.aggregation_latency;
+    if (config_.agg_ns_per_byte > 0.0) {
+      TimeNs& uplink = uplink_busy_[rack_of_[from]];
+      uplink = std::max(uplink, t.departs) + cost.uplink;
+      tier_extra += uplink - t.departs;
+    }
+  }
+
+  ++link.sent;
+  const TimeNs jitter =
+      config_.max_jitter > 0 ? static_cast<TimeNs>(link.jitter.NextBelow(config_.max_jitter)) : 0;
+  t.arrives = t.departs + cost.wire + tier_extra + jitter + latency_penalty_;
+  return t;
+}
 
 }  // namespace draconis::net
 
