@@ -32,15 +32,24 @@
 // hop strictly before Now() (sim::OffQueueWork), so packets_sent/delivered,
 // the in-flight count, the pipeline counters and noops_sent read after a run
 // include the elided hops. Only executed_events() differs from an eager run.
+//
+// Cost. A parked train is stepped once per cycle: as soon as its switch
+// arrival is credited, the rest of the cycle up to the next arrival is
+// computed and kept, with what a mid-cycle hand-back needs to undo it. Hops
+// are tallied in the roster and reach the fabric, pipeline and program
+// counters in one flush per call, before anything can observe them. Trains
+// wait in a DueQueue (core/due_queue.h) on their next switch arrival.
 
 #ifndef DRACONIS_CORE_POLL_ROSTER_H_
 #define DRACONIS_CORE_POLL_ROSTER_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "cluster/executor.h"
 #include "core/draconis_program.h"
+#include "core/due_queue.h"
 #include "net/network.h"
 #include "p4/pipeline.h"
 #include "sim/simulator.h"
@@ -76,68 +85,109 @@ class PollRoster : public cluster::PollParking,
   void WakeAll();
 
  private:
-  enum class Hop : uint8_t { kPull, kAtSwitch, kEgress, kAtExecutor, kHandOff };
+  // A cycle's hops after its switch arrival, then the next cycle's two:
+  // the no-op's egress, its NIC arrival at the executor, its hand-off (the
+  // executor draws its next backoff), the pull (the request leaves the
+  // executor), and the pass at the switch. Declared in that order, so
+  // `hop <= kPull` reads "the pull has not happened yet".
+  enum class Hop : uint8_t { kEgress, kAtExecutor, kHandOff, kPull, kAtSwitch };
 
-  struct Train {
-    cluster::Executor* executor = nullptr;
-    net::NodeId node = net::kInvalidNode;
-    cluster::Executor::PollState poll;
-    TimeNs max_retry = 0;
-    TimeNs host_busy = 0;             // the executor's NIC core ...
-    net::HostProfile profile;         // ... and its costs
-    net::Network::Link up;            // executor -> switch
-    net::Network::Link down;          // switch -> executor
+  // What every train of one fleet shares, looked up once per fleet.
+  struct Constants {
+    net::HostProfile profile;         // the executor's NIC core costs
     net::Network::HopCost up_cost;    // the request's hop
     net::Network::HopCost down_cost;  // the no-op's hop
-    Hop hop = Hop::kPull;     // the pending hop ...
-    TimeNs at = 0;            // ... and when it happens
-    TimeNs pulled_at = 0;     // the current cycle's pull
-    TimeNs egress_at = 0;     // the current cycle's no-op egress
-    p4::IngressKey key;       // the current cycle's request at the switch
+    TimeNs max_retry = 0;
+
+    bool operator==(const Constants&) const = default;
   };
 
-  // A parked train's next switch arrival: the roster's heap order.
-  struct Due {
-    TimeNs at = 0;
-    p4::IngressKey key;
-    uint32_t slot = 0;  // into trains_
+  // A parked train, stepped ahead to its next switch arrival: `poll`, the
+  // links and `host_busy` are its state just after the pull that arrives at
+  // `at`. The hops from `hop` up to that arrival have not happened yet;
+  // the *_before fields undo them for a hand-back mid-cycle.
+  struct Train {
+    cluster::Executor* executor = nullptr;  // nullptr: a free slot
+    net::NodeId node = net::kInvalidNode;
+    uint32_t constants = 0;  // into constants_
+    Hop hop = Hop::kPull;    // the first hop not yet happened
+    TimeNs at = 0;           // the next switch arrival
+    cluster::Executor::PollState poll;  // last_request_time: that arrival's pull
+    net::Network::Link up;    // executor -> switch
+    net::Network::Link down;  // switch -> executor
+    TimeNs host_busy = 0;     // the executor's NIC core
+    // The current cycle's tail, and the state before each of its hops.
+    TimeNs egress_at = 0;
+    TimeNs nic_at = 0;
+    TimeNs handoff_at = 0;
+    TimeNs prev_pull = 0;  // the pull before last_request_time
+    Rng down_jitter_before{0};
+    TimeNs busy_before_rx = 0;
+    Rng rng_before{0};
+    TimeNs retry_before = 0;
+    TimeNs busy_before_tx = 0;
+    Rng up_jitter_before{0};
   };
 
-  // Runs the pending hop's arithmetic and moves to the next one; `credit`
-  // counts it in the fabric, pipeline and program counters.
-  void Step(Train& t, bool credit);
-  // Steps `t` through every hop strictly before `now` (inclusive: at or
-  // before), crediting each.
-  void StepBefore(Train& t, TimeNs now, bool inclusive);
-  // `t`'s next switch arrival: steps a copy up to it.
-  Due Peek(const Train& t, uint32_t slot);
-  // Writes `t`'s state back to its executor and the fabric.
-  void Restore(const Train& t);
+  // A train's state as of its pending hop (before it).
+  struct Snapshot {
+    cluster::Executor::PollState poll;
+    net::Network::Link up;
+    net::Network::Link down;
+    TimeNs host_busy = 0;
+  };
+
+  static p4::IngressKey KeyOf(const Train& t) {
+    return p4::IngressKey{t.poll.last_request_time, t.node, t.up.sent - 1};
+  }
+  static TimeNs HopAt(const Train& t);
+
+  // Pulls at `pull` and steps on to the request's switch arrival.
+  void Pull(Train& t, const Constants& c, TimeNs pull);
+  // From a credited switch arrival, steps through the rest of the cycle to
+  // the next one.
+  void StepCycle(Train& t);
+  // Tallies every hop of `t` before `now` (at `now` too when `inclusive`),
+  // and a switch arrival at `now` whose key is below `*pass`.
+  void Advance(Train& t, TimeNs now, bool inclusive, const p4::IngressKey* pass);
+  // Moves the tallies into the fabric, pipeline and program counters.
+  void Flush();
+
+  Snapshot SnapshotOf(const Train& t) const;
+  // Writes `s`'s links and host core back to the fabric.
+  void Restore(const Train& t, const Snapshot& s);
   // Hands `t` back at its pending hop (at or after Now()).
   void Materialize(const Train& t);
   net::Packet RequestOf(const Train& t) const;
   net::Packet NoOpOf(const Train& t) const;
 
-  // Parks `t` (in a free slot) and queues its next switch arrival.
-  void Push(Train t);
-  // Unparks the train with the earliest next switch arrival.
-  Train Pop();
-  static bool ArrivesLater(const Due& a, const Due& b);
+  uint32_t ConstantsFor(const Constants& c);
+  // Frees `slot` (its train is no longer parked).
+  void Release(uint32_t slot);
+  // Every parked slot, advanced before `now` (through it when `inclusive`)
+  // and re-queued.
+  void AdvanceAll(TimeNs now, bool inclusive);
 
   sim::Simulator* simulator_;
   net::Network* network_;
   p4::SwitchPipeline* pipeline_;
   DraconisProgram* program_;
   net::NodeId switch_node_;
+  TimeNs pass_latency_;
+  std::vector<Constants> constants_;
   // Parked trains live in slots of trains_ (free ones listed in
-  // free_slots_); due_ is a min-heap on (at, key) with one entry per parked
-  // train, small enough to keep heap moves cheap on rosters of 10^4 trains.
+  // free_slots_); due_ holds each parked slot on (at, KeyOf).
   std::vector<Train> trains_;
   std::vector<uint32_t> free_slots_;
-  std::vector<Due> due_;
+  DueQueue due_;
   // Switch arrivals of trains handed back with their request not yet past
-  // the switch (min-heap; slot unused): each is a real pass to come.
-  std::vector<Due> woken_;
+  // the switch, latest first: each is a real pass to come.
+  std::vector<std::pair<TimeNs, p4::IngressKey>> woken_;
+  // Elided hops not yet flushed: packets launched, packets handed to their
+  // endpoint, and passes (each of which emitted one no-op).
+  uint64_t sent_ = 0;
+  uint64_t delivered_ = 0;
+  uint64_t passes_ = 0;
 };
 
 }  // namespace draconis::core

@@ -679,6 +679,40 @@ TEST(DeterminismTest, ParkedPollingMatchesEagerTwinThroughFailover) {
   ExpectParkedMatchesEager(config);
 }
 
+// A backoff cap far past the due queue's window (core/due_queue.h): idle
+// trains' next arrivals wait on its overflow list and move into the wheel
+// as the window reaches them.
+TEST(DeterminismTest, ParkedPollingMatchesEagerTwinWithMillisecondBackoff) {
+  cluster::ExperimentConfig config = Fig05aMiniConfig();
+  config.executor_template.max_retry = FromMillis(2);
+  ExpectParkedMatchesEager(config);
+}
+
+// One roster of 1 024 no-op executors at the racks-4 benchmark's
+// per-executor rate and 64 us cap: a handful of parked arrivals share each
+// bucket, and every pass credits and re-queues dozens of trains.
+TEST(DeterminismTest, ParkedPollingMatchesEagerTwinOnADenseRoster) {
+  cluster::ExperimentConfig config;
+  config.scheduler = cluster::SchedulerKind::kDraconis;
+  config.num_workers = 64;
+  config.executors_per_worker = 16;
+  config.num_clients = 4;
+  config.noop_executors = true;
+  config.warmup = FromMicros(200);
+  config.horizon = FromMicros(500);
+  config.drain_margin = FromMicros(50);
+  config.max_tasks_per_packet = 1;
+  config.executor_template.max_retry = FromMicros(64);
+  config.seed = 7;
+  config.workload.arrival = workload::ArrivalKind::kOpenLoop;
+  config.workload.tasks_per_second = 3000.0 * 64 * 16;
+  config.workload.duration = config.horizon;
+  config.workload.tasks_per_job = 1;
+  config.workload.service = workload::ServiceTime::Fixed(0);
+  config.workload.seed = config.seed;
+  ExpectParkedMatchesEager(config);
+}
+
 // The harvest boundary, on a fleet that only polls (no clients). Parked and
 // eager fleets must agree on every counter after RunUntil(t) for every t in
 // a window, so a poll hop exactly at `until` is counted; and after a Clear()
