@@ -48,6 +48,11 @@ net::Packet Executor::MakeRequest() const {
 }
 
 void Executor::SendRequest() {
+  // A pure pull into idle queues is certain to be answered with a no-op: the
+  // roster carries it from here, as it carries the pulls after a no-op.
+  if (parking_ != nullptr && parking_->TryPark(this, simulator_->Now())) {
+    return;
+  }
   last_request_time_ = simulator_->Now();
   network_->Send(node_id_, MakeRequest());
   pull_timer_.ScheduleAfter(config_.request_timeout);

@@ -713,6 +713,34 @@ TEST(DeterminismTest, ParkedPollingMatchesEagerTwinOnADenseRoster) {
   ExpectParkedMatchesEager(config);
 }
 
+// A roster of 64 no-op executors loaded to ~40% of their pull capacity, so
+// its queue is often busy: an executor handed back at its pull (its pass
+// would come after a task) often finds the queue idle again when it sends,
+// and re-parks right there. Its pass is then no longer a real pass to come,
+// and the roster must forget that it was (the other twins here pass even
+// when it does not).
+TEST(DeterminismTest, ParkedPollingMatchesEagerTwinWhenHandedBackTrainsReParkAtSend) {
+  cluster::ExperimentConfig config;
+  config.scheduler = cluster::SchedulerKind::kDraconis;
+  config.num_workers = 4;
+  config.executors_per_worker = 16;
+  config.num_clients = 4;
+  config.noop_executors = true;
+  config.warmup = FromMicros(200);
+  config.horizon = FromMillis(3);
+  config.drain_margin = FromMicros(50);
+  config.max_tasks_per_packet = 1;
+  config.executor_template.max_retry = FromMicros(64);
+  config.seed = 11;
+  config.workload.arrival = workload::ArrivalKind::kOpenLoop;
+  config.workload.tasks_per_second = 125e3 * 4 * 16;
+  config.workload.duration = config.horizon;
+  config.workload.tasks_per_job = 1;
+  config.workload.service = workload::ServiceTime::Fixed(0);
+  config.workload.seed = config.seed;
+  ExpectParkedMatchesEager(config);
+}
+
 // The harvest boundary, on a fleet that only polls (no clients). Parked and
 // eager fleets must agree on every counter after RunUntil(t) for every t in
 // a window, so a poll hop exactly at `until` is counted; and after a Clear()
