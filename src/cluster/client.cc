@@ -25,6 +25,7 @@ uint32_t Client::SubmitJob(const std::vector<TaskSpec>& specs) {
   DRACONIS_CHECK(!specs.empty());
   const uint32_t jid = next_jid_++;
   const TimeNs now = simulator_->Now();
+  metrics_->RegisterJob(config_.uid, jid, specs.size());
 
   std::vector<net::TaskInfo> tasks;
   tasks.reserve(specs.size());

@@ -18,7 +18,40 @@ MetricsHub::MetricsHub(TimeNs measure_start, TimeNs measure_end, size_t num_node
   }
 }
 
-bool MetricsHub::FirstExecution(const net::TaskId& id) { return executed_.insert(id).second; }
+bool MetricsHub::FirstExecution(const net::TaskId& id) {
+  if (id.uid < jobs_.size() && id.jid < jobs_[id.uid].size()) {
+    const JobBits& job = jobs_[id.uid][id.jid];
+    if (id.tid < job.tasks) {
+      const uint64_t bit = uint64_t{job.base} + id.tid;
+      uint64_t& word = executed_bits_[bit / 64];
+      const uint64_t mask = uint64_t{1} << (bit % 64);
+      const bool first = (word & mask) == 0;
+      word |= mask;
+      return first;
+    }
+  }
+  return executed_other_.insert(id).second;
+}
+
+void MetricsHub::RegisterJob(uint32_t uid, uint32_t jid, size_t tasks) {
+  // Clients number uids and jids densely from 0; anything sparser, or past
+  // 2^32 registered tasks, is left to the set.
+  constexpr uint32_t kMaxDense = 1 << 16;
+  if (uid >= kMaxDense || next_bit_ + tasks > UINT32_MAX) {
+    return;
+  }
+  if (uid >= jobs_.size()) {
+    jobs_.resize(uid + 1);
+  }
+  std::vector<JobBits>& jobs = jobs_[uid];
+  if (jid < jobs.size() || jid - jobs.size() > kMaxDense) {
+    return;
+  }
+  jobs.resize(jid + 1);
+  jobs[jid] = JobBits{static_cast<uint32_t>(next_bit_), static_cast<uint32_t>(tasks)};
+  next_bit_ += tasks;
+  executed_bits_.resize((next_bit_ + 63) / 64);
+}
 
 void MetricsHub::RecordExecutionStart(const net::TaskInfo& task, TimeNs exec_start) {
   if (!InWindow(task.meta.first_submit_time)) {

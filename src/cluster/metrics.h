@@ -40,6 +40,11 @@ class MetricsHub {
   // can execute a task twice; only the first execution is measured, matching
   // what the client observes (it counts the first completion).
   bool FirstExecution(const net::TaskId& id);
+  // Called by a client as it submits job `jid` of `tasks` tasks (ids
+  // {uid, jid, 0..tasks-1}): their first executions are then kept as one
+  // bit each. Ids of jobs never registered still work, at a set's cost. A
+  // (uid, jid) registered twice keeps its first registration.
+  void RegisterJob(uint32_t uid, uint32_t jid, size_t tasks);
 
   // Called by an executor when a task begins service.
   void RecordExecutionStart(const net::TaskInfo& task, TimeNs exec_start);
@@ -171,7 +176,16 @@ class MetricsHub {
   uint64_t client_rehomes_ = 0;
   uint64_t executor_rehomes_ = 0;
 
-  std::unordered_set<net::TaskId, net::TaskIdHash> executed_;
+  // First executions: a registered job's tasks are bits job.base.. in
+  // executed_bits_; any other id sits in executed_other_.
+  struct JobBits {
+    uint32_t base = 0;
+    uint32_t tasks = 0;  // 0: not registered
+  };
+  std::vector<std::vector<JobBits>> jobs_;  // by uid, then jid
+  std::vector<uint64_t> executed_bits_;
+  uint64_t next_bit_ = 0;
+  std::unordered_set<net::TaskId, net::TaskIdHash> executed_other_;
   uint64_t total_node_completions_ = 0;
   uint64_t placement_counts_[3] = {0, 0, 0};
   uint64_t tasks_submitted_ = 0;

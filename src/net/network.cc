@@ -62,6 +62,7 @@ void Network::MakeLinksDense(NodeId from) {
   }
   links.swap(dense);
   hosts_[from].dense_links = true;
+  ++links_epoch_;
 }
 
 void Network::SetNodeRack(NodeId node, uint32_t rack) {
@@ -82,6 +83,7 @@ Network::Link& Network::LinkTo(NodeId from, NodeId to) {
   if (hosts_[from].dense_links) {
     if (to >= links.size()) {
       links.resize(hosts_.size());
+      ++links_epoch_;
     }
     Link& link = links[to];
     if (link.peer == kInvalidNode) {
@@ -97,6 +99,9 @@ Network::Link& Network::LinkTo(NodeId from, NodeId to) {
   if (links.size() == kSparseLinks) {
     MakeLinksDense(from);
     return LinkTo(from, to);
+  }
+  if (links.size() == links.capacity()) {
+    ++links_epoch_;  // the push below moves the list
   }
   links.push_back(Link{Rng(LinkSeed(config_.seed, from, to)), 0, to});
   return links.back();
