@@ -191,6 +191,8 @@ TEST(DeterminismTest, PinnedGoldensPerSchedulerKind) {
       {cluster::SchedulerKind::kR2P2, 130, 4735, 507903, 507903, 1015807, 10000.0},
       {cluster::SchedulerKind::kRackSched, 130, 7551, 369943, 516095, 872690, 10000.0},
       {cluster::SchedulerKind::kSparrow, 130, 24063, 393215, 540671, 900416, 10000.0},
+      {cluster::SchedulerKind::kMalcolm, 130, 7423, 369628, 516095, 872365, 10000.0},
+      {cluster::SchedulerKind::kRackSchedEdf, 130, 7551, 369943, 516095, 872690, 10000.0},
   };
   // The same table must hold on every queue backend — the goldens pin the
   // (at, seq) contract, not one queue implementation.
@@ -209,6 +211,69 @@ TEST(DeterminismTest, PinnedGoldensPerSchedulerKind) {
       EXPECT_EQ(result.metrics->e2e_delay().Percentile(0.99), golden.e2e_p99);
       EXPECT_DOUBLE_EQ(result.throughput_tps, golden.throughput_tps);
     }
+  }
+}
+
+// Push-path pins the table above never reaches: R2P2 with jbsq_k = 1 (tasks
+// wait for a credit in the recirculation port), RackSched's processor-sharing
+// dispatcher, and RackSched-EDF on a deadline-tagged stream. All three run the
+// Fig. 5a mini cluster at 80% load, where queues form.
+struct PushGolden {
+  const char* name;
+  uint64_t completions;
+  TimeNs sched_p50;
+  TimeNs sched_p99;
+  TimeNs e2e_p50;
+  TimeNs e2e_p99;
+  uint64_t tasks_pushed;
+  uint64_t credits;
+  uint64_t credit_wait_recirculations;
+  uint64_t recirculations;
+};
+
+cluster::ExperimentConfig PushMiniConfig(const std::string& name) {
+  cluster::ExperimentConfig config = Fig05aMiniConfig();
+  workload::WorkloadSpec spec;
+  spec.arrival = workload::ArrivalKind::kOpenLoop;
+  spec.tasks_per_second = 0.8 * 16 / 500e-6;
+  spec.duration = config.horizon;
+  spec.service = workload::ServiceTime::Fixed(FromMicros(500));
+  spec.seed = config.seed;
+  if (name == "r2p2-1") {
+    config.scheduler = cluster::SchedulerKind::kR2P2;
+    config.jbsq_k = 1;
+  } else if (name == "racksched-ps") {
+    config.scheduler = cluster::SchedulerKind::kRackSched;
+    config.racksched_intra_policy = baselines::IntraNodePolicy::kProcessorSharing;
+    spec.service = workload::ServiceTime::PaperExponential();
+  } else {
+    config.scheduler = cluster::SchedulerKind::kRackSchedEdf;
+  }
+  config.stream = spec.Generate();
+  if (name == "racksched-edf") {
+    workload::TaggerStage::Deadline(/*slack=*/3.0, /*jitter_us=*/200, 12).Apply(config.stream);
+  }
+  return config;
+}
+
+TEST(DeterminismTest, PinnedGoldensPushPaths) {
+  const PushGolden goldens[] = {
+      {"r2p2-1", 343, 3327, 360447, 507903, 868351, 392, 392, 13127, 13127},
+      {"racksched-ps", 330, 6783, 6852, 208895, 1212415, 382, 382, 0, 0},
+      {"racksched-edf", 343, 6911, 352255, 516095, 868351, 392, 392, 0, 0},
+  };
+  for (const PushGolden& golden : goldens) {
+    SCOPED_TRACE(golden.name);
+    cluster::ExperimentResult result = RunExperiment(PushMiniConfig(golden.name));
+    EXPECT_EQ(result.metrics->tasks_completed(), golden.completions);
+    EXPECT_EQ(result.metrics->sched_delay().Percentile(0.50), golden.sched_p50);
+    EXPECT_EQ(result.metrics->sched_delay().Percentile(0.99), golden.sched_p99);
+    EXPECT_EQ(result.metrics->e2e_delay().Percentile(0.50), golden.e2e_p50);
+    EXPECT_EQ(result.metrics->e2e_delay().Percentile(0.99), golden.e2e_p99);
+    EXPECT_EQ(result.counters.tasks_pushed, golden.tasks_pushed);
+    EXPECT_EQ(result.counters.credits, golden.credits);
+    EXPECT_EQ(result.counters.credit_wait_recirculations, golden.credit_wait_recirculations);
+    EXPECT_EQ(result.switch_counters.recirculations, golden.recirculations);
   }
 }
 
