@@ -24,20 +24,21 @@ double LatencyHistogram::ExpectedNs() const {
   return count_ == 0 ? 0.0 : sum_mid_ / static_cast<double>(count_);
 }
 
-MalcolmProgram::MalcolmProgram(const MalcolmConfig& config) : config_(config) {
-  DRACONIS_CHECK(config.num_nodes >= 2);
-  outstanding_.assign(config.num_nodes, 0);
-  histograms_.resize(config.num_nodes);
-  worker_of_node_.assign(config.num_nodes, net::kInvalidNode);
+MalcolmProgram::MalcolmProgram(size_t num_nodes)
+    : PushProgram(num_nodes), histograms_(num_nodes) {}
+
+void MalcolmProgram::OnPass(p4::PassContext& ctx, net::Packet pkt) {
+  if (pkt.op == net::OpCode::kCredit) {
+    // The worker piggybacks the task's measured sojourn in summary_depth.
+    DRACONIS_CHECK(pkt.exec_props < histograms_.size());
+    histograms_[pkt.exec_props].Record(pkt.summary_depth);
+  }
+  PushProgram::OnPass(ctx, std::move(pkt));
 }
 
-void MalcolmProgram::BindNode(size_t node, net::NodeId worker) {
-  DRACONIS_CHECK(node < worker_of_node_.size());
-  worker_of_node_[node] = worker;
-}
-
-size_t MalcolmProgram::ChooseNode() {
-  const size_t n = outstanding_.size();
+size_t MalcolmProgram::Select(TimeNs /*now*/) {
+  const std::vector<uint32_t>& outstanding = this->outstanding();
+  const size_t n = outstanding.size();
   size_t best = rotate_ % n;
   double best_score = 0.0;
   for (size_t i = 0; i < n; ++i) {
@@ -46,7 +47,7 @@ size_t MalcolmProgram::ChooseNode() {
     // tasks plus itself) times the node's mean observed completion time.
     // Unobserved nodes score by outstanding alone (mean floored at 1 ns).
     const double mean = std::max(histograms_[node].ExpectedNs(), 1.0);
-    const double score = static_cast<double>(outstanding_[node] + 1) * mean;
+    const double score = static_cast<double>(outstanding[node] + 1) * mean;
     if (i == 0 || score < best_score) {
       best = node;
       best_score = score;
@@ -54,48 +55,6 @@ size_t MalcolmProgram::ChooseNode() {
   }
   ++rotate_;  // rotate the scan start so exact ties spread across nodes
   return best;
-}
-
-void MalcolmProgram::OnPass(p4::PassContext& ctx, net::Packet pkt) {
-  switch (pkt.op) {
-    case net::OpCode::kCredit: {
-      const size_t node = pkt.exec_props;
-      DRACONIS_CHECK(node < outstanding_.size());
-      outstanding_[node] = std::max(outstanding_[node] - 1, 0);
-      // The worker piggybacks the task's measured sojourn in summary_depth.
-      histograms_[node].Record(pkt.summary_depth);
-      ++counters_.credits;
-      ctx.Drop(pkt, "info_credit_consumed");
-      return;
-    }
-    case net::OpCode::kJobSubmission:
-      break;
-    default:
-      if (pkt.dst == ctx.SwitchNode() || pkt.dst == net::kInvalidNode) {
-        ctx.Drop(pkt, "info_unroutable");
-      } else {
-        ctx.Emit(std::move(pkt));
-      }
-      return;
-  }
-
-  DRACONIS_CHECK_MSG(pkt.tasks.size() == 1,
-                     "Malcolm routes one task per packet; batch at the client");
-  if (pkt.tasks[0].meta.enqueue_time < 0) {
-    pkt.tasks[0].meta.enqueue_time = ctx.Now();
-  }
-
-  const size_t chosen = ChooseNode();
-  outstanding_[chosen] += 1;
-  ++counters_.tasks_pushed;
-
-  net::Packet push = std::move(pkt);
-  push.op = net::OpCode::kTaskAssignment;
-  push.client_addr = push.client_addr != net::kInvalidNode ? push.client_addr : push.src;
-  push.exec_props = static_cast<uint32_t>(chosen);
-  push.dst = worker_of_node_[chosen];
-  DRACONIS_CHECK_MSG(push.dst != net::kInvalidNode, "node not bound to a worker");
-  ctx.Emit(std::move(push));
 }
 
 }  // namespace draconis::baselines

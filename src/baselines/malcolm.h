@@ -10,7 +10,8 @@
 // exactly the regime fig_tail_latency probes. Before any sojourn has been
 // observed the mean defaults to 1 ns, so the rule degenerates to
 // least-outstanding; ties break on a rotating offset, so steering is fully
-// deterministic (no RNG draws).
+// deterministic (no RNG draws). The rule runs on the shared push program
+// (push_program.h).
 
 #ifndef DRACONIS_BASELINES_MALCOLM_H_
 #define DRACONIS_BASELINES_MALCOLM_H_
@@ -18,20 +19,11 @@
 #include <cstdint>
 #include <vector>
 
-#include "net/network.h"
+#include "baselines/push_program.h"
 #include "net/packet.h"
 #include "p4/pipeline.h"
 
 namespace draconis::baselines {
-
-struct MalcolmConfig {
-  size_t num_nodes = 10;
-};
-
-struct MalcolmCounters {
-  uint64_t tasks_pushed = 0;
-  uint64_t credits = 0;
-};
 
 // Log2-bucketed completion-time histogram, the switch-friendly stand-in for
 // Malcolm's per-server latency distributions: 1 ns..~1 s in 30 power-of-two
@@ -44,7 +36,6 @@ class LatencyHistogram {
   uint64_t count() const { return count_; }
   // Mean observed sojourn from the bucket midpoints; 0 when empty.
   double ExpectedNs() const;
-  const uint64_t* buckets() const { return buckets_; }
 
  private:
   uint64_t buckets_[kBuckets] = {};
@@ -52,28 +43,23 @@ class LatencyHistogram {
   double sum_mid_ = 0.0;  // running sum of bucket midpoints
 };
 
-class MalcolmProgram : public p4::SwitchProgram {
+// The steering rule, over one target per worker node: argmin of
+// (outstanding + 1) * mean observed sojourn.
+class MalcolmProgram : public PushProgram {
  public:
-  explicit MalcolmProgram(const MalcolmConfig& config);
+  explicit MalcolmProgram(size_t num_nodes);
 
-  void BindNode(size_t node, net::NodeId worker);
-
+  // Feeds each credit's piggybacked sojourn into its node's histogram, then
+  // runs the shared protocol.
   void OnPass(p4::PassContext& ctx, net::Packet pkt) override;
 
-  const MalcolmCounters& counters() const { return counters_; }
-  int32_t cp_outstanding(size_t node) const { return outstanding_[node]; }
   const LatencyHistogram& cp_histogram(size_t node) const { return histograms_[node]; }
 
  private:
-  // The steering rule: argmin over nodes of (outstanding + 1) * mean sojourn.
-  size_t ChooseNode();
+  size_t Select(TimeNs now) override;
 
-  MalcolmConfig config_;
-  std::vector<int32_t> outstanding_;  // tasks pushed minus credits, per node
   std::vector<LatencyHistogram> histograms_;
-  std::vector<net::NodeId> worker_of_node_;
   size_t rotate_ = 0;  // deterministic tie-break offset
-  MalcolmCounters counters_;
 };
 
 }  // namespace draconis::baselines

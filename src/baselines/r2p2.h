@@ -26,13 +26,8 @@
 //     recirculations, matching the paper's "brings the number of
 //     recirculations and dropped tasks to zero".
 //
-// The counter bank is modeled behaviorally (plain memory) rather than
-// through the register layer; like RackSched's replicated counters, the
-// reference P4 implementation realizes the search with per-stage register
-// arrays and bounded recirculation, and the *scheduling* behavior is what
-// the paper's comparison hinges on. See DESIGN.md §1.
-//
-// Workers hold a bounded FIFO per executor (JBSQ's per-executor queue).
+// The selection rule runs on the shared push program (push_program.h);
+// workers hold a bounded FIFO per executor (JBSQ's per-executor queue).
 
 #ifndef DRACONIS_BASELINES_R2P2_H_
 #define DRACONIS_BASELINES_R2P2_H_
@@ -41,92 +36,61 @@
 #include <deque>
 #include <vector>
 
-#include "cluster/metrics.h"
+#include "baselines/push_program.h"
+#include "baselines/worker.h"
 #include "cluster/testbed.h"
 #include "common/time.h"
 #include "net/network.h"
 #include "net/packet.h"
-#include "p4/pipeline.h"
-#include "sim/simulator.h"
 
 namespace draconis::baselines {
 
-struct R2P2Config {
-  size_t num_executors = 160;
-  // JBSQ bound: total slots per executor including the running task.
-  // R2P2-1 has no queue (run one task, queue none); R2P2-3 is the authors'
-  // default.
-  uint32_t jbsq_k = 3;
-  // How stale the shortest-queue selection state may be (≈ the switch-worker
-  // feedback delay). The JBSQ bound itself is always enforced exactly.
+// JBSQ(k) over one target per executor slot.
+class R2P2Program : public PushProgram {
+ public:
+  // How stale the shortest-queue selection state may be (~ the switch-worker
+  // feedback delay); the JBSQ bound itself is always enforced exactly.
   // Calibrated so that at the paper's Fig. 5a operating point (500 us tasks,
   // 250 ktps) a few percent of tasks herd behind a running task, putting the
   // p99 at ~1 service time.
-  TimeNs selection_staleness = TimeNs{250};
-};
+  static constexpr TimeNs kSelectionStaleness = TimeNs{250};
 
-struct R2P2Counters {
-  uint64_t tasks_pushed = 0;
-  uint64_t credit_wait_recirculations = 0;
-  uint64_t credits = 0;
-};
+  // `jbsq_k` bounds the slots per executor, the running task included: R2P2-1
+  // has no queue (run one task, queue none); R2P2-3 is the authors' default.
+  R2P2Program(size_t num_executors, uint32_t jbsq_k,
+              TimeNs selection_staleness = kSelectionStaleness);
 
-class R2P2Program : public p4::SwitchProgram {
- public:
-  explicit R2P2Program(const R2P2Config& config);
-
-  // Routes executor slot -> the worker endpoint hosting it. Must cover
-  // [0, num_executors) before traffic flows.
-  void BindExecutor(size_t slot, net::NodeId worker);
-
-  void OnPass(p4::PassContext& ctx, net::Packet pkt) override;
-
-  const R2P2Counters& counters() const { return counters_; }
-  size_t cp_credits() const;          // free slots across the cluster
-  uint32_t cp_outstanding(size_t slot) const { return outstanding_[slot]; }
+  size_t cp_credits() const;  // free slots across the cluster
 
  private:
-  R2P2Config config_;
-  std::vector<net::NodeId> worker_of_slot_;
-  std::vector<uint32_t> outstanding_;  // per-slot tasks outstanding (<= k), exact
-  std::vector<uint32_t> stale_view_;   // what the selection logic believes
+  size_t Select(TimeNs now) override;
+
+  uint32_t jbsq_k_;
+  TimeNs selection_staleness_;
+  std::vector<uint32_t> stale_view_;  // what the selection logic believes
   TimeNs last_refresh_ = -1;
-  R2P2Counters counters_;
 };
 
-// A worker machine hosting several executor slots, each with its own bounded
-// FIFO.
-class R2P2Worker : public net::Endpoint {
+// A worker machine hosting `num_executors` executor slots, each with its own
+// bounded FIFO. Worker w hosts the contiguous slots [w * num_executors,
+// (w + 1) * num_executors).
+class R2P2Worker : public BaselineWorker {
  public:
-  // `slots` lists the global executor-slot ids this worker hosts. The worker
-  // registers itself on the testbed's fabric; the testbed must outlive it.
-  R2P2Worker(cluster::Testbed* testbed, std::vector<size_t> slots, uint32_t worker_node,
-             net::NodeId scheduler, TimeNs pickup_overhead = TimeNs{200});
-
-  net::NodeId node_id() const { return node_id_; }
+  R2P2Worker(cluster::Testbed* testbed, size_t num_executors, uint32_t worker_node,
+             net::NodeId scheduler);
 
   // net::Endpoint:
   void HandlePacket(net::Packet pkt) override;
 
-  void SetScheduler(net::NodeId scheduler) { scheduler_ = scheduler; }
-
  private:
   struct ExecutorSlot {
-    size_t global_slot = 0;
     bool busy = false;
     std::deque<net::Packet> queue;  // task_assignment packets waiting
   };
 
   void TryRun(size_t local);
-  void FinishTask(size_t local, net::TaskInfo task, net::NodeId client);
 
-  sim::Simulator* simulator_;
-  net::Network* network_;
-  cluster::MetricsHub* metrics_;
-  uint32_t worker_node_;
-  net::NodeId scheduler_;
-  TimeNs pickup_overhead_;
-  net::NodeId node_id_;
+  size_t first_slot_;
   std::vector<ExecutorSlot> slots_;
 };
 

@@ -1,88 +1,37 @@
 #include "baselines/racksched.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/check.h"
 
 namespace draconis::baselines {
 
-RackSchedProgram::RackSchedProgram(const RackSchedConfig& config)
-    : config_(config), rng_(config.seed) {
-  DRACONIS_CHECK(config.num_nodes >= 2);
-  queue_len_.assign(config.num_nodes, 0);
-  worker_of_node_.assign(config.num_nodes, net::kInvalidNode);
-}
+RackSchedProgram::RackSchedProgram(size_t num_nodes, uint64_t seed)
+    : PushProgram(num_nodes), rng_(seed) {}
 
-void RackSchedProgram::BindNode(size_t node, net::NodeId worker) {
-  DRACONIS_CHECK(node < worker_of_node_.size());
-  worker_of_node_[node] = worker;
-}
-
-void RackSchedProgram::OnPass(p4::PassContext& ctx, net::Packet pkt) {
-  switch (pkt.op) {
-    case net::OpCode::kCredit: {
-      const size_t node = pkt.exec_props;
-      DRACONIS_CHECK(node < queue_len_.size());
-      queue_len_[node] = std::max(queue_len_[node] - 1, 0);
-      ++counters_.credits;
-      ctx.Drop(pkt, "info_credit_consumed");
-      return;
-    }
-    case net::OpCode::kJobSubmission:
-      break;
-    default:
-      if (pkt.dst == ctx.SwitchNode() || pkt.dst == net::kInvalidNode) {
-        ctx.Drop(pkt, "info_unroutable");
-      } else {
-        ctx.Emit(std::move(pkt));
-      }
-      return;
+size_t RackSchedProgram::Select(TimeNs /*now*/) {
+  // Power-of-two choices over node queue lengths. A lone node needs no draw.
+  const std::vector<uint32_t>& queue_len = outstanding();
+  const size_t n = queue_len.size();
+  if (n == 1) {
+    return 0;
   }
-
-  DRACONIS_CHECK_MSG(pkt.tasks.size() == 1,
-                     "RackSched routes one task per packet; batch at the client");
-  if (pkt.tasks[0].meta.enqueue_time < 0) {
-    pkt.tasks[0].meta.enqueue_time = ctx.Now();
-  }
-
-  // Power-of-two choices over node queue lengths.
-  const size_t n = queue_len_.size();
   const size_t a = rng_.NextBelow(n);
   size_t b = rng_.NextBelow(n - 1);
   if (b >= a) {
     ++b;
   }
-  const size_t chosen = queue_len_[a] <= queue_len_[b] ? a : b;
-  queue_len_[chosen] += 1;
-  ++counters_.tasks_pushed;
-
-  net::Packet push = std::move(pkt);
-  push.op = net::OpCode::kTaskAssignment;
-  push.client_addr = push.client_addr != net::kInvalidNode ? push.client_addr : push.src;
-  push.exec_props = static_cast<uint32_t>(chosen);
-  push.dst = worker_of_node_[chosen];
-  DRACONIS_CHECK_MSG(push.dst != net::kInvalidNode, "node not bound to a worker");
-  ctx.Emit(std::move(push));
+  return queue_len[a] <= queue_len[b] ? a : b;
 }
 
 RackSchedWorker::RackSchedWorker(cluster::Testbed* testbed, size_t num_executors,
                                  uint32_t worker_node, net::NodeId scheduler,
-                                 TimeNs dispatch_overhead, TimeNs pickup_overhead,
                                  IntraNodePolicy policy, bool report_latency)
-    : simulator_(&testbed->simulator()),
-      network_(&testbed->network()),
-      metrics_(testbed->metrics()),
-      worker_node_(worker_node),
-      scheduler_(scheduler),
-      dispatch_overhead_(dispatch_overhead),
-      pickup_overhead_(pickup_overhead),
+    : BaselineWorker(testbed, worker_node, scheduler, net::HostProfile::Dpdk(TimeNs{150})),
       policy_(policy),
-      report_latency_(report_latency) {
-  DRACONIS_CHECK(metrics_ != nullptr);
+      report_latency_(report_latency),
+      core_busy_(num_executors, false) {
   DRACONIS_CHECK(num_executors >= 1);
-  node_id_ = network_->Register(this, net::HostProfile::Dpdk(TimeNs{150}));
-  core_busy_.assign(num_executors, false);
 }
 
 void RackSchedWorker::HandlePacket(net::Packet pkt) {
@@ -92,8 +41,8 @@ void RackSchedWorker::HandlePacket(net::Packet pkt) {
   if (policy_ == IntraNodePolicy::kProcessorSharing) {
     // Admission is delayed by the dispatcher's overhead, then the task joins
     // the sharing pool immediately (preemptive: no queueing behind peers).
-    simulator_->ScheduleAfter(dispatch_overhead_ + pickup_overhead_,
-                      [this, pkt = std::move(pkt)]() mutable { PsAdmit(std::move(pkt)); });
+    simulator_->ScheduleAfter(kDispatchOverhead + kPickupOverhead,
+                              [this, pkt = std::move(pkt)]() mutable { PsAdmit(std::move(pkt)); });
     return;
   }
   queue_.push_back(std::move(pkt));
@@ -111,15 +60,7 @@ double RackSchedWorker::PsRate() const {
 
 void RackSchedWorker::PsAdmit(net::Packet pkt) {
   net::TaskInfo task = std::move(pkt.tasks.at(0));
-  const TimeNs now = simulator_->Now();
-  if (metrics_->FirstExecution(task.id)) {
-    metrics_->RecordAssignment(task, now);
-    metrics_->RecordExecutionStart(task, now);
-  } else {
-    // Duplicate execution (timeout resubmission or a straggler hedge): its
-    // occupancy is the marginal cost of replication — docs/dag.md.
-    metrics_->RecordWastedWork(task.meta.exec_duration);
-  }
+  RecordStart(task, simulator_->Now());
   // Age the pool to `now` at the old rate before the membership changes.
   PsReschedule();
   PsTask entry;
@@ -145,7 +86,7 @@ void RackSchedWorker::PsReschedule() {
       PsTask done = std::move(ps_tasks_[i]);
       ps_tasks_[i] = std::move(ps_tasks_.back());
       ps_tasks_.pop_back();
-      PsComplete(std::move(done.task), done.client);
+      FinishTask(std::move(done.task), done.client, worker_node_, report_latency_);
       continue;  // re-examine the element swapped into slot i
     }
     if (next == ~size_t{0} || ps_tasks_[i].remaining < min_remaining) {
@@ -161,33 +102,6 @@ void RackSchedWorker::PsReschedule() {
     const auto wait = static_cast<TimeNs>(min_remaining / PsRate()) + 1;
     ps_completion_ =
         simulator_->ScheduleAfter(wait, [this] { PsReschedule(); }, sim::kCancellable);
-  }
-}
-
-void RackSchedWorker::SendCredit(const net::TaskInfo& task) {
-  net::Packet credit;
-  credit.op = net::OpCode::kCredit;
-  credit.dst = scheduler_;
-  credit.exec_props = worker_node_;
-  if (report_latency_ && task.meta.enqueue_time >= 0) {
-    // Measured sojourn rides in summary_depth (plus its wire bytes) for the
-    // latency-distribution-aware balancer.
-    credit.summary_depth = static_cast<uint64_t>(simulator_->Now() - task.meta.enqueue_time);
-    credit.payload_bytes = 8;
-  }
-  network_->Send(node_id_, std::move(credit));
-}
-
-void RackSchedWorker::PsComplete(net::TaskInfo task, net::NodeId client) {
-  metrics_->RecordNodeCompletion(worker_node_, simulator_->Now());
-  SendCredit(task);
-
-  if (client != net::kInvalidNode) {
-    net::Packet notice;
-    notice.op = net::OpCode::kCompletionNotice;
-    notice.dst = client;
-    notice.tasks = {std::move(task)};
-    network_->Send(node_id_, std::move(notice));
   }
 }
 
@@ -228,40 +142,16 @@ void RackSchedWorker::TryDispatch() {
     net::TaskInfo task = std::move(pkt.tasks.at(0));
     const net::NodeId client = pkt.client_addr;
     // Intra-node scheduling adds its dispatch overhead before service starts.
-    const TimeNs exec_start = simulator_->Now() + dispatch_overhead_ + pickup_overhead_;
-    if (metrics_->FirstExecution(task.id)) {
-      metrics_->RecordAssignment(task, simulator_->Now());
-      metrics_->RecordExecutionStart(task, exec_start);
-    } else {
-      // Duplicate execution (timeout resubmission or a straggler hedge):
-      // its occupancy is the marginal cost of replication — docs/dag.md.
-      metrics_->RecordWastedWork(task.meta.exec_duration);
-    }
-    const TimeNs done = exec_start + task.meta.exec_duration;
-    metrics_->RecordBusyInterval(simulator_->Now(), done);
+    const TimeNs done = StartTask(task, simulator_->Now() + kDispatchOverhead + kPickupOverhead);
     simulator_->ScheduleAt(done, [this, core, task = std::move(task), client]() mutable {
-      FinishTask(core, std::move(task), client);
+      FinishTask(std::move(task), client, worker_node_, report_latency_);
+      core_busy_[core] = false;
+      TryDispatch();
     });
     if (queue_.empty()) {
       return;
     }
   }
-}
-
-void RackSchedWorker::FinishTask(size_t core, net::TaskInfo task, net::NodeId client) {
-  metrics_->RecordNodeCompletion(worker_node_, simulator_->Now());
-  SendCredit(task);
-
-  if (client != net::kInvalidNode) {
-    net::Packet notice;
-    notice.op = net::OpCode::kCompletionNotice;
-    notice.dst = client;
-    notice.tasks = {std::move(task)};
-    network_->Send(node_id_, std::move(notice));
-  }
-
-  core_busy_[core] = false;
-  TryDispatch();
 }
 
 }  // namespace draconis::baselines

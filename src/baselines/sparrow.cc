@@ -95,16 +95,10 @@ void SparrowScheduler::HandleGetTask(const net::Packet& pkt) {
 }
 
 SparrowWorker::SparrowWorker(cluster::Testbed* testbed, size_t num_executors,
-                             uint32_t worker_node, TimeNs pickup_overhead)
-    : simulator_(&testbed->simulator()),
-      network_(&testbed->network()),
-      metrics_(testbed->metrics()),
-      worker_node_(worker_node),
-      pickup_overhead_(pickup_overhead) {
-  DRACONIS_CHECK(metrics_ != nullptr);
+                             uint32_t worker_node)
+    : BaselineWorker(testbed, worker_node, net::kInvalidNode, SparrowConfig::Profile()),
+      core_busy_(num_executors, false) {
   DRACONIS_CHECK(num_executors >= 1);
-  node_id_ = network_->Register(this, SparrowConfig::Profile());
-  core_busy_.assign(num_executors, false);
 }
 
 void SparrowWorker::HandlePacket(net::Packet pkt) {
@@ -121,19 +115,11 @@ void SparrowWorker::HandlePacket(net::Packet pkt) {
 
       net::TaskInfo task = std::move(pkt.tasks.at(0));
       const net::NodeId client = pkt.client_addr;
-      const TimeNs exec_start = simulator_->Now() + pickup_overhead_;
-      if (metrics_->FirstExecution(task.id)) {
-        metrics_->RecordAssignment(task, simulator_->Now());
-        metrics_->RecordExecutionStart(task, exec_start);
-      } else {
-        // Duplicate execution (timeout resubmission or a straggler hedge):
-        // its occupancy is the marginal cost of replication — docs/dag.md.
-        metrics_->RecordWastedWork(task.meta.exec_duration);
-      }
-      const TimeNs done = exec_start + task.meta.exec_duration;
-      metrics_->RecordBusyInterval(simulator_->Now(), done);
+      const TimeNs done = StartTask(task, simulator_->Now() + kPickupOverhead);
       simulator_->ScheduleAt(done, [this, core, task = std::move(task), client]() mutable {
-        FinishTask(core, std::move(task), client);
+        FinishTask(std::move(task), client, kNoCredit);
+        core_busy_[core] = false;
+        TryDispatch();
       });
       return;
     }
@@ -175,19 +161,6 @@ void SparrowWorker::TryDispatch() {
     get.jid = res.jid;
     network_->Send(node_id_, std::move(get));
   }
-}
-
-void SparrowWorker::FinishTask(size_t core, net::TaskInfo task, net::NodeId client) {
-  metrics_->RecordNodeCompletion(worker_node_, simulator_->Now());
-  if (client != net::kInvalidNode) {
-    net::Packet notice;
-    notice.op = net::OpCode::kCompletionNotice;
-    notice.dst = client;
-    notice.tasks = {std::move(task)};
-    network_->Send(node_id_, std::move(notice));
-  }
-  core_busy_[core] = false;
-  TryDispatch();
 }
 
 }  // namespace draconis::baselines

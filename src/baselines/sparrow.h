@@ -22,7 +22,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "cluster/metrics.h"
+#include "baselines/worker.h"
 #include "cluster/testbed.h"
 #include "common/rng.h"
 #include "common/time.h"
@@ -93,13 +93,9 @@ class SparrowScheduler : public net::Endpoint {
 // Worker node: a FIFO of reservations feeding `num_executors` cores; each
 // core idles for one get_task round trip before running its task (late
 // binding's price).
-class SparrowWorker : public net::Endpoint {
+class SparrowWorker : public BaselineWorker {
  public:
-  // Registers itself on the testbed's fabric; the testbed must outlive it.
-  SparrowWorker(cluster::Testbed* testbed, size_t num_executors, uint32_t worker_node,
-                TimeNs pickup_overhead = TimeNs{200});
-
-  net::NodeId node_id() const { return node_id_; }
+  SparrowWorker(cluster::Testbed* testbed, size_t num_executors, uint32_t worker_node);
 
   // net::Endpoint:
   void HandlePacket(net::Packet pkt) override;
@@ -112,14 +108,7 @@ class SparrowWorker : public net::Endpoint {
   };
 
   void TryDispatch();
-  void FinishTask(size_t core, net::TaskInfo task, net::NodeId client);
 
-  sim::Simulator* simulator_;
-  net::Network* network_;
-  cluster::MetricsHub* metrics_;
-  uint32_t worker_node_;
-  TimeNs pickup_overhead_;
-  net::NodeId node_id_;
   std::deque<Reservation> reservations_;
   std::vector<bool> core_busy_;
   std::deque<size_t> waiting_cores_;  // cores blocked on a get_task round trip

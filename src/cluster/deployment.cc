@@ -4,9 +4,7 @@
 #include <utility>
 
 #include "baselines/central_server_deployment.h"
-#include "baselines/malcolm_deployment.h"
-#include "baselines/r2p2_deployment.h"
-#include "baselines/racksched_deployment.h"
+#include "baselines/push_deployment.h"
 #include "baselines/sparrow_deployment.h"
 #include "common/check.h"
 #include "core/draconis_deployment.h"
@@ -133,11 +131,20 @@ DeploymentRegistry::DeploymentRegistry() {
   infos_.push_back(core::DraconisDeploymentInfo());
   infos_.push_back(baselines::DpdkServerDeploymentInfo());
   infos_.push_back(baselines::SocketServerDeploymentInfo());
-  infos_.push_back(baselines::R2P2DeploymentInfo());
-  infos_.push_back(baselines::RackSchedDeploymentInfo());
+  using baselines::PushRule;
+  using baselines::PushWorker;
+  infos_.push_back(baselines::PushDeploymentInfo(SchedulerKind::kR2P2, "R2P2", "r2p2",
+                                                 PushRule::kJbsq, PushWorker::kExecutorQueues));
+  infos_.push_back(baselines::PushDeploymentInfo(SchedulerKind::kRackSched, "RackSched",
+                                                 "racksched", PushRule::kPowerOfTwo,
+                                                 PushWorker::kNodeDispatcher));
   infos_.push_back(baselines::SparrowDeploymentInfo());
-  infos_.push_back(baselines::MalcolmDeploymentInfo());
-  infos_.push_back(baselines::RackSchedEdfDeploymentInfo());
+  infos_.push_back(baselines::PushDeploymentInfo(SchedulerKind::kMalcolm, "Malcolm", "malcolm",
+                                                 PushRule::kLatencyAware,
+                                                 PushWorker::kNodeDispatcher));
+  infos_.push_back(baselines::PushDeploymentInfo(SchedulerKind::kRackSchedEdf, "RackSched-EDF",
+                                                 "racksched-edf", PushRule::kPowerOfTwo,
+                                                 PushWorker::kEdfNodeDispatcher));
   for (size_t i = 0; i < infos_.size(); ++i) {
     DRACONIS_CHECK_MSG(static_cast<size_t>(infos_[i].kind) == i,
                        "registry order must match the SchedulerKind enum");
