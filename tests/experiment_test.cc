@@ -380,51 +380,53 @@ TEST(DeploymentRegistryTest, FindByNameAcceptsCanonicalAndFlagSpellings) {
 }
 
 // Registry-driven smoke matrix: every registered kind (x every policy it
-// honors) pushes a tiny stream to completion and reports into the counter
-// fields that kind owns. A new scheduler registered in the DeploymentRegistry
-// is picked up here automatically.
+// honors, x a two- and a one-worker cluster) pushes a tiny stream to
+// completion and reports into the counter fields that kind owns. A new
+// scheduler registered in the DeploymentRegistry is picked up here
+// automatically.
 TEST(DeploymentRegistryTest, SmokeMatrixEveryKindCompletesAndHarvests) {
   for (const DeploymentInfo& info : DeploymentRegistry::Get().all()) {
     for (PolicyKind policy : info.policies) {
-      SCOPED_TRACE(std::string(info.canonical_name) + " / " + PolicyKindName(policy));
-      ExperimentConfig config = TinyConfig(20000.0);  // 25%: everything drains
-      config.scheduler = info.kind;
-      config.policy = policy;
-      if (policy == PolicyKind::kResource) {
-        config.worker_resources = {0x1, 0x1};  // every worker can run tprops=0
-      }
-      ExperimentResult result = RunExperiment(config);
+      for (size_t workers : {2, 1}) {
+        SCOPED_TRACE(std::string(info.canonical_name) + " / " + PolicyKindName(policy) + " / " +
+                     std::to_string(workers) + " worker(s)");
+        ExperimentConfig config = TinyConfig(10000.0 * workers);  // 25%: everything drains
+        config.scheduler = info.kind;
+        config.policy = policy;
+        config.num_workers = workers;
+        if (policy == PolicyKind::kResource) {
+          config.worker_resources = {0x1, 0x1};  // every worker can run tprops=0
+        }
+        ASSERT_EQ(config.Validate(), "");
+        ExperimentResult result = RunExperiment(config);
 
-      EXPECT_GT(result.metrics->tasks_completed(), 0u);
-      EXPECT_GE(result.metrics->tasks_completed(),
-                result.metrics->tasks_submitted() * 9 / 10);
-      switch (info.kind) {
-        case SchedulerKind::kDraconis:
-          EXPECT_GT(result.counters.tasks_enqueued, 0u);
-          EXPECT_GT(result.counters.tasks_assigned, 0u);
-          EXPECT_GT(result.switch_counters.passes, 0u);
-          break;
-        case SchedulerKind::kDraconisDpdkServer:
-        case SchedulerKind::kDraconisSocketServer:
-          EXPECT_GT(result.counters.tasks_enqueued, 0u);
-          EXPECT_GT(result.counters.tasks_assigned, 0u);
-          break;
-        case SchedulerKind::kR2P2:
-          EXPECT_GT(result.counters.tasks_pushed, 0u);
-          EXPECT_GT(result.counters.credits, 0u);
-          EXPECT_GT(result.switch_counters.passes, 0u);
-          break;
-        case SchedulerKind::kRackSched:
-        case SchedulerKind::kMalcolm:
-        case SchedulerKind::kRackSchedEdf:
-          EXPECT_GT(result.counters.tasks_pushed, 0u);
-          EXPECT_GT(result.counters.credits, 0u);
-          EXPECT_GT(result.switch_counters.passes, 0u);
-          break;
-        case SchedulerKind::kSparrow:
-          EXPECT_GT(result.counters.probes_sent, 0u);
-          EXPECT_GT(result.counters.tasks_launched, 0u);
-          break;
+        EXPECT_GT(result.metrics->tasks_completed(), 0u);
+        EXPECT_GE(result.metrics->tasks_completed(),
+                  result.metrics->tasks_submitted() * 9 / 10);
+        switch (info.kind) {
+          case SchedulerKind::kDraconis:
+            EXPECT_GT(result.counters.tasks_enqueued, 0u);
+            EXPECT_GT(result.counters.tasks_assigned, 0u);
+            EXPECT_GT(result.switch_counters.passes, 0u);
+            break;
+          case SchedulerKind::kDraconisDpdkServer:
+          case SchedulerKind::kDraconisSocketServer:
+            EXPECT_GT(result.counters.tasks_enqueued, 0u);
+            EXPECT_GT(result.counters.tasks_assigned, 0u);
+            break;
+          case SchedulerKind::kR2P2:
+          case SchedulerKind::kRackSched:
+          case SchedulerKind::kMalcolm:
+          case SchedulerKind::kRackSchedEdf:
+            EXPECT_GT(result.counters.tasks_pushed, 0u);
+            EXPECT_GT(result.counters.credits, 0u);
+            EXPECT_GT(result.switch_counters.passes, 0u);
+            break;
+          case SchedulerKind::kSparrow:
+            EXPECT_GT(result.counters.probes_sent, 0u);
+            EXPECT_GT(result.counters.tasks_launched, 0u);
+            break;
+        }
       }
     }
   }
