@@ -5,7 +5,8 @@
 // worker side is wired, which client quirks it needs, and how its counters
 // are harvested — behind one interface, so RunExperiment stays a kind-blind
 // orchestrator and adding a scheduler means adding one deployment file pair
-// next to the scheduler (see DESIGN.md §"Testbed & deployments").
+// next to the scheduler, or, for a push-based kind, a selection rule that
+// baselines::PushDeployment runs (see DESIGN.md §"Testbed & deployments").
 //
 // Deployments register in the DeploymentRegistry, which is the single source
 // of truth for scheduler-kind names (SchedulerKindName/FromName), the bench

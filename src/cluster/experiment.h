@@ -14,8 +14,9 @@
 // per-scheduler baseline headers (their counters are flattened into
 // SchedulerCounters) so that adding or reworking a scheduler does not ripple
 // through every bench TU. Adding a scheduler kind means adding one
-// deployment file pair next to the scheduler and one registry line — see
-// DESIGN.md ("Testbed & deployments").
+// deployment file pair next to the scheduler (or a selection rule for the
+// shared push deployment) and one registry line — see DESIGN.md ("Testbed &
+// deployments").
 
 #ifndef DRACONIS_CLUSTER_EXPERIMENT_H_
 #define DRACONIS_CLUSTER_EXPERIMENT_H_

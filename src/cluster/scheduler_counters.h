@@ -30,7 +30,7 @@ struct SchedulerCounters {
   uint64_t swap_requeues = 0;
   uint64_t priority_probes = 0;  // task_request recirculations across levels
 
-  // Push-based baselines (R2P2 / RackSched).
+  // Push-based baselines (R2P2, RackSched(-EDF), Malcolm).
   uint64_t tasks_pushed = 0;
   uint64_t credit_wait_recirculations = 0;
   uint64_t credits = 0;
