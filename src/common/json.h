@@ -125,32 +125,6 @@ class Value {
   std::vector<std::pair<std::string, Value>> members_;  // document order
 };
 
-// The parsers' failure path: sets `*error` (when non-null), returns false.
-inline bool Fail(std::string* error, std::string msg) {
-  if (error != nullptr) {
-    *error = std::move(msg);
-  }
-  return false;
-}
-
-// Reads the integer member `key` of `obj` into `*field`. An absent member
-// leaves `*field` alone; a member that is not an integer `*field` can hold
-// is refused: false, and `*error` (when non-null) reads
-// "<context>: '<key>' must be an integer in range".
-template <typename T>
-bool ReadInt(const Value& obj, const std::string& context, const char* key, T* field,
-             std::string* error) {
-  const Value* member = obj.Find(key);
-  if (member == nullptr) {
-    return true;
-  }
-  if (const std::optional<T> i = member->AsInt<T>()) {
-    *field = *i;
-    return true;
-  }
-  return Fail(error, context + ": '" + key + "' must be an integer in range");
-}
-
 // Parses a complete JSON document. Returns false (and a "line N: ..." error
 // when `error` is non-null) on malformed input or trailing garbage.
 bool Parse(const std::string& text, Value* out, std::string* error);

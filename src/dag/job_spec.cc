@@ -1,7 +1,6 @@
 #include "dag/job_spec.h"
 
 #include <algorithm>
-#include <optional>
 #include <utility>
 
 #include "common/rng.h"
@@ -58,81 +57,6 @@ TimeNs JobSpec::CriticalPathNs() const {
     longest = std::max(longest, finish[i]);
   }
   return longest;
-}
-
-void JobSpec::WriteJson(json::Writer& w) const {
-  w.BeginObject();
-  w.Key("tasks").BeginArray();
-  for (const TaskNode& node : tasks) {
-    w.BeginObject();
-    w.Key("duration_ns").Int(node.duration);
-    w.Key("deps").BeginArray();
-    for (uint32_t dep : node.deps) {
-      w.UInt(dep);
-    }
-    w.EndArray();
-    w.Key("stage").UInt(node.stage);
-    w.Key("tprops").UInt(node.tprops);
-    w.Key("fn_id").UInt(node.fn_id);
-    w.Key("fn_par").UInt(node.fn_par);
-    w.EndObject();
-  }
-  w.EndArray();
-  w.EndObject();
-}
-
-std::string JobSpec::ToJson() const {
-  json::Writer w;
-  WriteJson(w);
-  return w.str();
-}
-
-bool JobSpec::FromJson(const json::Value& v, JobSpec* out, std::string* error) {
-  const auto fail = [error](std::string msg) { return json::Fail(error, std::move(msg)); };
-  if (!v.is_object()) {
-    return fail("dag job: expected an object");
-  }
-  const json::Value* tasks = v.Find("tasks");
-  if (tasks == nullptr || !tasks->is_array()) {
-    return fail("dag job: missing 'tasks' array");
-  }
-  JobSpec parsed;
-  for (const json::Value& t : tasks->AsArray()) {
-    if (!t.is_object()) {
-      return fail("dag job: 'tasks' entries must be objects");
-    }
-    TaskNode node;
-    const std::string where = "dag job: task " + std::to_string(parsed.tasks.size());
-    if (t.Find("duration_ns") == nullptr) {
-      return fail(where + " is missing 'duration_ns'");
-    }
-    if (!json::ReadInt(t, where, "duration_ns", &node.duration, error) ||
-        !json::ReadInt(t, where, "stage", &node.stage, error) ||
-        !json::ReadInt(t, where, "tprops", &node.tprops, error) ||
-        !json::ReadInt(t, where, "fn_id", &node.fn_id, error) ||
-        !json::ReadInt(t, where, "fn_par", &node.fn_par, error)) {
-      return false;
-    }
-    if (const json::Value* deps = t.Find("deps"); deps != nullptr) {
-      if (!deps->is_array()) {
-        return fail("dag job: 'deps' must be an array");
-      }
-      for (const json::Value& dep : deps->AsArray()) {
-        const std::optional<uint32_t> index = dep.AsInt<uint32_t>();
-        if (!index) {
-          return fail("dag job: 'deps' entries must be non-negative task indices");
-        }
-        node.deps.push_back(*index);
-      }
-    }
-    parsed.tasks.push_back(std::move(node));
-  }
-  const std::string invalid = parsed.Validate();
-  if (!invalid.empty()) {
-    return fail(invalid);
-  }
-  *out = std::move(parsed);
-  return true;
 }
 
 const char* DagShapeName(DagShape shape) {
@@ -300,99 +224,6 @@ std::string DagWorkloadSpec::Validate() const {
     return "dag workload: duration must be > 0";
   }
   return "";
-}
-
-std::string DagWorkloadSpec::label() const {
-  std::string out = DagShapeName(shape);
-  out += " depth=" + std::to_string(depth);
-  if (shape != DagShape::kChain) {
-    out += " width=" + std::to_string(width);
-  }
-  out += " " + service.label();
-  return out;
-}
-
-void DagWorkloadSpec::WriteJson(json::Writer& w) const {
-  w.BeginObject();
-  w.Key("shape").String(DagShapeName(shape));
-  w.Key("depth").UInt(depth);
-  w.Key("width").UInt(width);
-  w.Key("edge_prob").Double(edge_prob);
-  w.Key("jobs_per_second").Double(jobs_per_second);
-  w.Key("duration_ns").Int(duration);
-  w.Key("service").String(service.Name());
-  if (!stage_services.empty()) {
-    w.Key("stage_services").BeginArray();
-    for (const workload::ServiceTime& s : stage_services) {
-      w.String(s.Name());
-    }
-    w.EndArray();
-  }
-  w.Key("seed").UInt(seed);
-  w.EndObject();
-}
-
-std::string DagWorkloadSpec::ToJson() const {
-  json::Writer w;
-  WriteJson(w);
-  return w.str();
-}
-
-bool DagWorkloadSpec::FromJson(const json::Value& v, DagWorkloadSpec* out, std::string* error) {
-  const auto fail = [error](std::string msg) { return json::Fail(error, std::move(msg)); };
-  if (!v.is_object()) {
-    return fail("dag workload: expected an object");
-  }
-  DagWorkloadSpec parsed;
-  const json::Value* shape = v.Find("shape");
-  if (shape == nullptr || !shape->is_string() ||
-      !DagShapeFromName(shape->AsString(), &parsed.shape)) {
-    return fail("dag workload: missing or unknown 'shape'");
-  }
-  const auto number = [&v](const char* key, double fallback) {
-    const json::Value* member = v.Find(key);
-    return member != nullptr && member->is_number() ? member->AsDouble() : fallback;
-  };
-  parsed.edge_prob = number("edge_prob", parsed.edge_prob);
-  parsed.jobs_per_second = number("jobs_per_second", parsed.jobs_per_second);
-  if (!json::ReadInt(v, "dag workload", "depth", &parsed.depth, error) ||
-      !json::ReadInt(v, "dag workload", "width", &parsed.width, error) ||
-      !json::ReadInt(v, "dag workload", "duration_ns", &parsed.duration, error) ||
-      !json::ReadInt(v, "dag workload", "seed", &parsed.seed, error)) {
-    return false;
-  }
-  if (const json::Value* service = v.Find("service"); service != nullptr) {
-    if (!service->is_string()) {
-      return fail("dag workload: 'service' must be a service-time name");
-    }
-    std::string service_error;
-    if (!workload::ServiceTime::FromName(service->AsString(), &parsed.service,
-                                         &service_error)) {
-      return fail("dag workload: " + service_error);
-    }
-  }
-  if (const json::Value* stages = v.Find("stage_services"); stages != nullptr) {
-    if (!stages->is_array()) {
-      return fail("dag workload: 'stage_services' must be an array of service-time names");
-    }
-    for (const json::Value& s : stages->AsArray()) {
-      if (!s.is_string()) {
-        return fail("dag workload: 'stage_services' entries must be strings");
-      }
-      workload::ServiceTime model = parsed.service;
-      std::string service_error;
-      if (!workload::ServiceTime::FromName(s.AsString(), &model, &service_error)) {
-        return fail("dag workload: " + service_error);
-      }
-      parsed.stage_services.push_back(std::move(model));
-    }
-  }
-  const std::string invalid = parsed.Validate();
-  if (!invalid.empty()) {
-    return fail(invalid);
-  }
-  *out = std::move(parsed);
-  return true;
 }
 
 }  // namespace draconis::dag

@@ -6,8 +6,7 @@
 // dag::DagWorkloadSpec declares a whole stream of such jobs (shape x
 // per-stage ServiceTime x Poisson arrival rate) the same way
 // workload::WorkloadSpec declares flat streams: a value type with
-// Validate(), a canonical label, and a JSON round-trip
-// (FromJson(ToJson(s)) == s).
+// Validate().
 //
 // Determinism contract: Generate() is a pure function of the spec. Arrivals
 // consume Rng(seed); job j's structure and durations consume an independent
@@ -20,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "common/json.h"
 #include "common/time.h"
 #include "workload/service_time.h"
 
@@ -53,10 +51,6 @@ struct JobSpec {
   // Duration-weighted longest dependency chain: a zero-queueing,
   // zero-network lower bound on the job's makespan.
   TimeNs CriticalPathNs() const;
-
-  void WriteJson(json::Writer& w) const;
-  std::string ToJson() const;
-  static bool FromJson(const json::Value& v, JobSpec* out, std::string* error);
 };
 
 // Generated DAG shapes (--dag-shape).
@@ -102,11 +96,6 @@ struct DagWorkloadSpec {
   std::vector<DagJobArrival> Generate() const;
 
   std::string Validate() const;  // "" when well-formed
-  std::string label() const;
-
-  void WriteJson(json::Writer& w) const;
-  std::string ToJson() const;
-  static bool FromJson(const json::Value& v, DagWorkloadSpec* out, std::string* error);
 };
 
 }  // namespace draconis::dag

@@ -82,18 +82,15 @@ bool ReadNodeRef(const json::Value* v, NodeRef* out, std::string* error,
     return false;
   }
   out->index = 0;
-  if (!json::ReadInt(*v, what, "index", &out->index, nullptr)) {
-    *error = what + ".index must be an integer (-1 = all instances)";
-    return false;
+  if (const json::Value* index = v->Find("index"); index != nullptr) {
+    const std::optional<int32_t> i = index->AsInt<int32_t>();
+    if (!i) {
+      *error = what + ".index must be an integer (-1 = all instances)";
+      return false;
+    }
+    out->index = *i;
   }
   return true;
-}
-
-void WriteNodeRef(json::Writer& w, const NodeRef& ref) {
-  w.BeginObject();
-  w.Key("role").String(RoleName(ref.role));
-  w.Key("index").Int(ref.index);
-  w.EndObject();
 }
 
 std::string ValidateEvent(const FaultEvent& e, size_t i) {
@@ -362,43 +359,6 @@ bool FaultPlan::FromJsonFile(const std::string& path, FaultPlan* out, std::strin
     return false;
   }
   return true;
-}
-
-std::string FaultPlan::ToJson() const {
-  json::Writer w;
-  w.BeginObject();
-  w.Key("schema_version").Int(1);
-  w.Key("events").BeginArray();
-  for (const FaultEvent& e : events_) {
-    w.BeginObject();
-    w.Key("kind").String(EventKindName(e.kind));
-    w.Key("start").Int(e.start);
-    if (e.end != FaultEvent::kNever) {
-      w.Key("end").Int(e.end);
-    }
-    switch (e.kind) {
-      case EventKind::kLossyLink:
-        w.Key("probability").Double(e.probability);
-        w.Key("src");
-        WriteNodeRef(w, e.src);
-        w.Key("dst");
-        WriteNodeRef(w, e.dst);
-        break;
-      case EventKind::kNodeCrash:
-        w.Key("target");
-        WriteNodeRef(w, e.target);
-        break;
-      case EventKind::kLatencyDegrade:
-        w.Key("extra_latency").Int(e.extra_latency);
-        break;
-      case EventKind::kSchedulerFailover:
-        break;
-    }
-    w.EndObject();
-  }
-  w.EndArray();
-  w.EndObject();
-  return w.str() + "\n";
 }
 
 }  // namespace draconis::fault

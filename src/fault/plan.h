@@ -104,8 +104,6 @@ class FaultPlan {
   // or on a plan that fails Validate().
   static bool FromJson(const std::string& text, FaultPlan* out, std::string* error);
   static bool FromJsonFile(const std::string& path, FaultPlan* out, std::string* error);
-  // Round-trips through FromJson; used by tests and --fault-plan tooling.
-  std::string ToJson() const;
 
  private:
   std::vector<FaultEvent> events_;

@@ -1,41 +1,6 @@
 #include "topology/topology.h"
 
-#include <cctype>
-
 namespace draconis::topology {
-
-namespace {
-
-std::string AsciiLower(const std::string& s) {
-  std::string out = s;
-  for (char& c : out) {
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  }
-  return out;
-}
-
-}  // namespace
-
-const char* PlacementKindName(PlacementKind kind) {
-  switch (kind) {
-    case PlacementKind::kHome:
-      return "home";
-    case PlacementKind::kPowerOfTwo:
-      return "power-of-two";
-  }
-  return "unknown";
-}
-
-bool PlacementKindFromName(const std::string& name, PlacementKind* out) {
-  const std::string lower = AsciiLower(name);
-  for (PlacementKind kind : {PlacementKind::kHome, PlacementKind::kPowerOfTwo}) {
-    if (lower == PlacementKindName(kind)) {
-      *out = kind;
-      return true;
-    }
-  }
-  return false;
-}
 
 size_t ClusterTopology::total_workers() const {
   size_t total = 0;

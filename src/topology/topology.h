@@ -31,9 +31,6 @@ enum class PlacementKind {
   kPowerOfTwo,  // overflow to the less-loaded of two sampled siblings
 };
 
-const char* PlacementKindName(PlacementKind kind);
-bool PlacementKindFromName(const std::string& name, PlacementKind* out);
-
 // One rack: a ToR Draconis switch fronting a private executor pool.
 struct RackSpec {
   size_t num_workers = 0;

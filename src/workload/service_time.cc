@@ -144,7 +144,12 @@ ServiceTime ServiceTime::PaperExponential() {
 }
 
 bool ServiceTime::FromName(const std::string& name, ServiceTime* out, std::string* error) {
-  const auto fail = [error](std::string msg) { return json::Fail(error, std::move(msg)); };
+  const auto fail = [error](std::string msg) {
+    if (error != nullptr) {
+      *error = std::move(msg);
+    }
+    return false;
+  };
   const size_t colon = name.find(':');
   const std::string head =
       AsciiLower(colon == std::string::npos ? name : name.substr(0, colon));

@@ -81,18 +81,6 @@ const char* StageName(TaggerStage::Kind kind) {
   return "?";
 }
 
-bool StageFromName(const std::string& name, TaggerStage::Kind* out) {
-  for (TaggerStage::Kind kind :
-       {TaggerStage::Kind::kLocality, TaggerStage::Kind::kPriority,
-        TaggerStage::Kind::kDeadline, TaggerStage::Kind::kTenant}) {
-    if (name == StageName(kind)) {
-      *out = kind;
-      return true;
-    }
-  }
-  return false;
-}
-
 }  // namespace
 
 TaggerStage TaggerStage::Locality(uint32_t num_nodes, uint64_t seed) {
@@ -249,72 +237,6 @@ void TaggerStage::WriteJson(json::Writer& w) const {
   }
   w.Key("seed").UInt(seed);
   w.EndObject();
-}
-
-bool TaggerStage::FromJson(const json::Value& v, TaggerStage* out, std::string* error) {
-  const auto fail = [error](std::string msg) { return json::Fail(error, std::move(msg)); };
-  if (!v.is_object()) {
-    return fail("tagger: expected an object");
-  }
-  const json::Value* stage = v.Find("stage");
-  TaggerStage parsed;
-  if (stage == nullptr || !stage->is_string() ||
-      !StageFromName(stage->AsString(), &parsed.kind)) {
-    return fail("tagger: missing or unknown 'stage'");
-  }
-  // Every integer member of a stage is required.
-  const auto integer = [&v, &fail, error](const char* key, auto* field) {
-    if (v.Find(key) == nullptr) {
-      return fail(std::string("tagger: missing '") + key + "'");
-    }
-    return json::ReadInt(v, "tagger", key, field, error);
-  };
-  if (!integer("seed", &parsed.seed)) {
-    return false;
-  }
-  switch (parsed.kind) {
-    case Kind::kLocality:
-      if (!integer("num_nodes", &parsed.num_nodes)) {
-        return false;
-      }
-      break;
-    case Kind::kPriority: {
-      const json::Value* mix = v.Find("mix");
-      if (mix == nullptr || !mix->is_array()) {
-        return fail("priority tagger: missing 'mix'");
-      }
-      parsed.mix.clear();
-      for (const json::Value& m : mix->AsArray()) {
-        if (!m.is_number()) {
-          return fail("priority tagger: 'mix' entries must be numbers");
-        }
-        parsed.mix.push_back(m.AsDouble());
-      }
-      break;
-    }
-    case Kind::kDeadline: {
-      const json::Value* slack = v.Find("slack");
-      if (slack == nullptr || !slack->is_number()) {
-        return fail("deadline tagger: missing 'slack'");
-      }
-      parsed.slack = slack->AsDouble();
-      if (!integer("jitter_us", &parsed.jitter_us)) {
-        return false;
-      }
-      break;
-    }
-    case Kind::kTenant:
-      if (!integer("num_tenants", &parsed.num_tenants)) {
-        return false;
-      }
-      break;
-  }
-  const std::string invalid = parsed.Validate();
-  if (!invalid.empty()) {
-    return fail(invalid);
-  }
-  *out = std::move(parsed);
-  return true;
 }
 
 // --- WorkloadSpec ------------------------------------------------------------
@@ -518,71 +440,6 @@ void WorkloadSpec::WriteJson(json::Writer& w) const {
     w.EndArray();
   }
   w.EndObject();
-}
-
-std::string WorkloadSpec::ToJson() const {
-  json::Writer w;
-  WriteJson(w);
-  return w.str();
-}
-
-bool WorkloadSpec::FromJson(const json::Value& v, WorkloadSpec* out, std::string* error) {
-  const auto fail = [error](std::string msg) { return json::Fail(error, std::move(msg)); };
-  if (!v.is_object()) {
-    return fail("workload: expected an object");
-  }
-  WorkloadSpec parsed;
-  const json::Value* arrival = v.Find("arrival");
-  if (arrival == nullptr || !arrival->is_string()) {
-    return fail("workload: missing 'arrival'");
-  }
-  if (arrival->AsString() != ArrivalKindName(ArrivalKind::kNone) &&
-      !ArrivalKindFromName(arrival->AsString(), &parsed.arrival)) {
-    return fail("workload: unknown arrival process '" + arrival->AsString() + "'");
-  }
-  const auto number = [&v](const char* key, double fallback) {
-    const json::Value* member = v.Find(key);
-    return member != nullptr && member->is_number() ? member->AsDouble() : fallback;
-  };
-  parsed.tasks_per_second = number("tasks_per_second", parsed.tasks_per_second);
-  parsed.duration_sigma = number("duration_sigma", parsed.duration_sigma);
-  parsed.burst_alpha = number("burst_alpha", parsed.burst_alpha);
-  if (!json::ReadInt(v, "workload", "duration_ns", &parsed.duration, error) ||
-      !json::ReadInt(v, "workload", "tasks_per_job", &parsed.tasks_per_job, error) ||
-      !json::ReadInt(v, "workload", "phase_duration_ns", &parsed.phase_duration, error) ||
-      !json::ReadInt(v, "workload", "mean_task_duration_ns", &parsed.mean_task_duration, error) ||
-      !json::ReadInt(v, "workload", "max_job_size", &parsed.max_job_size, error) ||
-      !json::ReadInt(v, "workload", "priority_levels", &parsed.priority_levels, error) ||
-      !json::ReadInt(v, "workload", "seed", &parsed.seed, error)) {
-    return false;
-  }
-  const json::Value* service = v.Find("service");
-  if (service != nullptr) {
-    if (!service->is_string() ||
-        !ServiceTime::FromName(service->AsString(), &parsed.service, error)) {
-      return error != nullptr && !error->empty() ? false
-                                                 : fail("workload: bad 'service'");
-    }
-  }
-  const json::Value* taggers = v.Find("taggers");
-  if (taggers != nullptr) {
-    if (!taggers->is_array()) {
-      return fail("workload: 'taggers' must be an array");
-    }
-    for (const json::Value& t : taggers->AsArray()) {
-      TaggerStage stage;
-      if (!TaggerStage::FromJson(t, &stage, error)) {
-        return false;
-      }
-      parsed.taggers.push_back(std::move(stage));
-    }
-  }
-  const std::string invalid = parsed.Validate();
-  if (!invalid.empty()) {
-    return fail(invalid);
-  }
-  *out = std::move(parsed);
-  return true;
 }
 
 }  // namespace draconis::workload

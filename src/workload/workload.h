@@ -93,7 +93,6 @@ struct TaggerStage {
   void Apply(JobStream& stream) const;
   std::string Validate() const;  // "" when well-formed
   void WriteJson(json::Writer& w) const;
-  static bool FromJson(const json::Value& v, TaggerStage* out, std::string* error);
 };
 
 struct WorkloadSpec {
@@ -132,12 +131,8 @@ struct WorkloadSpec {
   std::string Validate() const;  // "" when well-formed
   std::string label() const;
 
-  // JSON round-trip: WriteJson/ToJson emit the spec as one object (echoed
-  // per sweep point); FromJson parses it back, FromJson(Parse(ToJson()))
-  // reproduces an identical spec.
+  // Emits the spec as one object: the sweep JSON's per-point workload echo.
   void WriteJson(json::Writer& w) const;
-  std::string ToJson() const;
-  static bool FromJson(const json::Value& v, WorkloadSpec* out, std::string* error);
 };
 
 }  // namespace draconis::workload

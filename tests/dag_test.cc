@@ -83,45 +83,6 @@ TEST(JobSpecTest, CriticalPathIsTheLongestDurationWeightedChain) {
   EXPECT_EQ(flat.CriticalPathNs(), FromMicros(90));
 }
 
-TEST(JobSpecTest, JsonRoundTripsExactly) {
-  JobSpec spec = Diamond();
-  spec.tasks[1].stage = 7;
-  spec.tasks[2].tprops = 3;
-  spec.tasks[3].fn_id = 2;
-  spec.tasks[3].fn_par = 4096;
-
-  json::Value value;
-  std::string error;
-  ASSERT_TRUE(json::Parse(spec.ToJson(), &value, &error)) << error;
-  JobSpec parsed;
-  ASSERT_TRUE(JobSpec::FromJson(value, &parsed, &error)) << error;
-  EXPECT_EQ(parsed, spec);
-}
-
-TEST(JobSpecTest, FromJsonRejectsMalformedDocuments) {
-  const std::vector<std::string> bad = {
-      R"({})",                                            // no tasks
-      R"({"tasks": 3})",                                  // wrong type
-      R"({"tasks": []})",                                 // empty job
-      R"({"tasks": [{"duration_ns": -5, "deps": []}]})",  // negative duration
-      R"({"tasks": [{"deps": []}]})",                     // missing duration
-      R"({"tasks": [{"duration_ns": 5, "deps": [0]}]})",  // self dependency
-      R"({"tasks": [{"duration_ns": 5, "deps": ["x"]}]})",  // non-numeric dep
-      R"({"tasks": [{"duration_ns": 1e30}]})",               // out of range
-      R"({"tasks": [{"duration_ns": 2.5}]})",                // fractional
-      R"({"tasks": [{"duration_ns": 5, "tprops": -1}]})",    // negative unsigned
-      R"({"tasks": [{"duration_ns": 5, "fn_id": 4294967296}]})",  // wider than 32 bits
-  };
-  for (const std::string& text : bad) {
-    json::Value value;
-    std::string error;
-    ASSERT_TRUE(json::Parse(text, &value, &error)) << text;
-    JobSpec parsed;
-    EXPECT_FALSE(JobSpec::FromJson(value, &parsed, &error)) << text;
-    EXPECT_FALSE(error.empty()) << text;
-  }
-}
-
 // ---------------------------------------------------------------------------
 // DagWorkloadSpec: generators, determinism, JSON round-trip
 // ---------------------------------------------------------------------------
@@ -209,37 +170,6 @@ TEST(DagWorkloadSpecTest, GenerateIsAPureFunctionOfTheSpec) {
     differs = !(a[i].at == c[i].at && a[i].spec == c[i].spec);
   }
   EXPECT_TRUE(differs) << "a different seed must produce a different stream";
-}
-
-TEST(DagWorkloadSpecTest, JsonRoundTripsExactly) {
-  DagWorkloadSpec spec = SmallSpec(DagShape::kRandom);
-  spec.edge_prob = 0.4;
-  spec.stage_services = {workload::ServiceTime::Fixed(FromMicros(100)),
-                         workload::ServiceTime::Pareto(FromMicros(250), 1.3)};
-
-  json::Value value;
-  std::string error;
-  ASSERT_TRUE(json::Parse(spec.ToJson(), &value, &error)) << error;
-  DagWorkloadSpec parsed;
-  ASSERT_TRUE(DagWorkloadSpec::FromJson(value, &parsed, &error)) << error;
-  EXPECT_EQ(parsed.ToJson(), spec.ToJson());
-  EXPECT_EQ(parsed.label(), spec.label());
-}
-
-TEST(DagWorkloadSpecTest, FromJsonRefusesIntegersTheFieldCannotHold) {
-  for (const char* text : {
-           R"({"shape": "chain", "depth": -1})",
-           R"({"shape": "fanout", "width": 4294967297})",
-           R"({"shape": "chain", "duration_ns": 1e30})",
-           R"({"shape": "chain", "seed": 0.5})",
-       }) {
-    json::Value value;
-    std::string error;
-    ASSERT_TRUE(json::Parse(text, &value, &error)) << text;
-    DagWorkloadSpec parsed;
-    EXPECT_FALSE(DagWorkloadSpec::FromJson(value, &parsed, &error)) << text;
-    EXPECT_NE(error.find("must be an integer in range"), std::string::npos) << error;
-  }
 }
 
 TEST(DagWorkloadSpecTest, ValidateAndFlagsRejectBadValues) {

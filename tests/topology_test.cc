@@ -21,18 +21,6 @@ namespace {
 
 // --- ClusterTopology ---------------------------------------------------------
 
-TEST(ClusterTopologyTest, PlacementKindNamesRoundTrip) {
-  for (PlacementKind kind : {PlacementKind::kHome, PlacementKind::kPowerOfTwo}) {
-    PlacementKind parsed;
-    ASSERT_TRUE(PlacementKindFromName(PlacementKindName(kind), &parsed));
-    EXPECT_EQ(parsed, kind);
-  }
-  PlacementKind out;
-  EXPECT_FALSE(PlacementKindFromName("round-robin", &out));
-  EXPECT_TRUE(PlacementKindFromName("Power-Of-Two", &out));
-  EXPECT_EQ(out, PlacementKind::kPowerOfTwo);
-}
-
 TEST(ClusterTopologyTest, EmptyTopologyIsDisabledAndValid) {
   ClusterTopology topo;
   EXPECT_FALSE(topo.enabled());
