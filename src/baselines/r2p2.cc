@@ -80,7 +80,7 @@ void R2P2Worker::TryRun(size_t local) {
 
   net::TaskInfo task = std::move(pkt.tasks.at(0));
   const net::NodeId client = pkt.client_addr;
-  const TimeNs done = StartTask(task, simulator_->Now() + kPickupOverhead);
+  const TimeNs done = StartTask(task, simulator_->Now() + cluster::kPickupOverhead);
   simulator_->ScheduleAt(done, [this, local, task = std::move(task), client]() mutable {
     // Credit back to the switch so it can hand this executor more work.
     FinishTask(std::move(task), client, static_cast<uint32_t>(first_slot_ + local));

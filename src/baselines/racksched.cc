@@ -41,7 +41,7 @@ void RackSchedWorker::HandlePacket(net::Packet pkt) {
   if (policy_ == IntraNodePolicy::kProcessorSharing) {
     // Admission is delayed by the dispatcher's overhead, then the task joins
     // the sharing pool immediately (preemptive: no queueing behind peers).
-    simulator_->ScheduleAfter(kDispatchOverhead + kPickupOverhead,
+    simulator_->ScheduleAfter(kDispatchOverhead + cluster::kPickupOverhead,
                               [this, pkt = std::move(pkt)]() mutable { PsAdmit(std::move(pkt)); });
     return;
   }
@@ -142,7 +142,8 @@ void RackSchedWorker::TryDispatch() {
     net::TaskInfo task = std::move(pkt.tasks.at(0));
     const net::NodeId client = pkt.client_addr;
     // Intra-node scheduling adds its dispatch overhead before service starts.
-    const TimeNs done = StartTask(task, simulator_->Now() + kDispatchOverhead + kPickupOverhead);
+    const TimeNs done =
+        StartTask(task, simulator_->Now() + kDispatchOverhead + cluster::kPickupOverhead);
     simulator_->ScheduleAt(done, [this, core, task = std::move(task), client]() mutable {
       FinishTask(std::move(task), client, worker_node_, report_latency_);
       core_busy_[core] = false;

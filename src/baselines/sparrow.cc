@@ -12,7 +12,6 @@ SparrowScheduler::SparrowScheduler(cluster::Testbed* testbed, const SparrowConfi
       network_(&testbed->network()),
       config_(config),
       rng_(config.seed) {
-  DRACONIS_CHECK(config.probe_ratio >= 1);
   node_id_ = network_->Register(this, SparrowConfig::Profile());
 }
 
@@ -45,7 +44,7 @@ void SparrowScheduler::HandleSubmission(net::Packet pkt) {
   // Batch sampling: d * m probes, to distinct workers first (partial
   // Fisher-Yates); jobs larger than the cluster place additional
   // reservations round-robin so every task has somewhere to bind.
-  const size_t wanted = config_.probe_ratio * pkt.tasks.size();
+  const size_t wanted = SparrowConfig::kProbeRatio * pkt.tasks.size();
   std::vector<net::NodeId> pool = workers_;
   for (size_t i = 0; i < wanted; ++i) {
     net::NodeId target;
@@ -115,7 +114,7 @@ void SparrowWorker::HandlePacket(net::Packet pkt) {
 
       net::TaskInfo task = std::move(pkt.tasks.at(0));
       const net::NodeId client = pkt.client_addr;
-      const TimeNs done = StartTask(task, simulator_->Now() + kPickupOverhead);
+      const TimeNs done = StartTask(task, simulator_->Now() + cluster::kPickupOverhead);
       simulator_->ScheduleAt(done, [this, core, task = std::move(task), client]() mutable {
         FinishTask(std::move(task), client, kNoCredit);
         core_busy_[core] = false;

@@ -33,7 +33,7 @@
 namespace draconis::baselines {
 
 struct SparrowConfig {
-  size_t probe_ratio = 2;  // d: probes per task
+  static constexpr size_t kProbeRatio = 2;  // d: probes per task
   uint64_t seed = 11;
 
   // Calibrated per-message cost of the optimized C++/sockets implementation

@@ -25,8 +25,6 @@ class BaselineWorker : public net::Endpoint {
   net::NodeId node_id() const { return node_id_; }
 
  protected:
-  // What picking a task up costs every baseline worker before it runs.
-  static constexpr TimeNs kPickupOverhead = TimeNs{200};
   // FinishTask's credit target for a worker that returns no credit.
   static constexpr uint32_t kNoCredit = ~uint32_t{0};
 

@@ -102,17 +102,17 @@ void Client::HandlePacket(net::Packet pkt) {
           continue;  // completed in the meantime (stale duplicate)
         }
         metrics_->RecordQueueFullRetry();
-        task.meta.submit_time = simulator_->Now() + config_.queue_full_retry_wait;
+        task.meta.submit_time = simulator_->Now() + kQueueFullRetryWait;
         task.meta.attempt += 1;
         if (recorder_ != nullptr && recorder_->Sampled(task.id)) {
           recorder_->Record(task.id, trace::Kind::kQueueFullRetry, simulator_->Now(),
-                            simulator_->Now(), config_.queue_full_retry_wait, node_id_,
+                            simulator_->Now(), kQueueFullRetryWait, node_id_,
                             task.meta.attempt, 0);
         }
         retry.push_back(task);
       }
       if (!retry.empty()) {
-        simulator_->ScheduleAfter(config_.queue_full_retry_wait,
+        simulator_->ScheduleAfter(kQueueFullRetryWait,
                           [this, retry = std::move(retry)]() mutable {
                             SendTasks(std::move(retry));
                           });
@@ -272,7 +272,7 @@ void Client::OnTimeout(net::TaskId id) {
   // attempts addressed to the previous scheduler must not flip the client
   // back toward a dead switch.
   if (standby_ != net::kInvalidNode && it->second.task.meta.submit_time >= last_rehome_time_ &&
-      ++consecutive_timeouts_ >= config_.rehome_after_timeouts) {
+      ++consecutive_timeouts_ >= kRehomeAfterTimeouts) {
     // The scheduler looks dead from here; resubmit toward the standby. The
     // swap ping-pongs, so a spurious rehome self-corrects on the next streak.
     consecutive_timeouts_ = 0;

@@ -31,14 +31,10 @@ struct ClientConfig {
   uint32_t uid = 0;
   double timeout_multiplier = 2.0;          // timeout = multiplier x duration
   TimeNs timeout_floor = FromMicros(50);    // lower bound (covers no-op tasks)
-  TimeNs queue_full_retry_wait = FromMicros(50);
   size_t max_tasks_per_packet = 0;          // 0: use the MTU-derived maximum
   // Fire-and-forget mode for closed-loop throughput benches: no outstanding
   // tracking, no timeouts, errors ignored.
   bool fire_and_forget = false;
-  // §3.3: consecutive timeouts (no completion in between) before the client
-  // falls back to the standby scheduler, when one is set via SetStandby.
-  uint32_t rehome_after_timeouts = 2;
   // Multi-rack placement (docs/topology.md): when set, every submission
   // packet's destination ToR is chosen by the home rack's router instead of
   // going straight to `scheduler_`. Owned by the deployment; must outlive
@@ -49,6 +45,12 @@ struct ClientConfig {
 
 class Client : public net::Endpoint {
  public:
+  // How long a job the scheduler refused as queue-full waits before resubmission.
+  static constexpr TimeNs kQueueFullRetryWait = FromMicros(50);
+  // §3.3: consecutive timeouts (no completion in between) before the client
+  // falls back to the standby scheduler, when one is set via SetStandby.
+  static constexpr uint32_t kRehomeAfterTimeouts = 2;
+
   // Registers itself on the testbed's fabric; records into its metrics hub
   // and (when tracing) its recorder. The testbed must outlive the client.
   Client(Testbed* testbed, const ClientConfig& config);
@@ -60,7 +62,7 @@ class Client : public net::Endpoint {
   void SetScheduler(net::NodeId scheduler) { scheduler_ = scheduler; }
 
   // §3.3 failover fallback. Clients are not told about a failover; after
-  // `rehome_after_timeouts` consecutive timeouts they swap scheduler and
+  // kRehomeAfterTimeouts consecutive timeouts they swap scheduler and
   // standby (ping-pong, so a spurious rehome can never strand the client on
   // a dead standby — the next timeout streak swaps back).
   void SetStandby(net::NodeId standby) { standby_ = standby; }

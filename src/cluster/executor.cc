@@ -15,9 +15,9 @@ Executor::Executor(Testbed* testbed, const ExecutorConfig& config)
       recorder_(testbed->recorder()),
       config_(config),
       rng_(config.worker_node * 1000003ULL + config.exec_props + 17),
-      retry_interval_(config.initial_retry) {
+      retry_interval_(kInitialRetry) {
   DRACONIS_CHECK(metrics_ != nullptr);
-  node_id_ = network_->Register(this, config.host_profile);
+  node_id_ = network_->Register(this, net::HostProfile::Dpdk(TimeNs{150}));
   pull_timer_.Bind(simulator_, [this] { SendRequest(); });
   fetch_timer_.Bind(simulator_, [this] {
     if (fetch_pending_) {
@@ -69,7 +69,7 @@ void Executor::HandlePacket(net::Packet pkt) {
   switch (pkt.op) {
     case net::OpCode::kTaskAssignment:
       pull_timer_.Cancel();
-      retry_interval_ = config_.initial_retry;
+      retry_interval_ = kInitialRetry;
       RunTask(std::move(pkt));
       return;
     case net::OpCode::kParamData: {
@@ -132,13 +132,13 @@ void Executor::RunTask(net::Packet assignment) {
     }
     switch (placement) {
       case net::TaskInfo::Placement::kLocal:
-        access = config_.local_access;
+        access = kLocalAccess;
         break;
       case net::TaskInfo::Placement::kSameRack:
-        access = config_.rack_access;
+        access = kRackAccess;
         break;
       default:
-        access = config_.remote_access;
+        access = kRemoteAccess;
         break;
     }
   }
@@ -179,9 +179,8 @@ void Executor::SendParamFetch() {
 
 void Executor::Execute(net::TaskInfo task, net::NodeId client, TimeNs access, bool record) {
   const TimeNs now = simulator_->Now();
-  const TimeNs pickup = config_.pickup_overhead;
   const TimeNs service = access + task.meta.exec_duration;
-  const TimeNs exec_start = now + pickup;
+  const TimeNs exec_start = now + kPickupOverhead;
   if (record) {
     metrics_->RecordExecutionStart(task, exec_start);
   }

@@ -32,13 +32,10 @@ struct ExecutorConfig {
   uint32_t worker_node = 0;  // which worker machine this core belongs to
   uint32_t exec_props = 0;   // EXEC_RSRC bitmap or worker-node id (policy-specific)
 
-  TimeNs pickup_overhead = TimeNs{200};  // assignment arrival -> service start
-
-  // No-op retry backoff. The paper's DPDK executors re-poll every few
-  // microseconds (their no-op pull loop runs at ~280 k/s, i.e. a ~3.6 us
-  // round trip); the 8 us cap keeps an idle executor within a few
-  // microseconds of an arriving burst.
-  TimeNs initial_retry = FromMicros(2);
+  // No-op retry backoff cap (the backoff starts at Executor::kInitialRetry).
+  // The paper's DPDK executors re-poll every few microseconds (their no-op
+  // pull loop runs at ~280 k/s, i.e. a ~3.6 us round trip); the 8 us cap
+  // keeps an idle executor within a few microseconds of an arriving burst.
   TimeNs max_retry = FromMicros(8);
 
   // Watchdog: if neither a task nor a no-op arrives within this bound after
@@ -47,17 +44,12 @@ struct ExecutorConfig {
 
   // Data-access model: when `topology` is set, service is preceded by a data
   // fetch whose latency depends on where the task landed relative to its
-  // data-local node (Fig. 10's 20 us / 100 us intra/inter-rack accesses).
+  // data-local node (Executor::kRackAccess / kRemoteAccess).
   const core::Topology* topology = nullptr;
-  TimeNs local_access = 0;
-  TimeNs rack_access = FromMicros(20);
-  TimeNs remote_access = FromMicros(100);
 
   // No-op executor mode for the throughput benchmark (Fig. 5b): drop the
   // task immediately and request the next one.
   bool drop_tasks = false;
-
-  net::HostProfile host_profile = net::HostProfile::Dpdk(TimeNs{150});
 };
 
 class Executor;
@@ -75,6 +67,14 @@ class PollParking {
 
 class Executor : public net::Endpoint {
  public:
+  // The first no-op retry interval; it doubles up to ExecutorConfig::max_retry.
+  static constexpr TimeNs kInitialRetry = FromMicros(2);
+  // Fig. 10's data fetch: free on the data-local node, 20 us within its
+  // rack, 100 us across racks.
+  static constexpr TimeNs kLocalAccess = 0;
+  static constexpr TimeNs kRackAccess = FromMicros(20);
+  static constexpr TimeNs kRemoteAccess = FromMicros(100);
+
   // Registers itself on the testbed's fabric. The testbed must outlive the
   // executor.
   Executor(Testbed* testbed, const ExecutorConfig& config);

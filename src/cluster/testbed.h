@@ -48,6 +48,11 @@ enum class SeedDomain {
                // hedging-off run is bit-identical with or without the domain
 };
 
+// What a worker core spends between a task reaching it and the task's
+// service starting. Every kind's workers pay it: the Draconis executors and
+// the baselines' workers alike.
+inline constexpr TimeNs kPickupOverhead = TimeNs{200};
+
 // The substrate shape: everything the Testbed needs that is independent of
 // which scheduler runs on it. RunExperiment fills one from ExperimentConfig;
 // tests build small ones directly.
