@@ -30,6 +30,7 @@ void PushDeployment::Build(cluster::Testbed& testbed) {
       program_ = std::make_unique<MalcolmProgram>(targets);
       break;
   }
+  program_->SetRecorder(testbed.recorder());
   pipeline_ = std::make_unique<p4::SwitchPipeline>(testbed, program_.get(), cfg.pipeline);
   scheduler_nodes_.push_back(pipeline_->node_id());
 }

@@ -11,8 +11,8 @@
 #include <vector>
 
 #include "baselines/push_program.h"
-#include "baselines/worker.h"
 #include "cluster/deployment.h"
+#include "cluster/task_runner.h"
 #include "p4/pipeline.h"
 
 namespace draconis::baselines {
@@ -46,7 +46,7 @@ class PushDeployment : public cluster::SchedulerDeployment {
   PushWorker worker_;
   std::unique_ptr<PushProgram> program_;
   std::unique_ptr<p4::SwitchPipeline> pipeline_;
-  std::vector<std::unique_ptr<BaselineWorker>> workers_;
+  std::vector<std::unique_ptr<cluster::TaskRunner>> workers_;
 };
 
 cluster::DeploymentInfo PushDeploymentInfo(cluster::SchedulerKind kind, const char* canonical_name,

@@ -50,8 +50,13 @@ void PushProgram::OnPass(p4::PassContext& ctx, net::Packet pkt) {
 
   DRACONIS_CHECK_MSG(pkt.tasks.size() == 1,
                      "push schedulers route one task per packet; batch at the client");
-  if (pkt.tasks[0].meta.enqueue_time < 0) {
-    pkt.tasks[0].meta.enqueue_time = ctx.Now();
+  net::TaskInfo& task = pkt.tasks[0];
+  if (task.meta.enqueue_time < 0) {
+    // The task waits at the switch from its first pass; recirculating while
+    // no target is free is its queueing.
+    task.meta.enqueue_time = ctx.Now();
+    trace::RecordTask(recorder_, task, trace::Kind::kEnqueue, ctx.Now(), ctx.Now(), 0,
+                      ctx.SwitchNode());
   }
   const size_t target = Select(ctx.Now());
   if (target == kNoTarget) {
@@ -68,6 +73,8 @@ void PushProgram::OnPass(p4::PassContext& ctx, net::Packet pkt) {
   push.exec_props = static_cast<uint32_t>(target);
   push.dst = worker_of_target_[target];
   DRACONIS_CHECK_MSG(push.dst != net::kInvalidNode, "target not bound to a worker");
+  trace::RecordTask(recorder_, push.tasks[0], trace::Kind::kAssign, ctx.Now(), ctx.Now(), 0,
+                    push.dst);
   ctx.Emit(std::move(push));
 }
 

@@ -24,6 +24,7 @@
 #include "net/network.h"
 #include "net/packet.h"
 #include "p4/pipeline.h"
+#include "trace/recorder.h"
 
 namespace draconis::baselines {
 
@@ -40,6 +41,9 @@ class PushProgram : public p4::SwitchProgram {
   // Routes target -> the worker endpoint hosting it. Must cover
   // [0, num_targets()) before traffic flows.
   void BindTarget(size_t target, net::NodeId worker);
+
+  // Optional task-lifecycle recorder (nullable; never affects behaviour).
+  void SetRecorder(trace::Recorder* recorder) { recorder_ = recorder; }
 
   void OnPass(p4::PassContext& ctx, net::Packet pkt) override;
 
@@ -67,6 +71,7 @@ class PushProgram : public p4::SwitchProgram {
   std::vector<uint32_t> outstanding_;  // tasks pushed minus credits, per target
   std::vector<net::NodeId> worker_of_target_;
   PushCounters counters_;
+  trace::Recorder* recorder_ = nullptr;
 };
 
 }  // namespace draconis::baselines

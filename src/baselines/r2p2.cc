@@ -54,7 +54,7 @@ size_t R2P2Program::Select(TimeNs now) {
 
 R2P2Worker::R2P2Worker(cluster::Testbed* testbed, size_t num_executors, uint32_t worker_node,
                        net::NodeId scheduler)
-    : BaselineWorker(testbed, worker_node, scheduler, net::HostProfile::Dpdk(TimeNs{150})),
+    : TaskRunner(testbed, worker_node, scheduler, net::HostProfile::Dpdk(TimeNs{150})),
       first_slot_(worker_node * num_executors),
       slots_(num_executors) {}
 
@@ -65,6 +65,7 @@ void R2P2Worker::HandlePacket(net::Packet pkt) {
   const size_t local = pkt.exec_props - first_slot_;
   DRACONIS_CHECK_MSG(pkt.exec_props >= first_slot_ && local < slots_.size(),
                      "task pushed to a slot this worker does not host");
+  Arrive(pkt.tasks.at(0));
   slots_[local].queue.push_back(std::move(pkt));
   TryRun(local);
 }
@@ -80,7 +81,7 @@ void R2P2Worker::TryRun(size_t local) {
 
   net::TaskInfo task = std::move(pkt.tasks.at(0));
   const net::NodeId client = pkt.client_addr;
-  const TimeNs done = StartTask(task, simulator_->Now() + cluster::kPickupOverhead);
+  const TimeNs done = Run(task, Pickup(task));
   simulator_->ScheduleAt(done, [this, local, task = std::move(task), client]() mutable {
     // Credit back to the switch so it can hand this executor more work.
     FinishTask(std::move(task), client, static_cast<uint32_t>(first_slot_ + local));

@@ -37,7 +37,7 @@
 #include <vector>
 
 #include "baselines/push_program.h"
-#include "baselines/worker.h"
+#include "cluster/task_runner.h"
 #include "cluster/testbed.h"
 #include "common/time.h"
 #include "net/network.h"
@@ -74,7 +74,7 @@ class R2P2Program : public PushProgram {
 // A worker machine hosting `num_executors` executor slots, each with its own
 // bounded FIFO. Worker w hosts the contiguous slots [w * num_executors,
 // (w + 1) * num_executors).
-class R2P2Worker : public BaselineWorker {
+class R2P2Worker : public cluster::TaskRunner {
  public:
   R2P2Worker(cluster::Testbed* testbed, size_t num_executors, uint32_t worker_node,
              net::NodeId scheduler);

@@ -34,7 +34,7 @@
 
 #include "baselines/intra_node_policy.h"
 #include "baselines/push_program.h"
-#include "baselines/worker.h"
+#include "cluster/task_runner.h"
 #include "cluster/testbed.h"
 #include "common/rng.h"
 #include "common/time.h"
@@ -57,7 +57,7 @@ class RackSchedProgram : public PushProgram {
 
 // Worker node: one queue feeding `num_executors` cores through an intra-node
 // dispatcher that costs kDispatchOverhead per task.
-class RackSchedWorker : public BaselineWorker {
+class RackSchedWorker : public cluster::TaskRunner {
  public:
   // The intra-node dispatcher's cost per task.
   static constexpr TimeNs kDispatchOverhead = TimeNs{3500};
@@ -83,6 +83,8 @@ class RackSchedWorker : public BaselineWorker {
   struct PsTask {
     net::TaskInfo task;
     net::NodeId client = net::kInvalidNode;
+    bool first = false;      // the id's first execution
+    TimeNs admitted = 0;     // joined the pool
     double remaining = 0.0;  // ns of work left at full-core speed
   };
   void PsAdmit(net::Packet pkt);

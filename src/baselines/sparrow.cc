@@ -10,6 +10,7 @@ namespace draconis::baselines {
 SparrowScheduler::SparrowScheduler(cluster::Testbed* testbed, const SparrowConfig& config)
     : simulator_(&testbed->simulator()),
       network_(&testbed->network()),
+      recorder_(testbed->recorder()),
       config_(config),
       rng_(config.seed) {
   node_id_ = network_->Register(this, SparrowConfig::Profile());
@@ -37,6 +38,7 @@ void SparrowScheduler::HandleSubmission(net::Packet pkt) {
   for (net::TaskInfo& task : pkt.tasks) {
     if (task.meta.enqueue_time < 0) {
       task.meta.enqueue_time = now;
+      trace::RecordTask(recorder_, task, trace::Kind::kEnqueue, now, now, 0, node_id_);
     }
     job.unlaunched.push_back(std::move(task));
   }
@@ -80,6 +82,8 @@ void SparrowScheduler::HandleGetTask(const net::Packet& pkt) {
   net::TaskInfo task = std::move(job.unlaunched.front());
   job.unlaunched.pop_front();
   ++counters_.tasks_launched;
+  trace::RecordTask(recorder_, task, trace::Kind::kAssign, simulator_->Now(), simulator_->Now(),
+                    0, pkt.src);
 
   net::Packet assignment;
   assignment.op = net::OpCode::kTaskAssignment;
@@ -95,7 +99,7 @@ void SparrowScheduler::HandleGetTask(const net::Packet& pkt) {
 
 SparrowWorker::SparrowWorker(cluster::Testbed* testbed, size_t num_executors,
                              uint32_t worker_node)
-    : BaselineWorker(testbed, worker_node, net::kInvalidNode, SparrowConfig::Profile()),
+    : TaskRunner(testbed, worker_node, net::kInvalidNode, SparrowConfig::Profile()),
       core_busy_(num_executors, false) {
   DRACONIS_CHECK(num_executors >= 1);
 }
@@ -114,7 +118,8 @@ void SparrowWorker::HandlePacket(net::Packet pkt) {
 
       net::TaskInfo task = std::move(pkt.tasks.at(0));
       const net::NodeId client = pkt.client_addr;
-      const TimeNs done = StartTask(task, simulator_->Now() + cluster::kPickupOverhead);
+      Arrive(task);
+      const TimeNs done = Run(task, Pickup(task));
       simulator_->ScheduleAt(done, [this, core, task = std::move(task), client]() mutable {
         FinishTask(std::move(task), client, kNoCredit);
         core_busy_[core] = false;

@@ -22,13 +22,14 @@
 #include <unordered_map>
 #include <vector>
 
-#include "baselines/worker.h"
+#include "cluster/task_runner.h"
 #include "cluster/testbed.h"
 #include "common/rng.h"
 #include "common/time.h"
 #include "net/network.h"
 #include "net/packet.h"
 #include "sim/simulator.h"
+#include "trace/recorder.h"
 
 namespace draconis::baselines {
 
@@ -82,6 +83,7 @@ class SparrowScheduler : public net::Endpoint {
 
   sim::Simulator* simulator_;
   net::Network* network_;
+  trace::Recorder* recorder_;
   SparrowConfig config_;
   Rng rng_;
   net::NodeId node_id_;
@@ -93,7 +95,7 @@ class SparrowScheduler : public net::Endpoint {
 // Worker node: a FIFO of reservations feeding `num_executors` cores; each
 // core idles for one get_task round trip before running its task (late
 // binding's price).
-class SparrowWorker : public BaselineWorker {
+class SparrowWorker : public cluster::TaskRunner {
  public:
   SparrowWorker(cluster::Testbed* testbed, size_t num_executors, uint32_t worker_node);
 

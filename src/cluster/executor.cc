@@ -9,15 +9,11 @@
 namespace draconis::cluster {
 
 Executor::Executor(Testbed* testbed, const ExecutorConfig& config)
-    : simulator_(&testbed->simulator()),
-      network_(&testbed->network()),
-      metrics_(testbed->metrics()),
-      recorder_(testbed->recorder()),
+    : TaskRunner(testbed, config.worker_node, net::kInvalidNode,
+                 net::HostProfile::Dpdk(TimeNs{150})),
       config_(config),
       rng_(config.worker_node * 1000003ULL + config.exec_props + 17),
       retry_interval_(kInitialRetry) {
-  DRACONIS_CHECK(metrics_ != nullptr);
-  node_id_ = network_->Register(this, net::HostProfile::Dpdk(TimeNs{150}));
   pull_timer_.Bind(simulator_, [this] { SendRequest(); });
   fetch_timer_.Bind(simulator_, [this] {
     if (fetch_pending_) {
@@ -79,7 +75,7 @@ void Executor::HandlePacket(net::Packet pkt) {
       }
       fetch_timer_.Cancel();
       fetch_pending_ = false;
-      Execute(std::move(fetch_task_), fetch_client_, fetch_access_, fetch_record_);
+      Execute(std::move(fetch_task_), fetch_client_, fetch_access_, fetch_first_);
       return;
     }
     case net::OpCode::kNoOpTask: {
@@ -105,21 +101,14 @@ void Executor::RunTask(net::Packet assignment) {
   net::TaskInfo task = std::move(assignment.tasks[0]);
   const TimeNs now = simulator_->Now();
   const bool in_window = now >= metrics_->measure_start() && now < metrics_->measure_end();
-  // Duplicate executions (timeout resubmissions) run but are not measured.
-  const bool first = metrics_->FirstExecution(task.id);
-
-  if (recorder_ != nullptr && recorder_->Sampled(task.id)) {
-    const uint64_t wait =
-        last_request_time_ >= 0 ? static_cast<uint64_t>(now - last_request_time_) : 0;
-    recorder_->Record(task.id, trace::Kind::kExecArrive, now, now, wait, node_id_,
-                      task.meta.attempt, first ? 0 : 1);
-  }
+  const TimeNs wait = last_request_time_ >= 0 ? now - last_request_time_ : 0;
+  // The executor is idle whenever an assignment reaches it: it takes the
+  // task as it arrives.
+  const bool first = Pickup(task);
+  Arrive(task, static_cast<uint64_t>(wait), !first);
 
   if (first && in_window && last_request_time_ >= 0) {
-    metrics_->RecordGetTask(task.tprops, now - last_request_time_);
-  }
-  if (first) {
-    metrics_->RecordAssignment(task, now);
+    metrics_->RecordGetTask(task.tprops, wait);
   }
 
   // Data-access penalty for locality experiments.
@@ -160,7 +149,7 @@ void Executor::RunTask(net::Packet assignment) {
     fetch_task_ = std::move(task);
     fetch_client_ = client;
     fetch_access_ = access;
-    fetch_record_ = first;
+    fetch_first_ = first;
     SendParamFetch();
     return;
   }
@@ -177,39 +166,10 @@ void Executor::SendParamFetch() {
   fetch_timer_.ScheduleAfter(config_.request_timeout);
 }
 
-void Executor::Execute(net::TaskInfo task, net::NodeId client, TimeNs access, bool record) {
-  const TimeNs now = simulator_->Now();
-  const TimeNs service = access + task.meta.exec_duration;
-  const TimeNs exec_start = now + kPickupOverhead;
-  if (record) {
-    metrics_->RecordExecutionStart(task, exec_start);
-  }
-
-  if (recorder_ != nullptr && recorder_->Sampled(task.id)) {
-    recorder_->Record(task.id, trace::Kind::kExecPickup, now, exec_start,
-                      static_cast<uint64_t>(access), node_id_, task.meta.attempt, 0);
-    // aux = 1 marks a duplicate execution (timeout resubmission or hedge
-    // replica): exactly one of an id's service spans carries aux = 0 — the
-    // first to *start*, not necessarily the one whose notice wins the race
-    // to the terminal kComplete (trace_test pins both).
-    recorder_->Record(task.id, trace::Kind::kExecService, exec_start, exec_start + service,
-                      static_cast<uint64_t>(task.meta.exec_duration), node_id_,
-                      task.meta.attempt, record ? 0 : 1);
-  }
-
-  const TimeNs done = exec_start + service;
-  busy_time_ += done - now;
-  metrics_->RecordBusyInterval(now, done);
-  if (!record) {
-    // This id already executed once: the whole occupancy is wasted work —
-    // the *marginal* executor time replication cost, whichever replica ends
-    // up winning the completion race (docs/dag.md).
-    metrics_->RecordWastedWork(done - now);
-  }
-  ++tasks_executed_;
-
+void Executor::Execute(net::TaskInfo task, net::NodeId client, TimeNs access, bool first) {
+  const TimeNs done = Run(task, first, kPickupOverhead, access);
   simulator_->ScheduleAt(done, [this, task = std::move(task), client]() mutable {
-    metrics_->RecordNodeCompletion(config_.worker_node, simulator_->Now());
+    Finish();
     // Completion + piggybacked request for the next task.
     net::Packet completion;
     completion.op = net::OpCode::kTaskCompletion;

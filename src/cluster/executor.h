@@ -17,14 +17,12 @@
 #include <algorithm>
 #include <cstdint>
 
-#include "cluster/metrics.h"
+#include "cluster/task_runner.h"
 #include "cluster/testbed.h"
 #include "common/rng.h"
 #include "core/topology.h"
-#include "net/network.h"
 #include "net/packet.h"
 #include "sim/simulator.h"
-#include "trace/recorder.h"
 
 namespace draconis::cluster {
 
@@ -65,7 +63,7 @@ class PollParking {
   virtual bool TryPark(Executor* executor, TimeNs next_pull) = 0;
 };
 
-class Executor : public net::Endpoint {
+class Executor : public TaskRunner {
  public:
   // The first no-op retry interval; it doubles up to ExecutorConfig::max_retry.
   static constexpr TimeNs kInitialRetry = FromMicros(2);
@@ -78,8 +76,6 @@ class Executor : public net::Endpoint {
   // Registers itself on the testbed's fabric. The testbed must outlive the
   // executor.
   Executor(Testbed* testbed, const ExecutorConfig& config);
-
-  net::NodeId node_id() const { return node_id_; }
 
   // Schedules the first task request toward `scheduler` at time `at`.
   void Start(net::NodeId scheduler, TimeNs at);
@@ -131,23 +127,14 @@ class Executor : public net::Endpoint {
   // net::Endpoint:
   void HandlePacket(net::Packet pkt) override;
 
-  uint64_t tasks_executed() const { return tasks_executed_; }
-  TimeNs busy_time() const { return busy_time_; }
-
  private:
   void SendRequest();
   void RunTask(net::Packet assignment);
   // Runs the task body (data access + service) and sends the completion.
-  void Execute(net::TaskInfo task, net::NodeId client, TimeNs access, bool record);
+  void Execute(net::TaskInfo task, net::NodeId client, TimeNs access, bool first);
   void SendParamFetch();
 
-  sim::Simulator* simulator_;
-  net::Network* network_;
-  MetricsHub* metrics_;
-  trace::Recorder* recorder_ = nullptr;
   ExecutorConfig config_;
-  net::NodeId node_id_;
-  net::NodeId scheduler_ = net::kInvalidNode;
   PollParking* parking_ = nullptr;
   uint32_t parking_slot_ = kNoParkingSlot;
 
@@ -164,10 +151,8 @@ class Executor : public net::Endpoint {
   net::TaskInfo fetch_task_;
   net::NodeId fetch_client_ = net::kInvalidNode;
   TimeNs fetch_access_ = 0;
-  bool fetch_record_ = false;
+  bool fetch_first_ = false;
   sim::Timer fetch_timer_;
-  uint64_t tasks_executed_ = 0;
-  TimeNs busy_time_ = 0;
 };
 
 }  // namespace draconis::cluster

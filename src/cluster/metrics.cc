@@ -152,12 +152,12 @@ void MetricsHub::RecordTimeoutResubmission() { ++timeout_resubmissions_; }
 
 void MetricsHub::RecordQueueFullRetry() { ++queue_full_retries_; }
 
-void MetricsHub::RecordBusyInterval(TimeNs start, TimeNs end) {
+void MetricsHub::RecordBusyInterval(TimeNs start, TimeNs end, size_t cores) {
   // Clamp the busy interval to the measurement window.
   const TimeNs lo = std::max(start, measure_start_);
   const TimeNs hi = std::min(end, measure_end_);
   if (hi > lo) {
-    total_busy_ += hi - lo;
+    total_busy_ += (hi - lo) * static_cast<TimeNs>(cores);
   }
 }
 

@@ -83,8 +83,9 @@ class MetricsHub {
   void RecordClientRehome() { ++client_rehomes_; }
   void RecordExecutorRehome() { ++executor_rehomes_; }
 
-  // Executor busy-time accounting for the CPU-efficiency analysis (§3.1).
-  void RecordBusyInterval(TimeNs start, TimeNs end);
+  // Executor busy-time accounting for the CPU-efficiency analysis (§3.1):
+  // `cores` cores were busy over [start, end).
+  void RecordBusyInterval(TimeNs start, TimeNs end, size_t cores = 1);
 
   // --- Straggler hedging (src/dag/, docs/dag.md) ---------------------------
 

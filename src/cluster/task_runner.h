@@ -1,0 +1,103 @@
+// The one task-execution path every worker endpoint shares: the pull-based
+// Executor (one core that requests its tasks) and the push baselines'
+// workers (a machine whose cores take the tasks a scheduler pushed to it).
+//
+// A subclass keeps only how a task reaches a free core: the executor's
+// pulls, the push workers' queueing disciplines. TaskRunner owns the fabric
+// registration and every record of a task's run on a core: the first-
+// execution check with the assignment and execution-start records, the busy
+// interval, the wasted work, the exec_* trace spans, the node completion and
+// the executions count.
+//
+// Wasted work has one definition: the core time a repeat execution (a
+// timeout resubmission or a hedge replica of an id that already executed)
+// held, from its pickup to its end (docs/dag.md).
+
+#ifndef DRACONIS_CLUSTER_TASK_RUNNER_H_
+#define DRACONIS_CLUSTER_TASK_RUNNER_H_
+
+#include <cstddef>
+#include <cstdint>
+
+#include "cluster/metrics.h"
+#include "cluster/testbed.h"
+#include "common/time.h"
+#include "net/network.h"
+#include "net/packet.h"
+#include "sim/simulator.h"
+#include "trace/recorder.h"
+
+namespace draconis::cluster {
+
+class TaskRunner : public net::Endpoint {
+ public:
+  // The fabric and pending completion events hold the runner's address.
+  TaskRunner(const TaskRunner&) = delete;
+  TaskRunner& operator=(const TaskRunner&) = delete;
+
+  net::NodeId node_id() const { return node_id_; }
+  uint64_t tasks_executed() const { return tasks_executed_; }
+  TimeNs busy_time() const { return busy_time_; }
+
+ protected:
+  // FinishTask's credit target for a worker that returns no credit.
+  static constexpr uint32_t kNoCredit = ~uint32_t{0};
+
+  // Registers on the testbed's fabric; the testbed must outlive the runner.
+  // `scheduler` receives completions or credits (it may be set later).
+  TaskRunner(Testbed* testbed, uint32_t worker_node, net::NodeId scheduler,
+             const net::HostProfile& profile);
+
+  // An assignment for `task` was delivered now. `detail` is an executor's
+  // request round trip; `duplicate` marks an arrival already known to repeat
+  // an execution (an executor knows at arrival, a push worker at pickup).
+  void Arrive(const net::TaskInfo& task, uint64_t detail = 0, bool duplicate = false);
+
+  // A core takes `task` now. True for the id's first execution, whose
+  // assignment is recorded; a repeat runs but is not measured.
+  bool Pickup(const net::TaskInfo& task);
+
+  // The core that took `task` at `pickup` starts its service (`access` plus
+  // the task's exec_duration) at `exec_start`: records the execution start
+  // and the kExecPickup span, and counts the execution.
+  void BeginService(const net::TaskInfo& task, bool first, TimeNs pickup, TimeNs exec_start,
+                    TimeNs access = 0);
+
+  // The kExecService span: the task's service ran over [begin, end).
+  void RecordService(const net::TaskInfo& task, bool first, TimeNs begin, TimeNs end);
+
+  // `cores` cores were busy over [start, end).
+  void ChargeBusy(TimeNs start, TimeNs end, size_t cores = 1);
+
+  // A core that took `task` now runs it alone; service starts after
+  // `overhead` (the pickup, plus any dispatch). The core is busy from now to
+  // the end, and for a repeat that whole occupancy is wasted work. Returns
+  // the completion time.
+  TimeNs Run(const net::TaskInfo& task, bool first, TimeNs overhead = kPickupOverhead,
+             TimeNs access = 0);
+
+  // The task finished now.
+  void Finish() { metrics_->RecordNodeCompletion(worker_node_, simulator_->Now()); }
+
+  // A pushed task finished now: Finish, return a credit for `credit_target`
+  // to the scheduler (carrying the task's measured sojourn when
+  // `report_sojourn`), and send the client its completion notice.
+  void FinishTask(net::TaskInfo task, net::NodeId client, uint32_t credit_target,
+                  bool report_sojourn = false);
+
+  sim::Simulator* simulator_;
+  net::Network* network_;
+  MetricsHub* metrics_;
+  trace::Recorder* recorder_;
+  uint32_t worker_node_;
+  net::NodeId scheduler_;
+  net::NodeId node_id_;
+  uint64_t tasks_executed_ = 0;
+
+ private:
+  TimeNs busy_time_ = 0;
+};
+
+}  // namespace draconis::cluster
+
+#endif  // DRACONIS_CLUSTER_TASK_RUNNER_H_
