@@ -6,6 +6,8 @@
 
 #include <limits>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "cluster/deployment.h"
 #include "cluster/experiment.h"
@@ -43,9 +45,25 @@ TEST(ExperimentTest, OfferedUtilizationMatchesArithmetic) {
   EXPECT_NEAR(result.offered_tasks_per_second, 40000.0, 2500.0);
 }
 
+// Every kind charges the core time its tasks hold: each registered kind, and
+// RackSched under each intra-node policy.
 TEST(ExperimentTest, BusyFractionTracksOfferedLoad) {
-  ExperimentResult result = RunExperiment(TinyConfig());
-  EXPECT_NEAR(result.executor_busy_fraction, result.offered_utilization, 0.06);
+  using baselines::IntraNodePolicy;
+  std::vector<std::pair<SchedulerKind, IntraNodePolicy>> runs;
+  for (const DeploymentInfo& info : DeploymentRegistry::Get().all()) {
+    runs.emplace_back(info.kind, IntraNodePolicy::kFcfs);
+  }
+  runs.emplace_back(SchedulerKind::kRackSched, IntraNodePolicy::kProcessorSharing);
+  runs.emplace_back(SchedulerKind::kRackSched, IntraNodePolicy::kEdf);
+  for (const auto& [kind, intra] : runs) {
+    SCOPED_TRACE(std::string(SchedulerKindName(kind)) + " / intra-node policy " +
+                 std::to_string(static_cast<int>(intra)));
+    ExperimentConfig config = TinyConfig();
+    config.scheduler = kind;
+    config.racksched_intra_policy = intra;
+    ExperimentResult result = RunExperiment(config);
+    EXPECT_NEAR(result.executor_busy_fraction, result.offered_utilization, 0.06);
+  }
 }
 
 TEST(ExperimentTest, WarmupTasksAreNotMeasured) {
