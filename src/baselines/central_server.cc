@@ -52,10 +52,8 @@ void CentralServerScheduler::HandleSubmission(net::Packet pkt) {
     if (task.meta.enqueue_time < 0) {
       task.meta.enqueue_time = now;
     }
-    if (recorder_ != nullptr && recorder_->Sampled(task.id)) {
-      recorder_->Record(task.id, trace::Kind::kEnqueue, now, now, queue_.size() + 1,
-                        node_id_, task.meta.attempt, 0);
-    }
+    trace::RecordTask(recorder_, task, trace::Kind::kEnqueue, now, now, queue_.size() + 1,
+                      node_id_);
     queue_.push_back(QueuedTask{std::move(task), client});
     ++counters_.tasks_enqueued;
     ++accepted;
@@ -70,14 +68,9 @@ void CentralServerScheduler::HandleSubmission(net::Packet pkt) {
 
   if (accepted < pkt.tasks.size()) {
     ++counters_.queue_full_errors;
-    if (recorder_ != nullptr) {
-      for (size_t i = accepted; i < pkt.tasks.size(); ++i) {
-        const net::TaskInfo& t = pkt.tasks[i];
-        if (recorder_->Sampled(t.id)) {
-          recorder_->Record(t.id, trace::Kind::kQueueFullError, now, now, 0, node_id_,
-                            t.meta.attempt, 0);
-        }
-      }
+    for (size_t i = accepted; i < pkt.tasks.size(); ++i) {
+      trace::RecordTask(recorder_, pkt.tasks[i], trace::Kind::kQueueFullError, now, now, 0,
+                        node_id_);
     }
     net::Packet error;
     error.op = net::OpCode::kErrorQueueFull;
@@ -113,15 +106,12 @@ void CentralServerScheduler::AssignTo(net::NodeId executor) {
   QueuedTask next = std::move(queue_.front());
   queue_.pop_front();
   ++counters_.tasks_assigned;
-  if (recorder_ != nullptr && recorder_->Sampled(next.task.id)) {
-    const TimeNs now = simulator_->Now();
-    if (next.task.meta.enqueue_time >= 0) {
-      recorder_->Record(next.task.id, trace::Kind::kQueueWait, next.task.meta.enqueue_time,
-                        now, 0, node_id_, next.task.meta.attempt, 0);
-    }
-    recorder_->Record(next.task.id, trace::Kind::kAssign, now, now, 0, executor,
-                      next.task.meta.attempt, 0);
+  const TimeNs now = simulator_->Now();
+  if (next.task.meta.enqueue_time >= 0) {
+    trace::RecordTask(recorder_, next.task, trace::Kind::kQueueWait, next.task.meta.enqueue_time,
+                      now, 0, node_id_);
   }
+  trace::RecordTask(recorder_, next.task, trace::Kind::kAssign, now, now, 0, executor);
   net::Packet assignment;
   assignment.op = net::OpCode::kTaskAssignment;
   assignment.dst = executor;

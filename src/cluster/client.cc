@@ -46,9 +46,7 @@ uint32_t Client::SubmitJob(const std::vector<TaskSpec>& specs) {
     task.meta.first_submit_time = now;
     task.meta.submit_time = now;
     metrics_->RecordSubmission(now);
-    if (recorder_ != nullptr && recorder_->Sampled(task.id)) {
-      recorder_->Record(task.id, trace::Kind::kSubmit, now, now, specs.size(), node_id_);
-    }
+    trace::RecordTask(recorder_, task, trace::Kind::kSubmit, now, now, specs.size(), node_id_);
     if (!config_.fire_and_forget) {
       ArmTimeout(task);
     }
@@ -74,14 +72,9 @@ void Client::SendTasks(std::vector<net::TaskInfo> tasks) {
     pkt.jid = tasks[offset].id.jid;
     pkt.tasks.assign(std::make_move_iterator(tasks.begin() + offset),
                      std::make_move_iterator(tasks.begin() + offset + n));
-    if (recorder_ != nullptr) {
-      for (const net::TaskInfo& t : pkt.tasks) {
-        if (recorder_->Sampled(t.id)) {
-          recorder_->Record(t.id, trace::Kind::kClientSend, simulator_->Now(),
-                            simulator_->Now(), pkt.tasks.size(), pkt.dst,
-                            t.meta.attempt, 0);
-        }
-      }
+    for (const net::TaskInfo& t : pkt.tasks) {
+      trace::RecordTask(recorder_, t, trace::Kind::kClientSend, simulator_->Now(),
+                        simulator_->Now(), pkt.tasks.size(), pkt.dst);
     }
     network_->Send(node_id_, std::move(pkt));
     offset += n;
@@ -104,11 +97,8 @@ void Client::HandlePacket(net::Packet pkt) {
         metrics_->RecordQueueFullRetry();
         task.meta.submit_time = simulator_->Now() + kQueueFullRetryWait;
         task.meta.attempt += 1;
-        if (recorder_ != nullptr && recorder_->Sampled(task.id)) {
-          recorder_->Record(task.id, trace::Kind::kQueueFullRetry, simulator_->Now(),
-                            simulator_->Now(), kQueueFullRetryWait, node_id_,
-                            task.meta.attempt, 0);
-        }
+        trace::RecordTask(recorder_, task, trace::Kind::kQueueFullRetry, simulator_->Now(),
+                          simulator_->Now(), kQueueFullRetryWait, node_id_);
         retry.push_back(task);
       }
       if (!retry.empty()) {
@@ -139,10 +129,9 @@ void Client::HandlePacket(net::Packet pkt) {
       if (it == outstanding_.end()) {
         // Duplicate completion after a timeout resubmission. (Fire-and-forget
         // clients track nothing, so every notice would land here — skip.)
-        if (!config_.fire_and_forget && recorder_ != nullptr &&
-            recorder_->Sampled(task.id)) {
-          recorder_->Record(task.id, trace::Kind::kDuplicateComplete, simulator_->Now(),
-                            simulator_->Now(), 0, node_id_, task.meta.attempt, 0);
+        if (!config_.fire_and_forget) {
+          trace::RecordTask(recorder_, task, trace::Kind::kDuplicateComplete, simulator_->Now(),
+                            simulator_->Now(), 0, node_id_);
         }
         return;
       }
@@ -151,10 +140,7 @@ void Client::HandlePacket(net::Packet pkt) {
       metrics_->RecordEndToEnd(task, now);
       ++completions_;
       consecutive_timeouts_ = 0;
-      if (recorder_ != nullptr && recorder_->Sampled(task.id)) {
-        recorder_->Record(task.id, trace::Kind::kComplete, now, now, 0, node_id_,
-                          task.meta.attempt, 0);
-      }
+      trace::RecordTask(recorder_, task, trace::Kind::kComplete, now, now, 0, node_id_);
       if (it->second.hedged) {
         // The race is decided: cancel the losing replica client-side. It may
         // still be queued or executing — its eventual notice lands in the
@@ -203,11 +189,8 @@ bool Client::HedgeTask(net::TaskId id, TimeNs resampled_duration) {
   }
   ++hedges_;
   metrics_->RecordHedge();
-  if (recorder_ != nullptr && recorder_->Sampled(id)) {
-    recorder_->Record(id, trace::Kind::kHedgeLaunch, now, now,
-                      static_cast<uint64_t>(now - task.meta.first_submit_time), node_id_,
-                      task.meta.attempt, 0);
-  }
+  trace::RecordTask(recorder_, task, trace::Kind::kHedgeLaunch, now, now,
+                    static_cast<uint64_t>(now - task.meta.first_submit_time), node_id_);
   it->second.hedged = true;
   it->second.hedge_attempt = task.meta.attempt;
   // Track the duplicate as the live attempt: a later timeout resubmits from
@@ -231,10 +214,7 @@ bool Client::CancelTask(net::TaskId id) {
   const TimeNs now = simulator_->Now();
   ++cancellations_;
   metrics_->RecordCancellation();
-  if (recorder_ != nullptr && recorder_->Sampled(id)) {
-    recorder_->Record(id, trace::Kind::kHedgeCancel, now, now, 1, node_id_,
-                      it->second.task.meta.attempt, 0);
-  }
+  trace::RecordTask(recorder_, it->second.task, trace::Kind::kHedgeCancel, now, now, 1, node_id_);
   outstanding_.erase(it);
   return true;
 }
@@ -287,10 +267,8 @@ void Client::OnTimeout(net::TaskId id) {
   net::TaskInfo task = it->second.task;
   task.meta.submit_time = simulator_->Now();
   task.meta.attempt += 1;
-  if (recorder_ != nullptr && recorder_->Sampled(task.id)) {
-    recorder_->Record(task.id, trace::Kind::kTimeoutResubmit, simulator_->Now(),
-                      simulator_->Now(), 0, node_id_, task.meta.attempt, 0);
-  }
+  trace::RecordTask(recorder_, task, trace::Kind::kTimeoutResubmit, simulator_->Now(),
+                    simulator_->Now(), 0, node_id_);
   it->second.task = task;
   it->second.timeout = simulator_->ScheduleAfter(
       TimeoutFor(task), [this, id] { OnTimeout(id); }, sim::kCancellable);

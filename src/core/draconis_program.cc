@@ -112,18 +112,13 @@ void DraconisProgram::HandleSubmission(p4::PassContext& ctx, net::Packet pkt) {
 
     if (res.need_add_repair) {
       LaunchRepair(ctx, q, net::RepairTarget::kAddPtr, res.add_repair_value);
-      if (recorder_ != nullptr && recorder_->Sampled(entry.task.id)) {
-        recorder_->Record(entry.task.id, trace::Kind::kRepairLaunch, ctx.Now(), ctx.Now(),
-                          res.add_repair_value, ctx.SwitchNode(), entry.task.meta.attempt, 0);
-      }
+      trace::RecordTask(recorder_, entry.task, trace::Kind::kRepairLaunch, ctx.Now(), ctx.Now(),
+                        res.add_repair_value, ctx.SwitchNode());
     }
     if (res.need_retrieve_repair) {
       LaunchRepair(ctx, q, net::RepairTarget::kRetrievePtr, res.retrieve_repair_value);
-      if (recorder_ != nullptr && recorder_->Sampled(entry.task.id)) {
-        recorder_->Record(entry.task.id, trace::Kind::kRepairLaunch, ctx.Now(), ctx.Now(),
-                          res.retrieve_repair_value, ctx.SwitchNode(),
-                          entry.task.meta.attempt, 1);
-      }
+      trace::RecordTask(recorder_, entry.task, trace::Kind::kRepairLaunch, ctx.Now(), ctx.Now(),
+                        res.retrieve_repair_value, ctx.SwitchNode(), 1);
     }
   }
 
@@ -131,13 +126,9 @@ void DraconisProgram::HandleSubmission(p4::PassContext& ctx, net::Packet pkt) {
     // Queue full (or a repair in flight): return every not-yet-enqueued task
     // to the client, which retries after a short wait (§4.3).
     ++counters_.queue_full_errors;
-    if (recorder_ != nullptr) {
-      for (const net::TaskInfo& t : pkt.tasks) {
-        if (recorder_->Sampled(t.id)) {
-          recorder_->Record(t.id, trace::Kind::kQueueFullError, ctx.Now(), ctx.Now(), 0,
-                            ctx.SwitchNode(), t.meta.attempt, static_cast<uint16_t>(q));
-        }
-      }
+    for (const net::TaskInfo& t : pkt.tasks) {
+      trace::RecordTask(recorder_, t, trace::Kind::kQueueFullError, ctx.Now(), ctx.Now(), 0,
+                        ctx.SwitchNode(), static_cast<uint16_t>(q));
     }
     net::Packet error;
     error.op = net::OpCode::kErrorQueueFull;
@@ -150,12 +141,10 @@ void DraconisProgram::HandleSubmission(p4::PassContext& ctx, net::Packet pkt) {
   }
 
   ++counters_.tasks_enqueued;
-  if (recorder_ != nullptr && recorder_->Sampled(entry.task.id)) {
-    // detail: control-plane occupancy of the queue right after this insert
-    // (i.e. including this task) — the congestion seen at enqueue time.
-    recorder_->Record(entry.task.id, trace::Kind::kEnqueue, ctx.Now(), ctx.Now(), occupancy,
-                      ctx.SwitchNode(), entry.task.meta.attempt, static_cast<uint16_t>(q));
-  }
+  // detail: control-plane occupancy of the queue right after this insert
+  // (i.e. including this task) — the congestion seen at enqueue time.
+  trace::RecordTask(recorder_, entry.task, trace::Kind::kEnqueue, ctx.Now(), ctx.Now(), occupancy,
+                    ctx.SwitchNode(), static_cast<uint16_t>(q));
   pkt.tasks.erase(pkt.tasks.begin());
   if (!pkt.tasks.empty()) {
     // More tasks in the packet: one enqueue per pass (§4.3).
@@ -276,16 +265,10 @@ void DraconisProgram::HandleSwap(p4::PassContext& ctx, net::Packet pkt) {
 
   ++counters_.swap_exchanges;
   QueueEntry candidate = std::move(res.previous);
-  if (recorder_ != nullptr) {
-    if (recorder_->Sampled(carried.task.id)) {
-      recorder_->Record(carried.task.id, trace::Kind::kSwapExchange, ctx.Now(), ctx.Now(),
-                        res.slot, ctx.SwitchNode(), carried.task.meta.attempt, 0);
-    }
-    if (recorder_->Sampled(candidate.task.id)) {
-      recorder_->Record(candidate.task.id, trace::Kind::kSwapExchange, ctx.Now(), ctx.Now(),
-                        res.slot, ctx.SwitchNode(), candidate.task.meta.attempt, 1);
-    }
-  }
+  trace::RecordTask(recorder_, carried.task, trace::Kind::kSwapExchange, ctx.Now(), ctx.Now(),
+                    res.slot, ctx.SwitchNode());
+  trace::RecordTask(recorder_, candidate.task, trace::Kind::kSwapExchange, ctx.Now(), ctx.Now(),
+                    res.slot, ctx.SwitchNode(), 1);
   if (policy_->ShouldAssign(candidate, pkt.exec_props)) {
     Assign(ctx, candidate, pkt.src);
     return;
@@ -332,16 +315,12 @@ void DraconisProgram::HandleRepair(p4::PassContext& ctx, net::Packet pkt) {
 void DraconisProgram::Assign(p4::PassContext& ctx, const QueueEntry& entry,
                              net::NodeId executor) {
   ++counters_.tasks_assigned;
-  if (recorder_ != nullptr && recorder_->Sampled(entry.task.id)) {
-    if (entry.task.meta.enqueue_time >= 0) {
-      // Queue residency: enqueue -> the pass that dequeued-and-matched it.
-      recorder_->Record(entry.task.id, trace::Kind::kQueueWait,
-                        entry.task.meta.enqueue_time, ctx.Now(), 0, ctx.SwitchNode(),
-                        entry.task.meta.attempt, 0);
-    }
-    recorder_->Record(entry.task.id, trace::Kind::kAssign, ctx.Now(), ctx.Now(), 0,
-                      executor, entry.task.meta.attempt, 0);
+  if (entry.task.meta.enqueue_time >= 0) {
+    // Queue residency: enqueue -> the pass that dequeued-and-matched it.
+    trace::RecordTask(recorder_, entry.task, trace::Kind::kQueueWait, entry.task.meta.enqueue_time,
+                      ctx.Now(), 0, ctx.SwitchNode());
   }
+  trace::RecordTask(recorder_, entry.task, trace::Kind::kAssign, ctx.Now(), ctx.Now(), 0, executor);
   net::Packet assignment;
   assignment.op = net::OpCode::kTaskAssignment;
   assignment.dst = executor;
@@ -397,9 +376,9 @@ void DraconisProgram::LaunchRepair(p4::PassContext& ctx, size_t q, net::RepairTa
 
 void DraconisProgram::RequeueCarriedTask(p4::PassContext& ctx, net::Packet pkt) {
   ++counters_.swap_requeues;
-  if (recorder_ != nullptr && !pkt.tasks.empty() && recorder_->Sampled(pkt.tasks[0].id)) {
-    recorder_->Record(pkt.tasks[0].id, trace::Kind::kSwapRequeue, ctx.Now(), ctx.Now(),
-                      pkt.swap_count, ctx.SwitchNode(), pkt.tasks[0].meta.attempt, 0);
+  if (!pkt.tasks.empty()) {
+    trace::RecordTask(recorder_, pkt.tasks[0], trace::Kind::kSwapRequeue, ctx.Now(), ctx.Now(),
+                      pkt.swap_count, ctx.SwitchNode());
   }
   SendNoOp(ctx, pkt.src);
   net::Packet resubmit = std::move(pkt);

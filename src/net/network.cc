@@ -187,11 +187,9 @@ void Network::Launch(NodeId from, uint32_t slot) {
     // One wire span per sampled task: send initiation -> fabric arrival.
     // detail carries the tx-occupancy delay; aux the opcode for attribution.
     for (const TaskInfo& task : pkt.tasks) {
-      if (recorder_->Sampled(task.id)) {
-        recorder_->Record(task.id, trace::Kind::kWire, now, t.arrives,
-                          static_cast<uint64_t>(t.departs - now), pkt.dst, task.meta.attempt,
-                          static_cast<uint16_t>(pkt.op));
-      }
+      trace::RecordTask(recorder_, task, trace::Kind::kWire, now, t.arrives,
+                        static_cast<uint64_t>(t.departs - now), pkt.dst,
+                        static_cast<uint16_t>(pkt.op));
     }
   }
 
@@ -214,11 +212,9 @@ void Network::Arrive(NodeId dst, uint32_t slot) {
   const TimeNs deliver_at = DeliveryTime(host.profile, now_rx, host.busy_until);
   if (recorder_ != nullptr && deliver_at > now_rx) {
     for (const TaskInfo& t : pkt.tasks) {
-      if (recorder_->Sampled(t.id)) {
-        recorder_->Record(t.id, trace::Kind::kHostRx, now_rx, deliver_at,
-                          static_cast<uint64_t>(host.profile.rx_cost), dst,
-                          t.meta.attempt, static_cast<uint16_t>(pkt.op));
-      }
+      trace::RecordTask(recorder_, t, trace::Kind::kHostRx, now_rx, deliver_at,
+                        static_cast<uint64_t>(host.profile.rx_cost), dst,
+                        static_cast<uint16_t>(pkt.op));
     }
   }
   // A zero-cost hop delivers at the arrival instant. A switch takes it at
@@ -275,15 +271,10 @@ void Network::Resume(Hop hop, TimeNs at, NodeId from, Packet pkt) {
 }
 
 void Network::RecordNetDrops(const Packet& pkt) {
-  if (recorder_ == nullptr) {
-    return;
-  }
   const TimeNs now = simulator_->Now();
   for (const TaskInfo& t : pkt.tasks) {
-    if (recorder_->Sampled(t.id)) {
-      recorder_->Record(t.id, trace::Kind::kNetDrop, now, now, 0, pkt.dst,
-                        t.meta.attempt, static_cast<uint16_t>(pkt.op));
-    }
+    trace::RecordTask(recorder_, t, trace::Kind::kNetDrop, now, now, 0, pkt.dst,
+                      static_cast<uint16_t>(pkt.op));
   }
 }
 

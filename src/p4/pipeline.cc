@@ -120,14 +120,9 @@ void SwitchPipeline::RunPass(Ingress in) {
 
 void SwitchPipeline::RecordPerTask(const net::Packet& pkt, trace::Kind kind, TimeNs begin,
                                    TimeNs end, uint64_t detail) {
-  if (recorder_ == nullptr) {
-    return;
-  }
   for (const net::TaskInfo& t : pkt.tasks) {
-    if (recorder_->Sampled(t.id)) {
-      recorder_->Record(t.id, kind, begin, end, detail, node_id_, t.meta.attempt,
-                        static_cast<uint16_t>(pkt.op));
-    }
+    trace::RecordTask(recorder_, t, kind, begin, end, detail, node_id_,
+                      static_cast<uint16_t>(pkt.op));
   }
 }
 
