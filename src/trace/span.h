@@ -47,7 +47,8 @@ enum class Kind : uint8_t {
   kRecircDrop,   // lost at a saturated loopback port
   kProgramDrop,  // dropped by the switch program
 
-  // Draconis program (src/core/draconis_program.cc).
+  // Scheduler (src/core/draconis_program.cc; the central servers, the push
+  // program and Sparrow's scheduler record kEnqueue and kAssign too).
   kEnqueue,         // entry written (detail = queue occupancy incl. this task)
   kQueueFullError,  // submission refused, error returned to the client
   kRepairLaunch,    // this task's enqueue launched a pointer repair (§4.5)
@@ -55,11 +56,11 @@ enum class Kind : uint8_t {
   kSwapExchange,    // §5.1 swap walk exchanged this task at a slot
   kSwapRequeue,     // walk exhausted; task re-entered the submission path
   kQueueWait,       // span: enqueue -> dequeue (queue residency)
-  kAssign,          // dequeued and assigned (node = executor)
+  kAssign,          // dequeued and assigned (node = executor or worker)
 
-  // Executor (src/cluster/executor.cc).
+  // Worker: every executor and push worker (src/cluster/task_runner.cc).
   kExecArrive,   // assignment delivered (detail = pull round-trip)
-  kExecPickup,   // span: arrival -> service start (incl. §4.4 param fetch)
+  kExecPickup,   // span: a core took the task -> service start
   kExecService,  // span: data access + function execution
 
   // Control plane (global records, no task id).
