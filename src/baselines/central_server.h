@@ -60,7 +60,6 @@ class CentralServerScheduler : public net::Endpoint {
 
   net::NodeId node_id() const { return node_id_; }
   const CentralServerCounters& counters() const { return counters_; }
-  size_t queue_depth() const { return queue_.size(); }
 
   // net::Endpoint:
   void HandlePacket(net::Packet pkt) override;

@@ -14,7 +14,6 @@ void LatencyHistogram::Record(uint64_t sojourn_ns) {
     v >>= 1;
     ++bucket;
   }
-  ++buckets_[bucket];
   ++count_;
   // Midpoint of [2^b, 2^(b+1)): 1.5 * 2^b (bucket 0 holds 0..1 ns -> 1 ns).
   sum_mid_ += bucket == 0 ? 1.0 : 1.5 * static_cast<double>(uint64_t{1} << bucket);

@@ -38,7 +38,6 @@ class LatencyHistogram {
   double ExpectedNs() const;
 
  private:
-  uint64_t buckets_[kBuckets] = {};
   uint64_t count_ = 0;
   double sum_mid_ = 0.0;  // running sum of bucket midpoints
 };

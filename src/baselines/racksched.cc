@@ -70,10 +70,6 @@ void RackSchedWorker::PsAdmit(net::Packet pkt) {
   entry.remaining = static_cast<double>(entry.task.meta.exec_duration);
   // The dispatcher held the task since it arrived; it joins the pool now.
   BeginService(entry.task, entry.first, now - kDispatchOverhead - cluster::kPickupOverhead, now);
-  if (!entry.first) {
-    // A repeat under sharing holds the pool's cores for its service demand.
-    metrics_->RecordWastedWork(entry.task.meta.exec_duration);
-  }
   // Age the pool to `now` at the old rate before the membership changes.
   PsReschedule();
   ps_tasks_.push_back(std::move(entry));
@@ -84,8 +80,13 @@ void RackSchedWorker::PsReschedule() {
   const TimeNs now = simulator_->Now();
   const double rate = PsRate();
   const double aged = static_cast<double>(now - ps_last_update_) * rate;
-  // The pool occupied min(tasks, cores) cores since the last update.
-  ChargeBusy(ps_last_update_, now, std::min(ps_tasks_.size(), core_busy_.size()));
+  // The pool occupied min(tasks, cores) cores since the last update; the
+  // repeats in it held their equal share of them.
+  const auto repeats = static_cast<size_t>(std::count_if(
+      ps_tasks_.begin(), ps_tasks_.end(), [](const PsTask& t) { return !t.first; }));
+  metrics_->RecordBusyInterval(ps_last_update_, now,
+                               std::min(ps_tasks_.size(), core_busy_.size()), repeats,
+                               ps_tasks_.size());
   ps_last_update_ = now;
 
   // Age everyone, completing any task whose work ran out.

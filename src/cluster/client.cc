@@ -152,7 +152,6 @@ void Client::HandlePacket(net::Packet pkt) {
         if (task.meta.attempt >= it->second.hedge_attempt) {
           metrics_->RecordHedgeWin();
         }
-        ++cancellations_;
         metrics_->RecordCancellation();
         if (recorder_ != nullptr && recorder_->Sampled(task.id)) {
           recorder_->Record(task.id, trace::Kind::kHedgeCancel, now, now, 0, node_id_,
@@ -187,7 +186,6 @@ bool Client::HedgeTask(net::TaskId id, TimeNs resampled_duration) {
     // not doom the duplicate.
     task.meta.exec_duration = resampled_duration;
   }
-  ++hedges_;
   metrics_->RecordHedge();
   trace::RecordTask(recorder_, task, trace::Kind::kHedgeLaunch, now, now,
                     static_cast<uint64_t>(now - task.meta.first_submit_time), node_id_);
@@ -212,7 +210,6 @@ bool Client::CancelTask(net::TaskId id) {
   }
   it->second.timeout.Cancel();
   const TimeNs now = simulator_->Now();
-  ++cancellations_;
   metrics_->RecordCancellation();
   trace::RecordTask(recorder_, it->second.task, trace::Kind::kHedgeCancel, now, now, 1, node_id_);
   outstanding_.erase(it);
@@ -258,7 +255,6 @@ void Client::OnTimeout(net::TaskId id) {
     consecutive_timeouts_ = 0;
     last_rehome_time_ = simulator_->Now();
     std::swap(scheduler_, standby_);
-    ++rehomes_;
     metrics_->RecordClientRehome();
     if (recorder_ != nullptr) {
       recorder_->RecordGlobal(trace::Kind::kRehome, simulator_->Now(), scheduler_, node_id_);

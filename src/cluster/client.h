@@ -101,9 +101,6 @@ class Client : public net::Endpoint {
   // Tasks submitted but not yet completed.
   size_t outstanding() const { return outstanding_.size(); }
   uint64_t completions() const { return completions_; }
-  uint64_t rehomes() const { return rehomes_; }
-  uint64_t hedges() const { return hedges_; }
-  uint64_t cancellations() const { return cancellations_; }
 
  private:
   struct Pending {
@@ -128,11 +125,8 @@ class Client : public net::Endpoint {
   net::NodeId standby_ = net::kInvalidNode;
   uint32_t next_jid_ = 0;
   uint64_t completions_ = 0;
-  uint64_t hedges_ = 0;
-  uint64_t cancellations_ = 0;
   CompletionCallback on_completion_;
   uint32_t consecutive_timeouts_ = 0;
-  uint64_t rehomes_ = 0;
   TimeNs last_rehome_time_ = -1;  // timeouts of older attempts don't rehome
   std::unordered_map<net::TaskId, Pending, net::TaskIdHash> outstanding_;
 };

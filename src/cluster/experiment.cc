@@ -125,10 +125,6 @@ std::string ExperimentConfig::Validate(std::optional<TimeNs> last_arrival) const
              "' replaces the retrieval discipline; combine it with the fcfs policy "
              "(priority/resource/locality need the per-level queues and swap walks)";
     }
-    if (parallel_priority_stages) {
-      return "parallel_priority_stages is a per-level-queue layout; the single PIFO "
-             "has no levels to probe";
-    }
   }
   if (switch_policy == core::SwitchPolicy::kWfq) {
     if (wfq_weights.empty()) {

@@ -98,7 +98,6 @@ struct ExperimentConfig {
   std::vector<uint32_t> worker_resources;                // resource bitmaps
   size_t queue_capacity = 164 * 1024;
   bool shadow_copy_dequeue = true;  // false: the paper's §4.5 textbook dequeue
-  bool parallel_priority_stages = false;  // Tofino-2 layout (§6.1/§8.7)
   // Switch queueing discipline (docs/pifo.md). kFifo is the paper's circular
   // queue; any other value replaces it with a rank-ordered PIFO and needs a
   // PIFO-capable kind (DeploymentInfo::switch_policies) plus the fcfs policy

@@ -152,12 +152,18 @@ void MetricsHub::RecordTimeoutResubmission() { ++timeout_resubmissions_; }
 
 void MetricsHub::RecordQueueFullRetry() { ++queue_full_retries_; }
 
-void MetricsHub::RecordBusyInterval(TimeNs start, TimeNs end, size_t cores) {
+void MetricsHub::RecordBusyInterval(TimeNs start, TimeNs end, size_t cores, size_t repeats,
+                                    size_t tasks) {
   // Clamp the busy interval to the measurement window.
   const TimeNs lo = std::max(start, measure_start_);
   const TimeNs hi = std::min(end, measure_end_);
-  if (hi > lo) {
-    total_busy_ += (hi - lo) * static_cast<TimeNs>(cores);
+  if (hi <= lo) {
+    return;
+  }
+  const TimeNs busy = (hi - lo) * static_cast<TimeNs>(cores);
+  total_busy_ += busy;
+  if (repeats > 0) {
+    wasted_busy_ += busy * static_cast<TimeNs>(repeats) / static_cast<TimeNs>(tasks);
   }
 }
 

@@ -75,7 +75,6 @@ class MetricsHub {
   // *completion* time, and tracks the completion gap spanning `start` (the
   // unavailability window) for the recovery metrics below.
   void ConfigureFaultWindow(TimeNs start, TimeNs clear);
-  bool fault_window_configured() const { return fault_start_ >= 0; }
   TimeNs fault_start() const { return fault_start_; }
   TimeNs fault_clear() const { return fault_clear_; }
 
@@ -84,8 +83,13 @@ class MetricsHub {
   void RecordExecutorRehome() { ++executor_rehomes_; }
 
   // Executor busy-time accounting for the CPU-efficiency analysis (§3.1):
-  // `cores` cores were busy over [start, end).
-  void RecordBusyInterval(TimeNs start, TimeNs end, size_t cores = 1);
+  // `cores` cores were busy over [start, end), clipped to the measurement
+  // window. `repeats` of the `tasks` tasks sharing those cores re-ran an id
+  // that had already executed (hedge losers and timeout-resubmission
+  // duplicates); their equal share of the clipped core time is also wasted
+  // work, so wasted work never exceeds busy time.
+  void RecordBusyInterval(TimeNs start, TimeNs end, size_t cores = 1, size_t repeats = 0,
+                          size_t tasks = 1);
 
   // --- Straggler hedging (src/dag/, docs/dag.md) ---------------------------
 
@@ -95,9 +99,6 @@ class MetricsHub {
   // A losing replica was cancelled client-side (hedge winner arrived, or an
   // explicit Client::CancelTask).
   void RecordCancellation() { ++cancellations_; }
-  // Executor time burnt on a replica whose task had already executed once
-  // (hedge losers and timeout-resubmission duplicates).
-  void RecordWastedWork(TimeNs span) { wasted_busy_ += span; }
 
   // --- Results --------------------------------------------------------------
 

@@ -50,23 +50,15 @@ void TaskRunner::RecordService(const net::TaskInfo& task, bool first, TimeNs beg
                     static_cast<uint64_t>(task.meta.exec_duration), node_id_, first ? 0 : 1);
 }
 
-void TaskRunner::ChargeBusy(TimeNs start, TimeNs end, size_t cores) {
-  busy_time_ += (end - start) * static_cast<TimeNs>(cores);
-  metrics_->RecordBusyInterval(start, end, cores);
-}
-
 TimeNs TaskRunner::Run(const net::TaskInfo& task, bool first, TimeNs overhead, TimeNs access) {
   const TimeNs now = simulator_->Now();
   const TimeNs exec_start = now + overhead;
   const TimeNs done = exec_start + access + task.meta.exec_duration;
   BeginService(task, first, now, exec_start, access);
   RecordService(task, first, exec_start, done);
-  ChargeBusy(now, done);
-  if (!first) {
-    // The marginal executor time replication cost, whichever replica wins
-    // the completion race.
-    metrics_->RecordWastedWork(done - now);
-  }
+  // A repeat's core time is the marginal executor time replication cost,
+  // whichever replica wins the completion race.
+  metrics_->RecordBusyInterval(now, done, 1, first ? 0 : 1);
   return done;
 }
 

@@ -9,9 +9,9 @@
 // interval, the wasted work, the exec_* trace spans, the node completion and
 // the executions count.
 //
-// Wasted work has one definition: the core time a repeat execution (a
-// timeout resubmission or a hedge replica of an id that already executed)
-// held, from its pickup to its end (docs/dag.md).
+// Wasted work has one definition: the in-window core time a repeat
+// execution (a timeout resubmission or a hedge replica of an id that already
+// executed) held, from its pickup to its end (docs/dag.md).
 
 #ifndef DRACONIS_CLUSTER_TASK_RUNNER_H_
 #define DRACONIS_CLUSTER_TASK_RUNNER_H_
@@ -37,7 +37,6 @@ class TaskRunner : public net::Endpoint {
 
   net::NodeId node_id() const { return node_id_; }
   uint64_t tasks_executed() const { return tasks_executed_; }
-  TimeNs busy_time() const { return busy_time_; }
 
  protected:
   // FinishTask's credit target for a worker that returns no credit.
@@ -66,13 +65,10 @@ class TaskRunner : public net::Endpoint {
   // The kExecService span: the task's service ran over [begin, end).
   void RecordService(const net::TaskInfo& task, bool first, TimeNs begin, TimeNs end);
 
-  // `cores` cores were busy over [start, end).
-  void ChargeBusy(TimeNs start, TimeNs end, size_t cores = 1);
-
   // A core that took `task` now runs it alone; service starts after
   // `overhead` (the pickup, plus any dispatch). The core is busy from now to
-  // the end, and for a repeat that whole occupancy is wasted work. Returns
-  // the completion time.
+  // the end, and for a repeat that occupancy's in-window part is wasted work.
+  // Returns the completion time.
   TimeNs Run(const net::TaskInfo& task, bool first, TimeNs overhead = kPickupOverhead,
              TimeNs access = 0);
 
@@ -93,9 +89,6 @@ class TaskRunner : public net::Endpoint {
   net::NodeId scheduler_;
   net::NodeId node_id_;
   uint64_t tasks_executed_ = 0;
-
- private:
-  TimeNs busy_time_ = 0;
 };
 
 }  // namespace draconis::cluster

@@ -30,7 +30,6 @@ DraconisDeployment::Instance DraconisDeployment::BuildInstance(cluster::Testbed&
   DraconisConfig dc;
   dc.queue_capacity = cfg.queue_capacity;
   dc.shadow_copy_dequeue = cfg.shadow_copy_dequeue;
-  dc.parallel_priority_stages = cfg.parallel_priority_stages;
   // PIFO mode (docs/pifo.md): a non-FIFO switch policy swaps the circular
   // queue for a rank-ordered PIFO; Validate() already pinned policy == fcfs.
   RankFunctionConfig rank_config;

@@ -9,24 +9,15 @@ namespace draconis::core {
 
 DraconisProgram::DraconisProgram(SchedulingPolicy* policy, const DraconisConfig& config,
                                  p4::ResourceLedger* ledger, RankFunction* rank_function)
-    : policy_(policy),
-      parallel_priority_stages_(config.parallel_priority_stages),
-      rank_function_(rank_function) {
+    : policy_(policy), rank_function_(rank_function) {
   DRACONIS_CHECK(policy != nullptr);
-  DRACONIS_CHECK_MSG(!config.parallel_priority_stages || config.shadow_copy_dequeue,
-                     "parallel priority stages need the shadow-copy dequeue (a textbook "
-                     "dequeue would over-run every empty level it probes)");
   if (rank_function != nullptr) {
     // PIFO mode: the rank order carries the whole discipline, so per-level
-    // queues (and the per-level probe/stage machinery) make no sense here.
+    // queues (and the per-level probe machinery) make no sense here.
     DRACONIS_CHECK_MSG(policy->num_queues() == 1,
                        "PIFO mode replaces per-level queues; use a single-queue policy");
-    DRACONIS_CHECK_MSG(!config.parallel_priority_stages,
-                       "parallel priority stages are a per-level-queue layout; the single "
-                       "PIFO has no levels to probe");
-    pifo_ = std::make_unique<p4::Pifo<QueueEntry>>(
-        "pifo", config.queue_capacity, p4::PifoOverflow::kRejectArrival, ledger,
-        QueueEntry::kWireSize);
+    pifo_ = std::make_unique<p4::Pifo<QueueEntry>>("pifo", config.queue_capacity, ledger,
+                                                   QueueEntry::kWireSize);
     return;
   }
   const size_t levels = policy->num_queues();
@@ -102,7 +93,7 @@ void DraconisProgram::HandleSubmission(p4::PassContext& ctx, net::Packet pkt) {
     // repair exists or is needed, the client retries exactly as for a full
     // circular queue.
     const uint64_t rank = rank_function_->Rank(ctx.registers(), entry.task, ctx.Now());
-    added = pifo_->Push(ctx.registers(), rank, entry).admitted;
+    added = pifo_->Push(ctx.registers(), rank, entry);
     occupancy = pifo_->cp_size();
   } else {
     q = std::min(policy_->QueueForTask(entry.task), queues_.size() - 1);
@@ -180,18 +171,10 @@ void DraconisProgram::HandleTaskRequest(p4::PassContext& ctx, net::Packet pkt) {
     Assign(ctx, pop.value, pkt.src);
     return;
   }
-  size_t q = std::min<size_t>(pkt.rtrv_prio - 1, queues_.size() - 1);
+  const size_t q = std::min<size_t>(pkt.rtrv_prio - 1, queues_.size() - 1);
   const net::NodeId executor = pkt.src;
 
   SwitchQueue::DequeueResult dq = queues_[q]->Dequeue(ctx.registers());
-
-  // Tofino-2 layout (§6.1/§8.7): each level lives in its own stages, so one
-  // pass can keep probing lower levels without recirculating. Each queue's
-  // registers are touched at most once — the pass budget allows it.
-  while (!dq.got_task && parallel_priority_stages_ && q + 1 < queues_.size()) {
-    ++q;
-    dq = queues_[q]->Dequeue(ctx.registers());
-  }
 
   if (!dq.got_task) {
     // Empty level (or a retrieve repair in flight, §4.7.2). Probe the next
@@ -350,7 +333,7 @@ bool DraconisProgram::PollsArePure() const {
       return false;
     }
   }
-  return queues_.size() == 1 || parallel_priority_stages_;
+  return queues_.size() == 1;
 }
 
 bool DraconisProgram::QueuesIdle() const {

@@ -39,13 +39,6 @@ struct DraconisConfig {
   // repair dequeue (see switch_queue.h; false is kept for tests and the
   // design-choice ablation).
   bool shadow_copy_dequeue = true;
-  // §6.1/§8.7: "newer switches ... can house each task queue in separate
-  // stages, eliminating the need for packet recirculation". When set, a
-  // task_request probes every priority level within one pass (each level's
-  // queue is its own register set, so the one-access rule still holds; the
-  // shadow-copy dequeue makes the speculative probes of empty levels free).
-  // Requires shadow_copy_dequeue.
-  bool parallel_priority_stages = false;
 };
 
 // Packet handling is identical in PIFO mode (docs/pifo.md) except that the
@@ -76,8 +69,7 @@ class DraconisProgram : public p4::SwitchProgram {
   // `policy` must outlive the program. `ledger` (optional) accounts register
   // memory. A non-null `rank_function` (which must also outlive the program)
   // selects PIFO mode; it requires a single-queue policy (the rank order
-  // replaces per-level queues) and is incompatible with
-  // parallel_priority_stages.
+  // replaces per-level queues).
   DraconisProgram(SchedulingPolicy* policy, const DraconisConfig& config,
                   p4::ResourceLedger* ledger = nullptr, RankFunction* rank_function = nullptr);
 
@@ -86,9 +78,6 @@ class DraconisProgram : public p4::SwitchProgram {
   const DraconisCounters& counters() const { return counters_; }
   const SwitchQueue& queue(size_t i) const { return *queues_[i]; }
   size_t num_queues() const { return queues_.size(); }
-  SchedulingPolicy* policy() const { return policy_; }
-  bool pifo_mode() const { return pifo_ != nullptr; }
-  const p4::Pifo<QueueEntry>& pifo() const { return *pifo_; }
 
   // Control-plane view of the total queued-task count across all class
   // queues (or the PIFO), as published in kQueueDepthSummary packets by the
@@ -109,8 +98,8 @@ class DraconisProgram : public p4::SwitchProgram {
 
   // --- Idle-poll fast-forward seam (core/poll_roster.h) --------------------
   // Whether a task_request that finds every queue empty changes no register
-  // state: the shadow-copy dequeue, and one pass probes every level (a
-  // single queue, or parallel priority stages) instead of recirculating.
+  // state: the shadow-copy dequeue on a single queue (more levels are probed
+  // by recirculating).
   bool PollsArePure() const;
   // Every queue is empty and has no repair pending: a task_request now gets
   // a no-op, and the pass changes nothing but counters.
@@ -139,7 +128,6 @@ class DraconisProgram : public p4::SwitchProgram {
   void LaunchRepair(p4::PassContext& ctx, size_t q, net::RepairTarget target, uint64_t value);
 
   SchedulingPolicy* policy_;
-  bool parallel_priority_stages_;
   trace::Recorder* recorder_ = nullptr;
   std::vector<std::unique_ptr<SwitchQueue>> queues_;
   RankFunction* rank_function_ = nullptr;

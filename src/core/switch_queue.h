@@ -141,9 +141,6 @@ class SwitchQueue {
   bool cp_retrieve_repair_flag() const {
     return repair_state_.ControlPlaneRead(0).retrieve_pending;
   }
-  const QueueEntry& cp_entry(uint64_t absolute_index) const {
-    return entries_.ControlPlaneRead(absolute_index % capacity_);
-  }
   // Number of retrievable tasks right now (clamped at 0 during an overrun).
   uint64_t cp_occupancy() const;
 

@@ -162,9 +162,7 @@ void FrontierDriver::OnHedgeTimer(uint64_t key) {
   }
   const net::TaskId id{client_->uid(), static_cast<uint32_t>(key >> 32),
                        static_cast<uint32_t>(key & 0xFFFFFFFFu)};
-  if (client_->HedgeTask(id, resampled)) {
-    ++hedges_launched_;
-  }
+  client_->HedgeTask(id, resampled);
 }
 
 TimeNs FrontierDriver::HedgeDelay() const {

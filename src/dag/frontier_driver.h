@@ -68,7 +68,6 @@ class FrontierDriver {
 
   // All enqueued jobs ran to completion (for run_to_completion drains).
   bool done() const { return jobs_finished_ == jobs_.size(); }
-  uint64_t hedges_launched() const { return hedges_launched_; }
 
   // Accumulates this driver's job-level stats into `out` (jobs / tasks
   // submitted, makespan / critical-path / stretch histograms). Counters are
@@ -117,7 +116,6 @@ class FrontierDriver {
   uint64_t jobs_submitted_ = 0;
   uint64_t jobs_completed_ = 0;
   uint64_t tasks_submitted_ = 0;
-  uint64_t hedges_launched_ = 0;
   stats::Histogram makespan_;
   stats::Histogram critical_path_;
   stats::Histogram stretch_milli_;

@@ -28,8 +28,6 @@ const char* OpCodeName(OpCode op) {
       return "repair";
     case OpCode::kProbe:
       return "probe";
-    case OpCode::kProbeReply:
-      return "probe_reply";
     case OpCode::kGetTask:
       return "get_task";
     case OpCode::kCredit:

@@ -47,7 +47,6 @@ enum class OpCode : uint8_t {
   kRepair = 10,
   // Baseline-specific messages (probes, credits, queue-length reports).
   kProbe = 11,
-  kProbeReply = 12,
   kGetTask = 13,
   kCredit = 14,
   // Any non-Draconis traffic; the switch forwards it unchanged.

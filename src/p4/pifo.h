@@ -19,10 +19,7 @@
 //   - Pop returns the element with the smallest rank.
 //   - Equal ranks dequeue in arrival order (FIFO): every Push consumes one
 //     arrival sequence number, admitted or not, and ties are broken by it.
-//   - At capacity, kRejectArrival refuses the incoming element;
-//     kEvictLowestPriority evicts the worst-ordered resident element
-//     (largest rank, youngest arrival) if the incoming element orders before
-//     it, and refuses the arrival otherwise.
+//   - At capacity, Push refuses the incoming element.
 //
 // Register budget: `capacity` elements of `wire_bytes_per_element` payload
 // plus an 8-byte rank per element, accounted in the ResourceLedger like any
@@ -41,18 +38,12 @@
 
 namespace draconis::p4 {
 
-enum class PifoOverflow : uint8_t {
-  kRejectArrival,         // full: refuse the incoming element
-  kEvictLowestPriority,   // full: displace the worst-ordered resident element
-};
-
 template <typename T>
 class Pifo {
  public:
-  Pifo(std::string name, size_t capacity,
-       PifoOverflow overflow = PifoOverflow::kRejectArrival, ResourceLedger* ledger = nullptr,
+  Pifo(std::string name, size_t capacity, ResourceLedger* ledger = nullptr,
        size_t wire_bytes_per_element = sizeof(T))
-      : name_(std::move(name)), capacity_(capacity), overflow_(overflow) {
+      : name_(std::move(name)), capacity_(capacity) {
     DRACONIS_CHECK(capacity > 0);
     if (ledger != nullptr) {
       // Payload registers plus the per-element 8-byte rank store.
@@ -64,44 +55,18 @@ class Pifo {
   Pifo(const Pifo&) = delete;
   Pifo& operator=(const Pifo&) = delete;
 
-  struct PushResult {
-    bool admitted = false;
-    // kEvictLowestPriority displaced a resident element to make room.
-    bool evicted = false;
-    T evicted_value{};
-    uint64_t evicted_rank = 0;
-  };
-
-  // Admits `value` at the position `rank` dictates. Consumes this pass's
-  // single access to the PIFO block and one arrival sequence number.
-  PushResult Push(PacketPass& pass, uint64_t rank, T value) {
+  // Admits `value` at the position `rank` dictates, unless the PIFO is full;
+  // returns whether it did. Consumes this pass's single access to the PIFO
+  // block and one arrival sequence number either way.
+  bool Push(PacketPass& pass, uint64_t rank, T value) {
     Claim(pass);
     const uint64_t seq = next_seq_++;
-    PushResult result;
     if (heap_.size() == capacity_) {
-      if (overflow_ == PifoOverflow::kRejectArrival) {
-        ++rejects_;
-        return result;
-      }
-      // kEvictLowestPriority: the incoming element carries the youngest
-      // arrival, so on a rank tie with the worst resident it is the one
-      // refused — FIFO-within-rank holds even across evictions.
-      const size_t worst = WorstIndex();
-      if (heap_[worst].rank <= rank) {
-        ++rejects_;
-        return result;
-      }
-      result.evicted = true;
-      result.evicted_value = std::move(heap_[worst].value);
-      result.evicted_rank = heap_[worst].rank;
-      ++evictions_;
-      RemoveAt(worst);
+      return false;
     }
     heap_.push_back(Item{rank, seq, std::move(value)});
     SiftUp(heap_.size() - 1);
-    ++pushes_;
-    result.admitted = true;
-    return result;
+    return true;
   }
 
   struct PopResult {
@@ -116,14 +81,12 @@ class Pifo {
     Claim(pass);
     PopResult result;
     if (heap_.empty()) {
-      ++empty_pops_;
       return result;
     }
     result.got = true;
     result.value = std::move(heap_.front().value);
     result.rank = heap_.front().rank;
     RemoveAt(0);
-    ++pops_;
     return result;
   }
 
@@ -131,18 +94,12 @@ class Pifo {
 
   const std::string& name() const { return name_; }
   size_t capacity() const { return capacity_; }
-  PifoOverflow overflow_policy() const { return overflow_; }
   size_t cp_size() const { return heap_.size(); }
   bool cp_empty() const { return heap_.empty(); }
   uint64_t cp_min_rank() const {
     DRACONIS_CHECK_MSG(!heap_.empty(), "cp_min_rank on empty PIFO: " + name_);
     return heap_.front().rank;
   }
-  uint64_t cp_pushes() const { return pushes_; }
-  uint64_t cp_pops() const { return pops_; }
-  uint64_t cp_empty_pops() const { return empty_pops_; }
-  uint64_t cp_rejects() const { return rejects_; }
-  uint64_t cp_evictions() const { return evictions_; }
 
  private:
   struct Item {
@@ -190,18 +147,6 @@ class Pifo {
     }
   }
 
-  // Index of the worst-ordered element. In a min-heap it is always a leaf,
-  // so the scan is bounded to the bottom level; it only runs on overflow.
-  size_t WorstIndex() const {
-    size_t worst = heap_.size() / 2;
-    for (size_t i = worst + 1; i < heap_.size(); ++i) {
-      if (Before(heap_[worst], heap_[i])) {
-        worst = i;
-      }
-    }
-    return worst;
-  }
-
   void RemoveAt(size_t i) {
     heap_[i] = std::move(heap_.back());
     heap_.pop_back();
@@ -213,14 +158,8 @@ class Pifo {
 
   std::string name_;
   size_t capacity_;
-  PifoOverflow overflow_;
   std::vector<Item> heap_;
   uint64_t next_seq_ = 0;
-  uint64_t pushes_ = 0;
-  uint64_t pops_ = 0;
-  uint64_t empty_pops_ = 0;
-  uint64_t rejects_ = 0;
-  uint64_t evictions_ = 0;
 };
 
 }  // namespace draconis::p4

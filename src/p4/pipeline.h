@@ -170,7 +170,6 @@ class SwitchPipeline : public net::Endpoint {
 
   net::NodeId node_id() const { return node_id_; }
   const PipelineCounters& counters() const { return counters_; }
-  ResourceLedger& ledger() { return ledger_; }
 
   // Optional task-lifecycle recorder (nullable; never affects behaviour).
   void SetRecorder(trace::Recorder* recorder) { recorder_ = recorder; }
@@ -224,7 +223,6 @@ class SwitchPipeline : public net::Endpoint {
   net::Network* network_ = nullptr;
   net::NodeId node_id_ = net::kInvalidNode;
   PipelineCounters counters_;
-  ResourceLedger ledger_;
   // One register-access guard for every pass (passes never nest), reset at
   // the start of each so its access list keeps its capacity.
   PacketPass pass_registers_;

@@ -244,7 +244,6 @@ TEST_F(ClientTest, HedgeResendsWithNextAttemptAndResampledDuration) {
   EXPECT_EQ(duplicate.id, original.id);
   EXPECT_EQ(duplicate.meta.attempt, original.meta.attempt + 1);
   EXPECT_EQ(duplicate.meta.exec_duration, FromMicros(100));
-  EXPECT_EQ(c.hedges(), 1u);
   EXPECT_EQ(metrics.hedges_launched(), 1u);
 }
 
@@ -258,7 +257,6 @@ TEST_F(ClientTest, CancelStopsTrackingAndSuppressesTheLateNotice) {
 
   EXPECT_TRUE(c.CancelTask(task.id));
   EXPECT_EQ(c.outstanding(), 0u);
-  EXPECT_EQ(c.cancellations(), 1u);
   EXPECT_EQ(metrics.cancellations(), 1u);
 
   // The replica in flight still "completes"; its notice must be suppressed
@@ -294,12 +292,11 @@ TEST_F(ClientTest, CancelOfCompletedTaskIsAStrictNoOp) {
   // counter: the race "completion beat the cancel" cannot double-count.
   EXPECT_FALSE(c.CancelTask(task.id));
   EXPECT_FALSE(c.CancelTask(task.id));
-  EXPECT_EQ(c.cancellations(), 0u);
   EXPECT_EQ(metrics.cancellations(), 0u);
   EXPECT_EQ(c.completions(), 1u);
   // Hedging a completed task is refused the same way.
   EXPECT_FALSE(c.HedgeTask(task.id));
-  EXPECT_EQ(c.hedges(), 0u);
+  EXPECT_EQ(metrics.hedges_launched(), 0u);
 }
 
 TEST_F(ClientTest, QueueFullErrorRetriesAfterWait) {
@@ -398,7 +395,7 @@ TEST_F(ExecutorTest, PullLoopExecutesSubmittedTask) {
   simulator.RunUntil(FromMillis(1));
   EXPECT_EQ(ex.tasks_executed(), 1u);
   EXPECT_EQ(client->completions(), 1u);
-  EXPECT_GE(ex.busy_time(), FromMicros(100));
+  EXPECT_GE(metrics.total_busy(), FromMicros(100));
 }
 
 TEST_F(ExecutorTest, BacksOffWhileIdle) {
@@ -586,7 +583,6 @@ TEST(FailoverTest, InjectorDrivenFailoverLosesNoTasks) {
   EXPECT_EQ(injector.events_started(), 1u);
   // The stale-timeout guard means the client flips exactly once — never back
   // to the dead switch — and the hub saw both rehome flavours.
-  EXPECT_EQ(client.rehomes(), 1u);
   EXPECT_EQ(metrics.client_rehomes(), 1u);
   EXPECT_EQ(metrics.executor_rehomes(), 4u);
 }

@@ -93,30 +93,6 @@ TEST(DeterminismTest, GoogleTraceGenerationIsSeedStable) {
   }
 }
 
-TEST(DeterminismTest, ParallelPriorityStagesMatchProbingResults) {
-  // Both retrieval layouts implement the same service discipline; on the
-  // same workload they must schedule every task (completions equal), with
-  // the parallel layout recirculating strictly less.
-  auto run = [](bool parallel) {
-    cluster::ExperimentConfig config = MakeConfig(9);
-    config.policy = cluster::PolicyKind::kPriority;
-    config.priority_levels = 4;
-    workload::TaggerStage::Priority({1, 1, 1, 1}, 4).Apply(config.stream);
-    // (parallel stages require the shadow-copy dequeue, the default)
-    config.parallel_priority_stages = parallel;
-    return cluster::RunExperiment(config);
-  };
-  cluster::ExperimentResult probing = run(false);
-  cluster::ExperimentResult parallel = run(true);
-  // Nearly everything completes (a sliver may be in flight at the horizon).
-  EXPECT_GE(probing.metrics->tasks_completed(),
-            probing.metrics->tasks_submitted() * 98 / 100);
-  EXPECT_GE(parallel.metrics->tasks_completed(),
-            parallel.metrics->tasks_submitted() * 98 / 100);
-  EXPECT_LT(parallel.switch_counters.recirculations,
-            probing.switch_counters.recirculations);
-}
-
 // A shrunk Fig. 5a point: Draconis scheduler, fixed 500 us tasks, open-loop
 // load. Guards the event-engine's ordering guarantee end to end — a
 // same-seed run must reproduce every metric bit for bit, including the

@@ -6,7 +6,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/check.h"
 #include "core/draconis_program.h"
 #include "core/policy.h"
 #include "core/topology.h"
@@ -43,12 +42,10 @@ class Probe : public net::Endpoint {
 
 class DraconisProgramTest : public ::testing::Test {
  protected:
-  void Build(SchedulingPolicy* policy, size_t capacity = 64,
-             bool shadow_copy_dequeue = true, bool parallel_priority = false) {
+  void Build(SchedulingPolicy* policy, size_t capacity = 64, bool shadow_copy_dequeue = true) {
     DraconisConfig dc;
     dc.queue_capacity = capacity;
     dc.shadow_copy_dequeue = shadow_copy_dequeue;
-    dc.parallel_priority_stages = parallel_priority;
     program = std::make_unique<DraconisProgram>(policy, dc);
     net::NetworkConfig nc;
     nc.max_jitter = 0;
@@ -291,49 +288,6 @@ TEST_F(DraconisProgramTest, AllLevelsEmptyYieldsNoOpAfterFullProbe) {
   simulator.RunAll();
   EXPECT_EQ(executor.CountOf(net::OpCode::kNoOpTask), 1u);
   EXPECT_EQ(program->counters().priority_probes, 3u);
-}
-
-TEST_F(DraconisProgramTest, ParallelPriorityStagesProbeWithoutRecirculation) {
-  // Tofino-2 layout (§6.1/§8.7): all levels examined in one pass.
-  PriorityPolicy prio(4);
-  Build(&prio, 64, /*shadow_copy_dequeue=*/true, /*parallel_priority=*/true);
-  network->Send(client_node, Submission({0}, /*tprops=*/4));  // lowest level
-  simulator.RunUntil(FromMicros(10));
-  network->Send(executor_node, Request());
-  simulator.RunAll();
-  EXPECT_EQ(executor.CountOf(net::OpCode::kTaskAssignment), 1u);
-  EXPECT_EQ(program->counters().priority_probes, 0u);
-  EXPECT_EQ(pipeline->counters().recirculations, 0u);
-}
-
-TEST_F(DraconisProgramTest, ParallelPriorityStagesStillOrderByLevel) {
-  PriorityPolicy prio(4);
-  Build(&prio, 64, true, /*parallel_priority=*/true);
-  network->Send(client_node, Submission({0}, /*tprops=*/4));
-  simulator.RunUntil(FromMicros(10));
-  network->Send(client_node, Submission({1}, /*tprops=*/2));
-  simulator.RunUntil(FromMicros(20));
-  network->Send(executor_node, Request());
-  simulator.RunUntil(FromMicros(40));
-  network->Send(executor_node, Request());
-  simulator.RunAll();
-  std::vector<uint32_t> order;
-  for (const auto& p : executor.received) {
-    if (p.op == net::OpCode::kTaskAssignment) {
-      order.push_back(p.tasks.at(0).id.tid);
-    }
-  }
-  ASSERT_EQ(order.size(), 2u);
-  EXPECT_EQ(order[0], 1u);  // level 2 before level 4
-  EXPECT_EQ(order[1], 0u);
-}
-
-TEST_F(DraconisProgramTest, ParallelPriorityStagesRequireShadowDequeue) {
-  PriorityPolicy prio(4);
-  DraconisConfig dc;
-  dc.shadow_copy_dequeue = false;
-  dc.parallel_priority_stages = true;
-  EXPECT_THROW(DraconisProgram(&prio, dc), draconis::CheckFailure);
 }
 
 // --- Resource policy (§5.2) with task swapping -------------------------------

@@ -297,18 +297,12 @@ TEST(ValidateTest, RejectsClusterCombosTheTopologyCannotRun) {
 
 TEST(ValidateTest, RejectsSwitchPolicyCombinedWithPerLevelQueues) {
   // A non-FIFO switch policy replaces the retrieval discipline; the
-  // per-level queues, swap walks, and parallel probing have no meaning.
+  // per-level queues and swap walks have no meaning.
   ExperimentConfig config = TinyConfig();
   config.switch_policy = core::SwitchPolicy::kStrictPriority;
   config.policy = PolicyKind::kPriority;
   std::string error = config.Validate();
   EXPECT_NE(error.find("fcfs"), std::string::npos) << error;
-
-  config = TinyConfig();
-  config.switch_policy = core::SwitchPolicy::kEdf;
-  config.parallel_priority_stages = true;
-  error = config.Validate();
-  EXPECT_NE(error.find("parallel_priority_stages"), std::string::npos) << error;
 }
 
 TEST(ValidateTest, RejectsDegenerateWfqWeights) {

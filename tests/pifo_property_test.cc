@@ -3,10 +3,10 @@
 // A naive reference — a flat vector of (rank, seq, id) whose pop is a linear
 // scan for the minimum under the (rank, seq) lexicographic order — is driven
 // through the same randomized push/pop interleavings as the real bounded
-// heap, at small capacities so overflow fires constantly. At every step the
-// admit/reject/evict decision, the popped element, the size, and the head
-// rank must match exactly. 32 seeds x 10k operations per overflow policy,
-// the same rigor as event_queue_property_test.cc.
+// heap, at a small capacity so overflow fires constantly. At every step the
+// admit/reject decision, the popped element, the size, and the head rank
+// must match exactly. 32 seeds x 10k operations, the same rigor as
+// event_queue_property_test.cc.
 
 #include <gtest/gtest.h>
 
@@ -34,40 +34,18 @@ bool RefBefore(const RefItem& a, const RefItem& b) {
 
 // The oracle: mirrors the PIFO contract directly from its spec — every push
 // attempt consumes one seq; pop removes the (rank, seq) minimum; at capacity
-// kRejectArrival refuses, kEvictLowestPriority displaces the (rank, seq)
-// maximum iff the incoming element orders before it.
+// the arrival is refused.
 class ReferencePifo {
  public:
-  ReferencePifo(size_t capacity, PifoOverflow overflow)
-      : capacity_(capacity), overflow_(overflow) {}
+  explicit ReferencePifo(size_t capacity) : capacity_(capacity) {}
 
-  struct PushOutcome {
-    bool admitted = false;
-    bool evicted = false;
-    int evicted_id = 0;
-    uint64_t evicted_rank = 0;
-  };
-
-  PushOutcome Push(uint64_t rank, int id) {
+  bool Push(uint64_t rank, int id) {
     const uint64_t seq = next_seq_++;
-    PushOutcome outcome;
     if (items_.size() == capacity_) {
-      if (overflow_ == PifoOverflow::kRejectArrival) {
-        return outcome;
-      }
-      auto worst = std::max_element(items_.begin(), items_.end(), RefBefore);
-      const RefItem incoming{rank, seq, id};
-      if (!RefBefore(incoming, *worst)) {
-        return outcome;
-      }
-      outcome.evicted = true;
-      outcome.evicted_id = worst->id;
-      outcome.evicted_rank = worst->rank;
-      items_.erase(worst);
+      return false;
     }
     items_.push_back(RefItem{rank, seq, id});
-    outcome.admitted = true;
-    return outcome;
+    return true;
   }
 
   struct PopOutcome {
@@ -96,14 +74,13 @@ class ReferencePifo {
 
  private:
   size_t capacity_;
-  PifoOverflow overflow_;
   uint64_t next_seq_ = 0;
   std::vector<RefItem> items_;
 };
 
-void DriveSeed(uint64_t seed, int steps, size_t capacity, PifoOverflow overflow) {
-  Pifo<int> pifo("pifo_under_test", capacity, overflow);
-  ReferencePifo ref(capacity, overflow);
+void DriveSeed(uint64_t seed, int steps, size_t capacity) {
+  Pifo<int> pifo("pifo_under_test", capacity);
+  ReferencePifo ref(capacity);
   Rng rng(seed);
   int next_id = 0;
 
@@ -115,14 +92,8 @@ void DriveSeed(uint64_t seed, int steps, size_t capacity, PifoOverflow overflow)
       const uint64_t rank = rng.NextBool(0.5) ? rng.NextBelow(4) : rng.NextBelow(1000000);
       const int id = next_id++;
       PacketPass pass;
-      const Pifo<int>::PushResult got = pifo.Push(pass, rank, id);
-      const ReferencePifo::PushOutcome want = ref.Push(rank, id);
-      ASSERT_EQ(got.admitted, want.admitted) << "seed=" << seed << " step=" << step;
-      ASSERT_EQ(got.evicted, want.evicted) << "seed=" << seed << " step=" << step;
-      if (want.evicted) {
-        ASSERT_EQ(got.evicted_value, want.evicted_id) << "seed=" << seed << " step=" << step;
-        ASSERT_EQ(got.evicted_rank, want.evicted_rank) << "seed=" << seed << " step=" << step;
-      }
+      const bool admitted = pifo.Push(pass, rank, id);
+      ASSERT_EQ(admitted, ref.Push(rank, id)) << "seed=" << seed << " step=" << step;
     } else {
       // Pop.
       PacketPass pass;
@@ -156,16 +127,7 @@ void DriveSeed(uint64_t seed, int steps, size_t capacity, PifoOverflow overflow)
 
 TEST(PifoPropertyTest, RejectArrivalMatchesReferenceAcross32Seeds) {
   for (uint64_t seed = 1; seed <= 32; ++seed) {
-    DriveSeed(seed, 10000, /*capacity=*/16, PifoOverflow::kRejectArrival);
-    if (::testing::Test::HasFatalFailure()) {
-      return;
-    }
-  }
-}
-
-TEST(PifoPropertyTest, EvictLowestPriorityMatchesReferenceAcross32Seeds) {
-  for (uint64_t seed = 201; seed <= 232; ++seed) {
-    DriveSeed(seed, 10000, /*capacity=*/8, PifoOverflow::kEvictLowestPriority);
+    DriveSeed(seed, 10000, /*capacity=*/16);
     if (::testing::Test::HasFatalFailure()) {
       return;
     }
@@ -178,12 +140,12 @@ TEST(PifoPropertyTest, EqualRanksDequeueInArrivalOrder) {
   Pifo<int> pifo("ties", 64);
   for (int id = 0; id < 64; ++id) {
     PacketPass pass;
-    ASSERT_TRUE(pifo.Push(pass, 7, id).admitted);
+    ASSERT_TRUE(pifo.Push(pass, 7, id));
   }
   {
     // Full: the arrival is refused, never an earlier resident.
     PacketPass pass;
-    EXPECT_FALSE(pifo.Push(pass, 7, 999).admitted);
+    EXPECT_FALSE(pifo.Push(pass, 7, 999));
   }
   for (int id = 0; id < 64; ++id) {
     PacketPass pass;
@@ -193,30 +155,12 @@ TEST(PifoPropertyTest, EqualRanksDequeueInArrivalOrder) {
   }
 }
 
-// Under kEvictLowestPriority a rank tie with the worst resident refuses the
-// incoming element (it carries the youngest arrival), so FIFO-within-rank
-// survives evictions.
-TEST(PifoPropertyTest, EvictionPrefersResidentOnRankTie) {
-  Pifo<int> pifo("evict_ties", 2, PifoOverflow::kEvictLowestPriority);
-  PacketPass p1, p2, p3, p4;
-  ASSERT_TRUE(pifo.Push(p1, 5, 1).admitted);
-  ASSERT_TRUE(pifo.Push(p2, 9, 2).admitted);
-  // Equal-to-worst rank: refused.
-  EXPECT_FALSE(pifo.Push(p3, 9, 3).admitted);
-  // Better rank: evicts the rank-9 resident.
-  const Pifo<int>::PushResult push = pifo.Push(p4, 6, 4);
-  EXPECT_TRUE(push.admitted);
-  EXPECT_TRUE(push.evicted);
-  EXPECT_EQ(push.evicted_value, 2);
-  EXPECT_EQ(pifo.cp_evictions(), 1u);
-}
-
 // The PIFO block is one register group: a second operation in the same
 // packet pass is impossible in hardware and throws in the model.
 TEST(PifoPropertyTest, SecondAccessInOnePassThrows) {
   Pifo<int> pifo("single_access", 4);
   PacketPass pass;
-  ASSERT_TRUE(pifo.Push(pass, 1, 1).admitted);
+  ASSERT_TRUE(pifo.Push(pass, 1, 1));
   EXPECT_THROW(pifo.Push(pass, 2, 2), draconis::CheckFailure);
   EXPECT_THROW(pifo.Pop(pass), draconis::CheckFailure);
   PacketPass fresh;
@@ -226,8 +170,7 @@ TEST(PifoPropertyTest, SecondAccessInOnePassThrows) {
 // Register-budget accounting: capacity x (payload + 8-byte rank).
 TEST(PifoPropertyTest, AccountsRegisterBudget) {
   ResourceLedger ledger;
-  Pifo<int> pifo("budget", 128, PifoOverflow::kRejectArrival, &ledger,
-                 /*wire_bytes_per_element=*/10);
+  Pifo<int> pifo("budget", 128, &ledger, /*wire_bytes_per_element=*/10);
   ASSERT_EQ(ledger.entries().size(), 1u);
   EXPECT_EQ(ledger.entries()[0].name, "budget");
   EXPECT_EQ(ledger.entries()[0].elements, 128u);

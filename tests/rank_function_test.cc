@@ -190,7 +190,7 @@ void PushVia(RankFunction& fn, p4::Pifo<int>& pifo, const net::TaskInfo& task, T
              int id) {
   p4::PacketPass pass;
   const uint64_t rank = fn.Rank(pass, task, now);
-  ASSERT_TRUE(pifo.Push(pass, rank, id).admitted);
+  ASSERT_TRUE(pifo.Push(pass, rank, id));
 }
 
 int PopVia(RankFunction& fn, p4::Pifo<int>& pifo) {

@@ -401,17 +401,25 @@ TEST(TraceFailureTest, TimeoutResubmissionTimelineShowsDuplicateSuppression) {
 
 // ---------------------------------------------------------------------------
 // Straggler hedging (docs/dag.md) on each worker model: two pull executors
-// behind Draconis, a two-core RackSched worker, a two-slot R2P2 worker. Both
-// replicas execute, but exactly one executor-service span is the accounted
-// one (aux = 0) and only one replica reaches the terminal kComplete; the
-// loser is marked cancelled.
+// behind Draconis, a two-core RackSched worker (cFCFS and processor
+// sharing), a two-slot R2P2 worker. Both replicas execute, but exactly one
+// executor-service span is the accounted one (aux = 0) and only one replica
+// reaches the terminal kComplete; the loser is marked cancelled. Each side runs twice: measured over the whole
+// run, and with the measurement window closing while the duplicate runs.
 // ---------------------------------------------------------------------------
 
 TEST(TraceFailureTest, HedgeTimelineHasOneWinnerAndACancelledLoser) {
-  enum class Side { kDraconis, kRackSched, kR2P2 };
-  for (Side side : {Side::kDraconis, Side::kRackSched, Side::kR2P2}) {
-    SCOPED_TRACE("worker side " + std::to_string(static_cast<int>(side)));
+  enum class Side { kDraconis, kRackSched, kR2P2, kRackSchedPs };
+  constexpr int kSides = 4;
+  const TimeNs whole_run = cluster::TestbedConfig{}.horizon;
+  const TimeNs mid_duplicate = FromMicros(260);
+  for (int run = 0; run < 2 * kSides; ++run) {
+    const auto side = static_cast<Side>(run % kSides);
+    const TimeNs measure_end = run < kSides ? whole_run : mid_duplicate;
+    SCOPED_TRACE("worker side " + std::to_string(static_cast<int>(side)) +
+                 ", window end " + std::to_string(measure_end));
     cluster::TestbedConfig tbc;
+    tbc.horizon = measure_end;
     tbc.trace.enabled = true;
     tbc.trace.sample_period = 1;
     cluster::Testbed testbed(tbc);
@@ -426,12 +434,13 @@ TEST(TraceFailureTest, HedgeTimelineHasOneWinnerAndACancelledLoser) {
     draconis.SetRecorder(&recorder);
     baselines::RackSchedProgram racksched(/*num_nodes=*/1, /*seed=*/7);
     baselines::R2P2Program r2p2(/*num_executors=*/2, /*jbsq_k=*/3);
-    p4::SwitchProgram* programs[] = {&draconis, &racksched, &r2p2};  // in Side order
+    p4::SwitchProgram* programs[] = {&draconis, &racksched, &r2p2, &racksched};  // Side order
     p4::SwitchPipeline pipeline(testbed, programs[static_cast<int>(side)], p4::PipelineConfig{});
     const net::NodeId switch_node = pipeline.node_id();
     std::vector<std::unique_ptr<cluster::TaskRunner>> cores;
     // What a duplicate's core holds besides its service: the pickup, plus
-    // RackSched's dispatch.
+    // RackSched's dispatch. Under sharing, the dispatcher holds the task
+    // until it joins the pool, so the pool's cores hold only its service.
     TimeNs overhead = cluster::kPickupOverhead;
     switch (side) {
       case Side::kDraconis:
@@ -445,6 +454,12 @@ TEST(TraceFailureTest, HedgeTimelineHasOneWinnerAndACancelledLoser) {
         cores.push_back(std::make_unique<baselines::RackSchedWorker>(&testbed, 2, 0, switch_node));
         racksched.BindTarget(0, cores[0]->node_id());
         overhead += baselines::RackSchedWorker::kDispatchOverhead;
+        break;
+      case Side::kRackSchedPs:
+        cores.push_back(std::make_unique<baselines::RackSchedWorker>(
+            &testbed, 2, 0, switch_node, baselines::IntraNodePolicy::kProcessorSharing));
+        racksched.BindTarget(0, cores[0]->node_id());
+        overhead = 0;
         break;
       case Side::kR2P2:
         cores.push_back(std::make_unique<baselines::R2P2Worker>(&testbed, 2, 0, switch_node));
@@ -473,8 +488,8 @@ TEST(TraceFailureTest, HedgeTimelineHasOneWinnerAndACancelledLoser) {
     EXPECT_TRUE(hedged);
     EXPECT_EQ(client.completions(), 1u);
     EXPECT_EQ(client.outstanding(), 0u);
-    EXPECT_EQ(client.hedges(), 1u);
-    EXPECT_EQ(client.cancellations(), 1u);
+    EXPECT_EQ(metrics.hedges_launched(), 1u);
+    EXPECT_EQ(metrics.cancellations(), 1u);
     EXPECT_EQ(metrics.hedge_wins(), 1u);
     EXPECT_EQ(metrics.e2e_delay().count(), 1u);
     uint64_t executed = 0;
@@ -482,10 +497,6 @@ TEST(TraceFailureTest, HedgeTimelineHasOneWinnerAndACancelledLoser) {
       executed += core->tasks_executed();
     }
     EXPECT_EQ(executed, 2u) << "both replicas must actually execute";
-    // Wasted work is the marginal replication cost: the second execution's
-    // core time from pickup to end (the 100 us duplicate), not the
-    // original's 5 ms — that time was committed before the hedge existed.
-    EXPECT_EQ(metrics.wasted_busy(), overhead + FromMicros(100));
 
     std::vector<const SpanRecord*> completes;
     std::vector<const SpanRecord*> services;
@@ -526,13 +537,30 @@ TEST(TraceFailureTest, HedgeTimelineHasOneWinnerAndACancelledLoser) {
     // though its service span is the duplicate-marked one.
     ASSERT_EQ(services.size(), 2u);
     size_t accounted = 0;
+    const SpanRecord* duplicate = nullptr;
     for (const SpanRecord* service : services) {
       if (service->aux == 0) {
         ++accounted;
         EXPECT_EQ(service->attempt, 0u);
+      } else {
+        duplicate = service;
       }
     }
     EXPECT_EQ(accounted, 1u);
+
+    // Wasted work is the marginal replication cost: the duplicate's core
+    // time from pickup to end (the 100 us service), not the original's 5 ms,
+    // which was committed before the hedge existed. Like busy time, it is
+    // clipped to the measurement window.
+    ASSERT_NE(duplicate, nullptr);
+    // (Processor sharing schedules a completion 1 ns late to absorb rounding.)
+    EXPECT_EQ(duplicate->end - duplicate->begin,
+              FromMicros(100) + (side == Side::kRackSchedPs ? 1 : 0));
+    const TimeNs pickup = duplicate->begin - overhead;
+    ASSERT_LT(pickup, mid_duplicate);
+    ASSERT_GT(duplicate->end, mid_duplicate);
+    EXPECT_EQ(metrics.wasted_busy(), std::min(duplicate->end, measure_end) - pickup);
+    EXPECT_LE(metrics.wasted_busy(), metrics.total_busy());
 
     // One launch marker (detail = age at hedge) and one cancel marker naming
     // the losing attempt, with detail = 0 (a hedge loser, not an explicit
