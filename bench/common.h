@@ -233,11 +233,7 @@ class SweepRunner {
     if (fault_plan_path_.empty()) {
       return false;
     }
-    std::string error;
-    if (!fault::FaultPlan::FromJsonFile(fault_plan_path_, out, &error)) {
-      std::fprintf(stderr, "--fault-plan: %s\n", error.c_str());
-      std::exit(2);
-    }
+    LoadFaultPlan(out);
     fault_plan_path_.clear();
     return true;
   }
@@ -261,125 +257,14 @@ class SweepRunner {
       const sweep::SweepSpec& spec,
       const std::function<void(std::vector<sweep::SweepPointResult>&)>& annotate = nullptr) {
     PrintHeader(figure_.c_str(), description_.c_str());
-    // --trace: run the same points with the recorder enabled. Sampling is a
-    // pure hash of each task id, so traced results are bit-identical to
-    // untraced ones (tests/determinism_test.cc).
     const sweep::SweepSpec* active = &spec;
     sweep::SweepSpec modified;
-    const std::string default_sim_queue =
-        sim::QueueBackendName(sim::kDefaultQueueBackend);
-    const bool workload_overrides = !workload_override_.empty() ||
-                                    !service_time_override_.empty() ||
-                                    heavy_tail_prob_ > 0.0;
     if (trace_ || !fault_plan_path_.empty() || switch_policy_ != "fifo" ||
-        sim_queue_ != default_sim_queue || workload_overrides) {
+        sim_queue_ != sim::QueueBackendName(sim::kDefaultQueueBackend) ||
+        !workload_override_.empty() || !service_time_override_.empty() ||
+        heavy_tail_prob_ > 0.0) {
       modified = spec;
-      // --workload / --service-time / --heavy-tail-*: reshape every point
-      // that runs on a declarative WorkloadSpec (docs/workloads.md); points
-      // with hand-crafted streams are left alone.
-      if (workload_overrides) {
-        workload::ArrivalKind arrival = workload::ArrivalKind::kNone;
-        if (!workload_override_.empty() &&
-            !workload::ArrivalKindFromName(workload_override_, &arrival)) {
-          std::fprintf(stderr, "--workload: unknown arrival process '%s'\n",
-                       workload_override_.c_str());
-          std::exit(2);
-        }
-        workload::ServiceTime service = workload::ServiceTime::Fixed(FromMicros(500));
-        bool have_service = false;
-        if (!service_time_override_.empty()) {
-          std::string error;
-          if (!workload::ServiceTime::FromName(service_time_override_, &service, &error)) {
-            std::fprintf(stderr, "--service-time: %s\n", error.c_str());
-            std::exit(2);
-          }
-          have_service = true;
-        }
-        if (heavy_tail_prob_ < 0.0 || heavy_tail_prob_ > 1.0 || heavy_tail_mult_ <= 0.0) {
-          std::fprintf(stderr,
-                       "--heavy-tail-prob must be in [0, 1] and --heavy-tail-mult > 0\n");
-          std::exit(2);
-        }
-        for (sweep::SweepPoint& point : modified.points) {
-          if (!point.config.workload.enabled()) {
-            continue;
-          }
-          if (arrival != workload::ArrivalKind::kNone) {
-            point.config.workload.arrival = arrival;
-          }
-          if (have_service) {
-            point.config.workload.service = service;
-          }
-          if (heavy_tail_prob_ > 0.0) {
-            point.config.workload.service = workload::ServiceTime::HeavyTail(
-                point.config.workload.service, heavy_tail_prob_, heavy_tail_mult_);
-          }
-          const std::string invalid = point.config.Validate();
-          if (!invalid.empty()) {
-            std::fprintf(stderr, "--workload/--service-time: point %s: %s\n",
-                         point.label.c_str(), invalid.c_str());
-            std::exit(2);
-          }
-        }
-      }
-      // --sim-queue: the same event-queue backend in every point's
-      // simulator. Results are bit-identical across backends (the (time,
-      // seq) contract); the flag exists for cross-checking exactly that and
-      // for timing comparisons.
-      if (sim_queue_ != default_sim_queue) {
-        sim::QueueBackend backend = sim::kDefaultQueueBackend;
-        sim::QueueBackendFromName(sim_queue_, &backend);  // choices pre-validated
-        for (sweep::SweepPoint& point : modified.points) {
-          point.config.sim_queue = backend;
-          const std::string invalid = point.config.Validate();
-          if (!invalid.empty()) {
-            std::fprintf(stderr, "--sim-queue: point %s: %s\n", point.label.c_str(),
-                         invalid.c_str());
-            std::exit(2);
-          }
-        }
-      }
-      // --switch-policy: the same switch queueing discipline on every point.
-      // Points whose scheduler kind cannot host a PIFO fail validation, so a
-      // mixed-kind sweep needs a --scheduler filter first.
-      if (switch_policy_ != "fifo") {
-        core::SwitchPolicy sp = core::SwitchPolicy::kFifo;
-        core::SwitchPolicyFromName(switch_policy_, &sp);  // choices pre-validated
-        for (sweep::SweepPoint& point : modified.points) {
-          point.config.switch_policy = sp;
-          const std::string invalid = point.config.Validate();
-          if (!invalid.empty()) {
-            std::fprintf(stderr, "--switch-policy: point %s: %s\n", point.label.c_str(),
-                         invalid.c_str());
-            std::exit(2);
-          }
-        }
-      }
-      if (trace_) {
-        for (sweep::SweepPoint& point : modified.points) {
-          point.config.trace.enabled = true;
-          point.config.trace.sample_period =
-              trace_sample_ <= 0 ? 1 : static_cast<uint64_t>(trace_sample_);
-        }
-      }
-      // --fault-plan: the same deterministic fault timeline on every point.
-      if (!fault_plan_path_.empty()) {
-        fault::FaultPlan plan;
-        std::string error;
-        if (!fault::FaultPlan::FromJsonFile(fault_plan_path_, &plan, &error)) {
-          std::fprintf(stderr, "--fault-plan: %s\n", error.c_str());
-          std::exit(2);
-        }
-        for (sweep::SweepPoint& point : modified.points) {
-          point.config.fault_plan = plan;
-          const std::string invalid = point.config.Validate();
-          if (!invalid.empty()) {
-            std::fprintf(stderr, "--fault-plan: point %s: %s\n", point.label.c_str(),
-                         invalid.c_str());
-            std::exit(2);
-          }
-        }
-      }
+      ApplySweepFlags(&modified);
       active = &modified;
     }
     sweep::SweepOptions options;
@@ -426,6 +311,119 @@ class SweepRunner {
   }
 
  private:
+  // Loads the --fault-plan file; a plan that fails to parse exits 2.
+  void LoadFaultPlan(fault::FaultPlan* out) const {
+    std::string error;
+    if (!fault::FaultPlan::FromJsonFile(fault_plan_path_, out, &error)) {
+      std::fprintf(stderr, "--fault-plan: %s\n", error.c_str());
+      std::exit(2);
+    }
+  }
+
+  // Applies every sweep-wide flag that was passed to each point of `spec`,
+  // then validates each point once; a bad flag value or a point the flags
+  // make invalid exits 2, naming the flags.
+  void ApplySweepFlags(sweep::SweepSpec* spec) const {
+    std::string applied;  // the flags that change points, for error messages
+    auto note = [&applied](const char* flag) {
+      applied += (applied.empty() ? "" : ", ") + std::string(flag);
+    };
+    // --workload / --service-time / --heavy-tail-*: reshape every point that
+    // runs on a declarative WorkloadSpec (docs/workloads.md); points with
+    // hand-crafted streams are left alone.
+    workload::ArrivalKind arrival = workload::ArrivalKind::kNone;
+    if (!workload_override_.empty()) {
+      if (!workload::ArrivalKindFromName(workload_override_, &arrival)) {
+        std::fprintf(stderr, "--workload: unknown arrival process '%s'\n",
+                     workload_override_.c_str());
+        std::exit(2);
+      }
+      note("--workload");
+    }
+    workload::ServiceTime service = workload::ServiceTime::Fixed(FromMicros(500));
+    if (!service_time_override_.empty()) {
+      std::string error;
+      if (!workload::ServiceTime::FromName(service_time_override_, &service, &error)) {
+        std::fprintf(stderr, "--service-time: %s\n", error.c_str());
+        std::exit(2);
+      }
+      note("--service-time");
+    }
+    if (heavy_tail_prob_ > 0.0) {
+      note("--heavy-tail-prob");
+    }
+    const bool workload_overrides = !applied.empty();
+    if (workload_overrides &&
+        (heavy_tail_prob_ < 0.0 || heavy_tail_prob_ > 1.0 || heavy_tail_mult_ <= 0.0)) {
+      std::fprintf(stderr, "--heavy-tail-prob must be in [0, 1] and --heavy-tail-mult > 0\n");
+      std::exit(2);
+    }
+    // --sim-queue: the same event-queue backend in every point's simulator.
+    // Results are bit-identical across backends (the (time, seq) contract);
+    // the flag exists for cross-checking exactly that and for timing
+    // comparisons.
+    sim::QueueBackend backend = sim::kDefaultQueueBackend;
+    const bool set_backend = sim_queue_ != sim::QueueBackendName(backend);
+    if (set_backend) {
+      sim::QueueBackendFromName(sim_queue_, &backend);  // choices pre-validated
+      note("--sim-queue");
+    }
+    // --switch-policy: the same switch queueing discipline on every point.
+    // Points whose scheduler kind cannot host a PIFO fail validation, so a
+    // mixed-kind sweep needs a --scheduler filter first.
+    core::SwitchPolicy switch_policy = core::SwitchPolicy::kFifo;
+    if (switch_policy_ != "fifo") {
+      core::SwitchPolicyFromName(switch_policy_, &switch_policy);  // choices pre-validated
+      note("--switch-policy");
+    }
+    // --fault-plan: the same deterministic fault timeline on every point.
+    fault::FaultPlan plan;
+    if (!fault_plan_path_.empty()) {
+      LoadFaultPlan(&plan);
+      note("--fault-plan");
+    }
+    // --trace: run the same points with the recorder enabled. Sampling is a
+    // pure hash of each task id, so traced results are bit-identical to
+    // untraced ones (tests/determinism_test.cc).
+    if (trace_) {
+      note("--trace");
+    }
+    for (sweep::SweepPoint& point : spec->points) {
+      cluster::ExperimentConfig& config = point.config;
+      if (workload_overrides && config.workload.enabled()) {
+        if (arrival != workload::ArrivalKind::kNone) {
+          config.workload.arrival = arrival;
+        }
+        if (!service_time_override_.empty()) {
+          config.workload.service = service;
+        }
+        if (heavy_tail_prob_ > 0.0) {
+          config.workload.service = workload::ServiceTime::HeavyTail(
+              config.workload.service, heavy_tail_prob_, heavy_tail_mult_);
+        }
+      }
+      if (set_backend) {
+        config.sim_queue = backend;
+      }
+      if (switch_policy != core::SwitchPolicy::kFifo) {
+        config.switch_policy = switch_policy;
+      }
+      if (trace_) {
+        config.trace.enabled = true;
+        config.trace.sample_period = trace_sample_ <= 0 ? 1 : static_cast<uint64_t>(trace_sample_);
+      }
+      if (!fault_plan_path_.empty()) {
+        config.fault_plan = plan;
+      }
+      const std::string invalid = config.Validate();
+      if (!invalid.empty()) {
+        std::fprintf(stderr, "%s: point %s: %s\n", applied.c_str(), point.label.c_str(),
+                     invalid.c_str());
+        std::exit(2);
+      }
+    }
+  }
+
   std::string figure_;
   std::string description_;
   flags::Parser parser_;
