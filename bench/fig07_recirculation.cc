@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
     for (double util : utils) {
       const ExperimentResult& result = results[i++].result;
       std::printf("%-12s %5.0f%% %17.3f%% %13.3f%% %16s\n", system.name, util * 100,
-                  result.recirculation_share * 100, result.drop_fraction * 100,
+                  result.switch_counters.RecirculationShare() * 100, result.drop_fraction * 100,
                   FormatDuration(result.metrics->sched_delay().Percentile(0.99)).c_str());
     }
   }

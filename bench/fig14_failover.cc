@@ -85,11 +85,11 @@ int main(int argc, char** argv) {
     char load[24];
     std::snprintf(load, sizeof(load), "%.0fk", loads_ktps[col]);
     std::printf("%-12s %12s %12s %12llu %10llu %10llu %8s %8s %8s\n", load,
-                DurationOrNone(rec.time_to_recover).c_str(),
-                DurationOrNone(rec.unavailability).c_str(),
-                static_cast<unsigned long long>(rec.tasks_resubmitted),
+                DurationOrNone(m.TimeToRecover()).c_str(),
+                DurationOrNone(m.UnavailabilityGap()).c_str(),
+                static_cast<unsigned long long>(m.timeout_resubmissions()),
                 static_cast<unsigned long long>(rec.tasks_lost),
-                static_cast<unsigned long long>(rec.client_rehomes + rec.executor_rehomes),
+                static_cast<unsigned long long>(m.client_rehomes() + m.executor_rehomes()),
                 P99OrNone(m.e2e_pre_fault()).c_str(), P99OrNone(m.e2e_during_fault()).c_str(),
                 P99OrNone(m.e2e_post_fault()).c_str());
     std::printf("%-12s %12s %12s %12llu %10s %10s %8s %8s %8s   (no-fault baseline)\n", "",

@@ -88,7 +88,7 @@ int main(int argc, char** argv) {
     const double seconds = ToSeconds(spec.points[i].config.horizon);
     std::printf("%-28s %13.3f%% %14.0f %12s %14llu\n",
                 i == 0 ? "shadow-copy (production)" : "overrun+repair (paper §4.5)",
-                result.recirculation_share * 100,
+                result.switch_counters.RecirculationShare() * 100,
                 static_cast<double>(result.counters.retrieve_repairs) / seconds,
                 FormatDuration(result.metrics->sched_delay().Percentile(0.99)).c_str(),
                 static_cast<unsigned long long>(result.recirc_drops));
@@ -102,7 +102,7 @@ int main(int argc, char** argv) {
     const double seconds = ToSeconds(spec.points[i].config.horizon);
     std::printf("%-28s %13.3f%% %14.0f %12s\n",
                 i == 2 ? "single-task packets" : "one 30-task packet per job",
-                result.recirculation_share * 100,
+                result.switch_counters.RecirculationShare() * 100,
                 static_cast<double>(result.counters.acks_sent) / seconds,
                 FormatDuration(result.metrics->sched_delay().Percentile(0.99)).c_str());
   }

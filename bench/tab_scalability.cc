@@ -119,7 +119,7 @@ int main(int argc, char** argv) {
     for (sweep::SweepPointResult& r : rs) {
       // Recorded for every point (0 racks = the legacy single switch) so the
       // JSON keeps the two measured series distinguishable.
-      r.scalars["num_racks"] = static_cast<double>(r.result.num_racks);
+      r.scalars["num_racks"] = static_cast<double>(r.result.rack_decisions.size());
       r.scalars["cross_rack_fraction"] = r.result.cross_rack_fraction;
     }
   });

@@ -175,7 +175,7 @@ int main(int argc, char** argv) {
               FormatDuration(result.metrics->e2e_delay().Percentile(0.99)).c_str());
   std::printf("executor busy      %5.1f%%\n", result.executor_busy_fraction * 100);
   std::printf("recirculation      %5.2f%% of switch passes; %llu packets dropped\n",
-              result.recirculation_share * 100,
+              result.switch_counters.RecirculationShare() * 100,
               static_cast<unsigned long long>(result.recirc_drops));
   std::printf("client recoveries  %llu timeouts, %llu queue-full retries\n",
               static_cast<unsigned long long>(result.metrics->timeout_resubmissions()),

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <deque>
 
+#include "cluster/scheduler_counters.h"
 #include "cluster/testbed.h"
 #include "common/time.h"
 #include "net/network.h"
@@ -45,13 +46,6 @@ struct CentralServerConfig {
   }
 };
 
-struct CentralServerCounters {
-  uint64_t tasks_enqueued = 0;
-  uint64_t tasks_assigned = 0;
-  uint64_t parked_requests = 0;  // pulls that waited for a task
-  uint64_t queue_full_errors = 0;
-};
-
 class CentralServerScheduler : public net::Endpoint {
  public:
   // Registers itself on the testbed's fabric and picks up its recorder. The
@@ -59,7 +53,7 @@ class CentralServerScheduler : public net::Endpoint {
   CentralServerScheduler(cluster::Testbed* testbed, const CentralServerConfig& config);
 
   net::NodeId node_id() const { return node_id_; }
-  const CentralServerCounters& counters() const { return counters_; }
+  const cluster::SchedulerCounters& counters() const { return counters_; }
 
   // net::Endpoint:
   void HandlePacket(net::Packet pkt) override;
@@ -82,7 +76,7 @@ class CentralServerScheduler : public net::Endpoint {
   net::NodeId node_id_;
   std::deque<QueuedTask> queue_;
   std::deque<net::NodeId> waiting_executors_;
-  CentralServerCounters counters_;
+  cluster::SchedulerCounters counters_;
 };
 
 }  // namespace draconis::baselines

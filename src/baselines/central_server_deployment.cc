@@ -16,11 +16,7 @@ void CentralServerDeployment::Build(cluster::Testbed& testbed) {
 }
 
 void CentralServerDeployment::Harvest(cluster::ExperimentResult& result) {
-  const CentralServerCounters& c = server_->counters();
-  result.counters.tasks_enqueued = c.tasks_enqueued;
-  result.counters.tasks_assigned = c.tasks_assigned;
-  result.counters.parked_requests = c.parked_requests;
-  result.counters.queue_full_errors = c.queue_full_errors;
+  result.counters += server_->counters();
 }
 
 cluster::DeploymentInfo DpdkServerDeploymentInfo() {

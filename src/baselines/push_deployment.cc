@@ -67,14 +67,9 @@ void PushDeployment::ConfigureClient(cluster::ClientConfig& client) {
 void PushDeployment::Harvest(cluster::ExperimentResult& result) {
   pipeline_->CheckConservation();
   program_->CheckConservation();
-  result.switch_counters = pipeline_->counters();
-  result.recirculation_share = result.switch_counters.RecirculationShare();
+  result.switch_counters += pipeline_->counters();
   result.recirc_drops = result.switch_counters.recirc_drops;
-
-  const PushCounters& c = program_->counters();
-  result.counters.tasks_pushed = c.tasks_pushed;
-  result.counters.credits = c.credits;
-  result.counters.credit_wait_recirculations = c.credit_wait_recirculations;
+  result.counters += program_->counters();
 }
 
 cluster::DeploymentInfo PushDeploymentInfo(cluster::SchedulerKind kind, const char* canonical_name,

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "cluster/scheduler_counters.h"
 #include "common/time.h"
 #include "net/network.h"
 #include "net/packet.h"
@@ -27,14 +28,6 @@
 #include "trace/recorder.h"
 
 namespace draconis::baselines {
-
-struct PushCounters {
-  uint64_t tasks_pushed = 0;
-  uint64_t credits = 0;
-  // Submission passes that found no target and recirculated (R2P2's
-  // recirculate-when-full).
-  uint64_t credit_wait_recirculations = 0;
-};
 
 class PushProgram : public p4::SwitchProgram {
  public:
@@ -48,7 +41,7 @@ class PushProgram : public p4::SwitchProgram {
   void OnPass(p4::PassContext& ctx, net::Packet pkt) override;
 
   size_t num_targets() const { return outstanding_.size(); }
-  const PushCounters& counters() const { return counters_; }
+  const cluster::SchedulerCounters& counters() const { return counters_; }
   uint32_t cp_outstanding(size_t target) const { return outstanding_[target]; }
 
   // Credit conservation: every push is outstanding until its credit returns,
@@ -70,7 +63,7 @@ class PushProgram : public p4::SwitchProgram {
  private:
   std::vector<uint32_t> outstanding_;  // tasks pushed minus credits, per target
   std::vector<net::NodeId> worker_of_target_;
-  PushCounters counters_;
+  cluster::SchedulerCounters counters_;
   trace::Recorder* recorder_ = nullptr;
 };
 

@@ -22,6 +22,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "cluster/scheduler_counters.h"
 #include "cluster/task_runner.h"
 #include "cluster/testbed.h"
 #include "common/rng.h"
@@ -47,12 +48,6 @@ struct SparrowConfig {
   }
 };
 
-struct SparrowCounters {
-  uint64_t probes_sent = 0;
-  uint64_t tasks_launched = 0;
-  uint64_t empty_get_tasks = 0;  // reservations cancelled by late binding
-};
-
 class SparrowScheduler : public net::Endpoint {
  public:
   // Registers itself on the testbed's fabric; the testbed must outlive it.
@@ -66,7 +61,7 @@ class SparrowScheduler : public net::Endpoint {
   // net::Endpoint:
   void HandlePacket(net::Packet pkt) override;
 
-  const SparrowCounters& counters() const { return counters_; }
+  const cluster::SchedulerCounters& counters() const { return counters_; }
 
  private:
   struct JobState {
@@ -89,7 +84,7 @@ class SparrowScheduler : public net::Endpoint {
   net::NodeId node_id_;
   std::vector<net::NodeId> workers_;
   std::unordered_map<uint64_t, JobState> jobs_;
-  SparrowCounters counters_;
+  cluster::SchedulerCounters counters_;
 };
 
 // Worker node: a FIFO of reservations feeding `num_executors` cores; each

@@ -38,9 +38,7 @@ void SparrowDeployment::ConfigureClient(cluster::ClientConfig& client) {
 
 void SparrowDeployment::Harvest(cluster::ExperimentResult& result) {
   for (const auto& s : schedulers_) {
-    result.counters.probes_sent += s->counters().probes_sent;
-    result.counters.tasks_launched += s->counters().tasks_launched;
-    result.counters.empty_get_tasks += s->counters().empty_get_tasks;
+    result.counters += s->counters();
   }
 }
 

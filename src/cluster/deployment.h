@@ -48,8 +48,9 @@ class SchedulerDeployment {
   // `client` arrives pre-filled with the kind-agnostic settings.
   virtual void ConfigureClient(ClientConfig& client) { (void)client; }
 
-  // Copies the scheduler's counters into the flat result aggregate (and, for
-  // switch-hosted kinds, the pipeline counters).
+  // Adds each scheduler instance's counters into the flat result aggregate
+  // (and, for switch-hosted kinds, its pipeline counters). `result` starts
+  // zeroed; RunExperiment calls this once.
   virtual void Harvest(ExperimentResult& result) { (void)result; }
 
   // Scheduling decisions made so far — the quantity the no-op throughput

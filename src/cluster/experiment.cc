@@ -1,6 +1,5 @@
 #include "cluster/experiment.h"
 
-#include <algorithm>
 #include <cmath>
 #include <optional>
 #include <string>
@@ -368,14 +367,8 @@ ExperimentResult RunExperiment(const ExperimentConfig& config, JobSource& source
           [&] { deployment->WakeIdlePollers(); }});
   injector.Arm();
   if (!config.fault_plan.empty()) {
-    // During->post boundary: an event that never clears (a failover) counts
-    // as cleared `fault_settle` after its onset for the phase histograms.
-    TimeNs fault_clear = 0;
-    for (const fault::FaultEvent& e : config.fault_plan.events()) {
-      fault_clear = std::max(
-          fault_clear, e.end != fault::FaultEvent::kNever ? e.end : e.start + config.fault_settle);
-    }
-    testbed.metrics()->ConfigureFaultWindow(config.fault_plan.first_onset(), fault_clear);
+    testbed.metrics()->ConfigureFaultWindow(config.fault_plan.first_onset(),
+                                            config.fault_plan.last_clearance(config.fault_settle));
   }
 
   source.Start(&testbed, client_ptrs);
@@ -456,16 +449,9 @@ ExperimentResult RunExperiment(const ExperimentConfig& config, JobSource& source
   if (!config.fault_plan.empty()) {
     RecoveryStats& rec = result.recovery;
     rec.fault_plan_active = true;
-    rec.fault_start = metrics->fault_start();
-    rec.fault_clear = metrics->fault_clear();
-    rec.time_to_recover = metrics->TimeToRecover();
-    rec.unavailability = metrics->UnavailabilityGap();
-    rec.tasks_resubmitted = metrics->timeout_resubmissions();
     for (const auto& client : clients) {
       rec.tasks_lost += client->outstanding();
     }
-    rec.client_rehomes = metrics->client_rehomes();
-    rec.executor_rehomes = metrics->executor_rehomes();
     rec.packets_dropped = testbed.network().packets_dropped();
     rec.fault_events_started = injector.events_started();
     rec.fault_events_cleared = injector.events_cleared();

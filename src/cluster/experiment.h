@@ -160,19 +160,14 @@ struct ExperimentConfig {
   std::string Validate(std::optional<TimeNs> last_arrival = std::nullopt) const;
 };
 
-// §3.3 recovery metrics, filled only when the config carried a fault plan.
-// Times are -1 when the underlying event never happened (nothing completed
-// after the onset, ...). See docs/fault_injection.md for definitions.
+// §3.3 recovery results that MetricsHub does not hold, filled only when the
+// config carried a fault plan. The fault window, the recovery times,
+// resubmissions and rehomes are read from MetricsHub (fault_start,
+// fault_clear, TimeToRecover, UnavailabilityGap, timeout_resubmissions,
+// client_rehomes, executor_rehomes). See docs/fault_injection.md.
 struct RecoveryStats {
   bool fault_plan_active = false;
-  TimeNs fault_start = -1;          // earliest event onset
-  TimeNs fault_clear = -1;          // during->post boundary used for phases
-  TimeNs time_to_recover = -1;      // onset -> first completion after it
-  TimeNs unavailability = -1;       // completion gap spanning the onset
-  uint64_t tasks_resubmitted = 0;   // timeout resubmissions over the run
   uint64_t tasks_lost = 0;          // submitted tasks never completed
-  uint64_t client_rehomes = 0;      // clients that fell back to the standby
-  uint64_t executor_rehomes = 0;    // executors re-pointed at the standby
   uint64_t packets_dropped = 0;     // fabric drops (faults + disconnects)
   uint64_t fault_events_started = 0;
   uint64_t fault_events_cleared = 0;
@@ -207,14 +202,14 @@ struct ExperimentResult {
   // Populated (and finalized) when config.trace.enabled; null otherwise.
   std::unique_ptr<trace::Recorder> trace;
 
-  // Switch-side observability (zeroed for pure server schedulers).
+  // Switch-side observability (zeroed for pure server schedulers); its
+  // RecirculationShare() is Fig. 7's recirculated / processed passes.
   p4::PipelineCounters switch_counters{};
 
   // Whichever scheduler ran reports into this flat aggregate; fields the
   // scheduler does not produce stay zero.
   SchedulerCounters counters{};
 
-  double recirculation_share = 0.0;  // recirculated / processed passes
   uint64_t recirc_drops = 0;
   double drop_fraction = 0.0;  // tasks dropped at the switch / tasks offered
 
@@ -228,9 +223,9 @@ struct ExperimentResult {
   uint64_t events_executed = 0;
   uint64_t packets_delivered = 0;
 
-  // Multi-rack topology results; num_racks stays 0 for legacy single-switch
-  // runs (the sweep JSON emits the block only when it is set).
-  size_t num_racks = 0;
+  // Multi-rack topology results; rack_decisions stays empty for legacy
+  // single-switch runs (the sweep JSON emits the block only when it is set),
+  // so its size is the number of racks.
   std::vector<uint64_t> rack_decisions;  // per-rack tasks_assigned
   uint64_t home_submissions = 0;         // routed to the client's home ToR
   uint64_t cross_rack_submissions = 0;   // forwarded to a sibling rack

@@ -125,10 +125,6 @@ class MetricsHub {
   const stats::Histogram& e2e_during_fault() const { return e2e_during_fault_; }
   const stats::Histogram& e2e_post_fault() const { return e2e_post_fault_; }
 
-  // -1 while no in-window completion landed on that side of the fault onset.
-  TimeNs last_completion_before_fault() const { return last_completion_before_fault_; }
-  TimeNs first_completion_after_fault() const { return first_completion_after_fault_; }
-
   // Time from the fault onset to the first completion at/after it; -1 when
   // nothing completed after the onset (the cluster never recovered).
   TimeNs TimeToRecover() const;

@@ -165,39 +165,15 @@ void DraconisDeployment::WakeIdlePollers() {
 }
 
 void DraconisDeployment::Harvest(cluster::ExperimentResult& result) {
-  result.switch_counters = p4::PipelineCounters{};
-  result.counters = cluster::SchedulerCounters{};
   for (const Instance* inst : AllInstances()) {
     inst->pipeline->CheckConservation();
-    const p4::PipelineCounters& s = inst->pipeline->counters();
-    result.switch_counters.packets_in += s.packets_in;
-    result.switch_counters.passes += s.passes;
-    result.switch_counters.recirculations += s.recirculations;
-    result.switch_counters.recirc_drops += s.recirc_drops;
-    result.switch_counters.emitted += s.emitted;
-    for (const auto& [reason, count] : s.program_drops) {
-      result.switch_counters.program_drops[reason] += count;
-    }
-    const DraconisCounters& c = inst->program->counters();
-    result.counters.tasks_enqueued += c.tasks_enqueued;
-    result.counters.tasks_assigned += c.tasks_assigned;
-    result.counters.noops_sent += c.noops_sent;
-    result.counters.queue_full_errors += c.queue_full_errors;
-    result.counters.acks_sent += c.acks_sent;
-    result.counters.add_repairs += c.add_repairs;
-    result.counters.retrieve_repairs += c.retrieve_repairs;
-    result.counters.swap_walks_started += c.swap_walks_started;
-    result.counters.swap_exchanges += c.swap_exchanges;
-    result.counters.swap_requeues += c.swap_requeues;
-    result.counters.priority_probes += c.priority_probes;
+    result.switch_counters += inst->pipeline->counters();
+    result.counters += inst->program->counters();
   }
-  result.recirculation_share = result.switch_counters.RecirculationShare();
   result.recirc_drops = result.switch_counters.recirc_drops;
-  result.counters.failovers = failovers_;
+  result.counters.failovers += failovers_;
 
   if (config().cluster.enabled()) {
-    result.num_racks = racks_.size();
-    result.rack_decisions.clear();
     for (size_t r = 0; r < racks_.size(); ++r) {
       uint64_t assigned = racks_[r].program->counters().tasks_assigned;
       if (r == 0 && standby_.program != nullptr) {

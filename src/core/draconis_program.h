@@ -20,6 +20,7 @@
 #include <memory>
 #include <vector>
 
+#include "cluster/scheduler_counters.h"
 #include "core/policy.h"
 #include "core/queue_entry.h"
 #include "core/rank_function.h"
@@ -50,20 +51,6 @@ struct DraconisConfig {
 // per-level probe). Swap and repair packets cannot occur and are dropped
 // defensively.
 
-struct DraconisCounters {
-  uint64_t tasks_enqueued = 0;
-  uint64_t tasks_assigned = 0;
-  uint64_t noops_sent = 0;
-  uint64_t queue_full_errors = 0;
-  uint64_t acks_sent = 0;
-  uint64_t add_repairs = 0;
-  uint64_t retrieve_repairs = 0;
-  uint64_t swap_walks_started = 0;
-  uint64_t swap_exchanges = 0;
-  uint64_t swap_requeues = 0;  // walks that ended by re-enqueueing the task
-  uint64_t priority_probes = 0;  // task_request recirculations across levels
-};
-
 class DraconisProgram : public p4::SwitchProgram {
  public:
   // `policy` must outlive the program. `ledger` (optional) accounts register
@@ -75,7 +62,7 @@ class DraconisProgram : public p4::SwitchProgram {
 
   void OnPass(p4::PassContext& ctx, net::Packet pkt) override;
 
-  const DraconisCounters& counters() const { return counters_; }
+  const cluster::SchedulerCounters& counters() const { return counters_; }
   const SwitchQueue& queue(size_t i) const { return *queues_[i]; }
   size_t num_queues() const { return queues_.size(); }
 
@@ -132,7 +119,7 @@ class DraconisProgram : public p4::SwitchProgram {
   std::vector<std::unique_ptr<SwitchQueue>> queues_;
   RankFunction* rank_function_ = nullptr;
   std::unique_ptr<p4::Pifo<QueueEntry>> pifo_;  // non-null only in PIFO mode
-  DraconisCounters counters_;
+  cluster::SchedulerCounters counters_;
 };
 
 }  // namespace draconis::core

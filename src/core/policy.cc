@@ -25,8 +25,8 @@ bool ResourcePolicy::ShouldAssign(QueueEntry& entry, uint32_t exec_props) {
   return satisfied;
 }
 
-LocalityPolicy::LocalityPolicy(const Topology* topology, Limits limits, uint32_t max_swaps)
-    : topology_(topology), limits_(limits), max_swaps_(max_swaps) {
+LocalityPolicy::LocalityPolicy(const Topology* topology, Limits limits)
+    : topology_(topology), limits_(limits) {
   DRACONIS_CHECK(topology != nullptr);
   DRACONIS_CHECK_MSG(limits.rack_start_limit <= limits.global_start_limit,
                      "rack_start_limit must not exceed global_start_limit");

@@ -51,6 +51,9 @@ class SchedulingPolicy {
   virtual uint32_t max_swaps() const { return 0; }
 };
 
+// The swap-walk bound of the policies that swap (resource, locality).
+inline constexpr uint32_t kMaxSwaps = 16;
+
 // §4.8 — centralized first-come-first-served. Every task is assignable to
 // every executor.
 class FcfsPolicy : public SchedulingPolicy {
@@ -78,14 +81,9 @@ class PriorityPolicy : public SchedulingPolicy {
 // is assignable iff the executor offers every resource the task demands.
 class ResourcePolicy : public SchedulingPolicy {
  public:
-  explicit ResourcePolicy(uint32_t max_swaps = 16) : max_swaps_(max_swaps) {}
-
   const char* name() const override { return "resource"; }
   bool ShouldAssign(QueueEntry& entry, uint32_t exec_props) override;
-  uint32_t max_swaps() const override { return max_swaps_; }
-
- private:
-  uint32_t max_swaps_;
+  uint32_t max_swaps() const override { return kMaxSwaps; }
 };
 
 // §5.3 — data-locality preference with escalation. TPROPS is the data-local
@@ -100,18 +98,17 @@ class LocalityPolicy : public SchedulingPolicy {
   };
 
   // `topology` must outlive the policy.
-  LocalityPolicy(const Topology* topology, Limits limits, uint32_t max_swaps = 16);
+  LocalityPolicy(const Topology* topology, Limits limits);
 
   const char* name() const override { return "locality"; }
   bool ShouldAssign(QueueEntry& entry, uint32_t exec_props) override;
-  uint32_t max_swaps() const override { return max_swaps_; }
+  uint32_t max_swaps() const override { return kMaxSwaps; }
 
   const Limits& limits() const { return limits_; }
 
  private:
   const Topology* topology_;
   Limits limits_;
-  uint32_t max_swaps_;
 };
 
 // Computes the placement tag of an assignment: where the executor's node sits

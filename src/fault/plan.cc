@@ -1,5 +1,6 @@
 #include "fault/plan.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <optional>
 #include <utility>
@@ -201,13 +202,10 @@ TimeNs FaultPlan::first_onset() const {
   return first;
 }
 
-TimeNs FaultPlan::last_clearance(TimeNs never_fallback) const {
+TimeNs FaultPlan::last_clearance(TimeNs settle) const {
   TimeNs last = FaultEvent::kNever;
   for (const FaultEvent& e : events_) {
-    const TimeNs clears = e.end != FaultEvent::kNever ? e.end : never_fallback;
-    if (clears > last) {
-      last = clears;
-    }
+    last = std::max(last, e.end != FaultEvent::kNever ? e.end : e.start + settle);
   }
   return last;
 }

@@ -90,9 +90,11 @@ class FaultPlan {
 
   // Earliest fault onset across all events; kNever for an empty plan.
   TimeNs first_onset() const;
-  // Latest fault clearance; events that never clear (end == kNever,
-  // including failovers with no settle) report `never_fallback` instead.
-  TimeNs last_clearance(TimeNs never_fallback) const;
+  // Latest fault clearance: the during->post boundary of the recovery
+  // phases. An event that never clears (end == kNever, including a failover
+  // with no settle) counts as cleared `settle` after its onset. kNever for
+  // an empty plan.
+  TimeNs last_clearance(TimeNs settle) const;
 
   // Schema-level validation (ranges, orderings, role/kind combinations).
   // Returns "" when valid, a descriptive error otherwise.

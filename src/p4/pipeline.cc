@@ -8,6 +8,23 @@
 
 namespace draconis::p4 {
 
+// A new field fails this until it is summed below.
+static_assert(sizeof(PipelineCounters) ==
+                  5 * sizeof(uint64_t) + sizeof(std::map<std::string, uint64_t>),
+              "add the new PipelineCounters field to operator+=");
+
+PipelineCounters& PipelineCounters::operator+=(const PipelineCounters& o) {
+  packets_in += o.packets_in;
+  passes += o.passes;
+  recirculations += o.recirculations;
+  recirc_drops += o.recirc_drops;
+  emitted += o.emitted;
+  for (const auto& [reason, count] : o.program_drops) {
+    program_drops[reason] += count;
+  }
+  return *this;
+}
+
 TimeNs PassContext::Now() const { return pipeline_->simulator_->Now(); }
 
 net::NodeId PassContext::SwitchNode() const { return pipeline_->node_id_; }

@@ -150,6 +150,9 @@ struct PipelineCounters {
   double RecirculationShare() const {
     return passes == 0 ? 0.0 : static_cast<double>(recirculations) / static_cast<double>(passes);
   }
+
+  // Field-wise sum; program_drops merges by reason.
+  PipelineCounters& operator+=(const PipelineCounters& o);
 };
 
 class SwitchPipeline : public net::Endpoint {

@@ -49,7 +49,7 @@ void WriteResultBody(json::Writer& w, const cluster::ExperimentResult& result) {
   w.Key("offered_utilization").Double(result.offered_utilization);
   w.Key("throughput_tps").Double(result.throughput_tps);
   w.Key("executor_busy_fraction").Double(result.executor_busy_fraction);
-  w.Key("recirculation_share").Double(result.recirculation_share);
+  w.Key("recirculation_share").Double(result.switch_counters.RecirculationShare());
   w.Key("drop_fraction").Double(result.drop_fraction);
   w.Key("recirc_drops").UInt(result.recirc_drops);
   w.Key("drain_time_ns").Int(result.drain_time);
@@ -83,10 +83,10 @@ void WriteResultBody(json::Writer& w, const cluster::ExperimentResult& result) {
   }
   w.Key("counters");
   WriteCounters(w, result.counters);
-  // Emitted only for multi-rack topology runs (num_racks stays 0 otherwise),
-  // so legacy sweep output keeps its byte-identical golden.
-  if (result.num_racks > 0) {
-    w.Key("num_racks").UInt(result.num_racks);
+  // Emitted only for multi-rack topology runs (rack_decisions stays empty
+  // otherwise), so legacy sweep output keeps its byte-identical golden.
+  if (!result.rack_decisions.empty()) {
+    w.Key("num_racks").UInt(result.rack_decisions.size());
     w.Key("cross_rack_fraction").Double(result.cross_rack_fraction);
     w.Key("home_submissions").UInt(result.home_submissions);
     w.Key("cross_rack_submissions").UInt(result.cross_rack_submissions);
@@ -123,30 +123,28 @@ void WriteResultBody(json::Writer& w, const cluster::ExperimentResult& result) {
   }
   // Emitted only for fault-plan runs, so fault-free sweep output (and its
   // golden in tests/sweep_test.cc) is byte-identical to before.
-  if (result.recovery.fault_plan_active) {
+  if (result.recovery.fault_plan_active && result.metrics != nullptr) {
     const cluster::RecoveryStats& rec = result.recovery;
+    const cluster::MetricsHub& m = *result.metrics;
     w.Key("recovery").BeginObject();
-    w.Key("fault_start_ns").Int(rec.fault_start);
-    w.Key("fault_clear_ns").Int(rec.fault_clear);
-    w.Key("time_to_recover_ns").Int(rec.time_to_recover);
-    w.Key("unavailability_ns").Int(rec.unavailability);
-    w.Key("tasks_resubmitted").UInt(rec.tasks_resubmitted);
+    w.Key("fault_start_ns").Int(m.fault_start());
+    w.Key("fault_clear_ns").Int(m.fault_clear());
+    w.Key("time_to_recover_ns").Int(m.TimeToRecover());
+    w.Key("unavailability_ns").Int(m.UnavailabilityGap());
+    w.Key("tasks_resubmitted").UInt(m.timeout_resubmissions());
     w.Key("tasks_lost").UInt(rec.tasks_lost);
-    w.Key("client_rehomes").UInt(rec.client_rehomes);
-    w.Key("executor_rehomes").UInt(rec.executor_rehomes);
+    w.Key("client_rehomes").UInt(m.client_rehomes());
+    w.Key("executor_rehomes").UInt(m.executor_rehomes());
     w.Key("failovers").UInt(result.counters.failovers);
     w.Key("packets_dropped").UInt(rec.packets_dropped);
     w.Key("fault_events_started").UInt(rec.fault_events_started);
     w.Key("fault_events_cleared").UInt(rec.fault_events_cleared);
-    if (result.metrics != nullptr) {
-      const cluster::MetricsHub& m = *result.metrics;
-      w.Key("e2e_pre_fault");
-      m.e2e_pre_fault().WriteJson(w);
-      w.Key("e2e_during_fault");
-      m.e2e_during_fault().WriteJson(w);
-      w.Key("e2e_post_fault");
-      m.e2e_post_fault().WriteJson(w);
-    }
+    w.Key("e2e_pre_fault");
+    m.e2e_pre_fault().WriteJson(w);
+    w.Key("e2e_during_fault");
+    m.e2e_during_fault().WriteJson(w);
+    w.Key("e2e_post_fault");
+    m.e2e_post_fault().WriteJson(w);
     w.EndObject();
   }
 }

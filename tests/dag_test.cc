@@ -304,7 +304,7 @@ TEST(DagExperimentTest, FailoverCompletesEveryJobAndReplays) {
   EXPECT_TRUE(a.recovery.fault_plan_active);
   EXPECT_EQ(a.recovery.fault_events_started, 1u);
   EXPECT_GT(a.counters.failovers, 0u);
-  EXPECT_GT(a.recovery.executor_rehomes, 0u);
+  EXPECT_GT(a.metrics->executor_rehomes(), 0u);
   EXPECT_EQ(a.recovery.tasks_lost, 0u);
   const std::string json = sweep::ToJson(a);
   EXPECT_NE(json.find("\"recovery\""), std::string::npos);
@@ -326,7 +326,6 @@ TEST(DagExperimentTest, TwoRackTopologyCompletesEveryJobAndReplays) {
   EXPECT_GT(a.drain_time, 0);
   EXPECT_GT(a.dag.jobs_submitted, 0u);
   EXPECT_EQ(a.dag.jobs_completed, a.dag.jobs_submitted);
-  EXPECT_EQ(a.num_racks, 2u);
   ASSERT_EQ(a.rack_decisions.size(), 2u);
   EXPECT_GT(a.rack_decisions[0], 0u);
   EXPECT_GT(a.rack_decisions[1], 0u);

@@ -458,7 +458,7 @@ TEST(DeterminismTest, FailoverRunIsBitIdentical) {
   cluster::ExperimentResult b = RunExperiment(make());
 
   EXPECT_GT(a.counters.failovers, 0u);
-  EXPECT_GT(a.recovery.executor_rehomes, 0u);
+  EXPECT_GT(a.metrics->executor_rehomes(), 0u);
   EXPECT_EQ(a.metrics->tasks_submitted(), b.metrics->tasks_submitted());
   EXPECT_EQ(a.metrics->tasks_completed(), b.metrics->tasks_completed());
   for (double q : {0.1, 0.5, 0.9, 0.99, 0.999}) {
@@ -471,12 +471,12 @@ TEST(DeterminismTest, FailoverRunIsBitIdentical) {
               b.metrics->e2e_post_fault().Percentile(q))
         << "q=" << q;
   }
-  EXPECT_EQ(a.recovery.time_to_recover, b.recovery.time_to_recover);
-  EXPECT_EQ(a.recovery.unavailability, b.recovery.unavailability);
-  EXPECT_EQ(a.recovery.tasks_resubmitted, b.recovery.tasks_resubmitted);
+  EXPECT_EQ(a.metrics->TimeToRecover(), b.metrics->TimeToRecover());
+  EXPECT_EQ(a.metrics->UnavailabilityGap(), b.metrics->UnavailabilityGap());
+  EXPECT_EQ(a.metrics->timeout_resubmissions(), b.metrics->timeout_resubmissions());
   EXPECT_EQ(a.recovery.tasks_lost, b.recovery.tasks_lost);
-  EXPECT_EQ(a.recovery.client_rehomes, b.recovery.client_rehomes);
-  EXPECT_EQ(a.recovery.executor_rehomes, b.recovery.executor_rehomes);
+  EXPECT_EQ(a.metrics->client_rehomes(), b.metrics->client_rehomes());
+  EXPECT_EQ(a.metrics->executor_rehomes(), b.metrics->executor_rehomes());
   EXPECT_EQ(a.recovery.packets_dropped, b.recovery.packets_dropped);
   EXPECT_EQ(a.counters.failovers, b.counters.failovers);
 }
@@ -491,7 +491,7 @@ TEST(DeterminismTest, OneRackTopologyIsBitIdenticalToSingleSwitchGolden) {
   config.cluster = topology::ClusterTopology::Uniform(1, 4, 4);
   cluster::ExperimentResult result = RunExperiment(config);
 
-  EXPECT_EQ(result.num_racks, 1u);
+  EXPECT_EQ(result.rack_decisions.size(), 1u);
   EXPECT_EQ(result.cross_rack_submissions, 0u);
   EXPECT_EQ(result.metrics->tasks_completed(), 130u);
   EXPECT_EQ(result.metrics->sched_delay().Percentile(0.50), 8063);
@@ -543,7 +543,7 @@ TEST(DeterminismTest, TwoRackRunReplaysBitIdenticallyAndMatchesPin) {
   EXPECT_GT(a.rack_decisions[1], 0u);
 
   // The pinned golden (see the comment on PinnedGoldensPerSchedulerKind).
-  EXPECT_EQ(a.num_racks, 2u);
+  EXPECT_EQ(a.rack_decisions.size(), 2u);
   EXPECT_EQ(a.metrics->tasks_completed(), kTwoRackGoldenCompletions);
   EXPECT_EQ(a.metrics->sched_delay().Percentile(0.50), kTwoRackGoldenSchedP50);
   EXPECT_EQ(a.metrics->e2e_delay().Percentile(0.99), kTwoRackGoldenE2eP99);
@@ -560,7 +560,7 @@ TEST(DeterminismTest, TwoRackTorFailoverRecovers) {
   cluster::ExperimentResult result = RunExperiment(config);
 
   EXPECT_GT(result.counters.failovers, 0u);
-  EXPECT_GT(result.recovery.executor_rehomes, 0u);
+  EXPECT_GT(result.metrics->executor_rehomes(), 0u);
   EXPECT_GT(result.metrics->tasks_completed(), 0u);
   ASSERT_EQ(result.rack_decisions.size(), 2u);
   // The surviving rack keeps scheduling through the fault.

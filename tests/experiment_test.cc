@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <limits>
 #include <string>
 #include <utility>
@@ -11,7 +12,9 @@
 
 #include "cluster/deployment.h"
 #include "cluster/experiment.h"
+#include "cluster/scheduler_counters.h"
 #include "common/check.h"
+#include "p4/pipeline.h"
 #include "topology/topology.h"
 #include "workload/workload.h"
 
@@ -184,6 +187,59 @@ TEST(ExperimentTest, PolicyKindNamesArePinned) {
   EXPECT_STREQ(PolicyKindName(PolicyKind::kPriority), "priority");
   EXPECT_STREQ(PolicyKindName(PolicyKind::kResource), "resource");
   EXPECT_STREQ(PolicyKindName(PolicyKind::kLocality), "locality");
+}
+
+// --- Harvest sums --------------------------------------------------------------
+
+// Harvest adds instance counters with operator+=; every field must be summed.
+// The static_asserts beside the operators keep a new field from being missed.
+TEST(CounterSumTest, SchedulerCountersAddEveryField) {
+  constexpr size_t kFields = sizeof(SchedulerCounters) / sizeof(uint64_t);
+  uint64_t a_fields[kFields];
+  uint64_t b_fields[kFields];
+  for (size_t i = 0; i < kFields; ++i) {
+    a_fields[i] = i + 1;
+    b_fields[i] = 100 * (i + 1);
+  }
+  SchedulerCounters a;
+  SchedulerCounters b;
+  std::memcpy(&a, a_fields, sizeof(a));
+  std::memcpy(&b, b_fields, sizeof(b));
+  EXPECT_EQ(a.tasks_enqueued, 1u);  // the array really maps onto the fields
+  EXPECT_EQ(a.failovers, kFields);
+  a += b;
+  uint64_t sum_fields[kFields];
+  std::memcpy(sum_fields, &a, sizeof(a));
+  for (size_t i = 0; i < kFields; ++i) {
+    EXPECT_EQ(sum_fields[i], 101 * (i + 1)) << "field " << i;
+  }
+}
+
+TEST(CounterSumTest, PipelineCountersAddEveryFieldAndMergeDrops) {
+  p4::PipelineCounters a;
+  a.packets_in = 1;
+  a.passes = 2;
+  a.recirculations = 3;
+  a.recirc_drops = 4;
+  a.emitted = 5;
+  a.program_drops["queue_full"] = 6;
+  p4::PipelineCounters b;
+  b.packets_in = 10;
+  b.passes = 20;
+  b.recirculations = 30;
+  b.recirc_drops = 40;
+  b.emitted = 50;
+  b.program_drops["queue_full"] = 60;
+  b.program_drops["malformed"] = 70;
+  a += b;
+  EXPECT_EQ(a.packets_in, 11u);
+  EXPECT_EQ(a.passes, 22u);
+  EXPECT_EQ(a.recirculations, 33u);
+  EXPECT_EQ(a.recirc_drops, 44u);
+  EXPECT_EQ(a.emitted, 55u);
+  EXPECT_EQ(a.program_drops.size(), 2u);
+  EXPECT_EQ(a.program_drops["queue_full"], 66u);
+  EXPECT_EQ(a.program_drops["malformed"], 70u);
 }
 
 // --- ExperimentConfig::Validate ----------------------------------------------

@@ -34,8 +34,9 @@ TEST(FaultPlanTest, BuildersChainAndIntrospect) {
   EXPECT_FALSE(plan.has_scheduler_failover());
   EXPECT_EQ(plan.failover_at(), FaultEvent::kNever);
   EXPECT_EQ(plan.first_onset(), FromMicros(5));
-  // The latency event never clears, so the fallback wins over the crash end.
-  EXPECT_EQ(plan.last_clearance(FromMillis(1)), FromMillis(1));
+  // The latency event never clears, so it counts as cleared `settle` after
+  // its 30 us onset, which beats the crash end.
+  EXPECT_EQ(plan.last_clearance(FromMillis(1)), FromMicros(30) + FromMillis(1));
   EXPECT_EQ(plan.Validate(), "");
 
   plan.SchedulerFailover(FromMicros(100));
@@ -225,7 +226,8 @@ TEST(FaultPlanJsonTest, CheckedInExamplePlanIsValid) {
   EXPECT_EQ(degraded.events()[2].kind, EventKind::kLatencyDegrade);
   EXPECT_EQ(degraded.events()[2].extra_latency, FromMicros(3));
   EXPECT_EQ(degraded.first_onset(), FromMillis(6));
-  EXPECT_EQ(degraded.last_clearance(FaultEvent::kNever), FromMillis(10));
+  // Every event clears on its own, so the settle does not matter.
+  EXPECT_EQ(degraded.last_clearance(FromMillis(5)), FromMillis(10));
 }
 
 TEST(FaultPlanJsonTest, FromJsonFileReportsMissingFile) {

@@ -126,7 +126,7 @@ TEST(IntegrationDraconis, RecirculationShareIsTinyAtHighLoad) {
   ExperimentConfig config =
       PaperCluster(SchedulerKind::kDraconis, 600000.0, FromMicros(250));  // ~94% util
   ExperimentResult result = RunExperiment(config);
-  EXPECT_LT(result.recirculation_share, 0.05);
+  EXPECT_LT(result.switch_counters.RecirculationShare(), 0.05);
   EXPECT_EQ(result.recirc_drops, 0u);
 }
 
@@ -138,7 +138,7 @@ TEST(IntegrationR2P2, JbsqOneDropsTasksUnderPressure) {
       PaperCluster(SchedulerKind::kR2P2, 1536000.0, FromMicros(100), /*tasks_per_job=*/1);
   r1.jbsq_k = 1;
   ExperimentResult res1 = RunExperiment(r1);
-  EXPECT_GT(res1.recirculation_share, 0.1);
+  EXPECT_GT(res1.switch_counters.RecirculationShare(), 0.1);
   EXPECT_GT(res1.drop_fraction, 0.01);
   EXPECT_GT(res1.metrics->timeout_resubmissions(), 100u);
   EXPECT_GT(res1.metrics->sched_delay().Percentile(0.99), FromMicros(300));
@@ -151,7 +151,7 @@ TEST(IntegrationR2P2, JbsqThreeAbsorbsLoadWithoutRecirculationButBlocks) {
       PaperCluster(SchedulerKind::kR2P2, 1408000.0, FromMicros(100), /*tasks_per_job=*/1);
   r3.jbsq_k = 3;
   ExperimentResult res3 = RunExperiment(r3);
-  EXPECT_LT(res3.recirculation_share, 0.01);
+  EXPECT_LT(res3.switch_counters.RecirculationShare(), 0.01);
   EXPECT_EQ(res3.recirc_drops, 0u);
   EXPECT_GT(res3.metrics->sched_delay().Percentile(0.99), FromMicros(90));
   EXPECT_LT(res3.metrics->sched_delay().Percentile(0.99), FromMicros(1000));

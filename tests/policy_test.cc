@@ -109,11 +109,6 @@ TEST(ResourcePolicyTest, SkipCounterGrowsOnMismatchOnly) {
   EXPECT_EQ(e.skip_counter, 2u);  // match does not bump the counter
 }
 
-TEST(ResourcePolicyTest, SwapBoundConfigurable) {
-  ResourcePolicy policy(5);
-  EXPECT_EQ(policy.max_swaps(), 5u);
-}
-
 // --- Locality ---------------------------------------------------------------
 
 class LocalityPolicyTest : public ::testing::Test {

@@ -189,7 +189,7 @@ TEST(SweepTest, ParallelMatchesSerialBitForBit) {
     // Exact equality on every derived scalar — no tolerance.
     EXPECT_EQ(ra.throughput_tps, rb.throughput_tps);
     EXPECT_EQ(ra.executor_busy_fraction, rb.executor_busy_fraction);
-    EXPECT_EQ(ra.recirculation_share, rb.recirculation_share);
+    EXPECT_EQ(ra.switch_counters.RecirculationShare(), rb.switch_counters.RecirculationShare());
     EXPECT_EQ(ra.drop_fraction, rb.drop_fraction);
     EXPECT_EQ(ra.counters.tasks_assigned, rb.counters.tasks_assigned);
     EXPECT_EQ(ra.counters.noops_sent, rb.counters.noops_sent);

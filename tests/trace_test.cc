@@ -702,9 +702,8 @@ TEST(TraceFaultTest, FailoverExperimentEmitsFaultWindowAndRehomeSpans) {
   // standby at promotion, and each client that hit its timeout streak flips
   // exactly once (the stale-timeout guard prevents ping-pong back to the
   // dead switch).
-  const uint64_t expected =
-      result.recovery.executor_rehomes + result.recovery.client_rehomes;
-  EXPECT_GT(result.recovery.executor_rehomes, 0u);
+  const uint64_t expected = result.metrics->executor_rehomes() + result.metrics->client_rehomes();
+  EXPECT_GT(result.metrics->executor_rehomes(), 0u);
   uint64_t total = 0;
   for (const auto& [node, count] : rehomes_per_node) {
     EXPECT_EQ(count, 1u) << "node " << node << " rehomed more than once";
