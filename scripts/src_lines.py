@@ -6,10 +6,9 @@ A line counts unless it is blank or holds only a comment (`// ...`, or part
 of a `/* ... */` block). This is the figure design changes quote as "src/
 code lines".
 
-Usage: python3 scripts/src_lines.py [--root DIR] [--per-dir]
+Usage: python3 scripts/src_lines.py
 """
 
-import argparse
 import pathlib
 import sys
 
@@ -35,26 +34,12 @@ def code_lines(text):
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--root", default=pathlib.Path(__file__).resolve().parent.parent,
-                        type=pathlib.Path, help="repository root (default: this script's repo)")
-    parser.add_argument("--per-dir", action="store_true",
-                        help="also print the count of each src/ subdirectory")
-    args = parser.parse_args()
-
-    src = args.root / "src"
-    if not src.is_dir():
-        print(f"src_lines: no src/ under {args.root}", file=sys.stderr)
-        return 2
-    per_dir = {}
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    total = 0
     for path in sorted(src.rglob("*")):
         if path.suffix in (".h", ".cc") and path.is_file():
-            top = path.relative_to(src).parts[0]
-            per_dir[top] = per_dir.get(top, 0) + code_lines(path.read_text())
-    if args.per_dir:
-        for top, n in sorted(per_dir.items()):
-            print(f"{n:7d}  src/{top}")
-    print(sum(per_dir.values()))
+            total += code_lines(path.read_text())
+    print(total)
     return 0
 
 

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 
+#include "common/check.h"
 #include "sim/event_queue.h"
 #include "stats/histogram.h"
 
@@ -123,7 +124,9 @@ void WriteResultBody(json::Writer& w, const cluster::ExperimentResult& result) {
   }
   // Emitted only for fault-plan runs, so fault-free sweep output (and its
   // golden in tests/sweep_test.cc) is byte-identical to before.
-  if (result.recovery.fault_plan_active && result.metrics != nullptr) {
+  if (result.recovery.fault_plan_active) {
+    // RunExperiment always sets metrics; a result without them is a bug.
+    DRACONIS_CHECK(result.metrics != nullptr);
     const cluster::RecoveryStats& rec = result.recovery;
     const cluster::MetricsHub& m = *result.metrics;
     w.Key("recovery").BeginObject();
