@@ -54,40 +54,39 @@ size_t R2P2Program::Select(TimeNs now) {
 
 R2P2Worker::R2P2Worker(cluster::Testbed* testbed, size_t num_executors, uint32_t worker_node,
                        net::NodeId scheduler)
-    : TaskRunner(testbed, worker_node, scheduler, net::HostProfile::Dpdk(TimeNs{150})),
+    : TaskRunner(testbed, worker_node, scheduler, net::HostProfile::Dpdk(TimeNs{150}),
+                 num_executors),
       first_slot_(worker_node * num_executors),
-      slots_(num_executors) {}
+      queues_(num_executors) {}
 
 void R2P2Worker::HandlePacket(net::Packet pkt) {
   if (pkt.op != net::OpCode::kTaskAssignment) {
     return;
   }
   const size_t local = pkt.exec_props - first_slot_;
-  DRACONIS_CHECK_MSG(pkt.exec_props >= first_slot_ && local < slots_.size(),
+  DRACONIS_CHECK_MSG(pkt.exec_props >= first_slot_ && local < queues_.size(),
                      "task pushed to a slot this worker does not host");
   Arrive(pkt.tasks.at(0));
-  slots_[local].queue.push_back(std::move(pkt));
+  queues_[local].push_back(std::move(pkt));
   TryRun(local);
 }
 
 void R2P2Worker::TryRun(size_t local) {
-  ExecutorSlot& slot = slots_[local];
-  if (slot.busy || slot.queue.empty()) {
+  CoreSlot& core = cores_[local];
+  std::deque<net::Packet>& queue = queues_[local];
+  if (core.busy || queue.empty()) {
     return;
   }
-  slot.busy = true;
-  net::Packet pkt = std::move(slot.queue.front());
-  slot.queue.pop_front();
+  net::Packet pkt = std::move(queue.front());
+  queue.pop_front();
+  core = CoreSlot{std::move(pkt.tasks.at(0)), pkt.client_addr, /*busy=*/true};
+  EndAt(Run(core.task, Pickup(core.task)), static_cast<uint32_t>(local));
+}
 
-  net::TaskInfo task = std::move(pkt.tasks.at(0));
-  const net::NodeId client = pkt.client_addr;
-  const TimeNs done = Run(task, Pickup(task));
-  simulator_->ScheduleAt(done, [this, local, task = std::move(task), client]() mutable {
-    // Credit back to the switch so it can hand this executor more work.
-    FinishTask(std::move(task), client, static_cast<uint32_t>(first_slot_ + local));
-    slots_[local].busy = false;
-    TryRun(local);
-  });
+void R2P2Worker::TaskDone(uint32_t core, net::TaskInfo task, net::NodeId client) {
+  // Credit back to the switch so it can hand this executor more work.
+  FinishTask(std::move(task), client, static_cast<uint32_t>(first_slot_ + core));
+  TryRun(core);
 }
 
 }  // namespace draconis::baselines

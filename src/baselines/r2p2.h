@@ -83,15 +83,13 @@ class R2P2Worker : public cluster::TaskRunner {
   void HandlePacket(net::Packet pkt) override;
 
  private:
-  struct ExecutorSlot {
-    bool busy = false;
-    std::deque<net::Packet> queue;  // task_assignment packets waiting
-  };
-
   void TryRun(size_t local);
+  // TaskRunner:
+  void TaskDone(uint32_t core, net::TaskInfo task, net::NodeId client) override;
 
   size_t first_slot_;
-  std::vector<ExecutorSlot> slots_;
+  // Per executor slot (core): the task_assignment packets waiting.
+  std::vector<std::deque<net::Packet>> queues_;
 };
 
 }  // namespace draconis::baselines

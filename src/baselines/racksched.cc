@@ -28,10 +28,10 @@ size_t RackSchedProgram::Select(TimeNs /*now*/) {
 RackSchedWorker::RackSchedWorker(cluster::Testbed* testbed, size_t num_executors,
                                  uint32_t worker_node, net::NodeId scheduler,
                                  IntraNodePolicy policy, bool report_latency)
-    : TaskRunner(testbed, worker_node, scheduler, net::HostProfile::Dpdk(TimeNs{150})),
+    : TaskRunner(testbed, worker_node, scheduler, net::HostProfile::Dpdk(TimeNs{150}),
+                 num_executors),
       policy_(policy),
-      report_latency_(report_latency),
-      core_busy_(num_executors, false) {
+      report_latency_(report_latency) {
   DRACONIS_CHECK(num_executors >= 1);
 }
 
@@ -43,8 +43,8 @@ void RackSchedWorker::HandlePacket(net::Packet pkt) {
   if (policy_ == IntraNodePolicy::kProcessorSharing) {
     // Admission is delayed by the dispatcher's overhead, then the task joins
     // the sharing pool immediately (preemptive: no queueing behind peers).
-    simulator_->ScheduleAfter(kDispatchOverhead + cluster::kPickupOverhead,
-                              [this, pkt = std::move(pkt)]() mutable { PsAdmit(std::move(pkt)); });
+    ps_admitting_.push_back(CoreSlot{std::move(pkt.tasks.at(0)), pkt.client_addr});
+    simulator_->ScheduleAfter(kDispatchOverhead + cluster::kPickupOverhead, [this] { PsAdmit(); });
     return;
   }
   queue_.push_back(std::move(pkt));
@@ -55,16 +55,17 @@ double RackSchedWorker::PsRate() const {
   if (ps_tasks_.empty()) {
     return 1.0;
   }
-  const double cores = static_cast<double>(core_busy_.size());
+  const double cores = static_cast<double>(cores_.size());
   const double tasks = static_cast<double>(ps_tasks_.size());
   return tasks <= cores ? 1.0 : cores / tasks;
 }
 
-void RackSchedWorker::PsAdmit(net::Packet pkt) {
+void RackSchedWorker::PsAdmit() {
   const TimeNs now = simulator_->Now();
   PsTask entry;
-  entry.task = std::move(pkt.tasks.at(0));
-  entry.client = pkt.client_addr;
+  entry.task = ps_admitting_.front().task;
+  entry.client = ps_admitting_.front().client;
+  ps_admitting_.pop_front();
   entry.first = Pickup(entry.task);
   entry.admitted = now;
   entry.remaining = static_cast<double>(entry.task.meta.exec_duration);
@@ -85,7 +86,7 @@ void RackSchedWorker::PsReschedule() {
   const auto repeats = static_cast<size_t>(std::count_if(
       ps_tasks_.begin(), ps_tasks_.end(), [](const PsTask& t) { return !t.first; }));
   metrics_->RecordBusyInterval(ps_last_update_, now,
-                               std::min(ps_tasks_.size(), core_busy_.size()), repeats,
+                               std::min(ps_tasks_.size(), cores_.size()), repeats,
                                ps_tasks_.size());
   ps_last_update_ = now;
 
@@ -143,28 +144,26 @@ void RackSchedWorker::TryDispatch() {
   if (queue_.empty()) {
     return;
   }
-  for (size_t core = 0; core < core_busy_.size(); ++core) {
-    if (core_busy_[core]) {
+  for (uint32_t core = 0; core < cores_.size(); ++core) {
+    CoreSlot& slot = cores_[core];
+    if (slot.busy) {
       continue;
     }
     const size_t index = NextQueueIndex();
     net::Packet pkt = std::move(queue_[index]);
     queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(index));
-    core_busy_[core] = true;
-
-    net::TaskInfo task = std::move(pkt.tasks.at(0));
-    const net::NodeId client = pkt.client_addr;
+    slot = CoreSlot{std::move(pkt.tasks.at(0)), pkt.client_addr, /*busy=*/true};
     // Intra-node scheduling adds its dispatch overhead before service starts.
-    const TimeNs done = Run(task, Pickup(task), kDispatchOverhead + cluster::kPickupOverhead);
-    simulator_->ScheduleAt(done, [this, core, task = std::move(task), client]() mutable {
-      FinishTask(std::move(task), client, worker_node_, report_latency_);
-      core_busy_[core] = false;
-      TryDispatch();
-    });
+    EndAt(Run(slot.task, Pickup(slot.task), kDispatchOverhead + cluster::kPickupOverhead), core);
     if (queue_.empty()) {
       return;
     }
   }
+}
+
+void RackSchedWorker::TaskDone(uint32_t /*core*/, net::TaskInfo task, net::NodeId client) {
+  FinishTask(std::move(task), client, worker_node_, report_latency_);
+  TryDispatch();
 }
 
 }  // namespace draconis::baselines

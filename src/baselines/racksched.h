@@ -75,6 +75,8 @@ class RackSchedWorker : public cluster::TaskRunner {
  private:
   // --- cFCFS / EDF mode ---
   void TryDispatch();
+  // TaskRunner:
+  void TaskDone(uint32_t core, net::TaskInfo task, net::NodeId client) override;
   // The queue index to run next: front for cFCFS, the earliest absolute
   // deadline (stable on ties) for EDF.
   size_t NextQueueIndex() const;
@@ -87,7 +89,9 @@ class RackSchedWorker : public cluster::TaskRunner {
     TimeNs admitted = 0;     // joined the pool
     double remaining = 0.0;  // ns of work left at full-core speed
   };
-  void PsAdmit(net::Packet pkt);
+  // Admits the oldest task in ps_admitting_: every admission waits the same
+  // dispatch overhead, so they fire in arrival order.
+  void PsAdmit();
   // Ages all running tasks to `now` at the current sharing rate and
   // reschedules the next-completion event.
   void PsReschedule();
@@ -97,8 +101,8 @@ class RackSchedWorker : public cluster::TaskRunner {
   bool report_latency_;
 
   std::deque<net::Packet> queue_;
-  std::vector<bool> core_busy_;
 
+  std::deque<CoreSlot> ps_admitting_;  // arrived, waiting for the dispatcher
   std::vector<PsTask> ps_tasks_;
   TimeNs ps_last_update_ = 0;
   sim::EventHandle ps_completion_;

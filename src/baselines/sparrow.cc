@@ -99,8 +99,8 @@ void SparrowScheduler::HandleGetTask(const net::Packet& pkt) {
 
 SparrowWorker::SparrowWorker(cluster::Testbed* testbed, size_t num_executors,
                              uint32_t worker_node)
-    : TaskRunner(testbed, worker_node, net::kInvalidNode, SparrowConfig::Profile()),
-      core_busy_(num_executors, false) {
+    : TaskRunner(testbed, worker_node, net::kInvalidNode, SparrowConfig::Profile(),
+                 num_executors) {
   DRACONIS_CHECK(num_executors >= 1);
 }
 
@@ -113,26 +113,22 @@ void SparrowWorker::HandlePacket(net::Packet pkt) {
     }
     case net::OpCode::kTaskAssignment: {
       DRACONIS_CHECK_MSG(!waiting_cores_.empty(), "assignment without a waiting core");
-      const size_t core = waiting_cores_.front();
+      const uint32_t core = waiting_cores_.front();
       waiting_cores_.pop_front();
 
-      net::TaskInfo task = std::move(pkt.tasks.at(0));
-      const net::NodeId client = pkt.client_addr;
-      Arrive(task);
-      const TimeNs done = Run(task, Pickup(task));
-      simulator_->ScheduleAt(done, [this, core, task = std::move(task), client]() mutable {
-        FinishTask(std::move(task), client, kNoCredit);
-        core_busy_[core] = false;
-        TryDispatch();
-      });
+      CoreSlot& slot = cores_[core];
+      slot.task = std::move(pkt.tasks.at(0));
+      slot.client = pkt.client_addr;
+      Arrive(slot.task);
+      EndAt(Run(slot.task, Pickup(slot.task)), core);
       return;
     }
     case net::OpCode::kNoOpTask: {
       // Reservation cancelled; the core goes back to idle.
       DRACONIS_CHECK_MSG(!waiting_cores_.empty(), "cancellation without a waiting core");
-      const size_t core = waiting_cores_.front();
+      const uint32_t core = waiting_cores_.front();
       waiting_cores_.pop_front();
-      core_busy_[core] = false;
+      cores_[core].busy = false;
       TryDispatch();
       return;
     }
@@ -143,19 +139,16 @@ void SparrowWorker::HandlePacket(net::Packet pkt) {
 
 void SparrowWorker::TryDispatch() {
   while (!reservations_.empty()) {
-    size_t core = core_busy_.size();
-    for (size_t c = 0; c < core_busy_.size(); ++c) {
-      if (!core_busy_[c]) {
-        core = c;
-        break;
-      }
+    uint32_t core = 0;
+    while (core < cores_.size() && cores_[core].busy) {
+      ++core;
     }
-    if (core == core_busy_.size()) {
+    if (core == cores_.size()) {
       return;  // all cores busy or waiting
     }
     Reservation res = reservations_.front();
     reservations_.pop_front();
-    core_busy_[core] = true;
+    cores_[core].busy = true;
     waiting_cores_.push_back(core);
 
     net::Packet get;
@@ -165,6 +158,11 @@ void SparrowWorker::TryDispatch() {
     get.jid = res.jid;
     network_->Send(node_id_, std::move(get));
   }
+}
+
+void SparrowWorker::TaskDone(uint32_t /*core*/, net::TaskInfo task, net::NodeId client) {
+  FinishTask(std::move(task), client, kNoCredit);
+  TryDispatch();
 }
 
 }  // namespace draconis::baselines

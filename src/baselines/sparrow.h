@@ -105,10 +105,12 @@ class SparrowWorker : public cluster::TaskRunner {
   };
 
   void TryDispatch();
+  // TaskRunner:
+  void TaskDone(uint32_t core, net::TaskInfo task, net::NodeId client) override;
 
   std::deque<Reservation> reservations_;
-  std::vector<bool> core_busy_;
-  std::deque<size_t> waiting_cores_;  // cores blocked on a get_task round trip
+  // A core is busy from its get_task to its task's end.
+  std::deque<uint32_t> waiting_cores_;  // cores blocked on a get_task round trip
 };
 
 }  // namespace draconis::baselines

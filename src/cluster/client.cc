@@ -26,6 +26,7 @@ uint32_t Client::SubmitJob(const std::vector<TaskSpec>& specs) {
   const uint32_t jid = next_jid_++;
   const TimeNs now = simulator_->Now();
   metrics_->RegisterJob(config_.uid, jid, specs.size());
+  Pending* pending = config_.fire_and_forget ? nullptr : outstanding_.Open(jid, specs.size());
 
   std::vector<net::TaskInfo> tasks;
   tasks.reserve(specs.size());
@@ -47,8 +48,9 @@ uint32_t Client::SubmitJob(const std::vector<TaskSpec>& specs) {
     task.meta.submit_time = now;
     metrics_->RecordSubmission(now);
     trace::RecordTask(recorder_, task, trace::Kind::kSubmit, now, now, specs.size(), node_id_);
-    if (!config_.fire_and_forget) {
-      ArmTimeout(task);
+    if (pending != nullptr) {
+      pending[i].task = task;
+      ArmTimeout(pending[i], jid, static_cast<uint32_t>(i));
     }
     tasks.push_back(std::move(task));
   }
@@ -59,9 +61,10 @@ uint32_t Client::SubmitJob(const std::vector<TaskSpec>& specs) {
 void Client::SendTasks(std::vector<net::TaskInfo> tasks) {
   // Split the job across as many job_submission packets as the MTU requires
   // (§4.3 "Handling Large Jobs").
+  const size_t total = tasks.size();
   size_t offset = 0;
-  while (offset < tasks.size()) {
-    const size_t n = std::min(config_.max_tasks_per_packet, tasks.size() - offset);
+  while (offset < total) {
+    const size_t n = std::min(config_.max_tasks_per_packet, total - offset);
     net::Packet pkt;
     pkt.op = net::OpCode::kJobSubmission;
     // Multi-rack placement routes each submission packet (the home ToR unless
@@ -70,8 +73,12 @@ void Client::SendTasks(std::vector<net::TaskInfo> tasks) {
     pkt.dst = config_.router != nullptr ? config_.router->Route(scheduler_) : scheduler_;
     pkt.uid = config_.uid;
     pkt.jid = tasks[offset].id.jid;
-    pkt.tasks.assign(std::make_move_iterator(tasks.begin() + offset),
-                     std::make_move_iterator(tasks.begin() + offset + n));
+    if (n == total) {
+      pkt.tasks = std::move(tasks);  // one packet carries the whole job
+    } else {
+      pkt.tasks.assign(std::make_move_iterator(tasks.begin() + offset),
+                       std::make_move_iterator(tasks.begin() + offset + n));
+    }
     for (const net::TaskInfo& t : pkt.tasks) {
       trace::RecordTask(recorder_, t, trace::Kind::kClientSend, simulator_->Now(),
                         simulator_->Now(), pkt.tasks.size(), pkt.dst);
@@ -90,8 +97,7 @@ void Client::HandlePacket(net::Packet pkt) {
       std::vector<net::TaskInfo> retry;
       retry.reserve(pkt.tasks.size());
       for (net::TaskInfo& task : pkt.tasks) {
-        auto it = outstanding_.find(task.id);
-        if (it == outstanding_.end()) {
+        if (FindPending(task.id) == nullptr) {
           continue;  // completed in the meantime (stale duplicate)
         }
         metrics_->RecordQueueFullRetry();
@@ -125,8 +131,8 @@ void Client::HandlePacket(net::Packet pkt) {
     case net::OpCode::kCompletionNotice: {
       DRACONIS_CHECK(!pkt.tasks.empty());
       const net::TaskInfo& task = pkt.tasks[0];
-      auto it = outstanding_.find(task.id);
-      if (it == outstanding_.end()) {
+      Pending* pending = FindPending(task.id);
+      if (pending == nullptr) {
         // Duplicate completion after a timeout resubmission. (Fire-and-forget
         // clients track nothing, so every notice would land here — skip.)
         if (!config_.fire_and_forget) {
@@ -135,21 +141,21 @@ void Client::HandlePacket(net::Packet pkt) {
         }
         return;
       }
-      it->second.timeout.Cancel();
+      pending->timeout.Cancel();
       const TimeNs now = simulator_->Now();
       metrics_->RecordEndToEnd(task, now);
       ++completions_;
       consecutive_timeouts_ = 0;
       trace::RecordTask(recorder_, task, trace::Kind::kComplete, now, now, 0, node_id_);
-      if (it->second.hedged) {
+      if (pending->hedged) {
         // The race is decided: cancel the losing replica client-side. It may
         // still be queued or executing — its eventual notice lands in the
         // duplicate-suppression branch above, and its execution (if any) is
         // charged to wasted work by the executor.
-        const uint32_t loser = task.meta.attempt >= it->second.hedge_attempt
-                                   ? it->second.hedge_attempt - 1
-                                   : it->second.hedge_attempt;
-        if (task.meta.attempt >= it->second.hedge_attempt) {
+        const uint32_t loser = task.meta.attempt >= pending->hedge_attempt
+                                   ? pending->hedge_attempt - 1
+                                   : pending->hedge_attempt;
+        if (task.meta.attempt >= pending->hedge_attempt) {
           metrics_->RecordHedgeWin();
         }
         metrics_->RecordCancellation();
@@ -158,7 +164,7 @@ void Client::HandlePacket(net::Packet pkt) {
                             loser, 0);
         }
       }
-      outstanding_.erase(it);
+      outstanding_.Close(task.id.jid, task.id.tid);
       if (on_completion_) {
         on_completion_(task, now);
       }
@@ -170,14 +176,14 @@ void Client::HandlePacket(net::Packet pkt) {
 }
 
 bool Client::HedgeTask(net::TaskId id, TimeNs resampled_duration) {
-  auto it = outstanding_.find(id);
-  if (it == outstanding_.end() || it->second.hedged) {
+  Pending* pending = FindPending(id);
+  if (pending == nullptr || pending->hedged) {
     // Completed in the meantime, or already hedged (one hedge per task: a
     // second duplicate only adds wasted work, never latency).
     return false;
   }
   const TimeNs now = simulator_->Now();
-  net::TaskInfo task = it->second.task;
+  net::TaskInfo task = pending->task;
   task.meta.submit_time = now;
   task.meta.attempt += 1;
   if (resampled_duration >= 0) {
@@ -189,30 +195,29 @@ bool Client::HedgeTask(net::TaskId id, TimeNs resampled_duration) {
   metrics_->RecordHedge();
   trace::RecordTask(recorder_, task, trace::Kind::kHedgeLaunch, now, now,
                     static_cast<uint64_t>(now - task.meta.first_submit_time), node_id_);
-  it->second.hedged = true;
-  it->second.hedge_attempt = task.meta.attempt;
+  pending->hedged = true;
+  pending->hedge_attempt = task.meta.attempt;
   // Track the duplicate as the live attempt: a later timeout resubmits from
   // it (attempt + 2) with the usual exponential backoff.
-  it->second.task = task;
-  it->second.timeout.Cancel();
-  it->second.timeout = simulator_->ScheduleAfter(
-      TimeoutFor(task), [this, id] { OnTimeout(id); }, sim::kCancellable);
+  pending->task = task;
+  pending->timeout.Cancel();
+  ArmTimeout(*pending, id.jid, id.tid);
   SendTasks({std::move(task)});
   return true;
 }
 
 bool Client::CancelTask(net::TaskId id) {
-  auto it = outstanding_.find(id);
-  if (it == outstanding_.end()) {
+  Pending* pending = FindPending(id);
+  if (pending == nullptr) {
     // Already completed (or cancelled): strictly a no-op so late cancels can
     // never double-count (tests/cluster_test.cc pins this).
     return false;
   }
-  it->second.timeout.Cancel();
+  pending->timeout.Cancel();
   const TimeNs now = simulator_->Now();
   metrics_->RecordCancellation();
-  trace::RecordTask(recorder_, it->second.task, trace::Kind::kHedgeCancel, now, now, 1, node_id_);
-  outstanding_.erase(it);
+  trace::RecordTask(recorder_, pending->task, trace::Kind::kHedgeCancel, now, now, 1, node_id_);
+  outstanding_.Close(id.jid, id.tid);
   return true;
 }
 
@@ -226,18 +231,20 @@ TimeNs Client::TimeoutFor(const net::TaskInfo& task) const {
   return base << shift;
 }
 
-void Client::ArmTimeout(const net::TaskInfo& task) {
-  Pending pending;
-  pending.task = task;
-  pending.timeout = simulator_->ScheduleAfter(
-      TimeoutFor(task), [this, id = task.id] { OnTimeout(id); },
-      sim::kCancellable);
-  outstanding_[task.id] = std::move(pending);
+Client::Pending* Client::FindPending(const net::TaskId& id) {
+  return id.uid == config_.uid ? outstanding_.Find(id.jid, id.tid) : nullptr;
 }
 
-void Client::OnTimeout(net::TaskId id) {
-  auto it = outstanding_.find(id);
-  if (it == outstanding_.end()) {
+void Client::ArmTimeout(Pending& pending, uint32_t jid, uint32_t tid) {
+  // Capturing (jid, tid) rather than the TaskId keeps the closure within
+  // std::function's inline buffer.
+  pending.timeout = simulator_->ScheduleAfter(
+      TimeoutFor(pending.task), [this, jid, tid] { OnTimeout(jid, tid); }, sim::kCancellable);
+}
+
+void Client::OnTimeout(uint32_t jid, uint32_t tid) {
+  Pending* pending = outstanding_.Find(jid, tid);
+  if (pending == nullptr) {
     return;
   }
   // The task (or its completion) was lost: resubmit it as a fresh
@@ -248,7 +255,7 @@ void Client::OnTimeout(net::TaskId id) {
   // timed-out attempt was sent after the last rehome — stale timeouts of
   // attempts addressed to the previous scheduler must not flip the client
   // back toward a dead switch.
-  if (standby_ != net::kInvalidNode && it->second.task.meta.submit_time >= last_rehome_time_ &&
+  if (standby_ != net::kInvalidNode && pending->task.meta.submit_time >= last_rehome_time_ &&
       ++consecutive_timeouts_ >= kRehomeAfterTimeouts) {
     // The scheduler looks dead from here; resubmit toward the standby. The
     // swap ping-pongs, so a spurious rehome self-corrects on the next streak.
@@ -260,14 +267,13 @@ void Client::OnTimeout(net::TaskId id) {
       recorder_->RecordGlobal(trace::Kind::kRehome, simulator_->Now(), scheduler_, node_id_);
     }
   }
-  net::TaskInfo task = it->second.task;
+  net::TaskInfo task = pending->task;
   task.meta.submit_time = simulator_->Now();
   task.meta.attempt += 1;
   trace::RecordTask(recorder_, task, trace::Kind::kTimeoutResubmit, simulator_->Now(),
                     simulator_->Now(), 0, node_id_);
-  it->second.task = task;
-  it->second.timeout = simulator_->ScheduleAfter(
-      TimeoutFor(task), [this, id] { OnTimeout(id); }, sim::kCancellable);
+  pending->task = task;
+  ArmTimeout(*pending, jid, tid);
   SendTasks({std::move(task)});
 }
 

@@ -11,9 +11,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
+#include "cluster/job_slots.h"
 #include "cluster/metrics.h"
 #include "cluster/testbed.h"
 #include "net/network.h"
@@ -99,7 +99,7 @@ class Client : public net::Endpoint {
   void HandlePacket(net::Packet pkt) override;
 
   // Tasks submitted but not yet completed.
-  size_t outstanding() const { return outstanding_.size(); }
+  size_t outstanding() const { return outstanding_.open(); }
   uint64_t completions() const { return completions_; }
 
  private:
@@ -111,8 +111,11 @@ class Client : public net::Endpoint {
   };
 
   void SendTasks(std::vector<net::TaskInfo> tasks);
-  void ArmTimeout(const net::TaskInfo& task);
-  void OnTimeout(net::TaskId id);
+  // The tracked state of an outstanding task; null when `id` is not one.
+  Pending* FindPending(const net::TaskId& id);
+  // (Re)arms the timeout of the outstanding task (jid, tid).
+  void ArmTimeout(Pending& pending, uint32_t jid, uint32_t tid);
+  void OnTimeout(uint32_t jid, uint32_t tid);
   TimeNs TimeoutFor(const net::TaskInfo& task) const;
 
   sim::Simulator* simulator_;
@@ -128,7 +131,7 @@ class Client : public net::Endpoint {
   CompletionCallback on_completion_;
   uint32_t consecutive_timeouts_ = 0;
   TimeNs last_rehome_time_ = -1;  // timeouts of older attempts don't rehome
-  std::unordered_map<net::TaskId, Pending, net::TaskIdHash> outstanding_;
+  JobSlots<Pending> outstanding_;  // by (jid, tid) of this client's uid
 };
 
 }  // namespace draconis::cluster

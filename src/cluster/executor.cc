@@ -10,7 +10,7 @@ namespace draconis::cluster {
 
 Executor::Executor(Testbed* testbed, const ExecutorConfig& config)
     : TaskRunner(testbed, config.worker_node, net::kInvalidNode,
-                 net::HostProfile::Dpdk(TimeNs{150})),
+                 net::HostProfile::Dpdk(TimeNs{150}), /*cores=*/0),
       config_(config),
       rng_(config.worker_node * 1000003ULL + config.exec_props + 17),
       retry_interval_(kInitialRetry) {
@@ -70,12 +70,12 @@ void Executor::HandlePacket(net::Packet pkt) {
       return;
     case net::OpCode::kParamData: {
       // §4.4: the client shipped the real parameters; run the held task.
-      if (!fetch_pending_ || !(pkt.tasks.at(0).id == fetch_task_.id)) {
+      if (!fetch_pending_ || !(pkt.tasks.at(0).id == cores_[fetch_core_].task.id)) {
         return;  // stale duplicate
       }
       fetch_timer_.Cancel();
       fetch_pending_ = false;
-      Execute(std::move(fetch_task_), fetch_client_, fetch_access_, fetch_first_);
+      Execute(fetch_core_, fetch_access_, fetch_first_);
       return;
     }
     case net::OpCode::kNoOpTask: {
@@ -141,47 +141,64 @@ void Executor::RunTask(net::Packet assignment) {
   }
 
   const net::NodeId client = assignment.client_addr;
-  if (task.fn_id == net::kTransmissionFnId && client != net::kInvalidNode) {
+  const bool fetch = task.fn_id == net::kTransmissionFnId && client != net::kInvalidNode;
+  // One core runs one task at a time, but a late reply to a re-issued pull
+  // can overlap two; each takes a free slot. A second fetch replaces the
+  // held one, as the single fetch state requires.
+  uint32_t core = 0;
+  if (fetch && fetch_pending_) {
+    core = fetch_core_;
+  } else {
+    while (core < cores_.size() && cores_[core].busy) {
+      ++core;
+    }
+    if (core == cores_.size()) {
+      cores_.emplace_back();
+    }
+  }
+  cores_[core] = CoreSlot{std::move(task), client, /*busy=*/true};
+  if (fetch) {
     // §4.4: a transmission-function task — hold it and fetch the real
     // parameters from the client before running. The executor stays occupied
     // during the fetch round trip.
     fetch_pending_ = true;
-    fetch_task_ = std::move(task);
-    fetch_client_ = client;
+    fetch_core_ = core;
     fetch_access_ = access;
     fetch_first_ = first;
     SendParamFetch();
     return;
   }
 
-  Execute(std::move(task), client, access, first);
+  Execute(core, access, first);
 }
 
 void Executor::SendParamFetch() {
+  const CoreSlot& held = cores_[fetch_core_];
   net::Packet fetch;
   fetch.op = net::OpCode::kParamFetch;
-  fetch.dst = fetch_client_;
-  fetch.tasks = {fetch_task_};
+  fetch.dst = held.client;
+  fetch.tasks = {held.task};
   network_->Send(node_id_, std::move(fetch));
   fetch_timer_.ScheduleAfter(config_.request_timeout);
 }
 
-void Executor::Execute(net::TaskInfo task, net::NodeId client, TimeNs access, bool first) {
-  const TimeNs done = Run(task, first, kPickupOverhead, access);
-  simulator_->ScheduleAt(done, [this, task = std::move(task), client]() mutable {
-    Finish();
-    // Completion + piggybacked request for the next task.
-    net::Packet completion;
-    completion.op = net::OpCode::kTaskCompletion;
-    completion.dst = scheduler_;
-    completion.tasks = {std::move(task)};
-    completion.client_addr = client;
-    completion.exec_props = config_.exec_props;
-    completion.rtrv_prio = 1;
-    last_request_time_ = simulator_->Now();
-    network_->Send(node_id_, std::move(completion));
-    pull_timer_.ScheduleAfter(config_.request_timeout);
-  });
+void Executor::Execute(uint32_t core, TimeNs access, bool first) {
+  EndAt(Run(cores_[core].task, first, kPickupOverhead, access), core);
+}
+
+void Executor::TaskDone(uint32_t /*core*/, net::TaskInfo task, net::NodeId client) {
+  Finish();
+  // Completion + piggybacked request for the next task.
+  net::Packet completion;
+  completion.op = net::OpCode::kTaskCompletion;
+  completion.dst = scheduler_;
+  completion.tasks = {std::move(task)};
+  completion.client_addr = client;
+  completion.exec_props = config_.exec_props;
+  completion.rtrv_prio = 1;
+  last_request_time_ = simulator_->Now();
+  network_->Send(node_id_, std::move(completion));
+  pull_timer_.ScheduleAfter(config_.request_timeout);
 }
 
 }  // namespace draconis::cluster

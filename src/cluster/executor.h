@@ -130,9 +130,12 @@ class Executor : public TaskRunner {
  private:
   void SendRequest();
   void RunTask(net::Packet assignment);
-  // Runs the task body (data access + service) and sends the completion.
-  void Execute(net::TaskInfo task, net::NodeId client, TimeNs access, bool first);
+  // Runs the task held on `core` (data access + service); its end sends the
+  // completion (TaskDone).
+  void Execute(uint32_t core, TimeNs access, bool first);
   void SendParamFetch();
+  // TaskRunner:
+  void TaskDone(uint32_t core, net::TaskInfo task, net::NodeId client) override;
 
   ExecutorConfig config_;
   PollParking* parking_ = nullptr;
@@ -146,12 +149,12 @@ class Executor : public TaskRunner {
   // the simulation never allocates per occurrence.
   sim::Timer pull_timer_;
 
-  // In-flight §4.4 parameter fetch (at most one task is held at a time).
+  // In-flight §4.4 parameter fetch (at most one task is held at a time, on
+  // core slot fetch_core_).
   bool fetch_pending_ = false;
-  net::TaskInfo fetch_task_;
-  net::NodeId fetch_client_ = net::kInvalidNode;
-  TimeNs fetch_access_ = 0;
   bool fetch_first_ = false;
+  uint32_t fetch_core_ = 0;
+  TimeNs fetch_access_ = 0;
   sim::Timer fetch_timer_;
 };
 

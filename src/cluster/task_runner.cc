@@ -7,13 +7,14 @@
 namespace draconis::cluster {
 
 TaskRunner::TaskRunner(Testbed* testbed, uint32_t worker_node, net::NodeId scheduler,
-                       const net::HostProfile& profile)
+                       const net::HostProfile& profile, size_t cores)
     : simulator_(&testbed->simulator()),
       network_(&testbed->network()),
       metrics_(testbed->metrics()),
       recorder_(testbed->recorder()),
       worker_node_(worker_node),
-      scheduler_(scheduler) {
+      scheduler_(scheduler),
+      cores_(cores) {
   DRACONIS_CHECK(metrics_ != nullptr);
   node_id_ = network_->Register(this, profile);
 }
@@ -60,6 +61,12 @@ TimeNs TaskRunner::Run(const net::TaskInfo& task, bool first, TimeNs overhead, T
   // whichever replica wins the completion race.
   metrics_->RecordBusyInterval(now, done, 1, first ? 0 : 1);
   return done;
+}
+
+void TaskRunner::EndTask(uint32_t core) {
+  CoreSlot& slot = cores_[core];
+  slot.busy = false;
+  TaskDone(core, slot.task, slot.client);
 }
 
 void TaskRunner::FinishTask(net::TaskInfo task, net::NodeId client, uint32_t credit_target,

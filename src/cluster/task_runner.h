@@ -7,7 +7,8 @@
 // registration and every record of a task's run on a core: the first-
 // execution check with the assignment and execution-start records, the busy
 // interval, the wasted work, the exec_* trace spans, the node completion and
-// the executions count.
+// the executions count. It also holds each core's task until the task's end
+// event, which carries only the core's index.
 //
 // Wasted work has one definition: the in-window core time a repeat
 // execution (a timeout resubmission or a hedge replica of an id that already
@@ -18,6 +19,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "cluster/metrics.h"
 #include "cluster/testbed.h"
@@ -44,8 +46,17 @@ class TaskRunner : public net::Endpoint {
 
   // Registers on the testbed's fabric; the testbed must outlive the runner.
   // `scheduler` receives completions or credits (it may be set later).
+  // `cores` is the initial size of the core table.
   TaskRunner(Testbed* testbed, uint32_t worker_node, net::NodeId scheduler,
-             const net::HostProfile& profile);
+             const net::HostProfile& profile, size_t cores);
+
+  // A core's task, held from the moment the core takes it (or, on an
+  // executor, from its parameter fetch) to its end.
+  struct CoreSlot {
+    net::TaskInfo task;
+    net::NodeId client = net::kInvalidNode;
+    bool busy = false;
+  };
 
   // An assignment for `task` was delivered now. `detail` is an executor's
   // request round trip; `duplicate` marks an arrival already known to repeat
@@ -72,6 +83,16 @@ class TaskRunner : public net::Endpoint {
   TimeNs Run(const net::TaskInfo& task, bool first, TimeNs overhead = kPickupOverhead,
              TimeNs access = 0);
 
+  // Schedules the end of the task held in cores_[core] at `done`. The event
+  // captures only (this, core), which std::function stores inline, so a task
+  // execution allocates nothing. When it fires, the slot is freed and
+  // TaskDone receives the task.
+  void EndAt(TimeNs done, uint32_t core) {
+    simulator_->ScheduleAt(done, [this, core] { EndTask(core); });
+  }
+  // The task that cores_[core] held ended now; the slot is free again.
+  virtual void TaskDone(uint32_t core, net::TaskInfo task, net::NodeId client) = 0;
+
   // The task finished now.
   void Finish() { metrics_->RecordNodeCompletion(worker_node_, simulator_->Now()); }
 
@@ -89,6 +110,10 @@ class TaskRunner : public net::Endpoint {
   net::NodeId scheduler_;
   net::NodeId node_id_;
   uint64_t tasks_executed_ = 0;
+  std::vector<CoreSlot> cores_;
+
+ private:
+  void EndTask(uint32_t core);
 };
 
 }  // namespace draconis::cluster

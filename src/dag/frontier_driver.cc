@@ -23,32 +23,55 @@ std::string HedgePolicy::Validate() const {
   return "";
 }
 
+namespace {
+
+const HedgePolicy& Checked(const HedgePolicy& hedge) {
+  const std::string invalid = hedge.Validate();
+  DRACONIS_CHECK_MSG(invalid.empty(), "invalid HedgePolicy: " + invalid);
+  return hedge;
+}
+
+}  // namespace
+
 FrontierDriver::FrontierDriver(cluster::Testbed* testbed, cluster::Client* client,
                                const DagWorkloadSpec& workload, const HedgePolicy& hedge)
     : simulator_(&testbed->simulator()),
       metrics_(testbed->metrics()),
       client_(client),
       workload_(workload),
-      hedge_(hedge),
-      resample_rng_(testbed->SeedFor(cluster::SeedDomain::kDag, client->uid())) {
+      hedge_(Checked(hedge)),
+      resample_rng_(testbed->SeedFor(cluster::SeedDomain::kDag, client->uid())),
+      observed_latency_(hedge.quantile) {
   DRACONIS_CHECK(metrics_ != nullptr);
-  const std::string invalid = hedge_.Validate();
-  DRACONIS_CHECK_MSG(invalid.empty(), "invalid HedgePolicy: " + invalid);
 }
 
 void FrontierDriver::EnqueueJob(TimeNs at, JobSpec spec) {
   DRACONIS_CHECK_MSG(!started_, "EnqueueJob after Start");
   const std::string invalid = spec.Validate();
   DRACONIS_CHECK_MSG(invalid.empty(), invalid);
+  const size_t n = spec.tasks.size();
   JobState job;
   job.arrival = at;
-  job.remaining = spec.tasks.size();
-  job.pending_deps.resize(spec.tasks.size());
-  job.children.resize(spec.tasks.size());
-  for (size_t i = 0; i < spec.tasks.size(); ++i) {
+  job.remaining = n;
+  job.pending_deps.resize(n);
+  // A counting sort of the edges by dependency: child_begin[d] first counts
+  // d's successors, then (summed) marks the end of d's block; filling the
+  // blocks from the back leaves each in task order and moves child_begin[d]
+  // to its start.
+  job.child_begin.assign(n + 1, 0);
+  for (size_t i = 0; i < n; ++i) {
     job.pending_deps[i] = static_cast<uint32_t>(spec.tasks[i].deps.size());
     for (uint32_t dep : spec.tasks[i].deps) {
-      job.children[dep].push_back(static_cast<uint32_t>(i));
+      ++job.child_begin[dep];
+    }
+  }
+  for (size_t i = 1; i <= n; ++i) {
+    job.child_begin[i] += job.child_begin[i - 1];
+  }
+  job.children.resize(job.child_begin[n]);
+  for (size_t i = n; i-- > 0;) {
+    for (uint32_t dep : spec.tasks[i].deps) {
+      job.children[--job.child_begin[dep]] = static_cast<uint32_t>(i);
     }
   }
   job.spec = std::move(spec);
@@ -71,53 +94,51 @@ void FrontierDriver::StartJob(uint32_t job_index) {
     ++jobs_submitted_;
     tasks_submitted_ += job.spec.tasks.size();
   }
-  std::vector<uint32_t> roots;
+  ready_.clear();
   for (uint32_t i = 0; i < static_cast<uint32_t>(job.spec.tasks.size()); ++i) {
     if (job.pending_deps[i] == 0) {
-      roots.push_back(i);
+      ready_.push_back(i);
     }
   }
-  SubmitFrontier(job_index, roots);
+  SubmitFrontier(job_index);
 }
 
-void FrontierDriver::SubmitFrontier(uint32_t job_index, const std::vector<uint32_t>& ready) {
-  DRACONIS_CHECK(!ready.empty());
+void FrontierDriver::SubmitFrontier(uint32_t job_index) {
+  DRACONIS_CHECK(!ready_.empty());
   const JobState& job = jobs_[job_index];
-  std::vector<cluster::TaskSpec> specs;
-  specs.reserve(ready.size());
-  for (uint32_t node_index : ready) {
+  specs_.clear();
+  for (uint32_t node_index : ready_) {
     const TaskNode& node = job.spec.tasks[node_index];
     cluster::TaskSpec spec;
     spec.duration = node.duration;
     spec.tprops = node.tprops;
     spec.fn_id = node.fn_id;
     spec.fn_par = node.fn_par;
-    specs.push_back(spec);
+    specs_.push_back(spec);
   }
-  const uint32_t jid = client_->SubmitJob(specs);
-  // One percentile scan per frontier: nothing in the loop records a latency.
+  const uint32_t jid = client_->SubmitJob(specs_);
   const TimeNs hedge_delay = hedge_.enabled ? HedgeDelay() : 0;
-  for (size_t k = 0; k < ready.size(); ++k) {
-    const uint64_t key = Key(jid, static_cast<uint32_t>(k));
-    TaskState& state = inflight_[key];
+  TaskState* states = inflight_.Open(jid, ready_.size());
+  for (uint32_t tid = 0; tid < static_cast<uint32_t>(ready_.size()); ++tid) {
+    TaskState& state = states[tid];
     state.job = job_index;
-    state.node = ready[k];
+    state.node = ready_[tid];
     if (hedge_.enabled) {
       state.hedge_timer = simulator_->ScheduleAfter(
-          hedge_delay, [this, key] { OnHedgeTimer(key); }, sim::kCancellable);
+          hedge_delay, [this, jid, tid] { OnHedgeTimer(jid, tid); }, sim::kCancellable);
     }
   }
 }
 
 void FrontierDriver::OnCompletion(const net::TaskInfo& task, TimeNs now) {
-  auto it = inflight_.find(Key(task.id.jid, task.id.tid));
-  if (it == inflight_.end()) {
+  TaskState* state = inflight_.Find(task.id.jid, task.id.tid);
+  if (state == nullptr) {
     return;  // not one of ours (the client suppresses duplicates before us)
   }
-  const uint32_t job_index = it->second.job;
-  const uint32_t node_index = it->second.node;
-  it->second.hedge_timer.Cancel();
-  inflight_.erase(it);
+  const uint32_t job_index = state->job;
+  const uint32_t node_index = state->node;
+  state->hedge_timer.Cancel();
+  inflight_.Close(task.id.jid, task.id.tid);
   // The policy histogram sees every completion (window or not): the hedge
   // delay should track the live latency distribution, not the measured one.
   observed_latency_.Record(now - task.meta.first_submit_time);
@@ -125,15 +146,16 @@ void FrontierDriver::OnCompletion(const net::TaskInfo& task, TimeNs now) {
   JobState& job = jobs_[job_index];
   DRACONIS_CHECK(job.remaining > 0);
   --job.remaining;
-  std::vector<uint32_t> ready;
-  for (uint32_t child : job.children[node_index]) {
+  ready_.clear();
+  for (uint32_t c = job.child_begin[node_index]; c < job.child_begin[node_index + 1]; ++c) {
+    const uint32_t child = job.children[c];
     DRACONIS_CHECK(job.pending_deps[child] > 0);
     if (--job.pending_deps[child] == 0) {
-      ready.push_back(child);
+      ready_.push_back(child);
     }
   }
-  if (!ready.empty()) {
-    SubmitFrontier(job_index, ready);
+  if (!ready_.empty()) {
+    SubmitFrontier(job_index);
   }
   if (job.remaining == 0) {
     ++jobs_finished_;
@@ -150,27 +172,25 @@ void FrontierDriver::OnCompletion(const net::TaskInfo& task, TimeNs now) {
   }
 }
 
-void FrontierDriver::OnHedgeTimer(uint64_t key) {
-  auto it = inflight_.find(key);
-  if (it == inflight_.end()) {
+void FrontierDriver::OnHedgeTimer(uint32_t jid, uint32_t tid) {
+  const TaskState* state = inflight_.Find(jid, tid);
+  if (state == nullptr) {
     return;  // completed while the timer was in flight
   }
-  const TaskNode& node = jobs_[it->second.job].spec.tasks[it->second.node];
+  const TaskNode& node = jobs_[state->job].spec.tasks[state->node];
   TimeNs resampled = -1;
   if (hedge_.resample_service) {
     resampled = workload_.StageService(node.stage).Sample(resample_rng_);
   }
-  const net::TaskId id{client_->uid(), static_cast<uint32_t>(key >> 32),
-                       static_cast<uint32_t>(key & 0xFFFFFFFFu)};
-  client_->HedgeTask(id, resampled);
+  client_->HedgeTask(net::TaskId{client_->uid(), jid, tid}, resampled);
 }
 
 TimeNs FrontierDriver::HedgeDelay() const {
   if (observed_latency_.count() < hedge_.min_samples) {
     return hedge_.initial_delay;
   }
-  const auto scaled = static_cast<TimeNs>(
-      hedge_.multiplier * static_cast<double>(observed_latency_.Percentile(hedge_.quantile)));
+  const auto scaled =
+      static_cast<TimeNs>(hedge_.multiplier * static_cast<double>(observed_latency_.Value()));
   return std::max(scaled, hedge_.min_delay);
 }
 

@@ -19,11 +19,11 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "cluster/client.h"
 #include "cluster/experiment.h"
+#include "cluster/job_slots.h"
 #include "cluster/testbed.h"
 #include "common/rng.h"
 #include "dag/job_spec.h"
@@ -79,8 +79,10 @@ class FrontierDriver {
   struct JobState {
     TimeNs arrival = 0;
     JobSpec spec;
-    std::vector<uint32_t> pending_deps;   // per task: unmet dependency count
-    std::vector<std::vector<uint32_t>> children;
+    std::vector<uint32_t> pending_deps;  // per task: unmet dependency count
+    // Task i's successors are children[child_begin[i] .. child_begin[i + 1]).
+    std::vector<uint32_t> child_begin;
+    std::vector<uint32_t> children;
     size_t remaining = 0;  // tasks not yet completed
   };
   struct TaskState {
@@ -90,14 +92,11 @@ class FrontierDriver {
   };
 
   void StartJob(uint32_t job_index);
-  void SubmitFrontier(uint32_t job_index, const std::vector<uint32_t>& ready);
+  // Submits the tasks in ready_ as one client job.
+  void SubmitFrontier(uint32_t job_index);
   void OnCompletion(const net::TaskInfo& task, TimeNs now);
-  void OnHedgeTimer(uint64_t key);
+  void OnHedgeTimer(uint32_t jid, uint32_t tid);
   TimeNs HedgeDelay() const;
-
-  static uint64_t Key(uint32_t jid, uint32_t tid) {
-    return (static_cast<uint64_t>(jid) << 32) | tid;
-  }
 
   sim::Simulator* simulator_;
   cluster::MetricsHub* metrics_;
@@ -107,8 +106,15 @@ class FrontierDriver {
   Rng resample_rng_;  // SeedDomain::kDag; consumed only on hedge launches
 
   std::vector<JobState> jobs_;
-  std::unordered_map<uint64_t, TaskState> inflight_;  // by (jid, tid)
-  stats::Histogram observed_latency_;  // every completion, window or not
+  cluster::JobSlots<TaskState> inflight_;  // by the client's (jid, tid)
+  // Every completion's latency, window or not, with the hedge quantile kept
+  // current.
+  stats::QuantileCursor observed_latency_;
+  // Per-frontier scratch, reused: the ready tasks and their client specs.
+  // Client::SubmitJob never delivers a completion synchronously, so a
+  // frontier is submitted before the next one is built.
+  std::vector<uint32_t> ready_;
+  std::vector<cluster::TaskSpec> specs_;
   size_t jobs_finished_ = 0;
   bool started_ = false;
 

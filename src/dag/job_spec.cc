@@ -1,6 +1,7 @@
 #include "dag/job_spec.h"
 
 #include <algorithm>
+#include <numeric>
 #include <utility>
 
 #include "common/rng.h"
@@ -27,19 +28,20 @@ std::string JobSpec::Validate() const {
     if (node.duration < 0) {
       return "dag job: task " + std::to_string(i) + " has a negative duration";
     }
-    std::vector<uint32_t> seen;
-    for (uint32_t dep : node.deps) {
+    for (size_t k = 0; k < node.deps.size(); ++k) {
+      const uint32_t dep = node.deps[k];
       if (dep >= i) {
         // Also rejects self-edges; index order is the topological order, so
         // any cycle would need at least one forward edge.
         return "dag job: task " + std::to_string(i) + " depends on task " +
                std::to_string(dep) + ", which is not an earlier task (cycle or forward edge)";
       }
-      if (std::find(seen.begin(), seen.end(), dep) != seen.end()) {
+      // The first repeat of an edge, searched in place among the entries
+      // before it.
+      if (std::find(node.deps.begin(), node.deps.begin() + k, dep) != node.deps.begin() + k) {
         return "dag job: task " + std::to_string(i) + " lists dependency " +
                std::to_string(dep) + " twice";
       }
-      seen.push_back(dep);
     }
   }
   return "";
@@ -148,6 +150,7 @@ std::vector<DagJobArrival> DagWorkloadSpec::Generate() const {
     }
     Rng rng(JobSeed(seed, j));
     JobSpec spec;
+    spec.tasks.reserve(TasksPerJob());
     const auto emit = [&](uint32_t stage, std::vector<uint32_t> deps) {
       TaskNode node;
       node.stage = stage;
@@ -164,19 +167,25 @@ std::vector<DagJobArrival> DagWorkloadSpec::Generate() const {
       }
       case DagShape::kFanOutFanIn: {
         // Level boundaries double as frontier barriers: every task of a
-        // level depends on the whole previous level.
-        std::vector<uint32_t> previous = {0};
+        // level depends on the whole previous level, the task indices
+        // [previous, level).
+        const auto previous_level = [&](uint32_t previous, uint32_t level) {
+          std::vector<uint32_t> deps(level - previous);
+          std::iota(deps.begin(), deps.end(), previous);
+          return deps;
+        };
         emit(0, {});
+        uint32_t previous = 0;
+        uint32_t level = 1;
         for (uint32_t s = 1; s + 1 < depth; ++s) {
-          std::vector<uint32_t> current;
           for (uint32_t k = 0; k < width; ++k) {
-            current.push_back(static_cast<uint32_t>(spec.tasks.size()));
-            emit(s, previous);
+            emit(s, previous_level(previous, level));
           }
-          previous = std::move(current);
+          previous = level;
+          level = static_cast<uint32_t>(spec.tasks.size());
         }
         if (depth >= 2) {
-          emit(depth - 1, previous);
+          emit(depth - 1, previous_level(previous, level));
         }
         break;
       }

@@ -114,8 +114,8 @@ void Network::Send(NodeId from, Packet pkt) {
 
 void Network::SendAfter(TimeNs delay, NodeId from, Packet pkt) {
   ++packets_sent_;
-  const uint32_t slot = Hold(std::move(pkt));
-  simulator_->ScheduleAfter(delay, [this, from, slot] { Launch(from, slot); });
+  DRACONIS_CHECK(delay >= 0);
+  simulator_->ScheduleAt(simulator_->Now() + delay, &launch_, from, Hold(std::move(pkt)));
 }
 
 uint32_t Network::Hold(Packet pkt) {
@@ -197,8 +197,7 @@ void Network::Launch(NodeId from, uint32_t slot) {
   // crashed while the packet was in flight; a disconnected host cannot take
   // delivery, so `disconnected` is re-checked at NIC arrival and again at
   // hand-off (a crashed switch must not keep serving queued packets).
-  const NodeId dst = pkt.dst;
-  simulator_->ScheduleAt(t.arrives, [this, dst, slot] { Arrive(dst, slot); });
+  simulator_->ScheduleAt(t.arrives, &arrive_, pkt.dst, slot);
 }
 
 void Network::Arrive(NodeId dst, uint32_t slot) {
@@ -226,7 +225,7 @@ void Network::Arrive(NodeId dst, uint32_t slot) {
     Deliver(dst, slot);
     return;
   }
-  simulator_->ScheduleAt(deliver_at, [this, dst, slot] { Deliver(dst, slot); });
+  simulator_->ScheduleAt(deliver_at, &deliver_, dst, slot);
 }
 
 void Network::Deliver(NodeId dst, uint32_t slot) {
@@ -259,13 +258,13 @@ void Network::Resume(Hop hop, TimeNs at, NodeId from, Packet pkt) {
   const uint32_t slot = Hold(std::move(pkt));
   switch (hop) {
     case Hop::kLaunch:
-      simulator_->ScheduleAt(at, [this, from, slot] { Launch(from, slot); });
+      simulator_->ScheduleAt(at, &launch_, from, slot);
       return;
     case Hop::kArrive:
-      simulator_->ScheduleAt(at, [this, dst, slot] { Arrive(dst, slot); });
+      simulator_->ScheduleAt(at, &arrive_, dst, slot);
       return;
     case Hop::kDeliver:
-      simulator_->ScheduleAt(at, [this, dst, slot] { Deliver(dst, slot); });
+      simulator_->ScheduleAt(at, &deliver_, dst, slot);
       return;
   }
 }

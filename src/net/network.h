@@ -252,9 +252,9 @@ class Network {
   }
 
   // The hop path. A packet is held in the in-flight slab once, and the
-  // events that carry it capture only {this, node, slot index}: 16 trivially
-  // copyable bytes, which std::function stores inline, so a hop never
-  // allocates.
+  // event that carries each hop is a typed simulator event: a HopEvent sink
+  // and the two words (node, slab slot). A hop neither allocates nor goes
+  // through a std::function.
   uint32_t Hold(Packet pkt);
   void Release(uint32_t slot);
   // Send on a held packet (applies the checks, drops and latency model).
@@ -263,6 +263,17 @@ class Network {
   void Arrive(NodeId dst, uint32_t slot);
   void Deliver(NodeId dst, uint32_t slot);
   void DropHeld(uint32_t slot);
+
+  // The sink of one hop step: fires as Step(node, slot) on the network.
+  template <void (Network::*Step)(NodeId, uint32_t)>
+  class HopEvent final : public sim::EventSink {
+   public:
+    explicit HopEvent(Network* network) : network_(network) {}
+    void OnEvent(uint32_t node, uint32_t slot) override { (network_->*Step)(node, slot); }
+
+   private:
+    Network* network_;
+  };
 
   void RecordNetDrops(const Packet& pkt);
   // The sender's outgoing link table, grown to cover it on first use.
@@ -293,6 +304,9 @@ class Network {
   size_t elided_in_flight_ = 0;
   uint64_t packets_dropped_ = 0;
   uint64_t cross_rack_packets_ = 0;
+  HopEvent<&Network::Launch> launch_{this};
+  HopEvent<&Network::Arrive> arrive_{this};
+  HopEvent<&Network::Deliver> deliver_{this};
 };
 
 inline Network::HopTiming Network::LaunchTiming(NodeId from, const HopCost& cost, TimeNs now,

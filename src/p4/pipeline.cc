@@ -10,7 +10,7 @@ namespace draconis::p4 {
 
 // A new field fails this until it is summed below.
 static_assert(sizeof(PipelineCounters) ==
-                  5 * sizeof(uint64_t) + sizeof(std::map<std::string, uint64_t>),
+                  5 * sizeof(uint64_t) + sizeof(PipelineCounters::program_drops),
               "add the new PipelineCounters field to operator+=");
 
 PipelineCounters& PipelineCounters::operator+=(const PipelineCounters& o) {
@@ -35,7 +35,7 @@ void PassContext::Recirculate(net::Packet pkt, bool guaranteed) {
   pipeline_->RecirculateFromPass(std::move(pkt), guaranteed);
 }
 
-void PassContext::Drop(const net::Packet& pkt, const std::string& reason) {
+void PassContext::Drop(const net::Packet& pkt, std::string_view reason) {
   pipeline_->DropFromPass(pkt, reason);
 }
 
@@ -174,11 +174,16 @@ void SwitchPipeline::RecirculateFromPass(net::Packet pkt, bool guaranteed) {
                          });
 }
 
-void SwitchPipeline::DropFromPass(const net::Packet& pkt, const std::string& reason) {
-  ++counters_.program_drops[reason];
+void SwitchPipeline::DropFromPass(const net::Packet& pkt, std::string_view reason) {
+  // A reason seen before is found without building a std::string.
+  auto it = counters_.program_drops.find(reason);
+  if (it == counters_.program_drops.end()) {
+    it = counters_.program_drops.emplace(std::string(reason), 0).first;
+  }
+  ++it->second;
   // Bookkeeping drops ("info_*") end packets whose tasks live on elsewhere;
   // they are not task losses, so only genuine drops are traced.
-  if (reason.rfind("info_", 0) != 0) {
+  if (!reason.starts_with("info_")) {
     RecordPerTask(pkt, trace::Kind::kProgramDrop, simulator_->Now(), simulator_->Now(), 0);
   }
 }

@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
@@ -94,7 +95,7 @@ class PassContext {
   void Recirculate(net::Packet pkt, bool guaranteed = false);
 
   // Discards the packet, counting the reason.
-  void Drop(const net::Packet& pkt, const std::string& reason);
+  void Drop(const net::Packet& pkt, std::string_view reason);
 
   // The register-access guard for this pass.
   PacketPass& registers() { return *registers_; }
@@ -143,7 +144,9 @@ struct PipelineCounters {
   uint64_t recirculations = 0;   // passes that came from the loopback port
   uint64_t recirc_drops = 0;     // packets lost at the loopback port
   uint64_t emitted = 0;          // packets sent out of the switch
-  std::map<std::string, uint64_t> program_drops;
+  // By reason; the transparent comparator looks a reason up without
+  // building a std::string.
+  std::map<std::string, uint64_t, std::less<>> program_drops;
 
   // Fraction of all processed packets that were recirculations (Fig. 7's
   // y-axis).
@@ -215,7 +218,7 @@ class SwitchPipeline : public net::Endpoint {
   void RunPass(Ingress in);
   void EmitFromPass(net::Packet pkt);
   void RecirculateFromPass(net::Packet pkt, bool guaranteed);
-  void DropFromPass(const net::Packet& pkt, const std::string& reason);
+  void DropFromPass(const net::Packet& pkt, std::string_view reason);
   void RecordPerTask(const net::Packet& pkt, trace::Kind kind, TimeNs begin, TimeNs end,
                      uint64_t detail);
 

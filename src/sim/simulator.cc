@@ -36,9 +36,9 @@ void Timer::Bind(Simulator* sim, std::function<void()> fn) {
 void Simulator::FreeSlot(uint32_t slot) {
   Payload& p = payloads_[slot];
   p.fn = nullptr;
-  p.timer = nullptr;
+  p.target = 0;
   gens_[slot] = 0;
-  p.next_free = free_head_;
+  p.words[0] = free_head_;
   free_head_ = slot;
 }
 
@@ -65,19 +65,27 @@ uint64_t Simulator::RunLoop(Queue& queue, bool bounded, TimeNs until) {
     ++ran;
     ++executed_;
     Payload& p = payloads_[key.slot];
-    if (p.timer != nullptr) {
-      // Persistent slot: the callback lives in the Timer (stable storage)
-      // and may re-arm it. Don't touch the slot after the call — the closure
-      // may schedule events and grow the slab.
-      Timer* timer = p.timer;
-      timer->fn_();
-    } else {
+    // Don't touch the slot after a call: the callee may schedule events and
+    // grow the slab.
+    if (p.target == 0) {
       std::function<void()> fn = std::move(p.fn);
-      // Minimal free: `fn` was just moved out (leaving the slot's empty) and
-      // one-shot slots never hold a timer, so only relink the freelist.
-      p.next_free = free_head_;
+      // Minimal free: `fn` was just moved out (leaving the slot's empty), so
+      // only relink the freelist.
+      p.words[0] = free_head_;
       free_head_ = key.slot;
       fn();
+    } else if ((p.target & kTypedTag) != 0) {
+      auto* sink = reinterpret_cast<EventSink*>(p.target & ~kTypedTag);
+      const uint32_t a = p.words[0];
+      const uint32_t b = p.words[1];
+      p.target = 0;
+      p.words[0] = free_head_;
+      free_head_ = key.slot;
+      sink->OnEvent(a, b);
+    } else {
+      // Persistent slot: the callback lives in the Timer (stable storage)
+      // and may re-arm it.
+      reinterpret_cast<Timer*>(p.target)->fn_();
     }
   }
   if (bounded && now_ < until) {
@@ -136,7 +144,7 @@ void Simulator::Clear() {
       continue;
     }
     gens_[slot] = 0;
-    if (payloads_[slot].timer == nullptr) {
+    if (!payloads_[slot].pinned()) {
       FreeSlot(slot);
     }
   }
@@ -164,7 +172,7 @@ bool Simulator::HandlePending(const EventHandle& handle) const {
 
 uint32_t Simulator::RegisterTimer(Timer* timer) {
   const uint32_t slot = AllocSlot();
-  payloads_[slot].timer = timer;
+  payloads_[slot].target = reinterpret_cast<uintptr_t>(timer);
   return slot;
 }
 

@@ -19,12 +19,19 @@
 // callback is stored once and re-arming costs one queue push — no
 // per-occurrence allocation at all.
 //
+//   sim.ScheduleAt(at, &sink, a, b);         // typed: sink.OnEvent(a, b)
+//
+// The typed event is for the per-packet hops (net::Network): it carries an
+// EventSink pointer and two words, which the run loop passes straight to
+// OnEvent with no closure to move, invoke through a manager, or destroy.
+//
 // Engine layout:
 //  - Slots live in a free-listed slab split into a hot generation array
 //    (one word per slot — all the dequeue validation scan ever touches) and
-//    a cold payload array (closure, timer pointer, freelist link). Slots are
-//    recycled after an event fires or is cancelled, so steady-state
-//    scheduling does not grow any container.
+//    a cold 48-byte payload array (closure, then one target word and two
+//    data words that a timer, a typed event and the freelist link share).
+//    Slots are recycled after an event fires or is cancelled, so
+//    steady-state scheduling does not grow any container.
 //  - The queue orders trivially copyable 24-byte keys; the closure never
 //    moves. Two backends — the ladder queue (default) and the binary heap —
 //    are selected at construction and produce bit-identical execution order
@@ -129,6 +136,14 @@ class Timer {
   std::function<void()> fn_;
 };
 
+// The receiver of typed events: Simulator::ScheduleAt(at, sink, a, b) fires
+// as sink->OnEvent(a, b). The sink must outlive its pending events.
+class EventSink {
+ public:
+  virtual ~EventSink() = default;
+  virtual void OnEvent(uint32_t a, uint32_t b) = 0;
+};
+
 // Work kept outside the event queue that still advances with the clock: the
 // Draconis deployment parks idle poll trains this way (core/poll_roster.h).
 // The simulator tells it where a run stopped, so whatever a caller reads
@@ -166,6 +181,10 @@ class Simulator {
   EventHandle ScheduleAfter(TimeNs delay, std::function<void()> fn,
                             CancellableTag);
 
+  // Schedules the typed event sink->OnEvent(a, b) at `at` (>= Now()),
+  // fire-and-forget. It takes a sequence number like any other event.
+  void ScheduleAt(TimeNs at, EventSink* sink, uint32_t a, uint32_t b);
+
   // Runs events until the queue drains or the clock passes `until`.
   // Events scheduled exactly at `until` still run. Returns the number of
   // events executed.
@@ -201,18 +220,35 @@ class Simulator {
 
   static constexpr uint32_t kNilSlot = UINT32_MAX;
 
+  // A typed slot's target word is its EventSink's address with this bit
+  // set; a timer slot's is its Timer's address (both aligned, so bit 0 is
+  // free); a closure slot's is 0.
+  static constexpr uintptr_t kTypedTag = 1;
+
   // Cold per-slot state; the hot liveness word lives in gens_ so the run
   // loop's stale-key scan touches one cache line per ~8 keys instead of one
-  // per slot.
+  // per slot. A slot is a closure, a timer or a typed event, and the last
+  // two share the target and data words with the freelist link.
   struct Payload {
-    std::function<void()> fn;  // one-shot payload; empty for timer slots
-    Timer* timer = nullptr;    // set for slots pinned by a Timer
-    uint32_t next_free = kNilSlot;
+    std::function<void()> fn;  // closure slots; empty otherwise
+    uintptr_t target = 0;      // Timer* or tagged EventSink*; 0 for closures
+    // Typed slots: the event's two words. Free slots: words[0] links the
+    // freelist.
+    uint32_t words[2] = {kNilSlot, 0};
+
+    bool pinned() const { return target != 0 && (target & kTypedTag) == 0; }
   };
+  // Timer slots number in the tens of thousands on big fleets, so the
+  // typed event reuses a timer's words instead of growing the slot.
+  static_assert(sizeof(Payload) == 48, "the payload slab must not grow");
+  static_assert(alignof(Timer) > 1 && alignof(EventSink) > 1, "kTypedTag needs bit 0 free");
 
   uint32_t AllocSlot();
   void FreeSlot(uint32_t slot);
-  // Schedules a one-shot event and returns (slot, gen) for handle creation.
+  // Takes a slot for a one-shot event at `at`, draws its sequence number and
+  // queues its key; the caller fills the payload.
+  EventKey Claim(TimeNs at);
+  // Schedules a one-shot closure and returns (slot, gen) for handle creation.
   EventKey Push(TimeNs at, std::function<void()> fn);
   // Enum dispatch to a concrete backend; both calls devirtualize.
   void QueuePush(EventKey key);
@@ -258,7 +294,7 @@ class Simulator {
 inline uint32_t Simulator::AllocSlot() {
   if (free_head_ != kNilSlot) {
     const uint32_t slot = free_head_;
-    free_head_ = payloads_[slot].next_free;
+    free_head_ = payloads_[slot].words[0];
     return slot;
   }
   gens_.push_back(0);
@@ -274,15 +310,26 @@ inline void Simulator::QueuePush(EventKey key) {
   }
 }
 
-inline EventKey Simulator::Push(TimeNs at, std::function<void()> fn) {
+inline EventKey Simulator::Claim(TimeNs at) {
   DRACONIS_CHECK_MSG(at >= now_, "cannot schedule an event in the past");
-  const uint64_t seq = next_seq_++;
-  const uint32_t slot = AllocSlot();
-  gens_[slot] = seq + 1;
-  payloads_[slot].fn = std::move(fn);
-  QueuePush(EventKey{at, seq, slot});
+  const EventKey key{at, next_seq_++, AllocSlot()};
+  gens_[key.slot] = key.seq + 1;
+  QueuePush(key);
   ++live_;
-  return EventKey{at, seq, slot};
+  return key;
+}
+
+inline EventKey Simulator::Push(TimeNs at, std::function<void()> fn) {
+  const EventKey key = Claim(at);
+  payloads_[key.slot].fn = std::move(fn);
+  return key;
+}
+
+inline void Simulator::ScheduleAt(TimeNs at, EventSink* sink, uint32_t a, uint32_t b) {
+  Payload& p = payloads_[Claim(at).slot];
+  p.target = reinterpret_cast<uintptr_t>(sink) | kTypedTag;
+  p.words[0] = a;
+  p.words[1] = b;
 }
 
 inline void Simulator::ScheduleAt(TimeNs at, std::function<void()> fn) {

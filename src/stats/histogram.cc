@@ -79,12 +79,16 @@ double Histogram::Mean() const {
   return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
 }
 
+uint64_t Histogram::Rank(double q, uint64_t count) {
+  return static_cast<uint64_t>(q * static_cast<double>(count - 1)) + 1;
+}
+
 TimeNs Histogram::Percentile(double q) const {
   DRACONIS_CHECK(q >= 0.0 && q <= 1.0);
   if (count_ == 0) {
     return 0;
   }
-  const auto target = static_cast<uint64_t>(q * static_cast<double>(count_ - 1)) + 1;
+  const uint64_t target = Rank(q, count_);
   uint64_t cumulative = 0;
   for (size_t i = 0; i < buckets_.size(); ++i) {
     cumulative += buckets_[i];
@@ -152,6 +156,39 @@ void Histogram::Reset() {
   min_ = 0;
   max_ = 0;
   sum_ = 0.0;
+}
+
+QuantileCursor::QuantileCursor(double q) : q_(q) { DRACONIS_CHECK(q >= 0.0 && q <= 1.0); }
+
+void QuantileCursor::Record(TimeNs value) {
+  histogram_.Record(value);
+  const size_t bucket = Histogram::BucketIndex(value);
+  if (histogram_.count() == 1) {
+    index_ = bucket;
+    at_or_below_ = 1;
+    return;
+  }
+  if (bucket <= index_) {
+    ++at_or_below_;
+  }
+  // Percentile(q) is the first bucket whose cumulative count reaches the
+  // rank: climb while this one falls short, descend while the one below
+  // already reaches it.
+  const std::vector<uint64_t>& buckets = histogram_.buckets_;
+  const uint64_t rank = Histogram::Rank(q_, histogram_.count());
+  while (at_or_below_ < rank) {
+    at_or_below_ += buckets[++index_];
+  }
+  while (at_or_below_ - buckets[index_] >= rank) {
+    at_or_below_ -= buckets[index_--];
+  }
+}
+
+TimeNs QuantileCursor::Value() const {
+  if (histogram_.count() == 0) {
+    return 0;
+  }
+  return std::min(Histogram::BucketUpperBound(index_), histogram_.max());
 }
 
 }  // namespace draconis::stats

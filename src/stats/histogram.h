@@ -59,17 +59,45 @@ class Histogram {
   void Reset();
 
  private:
+  friend class QuantileCursor;
+
   static constexpr int kSubBucketBits = 6;  // 64 linear sub-buckets per octave
   static constexpr int kSubBuckets = 1 << kSubBucketBits;
 
   static size_t BucketIndex(TimeNs value);
   static TimeNs BucketUpperBound(size_t index);
+  // The 1-based rank Percentile(q) reports among `count` > 0 samples.
+  static uint64_t Rank(double q, uint64_t count);
 
   std::vector<uint64_t> buckets_;
   uint64_t count_ = 0;
   TimeNs min_ = 0;
   TimeNs max_ = 0;
   double sum_ = 0.0;
+};
+
+// A histogram that keeps Percentile(q) current for one fixed q. A cursor (the
+// bucket the quantile falls in, plus the count at or below it) moves with
+// each Record, so Value() costs O(1) instead of a scan of every bucket, and
+// it always equals histogram().Percentile(q). A plain Histogram tracks no
+// quantile and pays nothing for this.
+class QuantileCursor {
+ public:
+  explicit QuantileCursor(double q);
+
+  void Record(TimeNs value);
+
+  // histogram().Percentile(q); 0 while empty.
+  TimeNs Value() const;
+
+  uint64_t count() const { return histogram_.count(); }
+  const Histogram& histogram() const { return histogram_; }
+
+ private:
+  Histogram histogram_;
+  double q_;
+  size_t index_ = 0;          // the bucket Percentile(q_) falls in
+  uint64_t at_or_below_ = 0;  // samples in buckets [0, index_]
 };
 
 }  // namespace draconis::stats

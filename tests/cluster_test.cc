@@ -327,6 +327,161 @@ TEST_F(ClientTest, FireAndForgetTracksNothing) {
   EXPECT_EQ(metrics.timeout_resubmissions(), 0u);
 }
 
+// The client tracks outstanding tasks in per-job slots indexed by jid; these
+// pin the cases a window of jobs must get right.
+class ClientSlotsTest : public ClientTest {
+ protected:
+  // Submits jobs of the given sizes (long tasks, so no timeout fires) and
+  // returns each job's tasks as the scheduler received them.
+  std::vector<std::vector<net::TaskInfo>> SubmitJobs(Client& c, const std::vector<size_t>& sizes) {
+    TaskSpec spec;
+    spec.duration = FromMillis(50);
+    for (size_t n : sizes) {
+      c.SubmitJob(std::vector<TaskSpec>(n, spec));
+    }
+    simulator.RunUntil(simulator.Now() + FromMicros(20));
+    std::vector<std::vector<net::TaskInfo>> jobs;
+    for (const net::Packet& pkt : scheduler.received) {
+      if (pkt.op == net::OpCode::kJobSubmission) {
+        jobs.push_back(pkt.tasks);
+      }
+    }
+    scheduler.received.clear();
+    return jobs;
+  }
+
+  void Deliver(net::OpCode op, std::vector<net::TaskInfo> tasks) {
+    net::Packet pkt;
+    pkt.op = op;
+    pkt.dst = client->node_id();
+    pkt.tasks = std::move(tasks);
+    network.Send(scheduler_node, std::move(pkt));
+    simulator.RunUntil(simulator.Now() + FromMicros(20));
+  }
+
+  void Complete(const net::TaskInfo& task) { Deliver(net::OpCode::kCompletionNotice, {task}); }
+};
+
+TEST_F(ClientSlotsTest, CompletionsOutOfJobOrderKeepOutstandingExact) {
+  Client& c = MakeClient();
+  std::vector<net::TaskId> completed;
+  c.SetCompletionCallback(
+      [&](const net::TaskInfo& task, TimeNs) { completed.push_back(task.id); });
+  const auto jobs = SubmitJobs(c, {3, 2, 1, 2});
+  ASSERT_EQ(jobs.size(), 4u);
+  EXPECT_EQ(c.outstanding(), 8u);
+
+  // Ids the client never submitted: a later jid, a tid past the job's end,
+  // another client's uid. None is ours.
+  net::TaskInfo stranger = jobs[1][0];
+  stranger.id.jid = 99;
+  Complete(stranger);
+  stranger = jobs[3][0];
+  stranger.id.tid = 7;
+  Complete(stranger);
+  stranger = jobs[2][0];
+  stranger.id.uid = 5;
+  Complete(stranger);
+  EXPECT_EQ(c.completions(), 0u);
+  EXPECT_TRUE(completed.empty());
+  EXPECT_EQ(c.outstanding(), 8u);
+
+  // Newest job first, then a middle task of the oldest, each completion
+  // followed by a duplicate notice that must change nothing.
+  const std::vector<net::TaskInfo> order = {jobs[3][1], jobs[3][0], jobs[0][1], jobs[2][0],
+                                            jobs[1][0], jobs[0][2], jobs[0][0], jobs[1][1]};
+  size_t outstanding = 8;
+  for (const net::TaskInfo& task : order) {
+    Complete(task);
+    Complete(task);
+    EXPECT_EQ(c.outstanding(), --outstanding);
+  }
+  EXPECT_EQ(c.completions(), 8u);
+  ASSERT_EQ(completed.size(), 8u);
+  for (size_t i = 0; i < order.size(); ++i) {
+    EXPECT_EQ(completed[i], order[i].id);
+  }
+
+
+  // A new job after the window emptied is tracked from scratch.
+  const auto later = SubmitJobs(c, {2});
+  EXPECT_EQ(c.outstanding(), 2u);
+  Complete(later[0][1]);
+  EXPECT_EQ(c.outstanding(), 1u);
+  EXPECT_EQ(metrics.timeout_resubmissions(), 0u);
+}
+
+TEST_F(ClientSlotsTest, QueueFullRetrySkipsATaskThatCompletedMeanwhile) {
+  Client& c = MakeClient();
+  const auto jobs = SubmitJobs(c, {1, 2});
+  Complete(jobs[0][0]);
+  Complete(jobs[1][1]);
+  EXPECT_EQ(c.outstanding(), 1u);
+
+  // The scheduler refuses all three; only the one still outstanding retries.
+  Deliver(net::OpCode::kErrorQueueFull, {jobs[0][0], jobs[1][0], jobs[1][1]});
+  simulator.RunUntil(simulator.Now() + Client::kQueueFullRetryWait);
+  EXPECT_EQ(metrics.queue_full_retries(), 1u);
+  ASSERT_EQ(scheduler.CountOf(net::OpCode::kJobSubmission), 1u);
+  const net::Packet& retry = scheduler.received.back();
+  ASSERT_EQ(retry.tasks.size(), 1u);
+  EXPECT_EQ(retry.tasks[0].id, jobs[1][0].id);
+  EXPECT_EQ(retry.tasks[0].meta.attempt, 1u);
+  EXPECT_EQ(c.outstanding(), 1u);
+}
+
+TEST_F(ClientSlotsTest, HedgeAndCancelOnTheOldestJobAfterNewerJobsCompleted) {
+  Client& c = MakeClient();
+  const auto jobs = SubmitJobs(c, {2, 1, 3});
+  for (const net::TaskInfo& task : jobs[1]) {
+    Complete(task);
+  }
+  for (const net::TaskInfo& task : jobs[2]) {
+    Complete(task);
+  }
+  EXPECT_EQ(c.outstanding(), 2u);
+
+  EXPECT_TRUE(c.HedgeTask(jobs[0][0].id, FromMicros(10)));
+  EXPECT_TRUE(c.CancelTask(jobs[0][1].id));
+  EXPECT_FALSE(c.CancelTask(jobs[0][1].id));
+  EXPECT_FALSE(c.HedgeTask(jobs[2][0].id)) << "a completed job's task is not outstanding";
+  EXPECT_EQ(c.outstanding(), 1u);
+  simulator.RunUntil(simulator.Now() + FromMicros(20));
+  ASSERT_EQ(scheduler.CountOf(net::OpCode::kJobSubmission), 1u);
+  const net::TaskInfo hedge = scheduler.received.back().tasks[0];
+  EXPECT_EQ(hedge.id, jobs[0][0].id);
+  EXPECT_EQ(hedge.meta.attempt, 1u);
+
+  Complete(hedge);  // the replica wins
+  EXPECT_EQ(c.outstanding(), 0u);
+  EXPECT_EQ(metrics.hedge_wins(), 1u);
+  Complete(jobs[0][0]);  // the loser's late notice
+  Complete(jobs[0][1]);  // the cancelled task's late notice
+  EXPECT_EQ(c.completions(), 5u);
+  EXPECT_EQ(c.outstanding(), 0u);
+  EXPECT_EQ(metrics.cancellations(), 2u);  // the hedge loser and the cancel
+}
+
+TEST_F(ClientSlotsTest, FireAndForgetIgnoresEveryNotice) {
+  ClientConfig config;
+  config.fire_and_forget = true;
+  Client& c = MakeClient(config);
+  int callbacks = 0;
+  c.SetCompletionCallback([&](const net::TaskInfo&, TimeNs) { ++callbacks; });
+  const auto jobs = SubmitJobs(c, {2, 1});
+  EXPECT_EQ(c.outstanding(), 0u);
+  Complete(jobs[0][0]);
+  Deliver(net::OpCode::kErrorQueueFull, {jobs[1][0]});
+  EXPECT_FALSE(c.HedgeTask(jobs[0][1].id));
+  EXPECT_FALSE(c.CancelTask(jobs[0][1].id));
+  simulator.RunUntil(FromSeconds(1));
+  EXPECT_EQ(c.outstanding(), 0u);
+  EXPECT_EQ(c.completions(), 0u);
+  EXPECT_EQ(callbacks, 0);
+  EXPECT_EQ(metrics.queue_full_retries(), 0u);
+  EXPECT_EQ(metrics.timeout_resubmissions(), 0u);
+}
+
 TEST_F(ClientTest, ServesParamFetches) {
   Client& c = MakeClient();
   TaskSpec spec;

@@ -334,6 +334,105 @@ TEST_P(TimerTest, SlotRecyclingAfterTimerDeathIsSafe) {
   EXPECT_EQ(s.executed_events(), 1u);
 }
 
+// --- Typed events (the packet-hop path) --------------------------------------
+
+class TypedEventTest : public ::testing::TestWithParam<QueueBackend> {};
+
+// Records each firing as a + 100 * b, with the time it fired at.
+class Recorder : public EventSink {
+ public:
+  Recorder(Simulator* sim, std::vector<int>* order) : sim_(sim), order_(order) {}
+  void OnEvent(uint32_t a, uint32_t b) override {
+    order_->push_back(static_cast<int>(a + 100 * b));
+    fired_at.push_back(sim_->Now());
+  }
+  std::vector<TimeNs> fired_at;
+
+ private:
+  Simulator* sim_;
+  std::vector<int>* order_;
+};
+
+TEST_P(TypedEventTest, InterleaveWithClosuresAndTimersInAtSeqOrder) {
+  Simulator s(GetParam());
+  std::vector<int> order;
+  Recorder sink(&s, &order);
+  Timer timer(&s, [&] { order.push_back(-1); });
+  s.ScheduleAt(20, &sink, 4, 0);
+  s.ScheduleAt(10, [&] { order.push_back(1); });
+  s.ScheduleAt(10, &sink, 2, 0);
+  timer.ScheduleAt(10);
+  s.ScheduleAt(10, &sink, 3, 1);
+  s.ScheduleAt(5, &sink, 0, 7);
+  s.ScheduleAt(20, [&] {
+    order.push_back(5);
+    // Scheduled from inside an event: behind the time-20 keys already drawn.
+    s.ScheduleAt(20, &sink, 6, 0);
+    s.ScheduleAt(20, [&] { order.push_back(7); });
+  });
+  EXPECT_EQ(s.pending_events(), 7u);
+  s.RunAll();
+  EXPECT_EQ(order, (std::vector<int>{700, 1, 2, -1, 103, 4, 5, 6, 7}));
+  EXPECT_EQ(sink.fired_at, (std::vector<TimeNs>{5, 10, 10, 20, 20}));
+  EXPECT_EQ(s.executed_events(), 9u);
+  EXPECT_EQ(s.pending_events(), 0u);
+}
+
+TEST_P(TypedEventTest, ClearDropsThemAndTheirSlotsAreReused) {
+  Simulator s(GetParam());
+  std::vector<int> order;
+  Recorder sink(&s, &order);
+  Timer timer(&s, [&] { order.push_back(-1); });
+  for (uint32_t i = 0; i < 5; ++i) {
+    s.ScheduleAt(10 + i, &sink, i, 0);
+  }
+  timer.ScheduleAt(12);
+  s.RunUntil(10);
+  EXPECT_EQ(order, (std::vector<int>{0}));
+  s.Clear();
+  EXPECT_EQ(s.pending_events(), 0u);
+  EXPECT_FALSE(timer.pending());
+  s.RunAll();
+  EXPECT_EQ(order, (std::vector<int>{0}));
+  // The freed slots carry new typed events, closures and the timer again.
+  s.ScheduleAt(30, &sink, 9, 9);
+  s.ScheduleAt(30, [&] { order.push_back(1); });
+  timer.ScheduleAt(30);
+  s.RunAll();
+  EXPECT_EQ(order, (std::vector<int>{0, 909, 1, -1}));
+}
+
+TEST_P(TypedEventTest, RunUntilBoundAndAnyEventDueNowSeeThem) {
+  Simulator s(GetParam());
+  std::vector<int> order;
+  Recorder sink(&s, &order);
+  s.ScheduleAt(100, &sink, 1, 0);
+  s.RunUntil(99);
+  EXPECT_TRUE(order.empty());
+  EXPECT_EQ(s.Now(), 99);
+  EXPECT_EQ(s.pending_events(), 1u);
+  s.RunUntil(100);  // inclusive bound
+  EXPECT_EQ(order, (std::vector<int>{1}));
+
+  bool due_with_typed = false;
+  bool due_alone = true;
+  s.ScheduleAt(200, [&] {
+    s.ScheduleAt(200, &sink, 2, 0);
+    due_with_typed = s.AnyEventDueNow();
+  });
+  s.ScheduleAt(300, [&] {
+    s.ScheduleAt(301, &sink, 3, 0);
+    due_alone = s.AnyEventDueNow();
+  });
+  s.RunAll();
+  EXPECT_TRUE(due_with_typed);
+  EXPECT_FALSE(due_alone);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, TypedEventTest,
+                         ::testing::ValuesIn(AllQueueBackends()), BackendName);
+
 INSTANTIATE_TEST_SUITE_P(Backends, TimerTest,
                          ::testing::ValuesIn(AllQueueBackends()), BackendName);
 

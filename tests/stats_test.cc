@@ -246,5 +246,39 @@ TEST(HistogramTest, EmptyToJsonOmitsPercentiles) {
   EXPECT_EQ(json.find("p99_ns"), std::string::npos);
 }
 
+// The cursor is an exact replacement for the bucket scan: after every
+// Record it reads what Percentile(q) does, whether the new value lands below
+// the cursor, above it, or past the end of the bucket array.
+TEST(QuantileCursorTest, EqualsPercentileAfterEveryRecord) {
+  for (uint64_t seed = 0; seed < 32; ++seed) {
+    for (double q : {0.0, 0.5, 0.95, 0.999, 1.0}) {
+      QuantileCursor cursor(q);
+      EXPECT_EQ(cursor.Value(), 0);
+      Rng rng(seed);
+      for (int i = 0; i < 1000; ++i) {
+        TimeNs value = 0;
+        switch (rng.NextBelow(4)) {
+          case 0:  // at or below the cursor's bucket
+            value = static_cast<TimeNs>(rng.NextBelow(static_cast<uint64_t>(cursor.Value()) + 1));
+            break;
+          case 1:  // the body of a latency distribution
+            value = static_cast<TimeNs>(rng.NextExponential(50000.0));
+            break;
+          case 2:  // exact small values and their ties
+            value = static_cast<TimeNs>(rng.NextBelow(64));
+            break;
+          default:  // a new maximum that grows the bucket array
+            value = cursor.histogram().max() + 1 +
+                    static_cast<TimeNs>(rng.NextBelow(uint64_t{1} << rng.NextBelow(30)));
+            break;
+        }
+        cursor.Record(value);
+        ASSERT_EQ(cursor.Value(), cursor.histogram().Percentile(q))
+            << "seed " << seed << " q " << q << " after " << i + 1 << " records";
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace draconis::stats
