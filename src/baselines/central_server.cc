@@ -15,7 +15,7 @@ CentralServerScheduler::CentralServerScheduler(cluster::Testbed* testbed,
   node_id_ = network_->Register(this, config.Profile());
 }
 
-void CentralServerScheduler::HandlePacket(net::Packet pkt) {
+void CentralServerScheduler::HandlePacket(net::Packet&& pkt) {
   switch (pkt.op) {
     case net::OpCode::kJobSubmission:
       HandleSubmission(std::move(pkt));
@@ -28,7 +28,7 @@ void CentralServerScheduler::HandlePacket(net::Packet pkt) {
         net::Packet notice;
         notice.op = net::OpCode::kCompletionNotice;
         notice.dst = pkt.client_addr;
-        notice.tasks = {std::move(pkt.tasks.at(0))};
+        notice.tasks.push_back(pkt.tasks.at(0));
         network_->Send(node_id_, std::move(notice));
       }
       HandleRequest(pkt);
@@ -39,7 +39,7 @@ void CentralServerScheduler::HandlePacket(net::Packet pkt) {
   }
 }
 
-void CentralServerScheduler::HandleSubmission(net::Packet pkt) {
+void CentralServerScheduler::HandleSubmission(net::Packet&& pkt) {
   const TimeNs now = simulator_->Now();
   const net::NodeId client = pkt.src;
 
@@ -77,8 +77,7 @@ void CentralServerScheduler::HandleSubmission(net::Packet pkt) {
     error.dst = client;
     error.uid = pkt.uid;
     error.jid = pkt.jid;
-    error.tasks.assign(std::make_move_iterator(pkt.tasks.begin() + accepted),
-                       std::make_move_iterator(pkt.tasks.end()));
+    error.tasks.assign(pkt.tasks.begin() + accepted, pkt.tasks.end());
     network_->Send(node_id_, std::move(error));
     return;
   }
@@ -115,7 +114,7 @@ void CentralServerScheduler::AssignTo(net::NodeId executor) {
   net::Packet assignment;
   assignment.op = net::OpCode::kTaskAssignment;
   assignment.dst = executor;
-  assignment.tasks = {std::move(next.task)};
+  assignment.tasks.push_back(next.task);
   assignment.client_addr = next.client;
   network_->Send(node_id_, std::move(assignment));
 }

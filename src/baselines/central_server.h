@@ -56,7 +56,7 @@ class CentralServerScheduler : public net::Endpoint {
   const cluster::SchedulerCounters& counters() const { return counters_; }
 
   // net::Endpoint:
-  void HandlePacket(net::Packet pkt) override;
+  void HandlePacket(net::Packet&& pkt) override;
 
  private:
   struct QueuedTask {
@@ -64,7 +64,7 @@ class CentralServerScheduler : public net::Endpoint {
     net::NodeId client;
   };
 
-  void HandleSubmission(net::Packet pkt);
+  void HandleSubmission(net::Packet&& pkt);
   void HandleRequest(const net::Packet& pkt);
 
   void AssignTo(net::NodeId executor);

@@ -26,7 +26,7 @@ double LatencyHistogram::ExpectedNs() const {
 MalcolmProgram::MalcolmProgram(size_t num_nodes)
     : PushProgram(num_nodes), histograms_(num_nodes) {}
 
-void MalcolmProgram::OnPass(p4::PassContext& ctx, net::Packet pkt) {
+void MalcolmProgram::OnPass(p4::PassContext& ctx, net::Packet&& pkt) {
   if (pkt.op == net::OpCode::kCredit) {
     // The worker piggybacks the task's measured sojourn in summary_depth.
     DRACONIS_CHECK(pkt.exec_props < histograms_.size());

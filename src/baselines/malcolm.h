@@ -50,7 +50,7 @@ class MalcolmProgram : public PushProgram {
 
   // Feeds each credit's piggybacked sojourn into its node's histogram, then
   // runs the shared protocol.
-  void OnPass(p4::PassContext& ctx, net::Packet pkt) override;
+  void OnPass(p4::PassContext& ctx, net::Packet&& pkt) override;
 
   const LatencyHistogram& cp_histogram(size_t node) const { return histograms_[node]; }
 

@@ -25,7 +25,7 @@ void PushProgram::CheckConservation() const {
                      "push credits not conserved: outstanding != tasks_pushed - credits");
 }
 
-void PushProgram::OnPass(p4::PassContext& ctx, net::Packet pkt) {
+void PushProgram::OnPass(p4::PassContext& ctx, net::Packet&& pkt) {
   switch (pkt.op) {
     case net::OpCode::kCredit: {
       DRACONIS_CHECK(pkt.exec_props < outstanding_.size());
@@ -67,15 +67,15 @@ void PushProgram::OnPass(p4::PassContext& ctx, net::Packet pkt) {
   outstanding_[target] += 1;
   ++counters_.tasks_pushed;
 
-  net::Packet push = std::move(pkt);
-  push.op = net::OpCode::kTaskAssignment;
-  push.client_addr = push.client_addr != net::kInvalidNode ? push.client_addr : push.src;
-  push.exec_props = static_cast<uint32_t>(target);
-  push.dst = worker_of_target_[target];
-  DRACONIS_CHECK_MSG(push.dst != net::kInvalidNode, "target not bound to a worker");
-  trace::RecordTask(recorder_, push.tasks[0], trace::Kind::kAssign, ctx.Now(), ctx.Now(), 0,
-                    push.dst);
-  ctx.Emit(std::move(push));
+  // The submission becomes the assignment in place.
+  pkt.op = net::OpCode::kTaskAssignment;
+  pkt.client_addr = pkt.client_addr != net::kInvalidNode ? pkt.client_addr : pkt.src;
+  pkt.exec_props = static_cast<uint32_t>(target);
+  pkt.dst = worker_of_target_[target];
+  DRACONIS_CHECK_MSG(pkt.dst != net::kInvalidNode, "target not bound to a worker");
+  trace::RecordTask(recorder_, pkt.tasks[0], trace::Kind::kAssign, ctx.Now(), ctx.Now(), 0,
+                    pkt.dst);
+  ctx.Emit(std::move(pkt));
 }
 
 }  // namespace draconis::baselines

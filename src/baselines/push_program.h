@@ -38,7 +38,7 @@ class PushProgram : public p4::SwitchProgram {
   // Optional task-lifecycle recorder (nullable; never affects behaviour).
   void SetRecorder(trace::Recorder* recorder) { recorder_ = recorder; }
 
-  void OnPass(p4::PassContext& ctx, net::Packet pkt) override;
+  void OnPass(p4::PassContext& ctx, net::Packet&& pkt) override;
 
   size_t num_targets() const { return outstanding_.size(); }
   const cluster::SchedulerCounters& counters() const { return counters_; }

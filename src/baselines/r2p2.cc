@@ -59,7 +59,7 @@ R2P2Worker::R2P2Worker(cluster::Testbed* testbed, size_t num_executors, uint32_t
       first_slot_(worker_node * num_executors),
       queues_(num_executors) {}
 
-void R2P2Worker::HandlePacket(net::Packet pkt) {
+void R2P2Worker::HandlePacket(net::Packet&& pkt) {
   if (pkt.op != net::OpCode::kTaskAssignment) {
     return;
   }
@@ -67,19 +67,18 @@ void R2P2Worker::HandlePacket(net::Packet pkt) {
   DRACONIS_CHECK_MSG(pkt.exec_props >= first_slot_ && local < queues_.size(),
                      "task pushed to a slot this worker does not host");
   Arrive(pkt.tasks.at(0));
-  queues_[local].push_back(std::move(pkt));
+  queues_[local].push_back(CoreSlot{pkt.tasks[0], pkt.client_addr, /*busy=*/true});
   TryRun(local);
 }
 
 void R2P2Worker::TryRun(size_t local) {
   CoreSlot& core = cores_[local];
-  std::deque<net::Packet>& queue = queues_[local];
+  std::deque<CoreSlot>& queue = queues_[local];
   if (core.busy || queue.empty()) {
     return;
   }
-  net::Packet pkt = std::move(queue.front());
+  core = queue.front();
   queue.pop_front();
-  core = CoreSlot{std::move(pkt.tasks.at(0)), pkt.client_addr, /*busy=*/true};
   EndAt(Run(core.task, Pickup(core.task)), static_cast<uint32_t>(local));
 }
 

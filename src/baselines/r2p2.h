@@ -80,7 +80,7 @@ class R2P2Worker : public cluster::TaskRunner {
              net::NodeId scheduler);
 
   // net::Endpoint:
-  void HandlePacket(net::Packet pkt) override;
+  void HandlePacket(net::Packet&& pkt) override;
 
  private:
   void TryRun(size_t local);
@@ -88,8 +88,8 @@ class R2P2Worker : public cluster::TaskRunner {
   void TaskDone(uint32_t core, net::TaskInfo task, net::NodeId client) override;
 
   size_t first_slot_;
-  // Per executor slot (core): the task_assignment packets waiting.
-  std::vector<std::deque<net::Packet>> queues_;
+  // Per executor slot (core): the pushed tasks waiting for it.
+  std::vector<std::deque<CoreSlot>> queues_;
 };
 
 }  // namespace draconis::baselines

@@ -35,7 +35,7 @@ RackSchedWorker::RackSchedWorker(cluster::Testbed* testbed, size_t num_executors
   DRACONIS_CHECK(num_executors >= 1);
 }
 
-void RackSchedWorker::HandlePacket(net::Packet pkt) {
+void RackSchedWorker::HandlePacket(net::Packet&& pkt) {
   if (pkt.op != net::OpCode::kTaskAssignment) {
     return;
   }
@@ -47,7 +47,7 @@ void RackSchedWorker::HandlePacket(net::Packet pkt) {
     simulator_->ScheduleAfter(kDispatchOverhead + cluster::kPickupOverhead, [this] { PsAdmit(); });
     return;
   }
-  queue_.push_back(std::move(pkt));
+  queue_.push_back(CoreSlot{pkt.tasks.at(0), pkt.client_addr, /*busy=*/true});
   TryDispatch();
 }
 
@@ -129,7 +129,7 @@ size_t RackSchedWorker::NextQueueIndex() const {
   size_t best = 0;
   TimeNs best_deadline = 0;
   for (size_t i = 0; i < queue_.size(); ++i) {
-    const net::TaskInfo& task = queue_[i].tasks.at(0);
+    const net::TaskInfo& task = queue_[i].task;
     const TimeNs deadline =
         task.meta.enqueue_time + static_cast<TimeNs>(task.tprops) * 1000;
     if (i == 0 || deadline < best_deadline) {
@@ -150,9 +150,8 @@ void RackSchedWorker::TryDispatch() {
       continue;
     }
     const size_t index = NextQueueIndex();
-    net::Packet pkt = std::move(queue_[index]);
+    slot = queue_[index];
     queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(index));
-    slot = CoreSlot{std::move(pkt.tasks.at(0)), pkt.client_addr, /*busy=*/true};
     // Intra-node scheduling adds its dispatch overhead before service starts.
     EndAt(Run(slot.task, Pickup(slot.task), kDispatchOverhead + cluster::kPickupOverhead), core);
     if (queue_.empty()) {

@@ -70,7 +70,7 @@ class RackSchedWorker : public cluster::TaskRunner {
                   bool report_latency = false);
 
   // net::Endpoint:
-  void HandlePacket(net::Packet pkt) override;
+  void HandlePacket(net::Packet&& pkt) override;
 
  private:
   // --- cFCFS / EDF mode ---
@@ -100,7 +100,7 @@ class RackSchedWorker : public cluster::TaskRunner {
   IntraNodePolicy policy_;
   bool report_latency_;
 
-  std::deque<net::Packet> queue_;
+  std::deque<CoreSlot> queue_;  // cFCFS / EDF: arrived, waiting for a core
 
   std::deque<CoreSlot> ps_admitting_;  // arrived, waiting for the dispatcher
   std::vector<PsTask> ps_tasks_;

@@ -16,7 +16,7 @@ SparrowScheduler::SparrowScheduler(cluster::Testbed* testbed, const SparrowConfi
   node_id_ = network_->Register(this, SparrowConfig::Profile());
 }
 
-void SparrowScheduler::HandlePacket(net::Packet pkt) {
+void SparrowScheduler::HandlePacket(net::Packet&& pkt) {
   switch (pkt.op) {
     case net::OpCode::kJobSubmission:
       HandleSubmission(std::move(pkt));
@@ -29,7 +29,7 @@ void SparrowScheduler::HandlePacket(net::Packet pkt) {
   }
 }
 
-void SparrowScheduler::HandleSubmission(net::Packet pkt) {
+void SparrowScheduler::HandleSubmission(net::Packet&& pkt) {
   DRACONIS_CHECK_MSG(!workers_.empty(), "Sparrow scheduler has no workers configured");
   const TimeNs now = simulator_->Now();
   const uint64_t key = JobKey(pkt.uid, pkt.jid);
@@ -88,7 +88,7 @@ void SparrowScheduler::HandleGetTask(const net::Packet& pkt) {
   net::Packet assignment;
   assignment.op = net::OpCode::kTaskAssignment;
   assignment.dst = pkt.src;
-  assignment.tasks = {std::move(task)};
+  assignment.tasks.push_back(task);
   assignment.client_addr = job.client;
   network_->Send(node_id_, std::move(assignment));
 
@@ -104,7 +104,7 @@ SparrowWorker::SparrowWorker(cluster::Testbed* testbed, size_t num_executors,
   DRACONIS_CHECK(num_executors >= 1);
 }
 
-void SparrowWorker::HandlePacket(net::Packet pkt) {
+void SparrowWorker::HandlePacket(net::Packet&& pkt) {
   switch (pkt.op) {
     case net::OpCode::kProbe: {
       reservations_.push_back(Reservation{pkt.src, pkt.uid, pkt.jid});

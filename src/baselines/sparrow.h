@@ -59,7 +59,7 @@ class SparrowScheduler : public net::Endpoint {
   void SetWorkers(std::vector<net::NodeId> workers) { workers_ = std::move(workers); }
 
   // net::Endpoint:
-  void HandlePacket(net::Packet pkt) override;
+  void HandlePacket(net::Packet&& pkt) override;
 
   const cluster::SchedulerCounters& counters() const { return counters_; }
 
@@ -73,7 +73,7 @@ class SparrowScheduler : public net::Endpoint {
     return (static_cast<uint64_t>(uid) << 32) | jid;
   }
 
-  void HandleSubmission(net::Packet pkt);
+  void HandleSubmission(net::Packet&& pkt);
   void HandleGetTask(const net::Packet& pkt);
 
   sim::Simulator* simulator_;
@@ -95,7 +95,7 @@ class SparrowWorker : public cluster::TaskRunner {
   SparrowWorker(cluster::Testbed* testbed, size_t num_executors, uint32_t worker_node);
 
   // net::Endpoint:
-  void HandlePacket(net::Packet pkt) override;
+  void HandlePacket(net::Packet&& pkt) override;
 
  private:
   struct Reservation {

@@ -28,73 +28,89 @@ uint32_t Client::SubmitJob(const std::vector<TaskSpec>& specs) {
   metrics_->RegisterJob(config_.uid, jid, specs.size());
   Pending* pending = config_.fire_and_forget ? nullptr : outstanding_.Open(jid, specs.size());
 
-  std::vector<net::TaskInfo> tasks;
-  tasks.reserve(specs.size());
   for (size_t i = 0; i < specs.size(); ++i) {
-    net::TaskInfo task;
-    task.id = net::TaskId{config_.uid, jid, static_cast<uint32_t>(i)};
-    if (specs[i].oversized_param_bytes > 0) {
-      // §4.4: submit a transmission function; the executor fetches the real
-      // parameters (FN_PAR carries their size).
-      task.fn_id = net::kTransmissionFnId;
-      task.fn_par = specs[i].oversized_param_bytes;
-    } else {
-      task.fn_id = specs[i].fn_id;
-      task.fn_par = specs[i].fn_par;
-    }
-    task.tprops = specs[i].tprops;
-    task.meta.exec_duration = specs[i].duration;
-    task.meta.first_submit_time = now;
-    task.meta.submit_time = now;
+    const net::TaskInfo task = MakeTask(specs[i], jid, static_cast<uint32_t>(i), now);
     metrics_->RecordSubmission(now);
     trace::RecordTask(recorder_, task, trace::Kind::kSubmit, now, now, specs.size(), node_id_);
     if (pending != nullptr) {
       pending[i].task = task;
       ArmTimeout(pending[i], jid, static_cast<uint32_t>(i));
     }
-    tasks.push_back(std::move(task));
   }
-  SendTasks(std::move(tasks));
+  // Once every timeout is armed, the job goes out in as many job_submission
+  // packets as the MTU requires (§4.3 "Handling Large Jobs"), each packet's
+  // list filled in place.
+  const size_t per_packet = config_.max_tasks_per_packet;
+  for (size_t offset = 0; offset < specs.size(); offset += per_packet) {
+    const size_t end = std::min(specs.size(), offset + per_packet);
+    net::Packet pkt;
+    pkt.tasks.reserve(end - offset);
+    for (size_t i = offset; i < end; ++i) {
+      pkt.tasks.push_back(MakeTask(specs[i], jid, static_cast<uint32_t>(i), now));
+    }
+    SendSubmission(std::move(pkt));
+  }
   return jid;
 }
 
-void Client::SendTasks(std::vector<net::TaskInfo> tasks) {
-  // Split the job across as many job_submission packets as the MTU requires
-  // (§4.3 "Handling Large Jobs").
+net::TaskInfo Client::MakeTask(const TaskSpec& spec, uint32_t jid, uint32_t tid,
+                               TimeNs now) const {
+  net::TaskInfo task;
+  task.id = net::TaskId{config_.uid, jid, tid};
+  if (spec.oversized_param_bytes > 0) {
+    // §4.4: submit a transmission function; the executor fetches the real
+    // parameters (FN_PAR carries their size).
+    task.fn_id = net::kTransmissionFnId;
+    task.fn_par = spec.oversized_param_bytes;
+  } else {
+    task.fn_id = spec.fn_id;
+    task.fn_par = spec.fn_par;
+  }
+  task.tprops = spec.tprops;
+  task.meta.exec_duration = spec.duration;
+  task.meta.first_submit_time = now;
+  task.meta.submit_time = now;
+  return task;
+}
+
+void Client::SendTasks(net::TaskList&& tasks) {
+  // Split across as many job_submission packets as the MTU requires.
   const size_t total = tasks.size();
-  size_t offset = 0;
-  while (offset < total) {
-    const size_t n = std::min(config_.max_tasks_per_packet, total - offset);
+  const size_t per_packet = config_.max_tasks_per_packet;
+  for (size_t offset = 0; offset < total; offset += per_packet) {
     net::Packet pkt;
-    pkt.op = net::OpCode::kJobSubmission;
-    // Multi-rack placement routes each submission packet (the home ToR unless
-    // its queue depth tripped the overflow watermark); legacy clients go
-    // straight to their scheduler.
-    pkt.dst = config_.router != nullptr ? config_.router->Route(scheduler_) : scheduler_;
-    pkt.uid = config_.uid;
-    pkt.jid = tasks[offset].id.jid;
-    if (n == total) {
-      pkt.tasks = std::move(tasks);  // one packet carries the whole job
+    if (total <= per_packet) {
+      pkt.tasks = std::move(tasks);  // one packet carries them all
     } else {
-      pkt.tasks.assign(std::make_move_iterator(tasks.begin() + offset),
-                       std::make_move_iterator(tasks.begin() + offset + n));
+      pkt.tasks.assign(tasks.begin() + offset,
+                       tasks.begin() + std::min(total, offset + per_packet));
     }
-    for (const net::TaskInfo& t : pkt.tasks) {
-      trace::RecordTask(recorder_, t, trace::Kind::kClientSend, simulator_->Now(),
-                        simulator_->Now(), pkt.tasks.size(), pkt.dst);
-    }
-    network_->Send(node_id_, std::move(pkt));
-    offset += n;
+    SendSubmission(std::move(pkt));
   }
 }
 
-void Client::HandlePacket(net::Packet pkt) {
+void Client::SendSubmission(net::Packet&& pkt) {
+  pkt.op = net::OpCode::kJobSubmission;
+  // Multi-rack placement routes each submission packet (the home ToR unless
+  // its queue depth tripped the overflow watermark); legacy clients go
+  // straight to their scheduler.
+  pkt.dst = config_.router != nullptr ? config_.router->Route(scheduler_) : scheduler_;
+  pkt.uid = config_.uid;
+  pkt.jid = pkt.tasks[0].id.jid;
+  for (const net::TaskInfo& t : pkt.tasks) {
+    trace::RecordTask(recorder_, t, trace::Kind::kClientSend, simulator_->Now(),
+                      simulator_->Now(), pkt.tasks.size(), pkt.dst);
+  }
+  network_->Send(node_id_, std::move(pkt));
+}
+
+void Client::HandlePacket(net::Packet&& pkt) {
   switch (pkt.op) {
     case net::OpCode::kJobAck:
       return;  // informational only
     case net::OpCode::kErrorQueueFull: {
       // Retry the rejected tasks after a short wait (§4.3).
-      std::vector<net::TaskInfo> retry;
+      net::TaskList retry;
       retry.reserve(pkt.tasks.size());
       for (net::TaskInfo& task : pkt.tasks) {
         if (FindPending(task.id) == nullptr) {
@@ -123,7 +139,7 @@ void Client::HandlePacket(net::Packet pkt) {
       net::Packet data;
       data.op = net::OpCode::kParamData;
       data.dst = pkt.src;
-      data.tasks = {pkt.tasks[0]};
+      data.tasks.push_back(pkt.tasks[0]);
       data.payload_bytes = static_cast<uint32_t>(pkt.tasks[0].fn_par);
       network_->Send(node_id_, std::move(data));
       return;

@@ -96,7 +96,7 @@ class Client : public net::Endpoint {
   bool CancelTask(net::TaskId id);
 
   // net::Endpoint:
-  void HandlePacket(net::Packet pkt) override;
+  void HandlePacket(net::Packet&& pkt) override;
 
   // Tasks submitted but not yet completed.
   size_t outstanding() const { return outstanding_.open(); }
@@ -110,7 +110,12 @@ class Client : public net::Endpoint {
     uint32_t hedge_attempt = 0;  // the duplicate's attempt number
   };
 
-  void SendTasks(std::vector<net::TaskInfo> tasks);
+  // Task `tid` of job `jid` as the client submits it at `now`.
+  net::TaskInfo MakeTask(const TaskSpec& spec, uint32_t jid, uint32_t tid, TimeNs now) const;
+  // Resubmits `tasks` (one job's), split into packets as SubmitJob splits.
+  void SendTasks(net::TaskList&& tasks);
+  // Addresses a job_submission carrying pkt.tasks and sends it.
+  void SendSubmission(net::Packet&& pkt);
   // The tracked state of an outstanding task; null when `id` is not one.
   Pending* FindPending(const net::TaskId& id);
   // (Re)arms the timeout of the outstanding task (jid, tid).

@@ -61,7 +61,7 @@ void Executor::Resume(const PollState& state, TimeNs timer_at) {
   pull_timer_.ScheduleAt(timer_at);
 }
 
-void Executor::HandlePacket(net::Packet pkt) {
+void Executor::HandlePacket(net::Packet&& pkt) {
   switch (pkt.op) {
     case net::OpCode::kTaskAssignment:
       pull_timer_.Cancel();
@@ -96,7 +96,7 @@ void Executor::HandlePacket(net::Packet pkt) {
   }
 }
 
-void Executor::RunTask(net::Packet assignment) {
+void Executor::RunTask(net::Packet&& assignment) {
   DRACONIS_CHECK_MSG(!assignment.tasks.empty(), "assignment without a task");
   net::TaskInfo task = std::move(assignment.tasks[0]);
   const TimeNs now = simulator_->Now();
@@ -177,7 +177,7 @@ void Executor::SendParamFetch() {
   net::Packet fetch;
   fetch.op = net::OpCode::kParamFetch;
   fetch.dst = held.client;
-  fetch.tasks = {held.task};
+  fetch.tasks.push_back(held.task);
   network_->Send(node_id_, std::move(fetch));
   fetch_timer_.ScheduleAfter(config_.request_timeout);
 }
@@ -192,7 +192,7 @@ void Executor::TaskDone(uint32_t /*core*/, net::TaskInfo task, net::NodeId clien
   net::Packet completion;
   completion.op = net::OpCode::kTaskCompletion;
   completion.dst = scheduler_;
-  completion.tasks = {std::move(task)};
+  completion.tasks.push_back(task);
   completion.client_addr = client;
   completion.exec_props = config_.exec_props;
   completion.rtrv_prio = 1;

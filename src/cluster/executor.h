@@ -125,11 +125,11 @@ class Executor : public TaskRunner {
   TimeNs request_timeout() const { return config_.request_timeout; }
 
   // net::Endpoint:
-  void HandlePacket(net::Packet pkt) override;
+  void HandlePacket(net::Packet&& pkt) override;
 
  private:
   void SendRequest();
-  void RunTask(net::Packet assignment);
+  void RunTask(net::Packet&& assignment);
   // Runs the task held on `core` (data access + service); its end sends the
   // completion (TaskDone).
   void Execute(uint32_t core, TimeNs access, bool first);

@@ -89,7 +89,7 @@ void TaskRunner::FinishTask(net::TaskInfo task, net::NodeId client, uint32_t cre
     net::Packet notice;
     notice.op = net::OpCode::kCompletionNotice;
     notice.dst = client;
-    notice.tasks = {std::move(task)};
+    notice.tasks.push_back(task);
     network_->Send(node_id_, std::move(notice));
   }
 }

@@ -30,7 +30,7 @@ DraconisProgram::DraconisProgram(SchedulingPolicy* policy, const DraconisConfig&
   }
 }
 
-void DraconisProgram::OnPass(p4::PassContext& ctx, net::Packet pkt) {
+void DraconisProgram::OnPass(p4::PassContext& ctx, net::Packet&& pkt) {
   switch (pkt.op) {
     case net::OpCode::kJobSubmission:
       HandleSubmission(ctx, std::move(pkt));
@@ -41,7 +41,7 @@ void DraconisProgram::OnPass(p4::PassContext& ctx, net::Packet pkt) {
       net::Packet notice;
       notice.op = net::OpCode::kCompletionNotice;
       notice.dst = pkt.client_addr;
-      notice.tasks = {pkt.tasks.at(0)};
+      notice.tasks.push_back(pkt.tasks.at(0));
       ctx.Emit(std::move(notice));
       pkt.op = net::OpCode::kTaskRequest;
       pkt.tasks.clear();
@@ -69,7 +69,7 @@ void DraconisProgram::OnPass(p4::PassContext& ctx, net::Packet pkt) {
   }
 }
 
-void DraconisProgram::HandleSubmission(p4::PassContext& ctx, net::Packet pkt) {
+void DraconisProgram::HandleSubmission(p4::PassContext& ctx, net::Packet&& pkt) {
   if (pkt.tasks.empty()) {
     ctx.Drop(pkt, "malformed_empty_submission");
     return;
@@ -157,7 +157,7 @@ void DraconisProgram::HandleSubmission(p4::PassContext& ctx, net::Packet pkt) {
   ctx.Emit(std::move(ack));
 }
 
-void DraconisProgram::HandleTaskRequest(p4::PassContext& ctx, net::Packet pkt) {
+void DraconisProgram::HandleTaskRequest(p4::PassContext& ctx, net::Packet&& pkt) {
   DRACONIS_CHECK_MSG(pkt.rtrv_prio >= 1, "RTRV_PRIO is 1-based");
   if (pifo_ != nullptr) {
     // PIFO mode: the head is by construction the task the policy wants next,
@@ -200,7 +200,7 @@ void DraconisProgram::HandleTaskRequest(p4::PassContext& ctx, net::Packet pkt) {
   net::Packet swap;
   swap.op = net::OpCode::kSwapTask;
   swap.src = executor;  // preserved so the eventual reply finds the executor
-  swap.tasks = {entry.task};
+  swap.tasks.push_back(entry.task);
   swap.client_addr = entry.client;
   swap.skip_counter = entry.skip_counter;
   swap.exec_props = pkt.exec_props;
@@ -214,7 +214,7 @@ void DraconisProgram::HandleTaskRequest(p4::PassContext& ctx, net::Packet pkt) {
   ctx.Recirculate(std::move(swap), /*guaranteed=*/true);
 }
 
-void DraconisProgram::HandleSwap(p4::PassContext& ctx, net::Packet pkt) {
+void DraconisProgram::HandleSwap(p4::PassContext& ctx, net::Packet&& pkt) {
   if (pifo_ != nullptr) {
     // PIFO mode never starts a swap walk; a stray swap packet is a bug in
     // the sender, not in the queue, so drop it instead of crashing.
@@ -260,14 +260,14 @@ void DraconisProgram::HandleSwap(p4::PassContext& ctx, net::Packet pkt) {
   pkt.swap_count += 1;
   if (pkt.swap_count >= policy_->max_swaps()) {
     // Bounded walk exhausted (starvation avoidance, §5.1).
-    pkt.tasks = {candidate.task};
+    pkt.tasks.at(0) = candidate.task;
     pkt.client_addr = candidate.client;
     pkt.skip_counter = candidate.skip_counter;
     RequeueCarriedTask(ctx, std::move(pkt));
     return;
   }
 
-  pkt.tasks = {candidate.task};
+  pkt.tasks.at(0) = candidate.task;
   pkt.client_addr = candidate.client;
   pkt.skip_counter = candidate.skip_counter;
   pkt.swap_indx = res.slot + 1;
@@ -275,7 +275,7 @@ void DraconisProgram::HandleSwap(p4::PassContext& ctx, net::Packet pkt) {
   ctx.Recirculate(std::move(pkt), /*guaranteed=*/true);
 }
 
-void DraconisProgram::HandleRepair(p4::PassContext& ctx, net::Packet pkt) {
+void DraconisProgram::HandleRepair(p4::PassContext& ctx, net::Packet&& pkt) {
   if (pifo_ != nullptr) {
     // No pointers to repair in PIFO mode (see HandleSwap).
     ctx.Drop(pkt, "info_pifo_unexpected_repair");
@@ -307,7 +307,7 @@ void DraconisProgram::Assign(p4::PassContext& ctx, const QueueEntry& entry,
   net::Packet assignment;
   assignment.op = net::OpCode::kTaskAssignment;
   assignment.dst = executor;
-  assignment.tasks = {entry.task};
+  assignment.tasks.push_back(entry.task);
   assignment.client_addr = entry.client;
   ctx.Emit(std::move(assignment));
 }
@@ -357,18 +357,18 @@ void DraconisProgram::LaunchRepair(p4::PassContext& ctx, size_t q, net::RepairTa
   ctx.Recirculate(std::move(repair), /*guaranteed=*/true);
 }
 
-void DraconisProgram::RequeueCarriedTask(p4::PassContext& ctx, net::Packet pkt) {
+void DraconisProgram::RequeueCarriedTask(p4::PassContext& ctx, net::Packet&& pkt) {
   ++counters_.swap_requeues;
   if (!pkt.tasks.empty()) {
     trace::RecordTask(recorder_, pkt.tasks[0], trace::Kind::kSwapRequeue, ctx.Now(), ctx.Now(),
                       pkt.swap_count, ctx.SwitchNode());
   }
   SendNoOp(ctx, pkt.src);
-  net::Packet resubmit = std::move(pkt);
-  resubmit.op = net::OpCode::kJobSubmission;
-  resubmit.from_swap = true;
-  resubmit.swap_count = 0;
-  ctx.Recirculate(std::move(resubmit), /*guaranteed=*/true);
+  // The swap packet becomes the resubmission in place.
+  pkt.op = net::OpCode::kJobSubmission;
+  pkt.from_swap = true;
+  pkt.swap_count = 0;
+  ctx.Recirculate(std::move(pkt), /*guaranteed=*/true);
 }
 
 }  // namespace draconis::core

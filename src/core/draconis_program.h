@@ -60,7 +60,7 @@ class DraconisProgram : public p4::SwitchProgram {
   DraconisProgram(SchedulingPolicy* policy, const DraconisConfig& config,
                   p4::ResourceLedger* ledger = nullptr, RankFunction* rank_function = nullptr);
 
-  void OnPass(p4::PassContext& ctx, net::Packet pkt) override;
+  void OnPass(p4::PassContext& ctx, net::Packet&& pkt) override;
 
   const cluster::SchedulerCounters& counters() const { return counters_; }
   const SwitchQueue& queue(size_t i) const { return *queues_[i]; }
@@ -96,10 +96,10 @@ class DraconisProgram : public p4::SwitchProgram {
   static net::Packet NoOpFor(net::NodeId executor);
 
  private:
-  void HandleSubmission(p4::PassContext& ctx, net::Packet pkt);
-  void HandleTaskRequest(p4::PassContext& ctx, net::Packet pkt);
-  void HandleSwap(p4::PassContext& ctx, net::Packet pkt);
-  void HandleRepair(p4::PassContext& ctx, net::Packet pkt);
+  void HandleSubmission(p4::PassContext& ctx, net::Packet&& pkt);
+  void HandleTaskRequest(p4::PassContext& ctx, net::Packet&& pkt);
+  void HandleSwap(p4::PassContext& ctx, net::Packet&& pkt);
+  void HandleRepair(p4::PassContext& ctx, net::Packet&& pkt);
 
   // Emits a task_assignment for `entry` to the executor at `executor`.
   void Assign(p4::PassContext& ctx, const QueueEntry& entry, net::NodeId executor);
@@ -109,7 +109,7 @@ class DraconisProgram : public p4::SwitchProgram {
 
   // Converts a finished swap walk back into a (non-acked) job_submission and
   // notifies the executor with a no-op (§5.1 last paragraph).
-  void RequeueCarriedTask(p4::PassContext& ctx, net::Packet pkt);
+  void RequeueCarriedTask(p4::PassContext& ctx, net::Packet&& pkt);
 
   // Recirculates a pointer-repair packet for queue `q`.
   void LaunchRepair(p4::PassContext& ctx, size_t q, net::RepairTarget target, uint64_t value);

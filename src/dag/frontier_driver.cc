@@ -162,7 +162,7 @@ void FrontierDriver::OnCompletion(const net::TaskInfo& task, TimeNs now) {
     if (metrics_->InWindow(job.arrival)) {
       ++jobs_completed_;
       const TimeNs makespan = now - job.arrival;
-      const TimeNs lower_bound = job.spec.CriticalPathNs();
+      const TimeNs lower_bound = job.spec.CriticalPathNs(finish_);
       makespan_.Record(makespan);
       critical_path_.Record(lower_bound);
       if (lower_bound > 0) {

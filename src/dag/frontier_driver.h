@@ -115,6 +115,8 @@ class FrontierDriver {
   // frontier is submitted before the next one is built.
   std::vector<uint32_t> ready_;
   std::vector<cluster::TaskSpec> specs_;
+  // Scratch for a completed job's critical path, reused.
+  std::vector<TimeNs> finish_;
   size_t jobs_finished_ = 0;
   bool started_ = false;
 

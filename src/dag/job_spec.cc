@@ -47,8 +47,8 @@ std::string JobSpec::Validate() const {
   return "";
 }
 
-TimeNs JobSpec::CriticalPathNs() const {
-  std::vector<TimeNs> finish(tasks.size(), 0);
+TimeNs JobSpec::CriticalPathNs(std::vector<TimeNs>& finish) const {
+  finish.assign(tasks.size(), 0);
   TimeNs longest = 0;
   for (size_t i = 0; i < tasks.size(); ++i) {
     TimeNs start = 0;

@@ -49,8 +49,10 @@ struct JobSpec {
   std::string Validate() const;
 
   // Duration-weighted longest dependency chain: a zero-queueing,
-  // zero-network lower bound on the job's makespan.
-  TimeNs CriticalPathNs() const;
+  // zero-network lower bound on the job's makespan. `finish` is scratch for
+  // the per-task finish times, so a caller that computes many reuses one
+  // buffer.
+  TimeNs CriticalPathNs(std::vector<TimeNs>& finish) const;
 };
 
 // Generated DAG shapes (--dag-shape).

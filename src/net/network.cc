@@ -107,25 +107,29 @@ Network::Link& Network::LinkTo(NodeId from, NodeId to) {
   return links.back();
 }
 
-void Network::Send(NodeId from, Packet pkt) {
+void Network::Send(NodeId from, Packet&& pkt) {
   ++packets_sent_;
   Launch(from, Hold(std::move(pkt)));
 }
 
-void Network::SendAfter(TimeNs delay, NodeId from, Packet pkt) {
+void Network::SendAfter(TimeNs delay, NodeId from, Packet&& pkt) {
   ++packets_sent_;
   DRACONIS_CHECK(delay >= 0);
   simulator_->ScheduleAt(simulator_->Now() + delay, &launch_, from, Hold(std::move(pkt)));
 }
 
-uint32_t Network::Hold(Packet pkt) {
+uint32_t Network::Hold(Packet&& pkt) {
+  uint32_t slot = 0;
   if (free_in_flight_.empty()) {
-    in_flight_.push_back(std::move(pkt));
-    return static_cast<uint32_t>(in_flight_.size() - 1);
+    slot = slab_slots_++;
+    if ((slot >> kSlabChunkLog2) == in_flight_.size()) {
+      in_flight_.push_back(std::make_unique<Packet[]>(kSlabChunk));
+    }
+  } else {
+    slot = free_in_flight_.back();
+    free_in_flight_.pop_back();
   }
-  const uint32_t slot = free_in_flight_.back();
-  free_in_flight_.pop_back();
-  in_flight_[slot] = std::move(pkt);
+  Held(slot) = std::move(pkt);
   return slot;
 }
 
@@ -133,7 +137,7 @@ void Network::Release(uint32_t slot) { free_in_flight_.push_back(slot); }
 
 void Network::DropHeld(uint32_t slot) {
   ++packets_dropped_;
-  RecordNetDrops(in_flight_[slot]);
+  RecordNetDrops(Held(slot));
   Release(slot);
 }
 
@@ -151,8 +155,7 @@ Network::HopCost Network::CostOf(NodeId from, NodeId to, size_t wire_size) const
 }
 
 void Network::Launch(NodeId from, uint32_t slot) {
-  // Nothing below holds a packet, so the slab (and this reference) stays put.
-  Packet& pkt = in_flight_[slot];
+  Packet& pkt = Held(slot);
   DRACONIS_CHECK_MSG(from < hosts_.size(), "unknown sender");
   DRACONIS_CHECK_MSG(pkt.dst < hosts_.size(), "unknown destination");
   pkt.src = from;
@@ -206,7 +209,7 @@ void Network::Arrive(NodeId dst, uint32_t slot) {
     DropHeld(slot);
     return;
   }
-  const Packet& pkt = in_flight_[slot];
+  const Packet& pkt = Held(slot);
   const TimeNs now_rx = simulator_->Now();
   const TimeNs deliver_at = DeliveryTime(host.profile, now_rx, host.busy_until);
   if (recorder_ != nullptr && deliver_at > now_rx) {
@@ -233,10 +236,11 @@ void Network::Deliver(NodeId dst, uint32_t slot) {
     DropHeld(slot);
     return;
   }
+  // The handler takes the packet in its slot, which is freed only when the
+  // handler returns; until then it counts as in flight.
+  hosts_[dst].endpoint->HandlePacket(std::move(Held(slot)));
   ++packets_delivered_;
-  Packet pkt = std::move(in_flight_[slot]);
-  Release(slot);  // before the handler, which may send and reuse the slot
-  hosts_[dst].endpoint->HandlePacket(std::move(pkt));
+  Release(slot);
 }
 
 void Network::CheckConservation() const {
@@ -251,7 +255,7 @@ void Network::CreditElided(uint64_t sent, uint64_t delivered) {
   elided_in_flight_ = elided_in_flight_ + sent - delivered;
 }
 
-void Network::Resume(Hop hop, TimeNs at, NodeId from, Packet pkt) {
+void Network::Resume(Hop hop, TimeNs at, NodeId from, Packet&& pkt) {
   DRACONIS_CHECK_MSG(elided_in_flight_ > 0, "resumed a packet that was never credited");
   --elided_in_flight_;
   const NodeId dst = pkt.dst;

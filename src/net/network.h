@@ -20,6 +20,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -37,9 +38,11 @@ class Endpoint {
  public:
   virtual ~Endpoint() = default;
 
-  // Invoked when a packet is delivered to this endpoint. The packet is moved
-  // in; the endpoint owns it from here.
-  virtual void HandlePacket(Packet pkt) = 0;
+  // Invoked when a packet is delivered to this endpoint. The packet stays in
+  // the network's in-flight slab until the handler returns: the endpoint
+  // owns it for the call and moves it out to keep it (into a queue, or back
+  // into the fabric); no reference to it may outlive the call.
+  virtual void HandlePacket(Packet&& pkt) = 0;
 };
 
 // Per-endpoint packet-processing characteristics.
@@ -122,12 +125,12 @@ class Network {
 
   // Sends a packet from `from` to `pkt.dst`, applying the latency model.
   // `pkt.src` is stamped with `from`.
-  void Send(NodeId from, Packet pkt);
+  void Send(NodeId from, Packet&& pkt);
 
   // Send(from, pkt) after `delay` (>= 0), e.g. at a switch pass's egress.
   // The packet waits in the in-flight slab; Send's checks apply when it
   // leaves.
-  void SendAfter(TimeNs delay, NodeId from, Packet pkt);
+  void SendAfter(TimeNs delay, NodeId from, Packet&& pkt);
 
   // Fault injection: every packet from -> to is dropped with `probability`.
   // Probability draws come from the dedicated fault stream (fault_seed), so a
@@ -156,7 +159,7 @@ class Network {
   uint64_t packets_delivered() const { return packets_delivered_; }
   uint64_t packets_dropped() const { return packets_dropped_; }
   size_t packets_in_flight() const {
-    return in_flight_.size() - free_in_flight_.size() + elided_in_flight_;
+    return slab_slots_ - free_in_flight_.size() + elided_in_flight_;
   }
   // CHECKs the identity above.
   void CheckConservation() const;
@@ -235,7 +238,7 @@ class Network {
   // (a switch egress), its NIC arrival at pkt.dst, or its hand-off to
   // pkt.dst. The packet was counted in flight by CreditElided.
   enum class Hop { kLaunch, kArrive, kDeliver };
-  void Resume(Hop hop, TimeNs at, NodeId from, Packet pkt);
+  void Resume(Hop hop, TimeNs at, NodeId from, Packet&& pkt);
 
  private:
   struct Host {
@@ -251,11 +254,14 @@ class Network {
     return (static_cast<uint64_t>(from) << 32) | to;
   }
 
-  // The hop path. A packet is held in the in-flight slab once, and the
+  // The hop path. A packet is moved into the in-flight slab once, and the
   // event that carries each hop is a typed simulator event: a HopEvent sink
   // and the two words (node, slab slot). A hop neither allocates nor goes
   // through a std::function.
-  uint32_t Hold(Packet pkt);
+  uint32_t Hold(Packet&& pkt);
+  Packet& Held(uint32_t slot) {
+    return in_flight_[slot >> kSlabChunkLog2][slot & (kSlabChunk - 1)];
+  }
   void Release(uint32_t slot);
   // Send on a held packet (applies the checks, drops and latency model).
   void Launch(NodeId from, uint32_t slot);
@@ -296,8 +302,14 @@ class Network {
   // Per-link drop-probability streams, opened by a link's first rule draw
   // and kept across rule changes.
   std::unordered_map<uint64_t, Rng> drop_streams_;
-  std::vector<Packet> in_flight_;        // slab; free slots hold moved-from packets
-  std::vector<uint32_t> free_in_flight_;  // free slab slots, reused LIFO
+  // The in-flight slab, in chunks that never move: the endpoint's handler
+  // takes its packet where it waits, and may send (and grow the slab)
+  // meanwhile. Free slots hold moved-from packets and are reused LIFO.
+  static constexpr uint32_t kSlabChunkLog2 = 6;
+  static constexpr uint32_t kSlabChunk = uint32_t{1} << kSlabChunkLog2;
+  std::vector<std::unique_ptr<Packet[]>> in_flight_;
+  uint32_t slab_slots_ = 0;  // slots handed out so far
+  std::vector<uint32_t> free_in_flight_;
   TimeNs latency_penalty_ = 0;
   uint64_t packets_sent_ = 0;
   uint64_t packets_delivered_ = 0;

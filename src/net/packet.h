@@ -12,9 +12,15 @@
 #define DRACONIS_NET_PACKET_H_
 
 #include <cstdint>
+#include <cstring>
+#include <initializer_list>
+#include <iterator>
+#include <memory>
+#include <new>
 #include <string>
-#include <vector>
+#include <type_traits>
 
+#include "common/check.h"
 #include "common/time.h"
 
 namespace draconis::net {
@@ -112,13 +118,183 @@ struct TaskInfo {
   static constexpr size_t kWireSize = 4 + 4 + 8 + 4;
 };
 
+// The task list relies on this: it copies a task as raw bytes and never
+// runs a destructor.
+static_assert(std::is_trivially_copyable_v<TaskInfo>);
+
+// A packet's TASK_INFO list. Every assignment, completion, completion notice
+// and swap carries exactly one task (§4.1), so the list keeps one task inline
+// and uses the heap only for more: multi-task submissions and queue-full
+// errors. The inline slot is raw storage: an empty list never initializes,
+// copies or moves it, so the requests and no-ops that make up most traffic
+// pay nothing for it. A vector-like subset of std::vector's API.
+class TaskList {
+ public:
+  using value_type = TaskInfo;
+  using iterator = TaskInfo*;
+  using const_iterator = const TaskInfo*;
+
+  // Written out (not defaulted) so that value-initialization leaves the
+  // inline slot raw instead of zeroing it.
+  TaskList() noexcept {}  // NOLINT(modernize-use-equals-default)
+  TaskList(std::initializer_list<TaskInfo> init) { assign(init.begin(), init.end()); }
+  TaskList(const TaskList& other) { assign(other.begin(), other.end()); }
+  TaskList(TaskList&& other) noexcept { TakeFrom(other); }
+  TaskList& operator=(const TaskList& other) {
+    if (this != &other) {
+      assign(other.begin(), other.end());
+    }
+    return *this;
+  }
+  TaskList& operator=(TaskList&& other) noexcept {
+    if (this != &other) {
+      FreeHeap();
+      TakeFrom(other);
+    }
+    return *this;
+  }
+  TaskList& operator=(std::initializer_list<TaskInfo> init) {
+    assign(init.begin(), init.end());
+    return *this;
+  }
+  ~TaskList() { FreeHeap(); }
+
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+
+  TaskInfo* data() { return heap_ != nullptr ? heap_ : &inline_; }
+  const TaskInfo* data() const { return heap_ != nullptr ? heap_ : &inline_; }
+  iterator begin() { return data(); }
+  iterator end() { return data() + size_; }
+  const_iterator begin() const { return data(); }
+  const_iterator end() const { return data() + size_; }
+
+  TaskInfo& operator[](size_t i) { return data()[i]; }
+  const TaskInfo& operator[](size_t i) const { return data()[i]; }
+  TaskInfo& at(size_t i) {
+    DRACONIS_CHECK_MSG(i < size_, "task index out of range");
+    return data()[i];
+  }
+  const TaskInfo& at(size_t i) const {
+    DRACONIS_CHECK_MSG(i < size_, "task index out of range");
+    return data()[i];
+  }
+  TaskInfo& front() { return data()[0]; }
+  const TaskInfo& front() const { return data()[0]; }
+  TaskInfo& back() { return data()[size_ - 1]; }
+  const TaskInfo& back() const { return data()[size_ - 1]; }
+
+  void push_back(const TaskInfo& task) {
+    if (size_ == capacity_) {
+      const TaskInfo copy = task;  // `task` may live in the buffer we replace
+      Reallocate(2 * capacity_);
+      new (data() + size_) TaskInfo(copy);
+    } else {
+      new (data() + size_) TaskInfo(task);
+    }
+    ++size_;
+  }
+
+  void reserve(size_t n) {
+    if (n > capacity_) {
+      Reallocate(n);
+    }
+  }
+
+  // New tasks are value-initialized, as std::vector::resize does.
+  void resize(size_t n) {
+    reserve(n);
+    for (size_t i = size_; i < n; ++i) {
+      new (data() + i) TaskInfo{};
+    }
+    size_ = static_cast<uint32_t>(n);
+  }
+
+  // Replaces the contents with [first, last), which may lie in this list.
+  template <typename It>
+  void assign(It first, It last) {
+    const auto n = static_cast<size_t>(std::distance(first, last));
+    if (n > capacity_) {
+      // A range inside this list is never longer than it, so the old
+      // contents are not needed.
+      size_ = 0;
+      Reallocate(n);
+    }
+    TaskInfo* out = data();
+    for (size_t i = 0; i < n; ++i, ++first) {
+      new (out + i) TaskInfo(*first);
+    }
+    size_ = static_cast<uint32_t>(n);
+  }
+
+  void clear() { size_ = 0; }
+
+  iterator erase(const_iterator pos) {
+    TaskInfo* d = data();
+    const auto i = static_cast<size_t>(pos - d);
+    std::memmove(static_cast<void*>(d + i), d + i + 1, (size_ - i - 1) * sizeof(TaskInfo));
+    --size_;
+    return d + i;
+  }
+
+ private:
+  // Moves the contents to a heap buffer of `n` >= size() tasks.
+  void Reallocate(size_t n) {
+    TaskInfo* fresh = std::allocator<TaskInfo>().allocate(n);
+    if (size_ > 0) {
+      std::memcpy(static_cast<void*>(fresh), data(), size_ * sizeof(TaskInfo));
+    }
+    FreeHeap();
+    heap_ = fresh;
+    capacity_ = static_cast<uint32_t>(n);
+  }
+  // Back to the inline slot; the contents are gone.
+  void FreeHeap() {
+    if (heap_ != nullptr) {
+      std::allocator<TaskInfo>().deallocate(heap_, capacity_);
+      heap_ = nullptr;
+      capacity_ = 1;
+    }
+  }
+  // Takes `other`'s contents, leaving it empty; this list holds no heap.
+  void TakeFrom(TaskList& other) {
+    size_ = other.size_;
+    if (other.heap_ != nullptr) {
+      heap_ = other.heap_;
+      capacity_ = other.capacity_;
+      other.heap_ = nullptr;
+      other.capacity_ = 1;
+    } else if (size_ == 1) {
+      new (&inline_) TaskInfo(other.inline_);
+    }
+    other.size_ = 0;
+  }
+
+  TaskInfo* heap_ = nullptr;  // null: the one-task inline slot holds the list
+  uint32_t size_ = 0;
+  uint32_t capacity_ = 1;
+  union {
+    TaskInfo inline_;  // raw until a task is written into it
+  };
+};
+
 // Which pointer a kRepair packet corrects.
 enum class RepairTarget : uint8_t { kAddPtr = 0, kRetrievePtr = 1 };
 
 // A simulated packet. One struct covers all opcodes; only the fields relevant
-// to the opcode are meaningful, mirroring a union-style header layout.
+// to the opcode are meaningful, mirroring a union-style header layout. The
+// fields are ordered by size, so the struct carries no padding beyond its
+// tail.
 struct Packet {
   OpCode op = OpCode::kOther;
+  // kTaskRequest / kTaskCompletion: the retrieve priority (RTRV_PRIO, 1 =
+  // highest); see exec_props.
+  uint8_t rtrv_prio = 1;
+  // Which class-of-service queue the packet addresses (0-based level index).
+  uint8_t queue_index = 0;
+  // kRepair: which pointer to overwrite (see repair_value).
+  RepairTarget repair_target = RepairTarget::kAddPtr;
+
   NodeId src = kInvalidNode;
   NodeId dst = kInvalidNode;
 
@@ -127,53 +303,55 @@ struct Packet {
   // exactly one task in tasks[0].
   uint32_t uid = 0;
   uint32_t jid = 0;
-  std::vector<TaskInfo> tasks;
 
   // kTaskRequest / kTaskCompletion: the executor's properties — a resource
-  // bitmap (EXEC_RSRC) or the node id, depending on the active policy — and
-  // the retrieve priority (RTRV_PRIO, 1 = highest).
+  // bitmap (EXEC_RSRC) or the node id, depending on the active policy.
   uint32_t exec_props = 0;
-  uint8_t rtrv_prio = 1;
 
   // kTaskAssignment: the submitting client, so the executor's completion can
   // be routed back.
   NodeId client_addr = kInvalidNode;
 
-  // kSwapTask: index of the next queue entry to examine, the retrieve-pointer
-  // value observed when the walk started, the number of swap passes done, and
-  // the carried task's skip counter (§5.3).
-  uint64_t swap_indx = 0;
-  uint64_t pkt_retrieve_ptr = 0;
+  // kSwapTask: the number of swap passes done and the carried task's skip
+  // counter (§5.3); see swap_indx.
   uint32_t swap_count = 0;
   uint32_t skip_counter = 0;
-  // Set when a swap walk was converted back into a submission (§5.1); such a
-  // submission must not be acknowledged to the client a second time.
-  bool from_swap = false;
-
-  // kRepair: which pointer to overwrite, with what value, in which queue.
-  RepairTarget repair_target = RepairTarget::kAddPtr;
-  uint64_t repair_value = 0;
-
-  // Which class-of-service queue the packet addresses (0-based level index).
-  uint8_t queue_index = 0;
 
   // kParamData: bulk payload riding with the packet (task parameters); it
   // counts toward the wire size and hence the serialization delay.
   uint32_t payload_bytes = 0;
 
-  // kQueueDepthSummary: the sender's rack and its ToR queue depth (the
-  // summary rides as payload_bytes for wire accounting).
+  // kQueueDepthSummary: the sender's rack (see summary_depth).
   uint32_t summary_rack = 0;
+
+  // Simulation metadata: pipeline traversals so far (recirculations).
+  uint32_t pipeline_passes = 0;
+
+  // Set when a swap walk was converted back into a submission (§5.1); such a
+  // submission must not be acknowledged to the client a second time.
+  bool from_swap = false;
+
+  // kSwapTask: index of the next queue entry to examine and the
+  // retrieve-pointer value observed when the walk started.
+  uint64_t swap_indx = 0;
+  uint64_t pkt_retrieve_ptr = 0;
+
+  // kRepair: the value to write, in the queue named by queue_index.
+  uint64_t repair_value = 0;
+
+  // kQueueDepthSummary: the ToR queue depth of summary_rack (the summary
+  // rides as payload_bytes for wire accounting).
   uint64_t summary_depth = 0;
 
   // --- Simulation metadata ----------------------------------------------------
-  TimeNs created_at = -1;     // when the original packet was sent
-  uint32_t pipeline_passes = 0;  // pipeline traversals so far (recirculations)
+  TimeNs created_at = -1;  // when the original packet was sent
   // Stamped by each launch onto the fabric: when this hop left, and its
   // index among the packets of its directed link (src, dst). A switch
   // orders same-instant ingress by (sent_at, src, link_seq).
   TimeNs sent_at = -1;
   uint64_t link_seq = 0;
+
+  TaskList tasks;
 
   // Payload bytes on the wire: Ethernet+IP+UDP framing plus the Draconis
   // header and per-task TASK_INFO entries.

@@ -29,9 +29,9 @@ TimeNs PassContext::Now() const { return pipeline_->simulator_->Now(); }
 
 net::NodeId PassContext::SwitchNode() const { return pipeline_->node_id_; }
 
-void PassContext::Emit(net::Packet pkt) { pipeline_->EmitFromPass(std::move(pkt)); }
+void PassContext::Emit(net::Packet&& pkt) { pipeline_->EmitFromPass(std::move(pkt)); }
 
-void PassContext::Recirculate(net::Packet pkt, bool guaranteed) {
+void PassContext::Recirculate(net::Packet&& pkt, bool guaranteed) {
   pipeline_->RecirculateFromPass(std::move(pkt), guaranteed);
 }
 
@@ -62,19 +62,17 @@ net::NodeId SwitchPipeline::AttachNetwork(net::Network* network) {
   return node_id_;
 }
 
-SwitchPipeline::Ingress SwitchPipeline::FromFabric(net::Packet pkt) {
+IngressKey SwitchPipeline::FromFabric(const net::Packet& pkt) {
   ++counters_.packets_in;
-  const IngressKey key{pkt.sent_at, pkt.src, pkt.link_seq};
-  const uint32_t pass_number = pkt.pipeline_passes;
-  return Ingress{key, pass_number, std::move(pkt)};
+  return IngressKey{pkt.sent_at, pkt.src, pkt.link_seq};
 }
 
-void SwitchPipeline::HandlePacket(net::Packet pkt) {
-  Admit(FromFabric(std::move(pkt)), /*may_run_inline=*/true);
+void SwitchPipeline::HandlePacket(net::Packet&& pkt) {
+  Admit(FromFabric(pkt), std::move(pkt), /*may_run_inline=*/true);
 }
 
-void SwitchPipeline::AdmitElided(net::Packet pkt) {
-  Admit(FromFabric(std::move(pkt)), /*may_run_inline=*/false);
+void SwitchPipeline::AdmitElided(net::Packet&& pkt) {
+  Admit(FromFabric(pkt), std::move(pkt), /*may_run_inline=*/false);
 }
 
 void SwitchPipeline::CreditElidedPasses(uint64_t n) {
@@ -86,21 +84,21 @@ void SwitchPipeline::CreditElidedPasses(uint64_t n) {
 void SwitchPipeline::CheckConservation() const {
   uint64_t waiting_fresh = 0;
   for (const Ingress& in : ingress_) {
-    waiting_fresh += in.pass_number == 0 ? 1 : 0;
+    waiting_fresh += in.pkt.pipeline_passes == 0 ? 1 : 0;
   }
   DRACONIS_CHECK_MSG(counters_.passes + waiting_fresh ==
                          counters_.packets_in + counters_.recirculations,
                      "switch passes != packets in + recirculations");
 }
 
-void SwitchPipeline::Admit(Ingress in, bool may_run_inline) {
+void SwitchPipeline::Admit(const IngressKey& key, net::Packet&& pkt, bool may_run_inline) {
   // A lone arrival runs at once: with nothing else due now, a flush event
   // would be the very next event anyway.
   if (may_run_inline && !flush_armed_ && !simulator_->AnyEventDueNow()) {
-    RunPass(std::move(in));
+    RunPass(key, std::move(pkt));
     return;
   }
-  ingress_.push_back(std::move(in));
+  ingress_.push_back(Ingress{key, std::move(pkt)});
   std::push_heap(ingress_.begin(), ingress_.end(), ServedLater);
   if (!flush_armed_) {
     flush_armed_ = true;
@@ -113,25 +111,27 @@ void SwitchPipeline::Flush() {
   // heap and are served in key order with the rest.
   while (!ingress_.empty()) {
     std::pop_heap(ingress_.begin(), ingress_.end(), ServedLater);
+    // Moved out: the pass may admit more packets and grow the heap.
     Ingress in = std::move(ingress_.back());
     ingress_.pop_back();
-    RunPass(std::move(in));
+    RunPass(in.key, std::move(in.pkt));
   }
   flush_armed_ = false;
 }
 
-void SwitchPipeline::RunPass(Ingress in) {
+void SwitchPipeline::RunPass(const IngressKey& key, net::Packet&& pkt) {
+  const uint32_t pass_number = pkt.pipeline_passes;
   ++counters_.passes;
-  if (in.pass_number > 0) {
+  if (pass_number > 0) {
     ++counters_.recirculations;
   }
-  RecordPerTask(in.pkt, trace::Kind::kSwitchPass, simulator_->Now(),
-                simulator_->Now() + config_.pass_latency, in.pass_number);
+  RecordPerTask(pkt, trace::Kind::kSwitchPass, simulator_->Now(),
+                simulator_->Now() + config_.pass_latency, pass_number);
   pass_registers_.Reset();
-  PassContext ctx(this, in.pass_number, &pass_registers_);
-  program_->OnPass(ctx, std::move(in.pkt));
+  PassContext ctx(this, pass_number, &pass_registers_);
+  program_->OnPass(ctx, std::move(pkt));
   if (observer_ != nullptr) {
-    observer_->AfterPass(in.key);
+    observer_->AfterPass(key);
   }
 }
 
@@ -143,14 +143,14 @@ void SwitchPipeline::RecordPerTask(const net::Packet& pkt, trace::Kind kind, Tim
   }
 }
 
-void SwitchPipeline::EmitFromPass(net::Packet pkt) {
+void SwitchPipeline::EmitFromPass(net::Packet&& pkt) {
   ++counters_.emitted;
   DRACONIS_CHECK_MSG(network_ != nullptr, "pipeline not attached to a network");
   // Egress after the remaining pipeline traversal time.
   network_->SendAfter(config_.pass_latency, node_id_, std::move(pkt));
 }
 
-void SwitchPipeline::RecirculateFromPass(net::Packet pkt, bool guaranteed) {
+void SwitchPipeline::RecirculateFromPass(net::Packet&& pkt, bool guaranteed) {
   const TimeNs now = simulator_->Now();
   // Backlog check: how many packets are queued at the loopback port right
   // now. The port serves one packet every recirc_interval_.
@@ -166,11 +166,10 @@ void SwitchPipeline::RecirculateFromPass(net::Packet pkt, bool guaranteed) {
                 start + config_.recirc_latency, backlog);
   recirc_next_free_ = start + recirc_interval_;
   pkt.pipeline_passes += 1;
-  Ingress in{IngressKey{now, kLoopbackPort, loopback_seq_++}, pkt.pipeline_passes,
-             std::move(pkt)};
+  Ingress in{IngressKey{now, kLoopbackPort, loopback_seq_++}, std::move(pkt)};
   simulator_->ScheduleAt(start + config_.recirc_latency,
                          [this, in = std::move(in)]() mutable {
-                           Admit(std::move(in), /*may_run_inline=*/true);
+                           Admit(in.key, std::move(in.pkt), /*may_run_inline=*/true);
                          });
 }
 

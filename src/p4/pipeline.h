@@ -86,13 +86,13 @@ class PassContext {
   net::NodeId SwitchNode() const;
 
   // Sends `pkt` out of the switch toward pkt.dst (after the pipeline delay).
-  void Emit(net::Packet pkt);
+  void Emit(net::Packet&& pkt);
 
   // Feeds `pkt` back through the loopback port for another pass. May drop the
   // packet if the recirculation port is saturated, unless `guaranteed` is set
   // (used for pointer-repair packets, which ride the port's high-priority
   // class: losing one would wedge the queue).
-  void Recirculate(net::Packet pkt, bool guaranteed = false);
+  void Recirculate(net::Packet&& pkt, bool guaranteed = false);
 
   // Discards the packet, counting the reason.
   void Drop(const net::Packet& pkt, std::string_view reason);
@@ -115,11 +115,11 @@ class SwitchProgram {
  public:
   virtual ~SwitchProgram() = default;
 
-  // Process one traversal of `pkt`. The implementation must finish the packet
-  // by calling exactly one of ctx.Emit / ctx.Recirculate / ctx.Drop (it may
-  // additionally Emit cloned packets, mirroring the hardware's packet-clone
-  // capability).
-  virtual void OnPass(PassContext& ctx, net::Packet pkt) = 0;
+  // Process one traversal of `pkt`, which the program owns for the pass. The
+  // implementation must finish the packet by calling exactly one of
+  // ctx.Emit / ctx.Recirculate / ctx.Drop (it may additionally Emit cloned
+  // packets, mirroring the hardware's packet-clone capability).
+  virtual void OnPass(PassContext& ctx, net::Packet&& pkt) = 0;
 };
 
 struct PipelineConfig {
@@ -185,12 +185,12 @@ class SwitchPipeline : public net::Endpoint {
   void SetPassObserver(PassObserver* observer) { observer_ = observer; }
 
   // net::Endpoint:
-  void HandlePacket(net::Packet pkt) override;
+  void HandlePacket(net::Packet&& pkt) override;
 
   // Fast-forward seam (core/poll_roster.h). Admits a fabric packet that was
   // elided up to its arrival now into the current same-instant group (never
   // inline: it is ordered among the group, behind the pass that is running).
-  void AdmitElided(net::Packet pkt);
+  void AdmitElided(net::Packet&& pkt);
   // Counts `n` elided passes of fresh fabric packets that each emitted one
   // packet.
   void CreditElidedPasses(uint64_t n);
@@ -203,21 +203,23 @@ class SwitchPipeline : public net::Endpoint {
  private:
   friend class PassContext;
 
-  // One packet waiting for its pass.
+  // One packet waiting in the same-instant group. Its pass number is
+  // pkt.pipeline_passes.
   struct Ingress {
     IngressKey key;
-    uint32_t pass_number = 0;
     net::Packet pkt;
   };
   static bool ServedLater(const Ingress& a, const Ingress& b) { return b.key < a.key; }
 
   // Counts a fresh packet from the fabric and keys it.
-  Ingress FromFabric(net::Packet pkt);
-  void Admit(Ingress in, bool may_run_inline);
+  IngressKey FromFabric(const net::Packet& pkt);
+  // Runs the pass at once or queues the packet in the group; only the queue
+  // moves it.
+  void Admit(const IngressKey& key, net::Packet&& pkt, bool may_run_inline);
   void Flush();
-  void RunPass(Ingress in);
-  void EmitFromPass(net::Packet pkt);
-  void RecirculateFromPass(net::Packet pkt, bool guaranteed);
+  void RunPass(const IngressKey& key, net::Packet&& pkt);
+  void EmitFromPass(net::Packet&& pkt);
+  void RecirculateFromPass(net::Packet&& pkt, bool guaranteed);
   void DropFromPass(const net::Packet& pkt, std::string_view reason);
   void RecordPerTask(const net::Packet& pkt, trace::Kind kind, TimeNs begin, TimeNs end,
                      uint64_t detail);

@@ -16,7 +16,7 @@ SummaryExchange::SummaryExchange(net::Network* network, DepthDirectory* director
   node_id_ = network->Register(this, net::HostProfile::Wire());
 }
 
-void SummaryExchange::HandlePacket(net::Packet pkt) {
+void SummaryExchange::HandlePacket(net::Packet&& pkt) {
   if (pkt.op != net::OpCode::kQueueDepthSummary) {
     return;  // stray traffic; summaries are the only expected opcode
   }

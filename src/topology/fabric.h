@@ -33,7 +33,7 @@ class SummaryExchange : public net::Endpoint {
   net::NodeId node_id() const { return node_id_; }
   uint64_t summaries_received() const { return summaries_received_; }
 
-  void HandlePacket(net::Packet pkt) override;
+  void HandlePacket(net::Packet&& pkt) override;
 
  private:
   DepthDirectory* directory_;

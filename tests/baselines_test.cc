@@ -23,7 +23,7 @@ namespace {
 
 class Probe : public net::Endpoint {
  public:
-  void HandlePacket(net::Packet pkt) override { received.push_back(std::move(pkt)); }
+  void HandlePacket(net::Packet&& pkt) override { received.push_back(std::move(pkt)); }
   size_t CountOf(net::OpCode op) const {
     size_t n = 0;
     for (const auto& p : received) {
@@ -302,7 +302,7 @@ class RackSchedEdfTest : public ::testing::Test {
     p.tasks[0].meta.enqueue_time = enqueue_time >= 0 ? enqueue_time : simulator.Now();
     p.client_addr = client_node;
     p.dst = worker->node_id();
-    network.Send(client_node, p);
+    network.Send(client_node, std::move(p));
   }
 
   std::vector<uint32_t> CompletionOrder() const {

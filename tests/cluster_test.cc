@@ -24,7 +24,7 @@ namespace {
 
 class Probe : public net::Endpoint {
  public:
-  void HandlePacket(net::Packet pkt) override { received.push_back(std::move(pkt)); }
+  void HandlePacket(net::Packet&& pkt) override { received.push_back(std::move(pkt)); }
   size_t CountOf(net::OpCode op) const {
     size_t n = 0;
     for (const auto& p : received) {
@@ -217,8 +217,8 @@ TEST_F(ClientTest, CompletionCancelsTimeoutAndIgnoresDuplicates) {
   notice.op = net::OpCode::kCompletionNotice;
   notice.dst = c.node_id();
   notice.tasks = {task};
-  network.Send(scheduler_node, notice);
-  network.Send(scheduler_node, notice);  // duplicate
+  network.Send(scheduler_node, net::Packet(notice));
+  network.Send(scheduler_node, std::move(notice));  // duplicate
   simulator.RunUntil(FromSeconds(1));
 
   EXPECT_EQ(c.outstanding(), 0u);
@@ -265,7 +265,7 @@ TEST_F(ClientTest, CancelStopsTrackingAndSuppressesTheLateNotice) {
   notice.op = net::OpCode::kCompletionNotice;
   notice.dst = c.node_id();
   notice.tasks = {task};
-  network.Send(scheduler_node, notice);
+  network.Send(scheduler_node, std::move(notice));
   simulator.RunUntil(FromSeconds(1));
   EXPECT_EQ(c.completions(), 0u);
   EXPECT_EQ(metrics.e2e_delay().count(), 0u);
@@ -284,7 +284,7 @@ TEST_F(ClientTest, CancelOfCompletedTaskIsAStrictNoOp) {
   notice.op = net::OpCode::kCompletionNotice;
   notice.dst = c.node_id();
   notice.tasks = {task};
-  network.Send(scheduler_node, notice);
+  network.Send(scheduler_node, std::move(notice));
   simulator.RunUntil(FromMicros(200));
   ASSERT_EQ(c.completions(), 1u);
 
@@ -343,7 +343,7 @@ class ClientSlotsTest : public ClientTest {
     std::vector<std::vector<net::TaskInfo>> jobs;
     for (const net::Packet& pkt : scheduler.received) {
       if (pkt.op == net::OpCode::kJobSubmission) {
-        jobs.push_back(pkt.tasks);
+        jobs.emplace_back(pkt.tasks.begin(), pkt.tasks.end());
       }
     }
     scheduler.received.clear();
@@ -354,7 +354,7 @@ class ClientSlotsTest : public ClientTest {
     net::Packet pkt;
     pkt.op = op;
     pkt.dst = client->node_id();
-    pkt.tasks = std::move(tasks);
+    pkt.tasks.assign(tasks.begin(), tasks.end());
     network.Send(scheduler_node, std::move(pkt));
     simulator.RunUntil(simulator.Now() + FromMicros(20));
   }

@@ -18,7 +18,7 @@ namespace {
 
 class Probe : public net::Endpoint {
  public:
-  void HandlePacket(net::Packet pkt) override { received.push_back(std::move(pkt)); }
+  void HandlePacket(net::Packet&& pkt) override { received.push_back(std::move(pkt)); }
 
   size_t CountOf(net::OpCode op) const {
     size_t n = 0;

@@ -243,7 +243,7 @@ TEST(FaultPlanJsonTest, FromJsonFileReportsMissingFile) {
 
 class Probe : public net::Endpoint {
  public:
-  void HandlePacket(net::Packet) override { ++received; }
+  void HandlePacket(net::Packet&&) override { ++received; }
   uint64_t received = 0;
 };
 

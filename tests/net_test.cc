@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "net/network.h"
+#include "common/rng.h"
 #include "net/packet.h"
 #include "sim/simulator.h"
 
@@ -14,7 +16,7 @@ namespace {
 
 class Recorder : public Endpoint {
  public:
-  void HandlePacket(Packet pkt) override { received.push_back(std::move(pkt)); }
+  void HandlePacket(Packet&& pkt) override { received.push_back(std::move(pkt)); }
   std::vector<Packet> received;
 };
 
@@ -305,7 +307,7 @@ TEST(NetworkTest, ZeroProbabilityDropRuleDoesNotPerturbJitter) {
   class TimedRecorder : public Endpoint {
    public:
     explicit TimedRecorder(sim::Simulator* simulator) : simulator_(simulator) {}
-    void HandlePacket(Packet) override { times.push_back(simulator_->Now()); }
+    void HandlePacket(Packet&&) override { times.push_back(simulator_->Now()); }
     std::vector<TimeNs> times;
 
    private:
@@ -349,7 +351,7 @@ TEST(NetworkTest, DroppingOnOneLinkLeavesOtherLinksJitterUnchanged) {
   class TimedRecorder : public Endpoint {
    public:
     explicit TimedRecorder(sim::Simulator* simulator) : simulator_(simulator) {}
-    void HandlePacket(Packet pkt) override {
+    void HandlePacket(Packet&& pkt) override {
       arrivals[pkt.src].push_back(simulator_->Now() - pkt.sent_at);
     }
     std::map<NodeId, std::vector<TimeNs>> arrivals;  // per sender, in order
@@ -578,7 +580,7 @@ TEST(NetworkTest, ZeroCostDeliveryYieldsToEventsDueAtTheSameInstant) {
   class LoggingEndpoint : public Endpoint {
    public:
     explicit LoggingEndpoint(std::vector<int>* log) : log_(log) {}
-    void HandlePacket(Packet) override { log_->push_back(1); }
+    void HandlePacket(Packet&&) override { log_->push_back(1); }
 
    private:
     std::vector<int>* log_;
@@ -622,6 +624,254 @@ TEST(NetworkTest, ZeroCostDeliveryYieldsToEventsDueAtTheSameInstant) {
       EXPECT_EQ(network.packets_delivered(), 1u);
     }
   }
+}
+
+// A task whose every checked field derives from (uid, k).
+TaskInfo NumberedTask(uint32_t uid, uint32_t k) {
+  TaskInfo t;
+  t.id = TaskId{uid, 7, k};
+  t.fn_id = k + 1;
+  t.fn_par = uint64_t{uid} * 1000 + k;
+  t.tprops = uid ^ k;
+  t.meta.exec_duration = TimeNs{k} + 3;
+  t.meta.attempt = uid;
+  return t;
+}
+
+bool SameTask(const TaskInfo& a, const TaskInfo& b) {
+  return a.id == b.id && a.fn_id == b.fn_id && a.fn_par == b.fn_par && a.tprops == b.tprops &&
+         a.meta.exec_duration == b.meta.exec_duration && a.meta.attempt == b.meta.attempt &&
+         a.meta.submit_time == b.meta.submit_time && a.meta.client == b.meta.client;
+}
+
+::testing::AssertionResult Matches(const TaskList& list, const std::vector<TaskInfo>& oracle) {
+  if (list.size() != oracle.size() || list.empty() != oracle.empty() ||
+      static_cast<size_t>(list.end() - list.begin()) != oracle.size()) {
+    return ::testing::AssertionFailure()
+           << "size " << list.size() << ", oracle " << oracle.size();
+  }
+  for (size_t i = 0; i < oracle.size(); ++i) {
+    if (!SameTask(list[i], oracle[i]) || !SameTask(list.at(i), oracle[i])) {
+      return ::testing::AssertionFailure() << "task " << i << " differs";
+    }
+  }
+  if (!oracle.empty() && (!SameTask(list.front(), oracle.front()) ||
+                          !SameTask(list.back(), oracle.back()))) {
+    return ::testing::AssertionFailure() << "front/back differ";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// Random operation sequences against a std::vector oracle. The lists stay
+// within a few tasks, so nearly every step crosses or straddles the
+// inline/heap boundary: one task inline, more on the heap, and back.
+TEST(TaskListTest, MatchesAVectorOracleAcrossTheInlineBoundary) {
+  constexpr int kSteps = 400;
+  for (uint64_t seed = 1; seed <= 32; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    uint32_t next = 0;
+    auto fresh = [&] { return NumberedTask(static_cast<uint32_t>(seed), next++); };
+    auto random_tasks = [&] {
+      std::vector<TaskInfo> v(rng.NextBelow(5));
+      for (TaskInfo& t : v) {
+        t = fresh();
+      }
+      return v;
+    };
+    TaskList list;
+    std::vector<TaskInfo> oracle;
+    for (int step = 0; step < kSteps; ++step) {
+      const uint64_t op = rng.NextBelow(13);
+      SCOPED_TRACE("step " + std::to_string(step) + " op " + std::to_string(op));
+      switch (op) {
+        case 0:
+        case 1: {
+          const TaskInfo t = fresh();
+          list.push_back(t);
+          oracle.push_back(t);
+          break;
+        }
+        case 2:  // a task of the list itself, which growth may move
+          if (!oracle.empty()) {
+            const size_t k = rng.NextBelow(oracle.size());
+            list.push_back(list[k]);
+            oracle.push_back(oracle[k]);
+          }
+          break;
+        case 3:
+          if (!oracle.empty()) {
+            EXPECT_EQ(list.erase(list.begin()), list.begin());
+            oracle.erase(oracle.begin());
+          }
+          break;
+        case 4: {
+          const std::vector<TaskInfo> v = random_tasks();
+          list.assign(v.begin(), v.end());
+          oracle = v;
+          break;
+        }
+        case 5:  // a range of the list itself
+          if (!oracle.empty()) {
+            const size_t k = rng.NextBelow(oracle.size());
+            list.assign(list.begin() + k, list.end());
+            oracle.assign(oracle.begin() + static_cast<ptrdiff_t>(k), oracle.end());
+          }
+          break;
+        case 6: {
+          TaskList copy(list);
+          EXPECT_TRUE(Matches(copy, oracle));
+          TaskList moved(std::move(copy));
+          EXPECT_TRUE(copy.empty());  // NOLINT(bugprone-use-after-move)
+          EXPECT_TRUE(Matches(moved, oracle));
+          list = std::move(moved);
+          break;
+        }
+        case 7: {  // assignment from another list, by copy or by move
+          const std::vector<TaskInfo> v = random_tasks();
+          TaskList other;
+          other.assign(v.begin(), v.end());
+          if (rng.NextBelow(2) == 0) {
+            list = other;
+            EXPECT_TRUE(Matches(other, v));
+          } else {
+            list = std::move(other);
+            EXPECT_TRUE(other.empty());  // NOLINT(bugprone-use-after-move)
+            other.push_back(fresh());    // a moved-from list is reusable
+            EXPECT_EQ(other.size(), 1u);
+          }
+          oracle = v;
+          break;
+        }
+        case 8: {  // self-assignment, by copy and by move
+          TaskList& self = list;
+          list = self;
+          EXPECT_TRUE(Matches(list, oracle));
+          list = std::move(self);
+          break;
+        }
+        case 9:
+          list.clear();
+          oracle.clear();
+          break;
+        case 10: {
+          const size_t n = rng.NextBelow(5);
+          list.resize(n);
+          oracle.resize(n);
+          break;
+        }
+        case 11: {
+          const TaskInfo t = fresh();
+          list = {t};
+          oracle = {t};
+          break;
+        }
+        default:
+          list.reserve(rng.NextBelow(6));
+          break;
+      }
+      ASSERT_TRUE(Matches(list, oracle));
+    }
+  }
+}
+
+// Every task of `p` is NumberedTask(p.uid, k), and p.jid says how many.
+bool Intact(const Packet& p) {
+  if (p.tasks.size() != p.jid) {
+    return false;
+  }
+  for (uint32_t k = 0; k < p.jid; ++k) {
+    if (!SameTask(p.tasks[k], NumberedTask(p.uid, k))) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// An endpoint sends a burst that grows the in-flight slab while a delivered
+// packet is still its handler's parameter, then keeps the packet in a queue
+// (as a push worker may keep an assignment) while later bursts grow the
+// slab again. The handler's packet waits in its slab slot until the handler
+// returns, so neither the growth nor the burst's new slots may touch it;
+// forwarded later, the kept packets and every burst packet arrive intact.
+TEST(NetworkTest, KeptPacketSurvivesSlabGrowthWhileItIsHeld) {
+  constexpr uint32_t kBurst = 100;  // more than a slab chunk
+  class Keeper : public Endpoint {
+   public:
+    void HandlePacket(Packet&& pkt) override {
+      for (uint32_t i = 0; i < kBurst; ++i) {
+        Packet p;
+        p.dst = sink;
+        p.uid = next_uid++;
+        p.jid = 1;
+        p.tasks.push_back(NumberedTask(p.uid, 0));
+        network->Send(self, std::move(p));
+      }
+      network->CheckConservation();
+      intact_at_handoff.push_back(Intact(pkt));
+      kept.push_back(std::move(pkt));
+    }
+    Network* network = nullptr;
+    NodeId self = kInvalidNode;
+    NodeId sink = kInvalidNode;
+    uint32_t next_uid = 100;
+    std::vector<bool> intact_at_handoff;
+    std::deque<Packet> kept;
+  };
+
+  Fixture f;
+  Recorder a;
+  Recorder sink;
+  Keeper keeper;
+  const NodeId ida = f.network.Register(&a, HostProfile::Wire());
+  const NodeId ids = f.network.Register(&sink, HostProfile::Wire());
+  keeper.network = &f.network;
+  keeper.self = f.network.Register(&keeper, HostProfile::Wire());
+  keeper.sink = ids;
+
+  // One task inline, then five on the heap, delivered 1 us apart.
+  const uint32_t kept_tasks[] = {1, 5};
+  for (uint32_t uid = 1; uid <= 2; ++uid) {
+    f.simulator.ScheduleAt((uid - 1) * 1000, [&f, &keeper, ida, uid, &kept_tasks] {
+      Packet p;
+      p.dst = keeper.self;
+      p.uid = uid;
+      p.jid = kept_tasks[uid - 1];
+      for (uint32_t k = 0; k < p.jid; ++k) {
+        p.tasks.push_back(NumberedTask(uid, k));
+      }
+      f.network.Send(ida, std::move(p));
+    });
+  }
+
+  // Both delivered (t = 2000, 3000), both bursts launched, none landed.
+  f.simulator.RunUntil(3500);
+  ASSERT_EQ(keeper.kept.size(), 2u);
+  EXPECT_EQ(keeper.intact_at_handoff, std::vector<bool>({true, true}));
+  EXPECT_EQ(f.network.packets_in_flight(), 2 * kBurst);
+  f.network.CheckConservation();
+  for (uint32_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(keeper.kept[i].uid, i + 1);
+    EXPECT_TRUE(Intact(keeper.kept[i])) << "kept packet " << i;
+  }
+
+  // Forward the kept packets out of the queue while the bursts are in flight.
+  while (!keeper.kept.empty()) {
+    keeper.kept.front().dst = ids;
+    f.network.Send(keeper.self, std::move(keeper.kept.front()));
+    keeper.kept.pop_front();
+  }
+  f.simulator.RunAll();
+  f.network.CheckConservation();
+  EXPECT_EQ(f.network.packets_in_flight(), 0u);
+  EXPECT_EQ(f.network.packets_dropped(), 0u);
+  ASSERT_EQ(sink.received.size(), 2 * kBurst + 2);
+  size_t kept_seen = 0;
+  for (const Packet& p : sink.received) {
+    kept_seen += p.uid < 100 ? 1 : 0;
+    EXPECT_TRUE(Intact(p)) << "packet " << p.uid;
+  }
+  EXPECT_EQ(kept_seen, 2u);
 }
 
 }  // namespace

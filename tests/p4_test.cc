@@ -180,7 +180,7 @@ class BounceProgram : public SwitchProgram {
  public:
   explicit BounceProgram(uint32_t bounces) : bounces_(bounces) {}
 
-  void OnPass(PassContext& ctx, net::Packet pkt) override {
+  void OnPass(PassContext& ctx, net::Packet&& pkt) override {
     if (ctx.pass_number() < bounces_) {
       ctx.Recirculate(std::move(pkt), guaranteed_);
       return;
@@ -199,7 +199,7 @@ class BounceProgram : public SwitchProgram {
 class PipelineFixture : public ::testing::Test {
  protected:
   struct Sink : net::Endpoint {
-    void HandlePacket(net::Packet pkt) override { received.push_back(std::move(pkt)); }
+    void HandlePacket(net::Packet&& pkt) override { received.push_back(std::move(pkt)); }
     std::vector<net::Packet> received;
   };
 
@@ -308,7 +308,7 @@ TEST_F(PipelineFixture, GuaranteedRecirculationNeverDrops) {
 TEST_F(PipelineFixture, ProgramDropsAreCountedByReason) {
   class Dropper : public SwitchProgram {
    public:
-    void OnPass(PassContext& ctx, net::Packet pkt) override { ctx.Drop(pkt, "testing"); }
+    void OnPass(PassContext& ctx, net::Packet&& pkt) override { ctx.Drop(pkt, "testing"); }
   };
   Dropper program;
   Build(&program, PipelineConfig{});
@@ -325,7 +325,7 @@ class CounterProgram : public SwitchProgram {
  public:
   CounterProgram(uint32_t bounces, int accesses) : bounces_(bounces), accesses_(accesses) {}
 
-  void OnPass(PassContext& ctx, net::Packet pkt) override {
+  void OnPass(PassContext& ctx, net::Packet&& pkt) override {
     for (int i = 0; i < accesses_; ++i) {
       counter.ReadAndAdd(ctx.registers(), 0, 1);
     }

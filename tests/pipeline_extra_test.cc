@@ -17,7 +17,7 @@ namespace {
 
 class Sink : public net::Endpoint {
  public:
-  void HandlePacket(net::Packet pkt) override { received.push_back(std::move(pkt)); }
+  void HandlePacket(net::Packet&& pkt) override { received.push_back(std::move(pkt)); }
   std::vector<net::Packet> received;
 };
 
@@ -27,7 +27,7 @@ class Scripted : public SwitchProgram {
  public:
   explicit Scripted(uint32_t bounces) : bounces_(bounces) {}
 
-  void OnPass(PassContext& ctx, net::Packet pkt) override {
+  void OnPass(PassContext& ctx, net::Packet&& pkt) override {
     order.push_back(pkt.uid);
     if (pkt.op == net::OpCode::kProbe) {
       ctx.Drop(pkt, "probe");
@@ -162,7 +162,7 @@ TEST(PipelineExtraTest, CountersAreConsistentUnderMixedTraffic) {
 TEST(PipelineExtraTest, GuaranteedTrafficSurvivesPortSaturation) {
   class MixedRecirc : public SwitchProgram {
    public:
-    void OnPass(PassContext& ctx, net::Packet pkt) override {
+    void OnPass(PassContext& ctx, net::Packet&& pkt) override {
       if (ctx.pass_number() > 0) {
         pkt.dst = pkt.src;
         ctx.Emit(std::move(pkt));

@@ -229,7 +229,7 @@ TEST(SeedDomainTest, PlacementSeedsAreStableUnderClusterShapeChanges) {
 class ArrivalRecorder : public net::Endpoint {
  public:
   explicit ArrivalRecorder(sim::Simulator* sim) : sim_(sim) {}
-  void HandlePacket(net::Packet pkt) override {
+  void HandlePacket(net::Packet&& pkt) override {
     arrivals.push_back(sim_->Now());
     packets.push_back(std::move(pkt));
   }
