@@ -28,12 +28,16 @@ uint32_t Client::SubmitJob(const std::vector<TaskSpec>& specs) {
   metrics_->RegisterJob(config_.uid, jid, specs.size());
   Pending* pending = config_.fire_and_forget ? nullptr : outstanding_.Open(jid, specs.size());
 
+  // A tracked task is built in its slot. Built on the stack and copied in,
+  // its fields would be stored one by one and read straight back 16 bytes
+  // at a time, a read the store buffer cannot forward.
+  net::TaskInfo untracked;
   for (size_t i = 0; i < specs.size(); ++i) {
-    const net::TaskInfo task = MakeTask(specs[i], jid, static_cast<uint32_t>(i), now);
+    net::TaskInfo& task = pending != nullptr ? pending[i].task : untracked;
+    task = MakeTask(specs[i], jid, static_cast<uint32_t>(i), now);
     metrics_->RecordSubmission(now);
     trace::RecordTask(recorder_, task, trace::Kind::kSubmit, now, now, specs.size(), node_id_);
     if (pending != nullptr) {
-      pending[i].task = task;
       ArmTimeout(pending[i], jid, static_cast<uint32_t>(i));
     }
   }
@@ -252,10 +256,8 @@ Client::Pending* Client::FindPending(const net::TaskId& id) {
 }
 
 void Client::ArmTimeout(Pending& pending, uint32_t jid, uint32_t tid) {
-  // Capturing (jid, tid) rather than the TaskId keeps the closure within
-  // std::function's inline buffer.
-  pending.timeout = simulator_->ScheduleAfter(
-      TimeoutFor(pending.task), [this, jid, tid] { OnTimeout(jid, tid); }, sim::kCancellable);
+  pending.timeout = simulator_->ScheduleAt(simulator_->Now() + TimeoutFor(pending.task), this,
+                                           jid, tid, sim::kCancellable);
 }
 
 void Client::OnTimeout(uint32_t jid, uint32_t tid) {

@@ -43,7 +43,9 @@ struct ClientConfig {
   net::HostProfile host_profile = net::HostProfile::Dpdk(TimeNs{150});
 };
 
-class Client : public net::Endpoint {
+// The client is the sink of its own task timeouts: each fires as
+// OnEvent(jid, tid), a typed event, so no closure is built per task.
+class Client : public net::Endpoint, public sim::EventSink {
  public:
   // How long a job the scheduler refused as queue-full waits before resubmission.
   static constexpr TimeNs kQueueFullRetryWait = FromMicros(50);
@@ -120,6 +122,8 @@ class Client : public net::Endpoint {
   Pending* FindPending(const net::TaskId& id);
   // (Re)arms the timeout of the outstanding task (jid, tid).
   void ArmTimeout(Pending& pending, uint32_t jid, uint32_t tid);
+  // sim::EventSink: a task timeout fired.
+  void OnEvent(uint32_t jid, uint32_t tid) override { OnTimeout(jid, tid); }
   void OnTimeout(uint32_t jid, uint32_t tid);
   TimeNs TimeoutFor(const net::TaskInfo& task) const;
 

@@ -12,17 +12,17 @@ Parser::Parser(std::string program_description)
 
 void Parser::AddDouble(const std::string& name, double* out, const std::string& help) {
   DRACONIS_CHECK(out != nullptr && Find(name) == nullptr);
-  registered_.push_back(Flag{name, Kind::kDouble, out, help, std::to_string(*out)});
+  registered_.push_back(Flag{name, Kind::kDouble, out, help, std::to_string(*out), {}});
 }
 
 void Parser::AddInt64(const std::string& name, int64_t* out, const std::string& help) {
   DRACONIS_CHECK(out != nullptr && Find(name) == nullptr);
-  registered_.push_back(Flag{name, Kind::kInt64, out, help, std::to_string(*out)});
+  registered_.push_back(Flag{name, Kind::kInt64, out, help, std::to_string(*out), {}});
 }
 
 void Parser::AddBool(const std::string& name, bool* out, const std::string& help) {
   DRACONIS_CHECK(out != nullptr && Find(name) == nullptr);
-  registered_.push_back(Flag{name, Kind::kBool, out, help, *out ? "true" : "false"});
+  registered_.push_back(Flag{name, Kind::kBool, out, help, *out ? "true" : "false", {}});
 }
 
 void Parser::AddString(const std::string& name, std::string* out, const std::string& help) {

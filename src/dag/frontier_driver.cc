@@ -50,31 +50,37 @@ void FrontierDriver::EnqueueJob(TimeNs at, JobSpec spec) {
   const std::string invalid = spec.Validate();
   DRACONIS_CHECK_MSG(invalid.empty(), invalid);
   const size_t n = spec.tasks.size();
+  size_t edges = 0;
+  for (const TaskNode& task : spec.tasks) {
+    edges += task.deps.size();
+  }
   JobState job;
   job.arrival = at;
   job.remaining = n;
-  job.pending_deps.resize(n);
+  job.spec = std::move(spec);
+  job.graph.assign(2 * n + 1 + edges, 0);
+  uint32_t* const pending_deps = job.pending_deps();
+  uint32_t* const child_begin = job.child_begin();
+  uint32_t* const children = job.children();
+  const std::vector<TaskNode>& tasks = job.spec.tasks;
   // A counting sort of the edges by dependency: child_begin[d] first counts
   // d's successors, then (summed) marks the end of d's block; filling the
   // blocks from the back leaves each in task order and moves child_begin[d]
   // to its start.
-  job.child_begin.assign(n + 1, 0);
   for (size_t i = 0; i < n; ++i) {
-    job.pending_deps[i] = static_cast<uint32_t>(spec.tasks[i].deps.size());
-    for (uint32_t dep : spec.tasks[i].deps) {
-      ++job.child_begin[dep];
+    pending_deps[i] = static_cast<uint32_t>(tasks[i].deps.size());
+    for (uint32_t dep : tasks[i].deps) {
+      ++child_begin[dep];
     }
   }
   for (size_t i = 1; i <= n; ++i) {
-    job.child_begin[i] += job.child_begin[i - 1];
+    child_begin[i] += child_begin[i - 1];
   }
-  job.children.resize(job.child_begin[n]);
   for (size_t i = n; i-- > 0;) {
-    for (uint32_t dep : spec.tasks[i].deps) {
-      job.children[--job.child_begin[dep]] = static_cast<uint32_t>(i);
+    for (uint32_t dep : tasks[i].deps) {
+      children[--child_begin[dep]] = static_cast<uint32_t>(i);
     }
   }
-  job.spec = std::move(spec);
   jobs_.push_back(std::move(job));
 }
 
@@ -95,8 +101,9 @@ void FrontierDriver::StartJob(uint32_t job_index) {
     tasks_submitted_ += job.spec.tasks.size();
   }
   ready_.clear();
-  for (uint32_t i = 0; i < static_cast<uint32_t>(job.spec.tasks.size()); ++i) {
-    if (job.pending_deps[i] == 0) {
+  const uint32_t* const pending_deps = job.pending_deps();
+  for (uint32_t i = 0; i < static_cast<uint32_t>(job.tasks()); ++i) {
+    if (pending_deps[i] == 0) {
       ready_.push_back(i);
     }
   }
@@ -117,15 +124,14 @@ void FrontierDriver::SubmitFrontier(uint32_t job_index) {
     specs_.push_back(spec);
   }
   const uint32_t jid = client_->SubmitJob(specs_);
-  const TimeNs hedge_delay = hedge_.enabled ? HedgeDelay() : 0;
+  const TimeNs hedge_at = hedge_.enabled ? simulator_->Now() + HedgeDelay() : 0;
   TaskState* states = inflight_.Open(jid, ready_.size());
   for (uint32_t tid = 0; tid < static_cast<uint32_t>(ready_.size()); ++tid) {
     TaskState& state = states[tid];
     state.job = job_index;
     state.node = ready_[tid];
     if (hedge_.enabled) {
-      state.hedge_timer = simulator_->ScheduleAfter(
-          hedge_delay, [this, jid, tid] { OnHedgeTimer(jid, tid); }, sim::kCancellable);
+      state.hedge_timer = simulator_->ScheduleAt(hedge_at, this, jid, tid, sim::kCancellable);
     }
   }
 }
@@ -147,10 +153,13 @@ void FrontierDriver::OnCompletion(const net::TaskInfo& task, TimeNs now) {
   DRACONIS_CHECK(job.remaining > 0);
   --job.remaining;
   ready_.clear();
-  for (uint32_t c = job.child_begin[node_index]; c < job.child_begin[node_index + 1]; ++c) {
-    const uint32_t child = job.children[c];
-    DRACONIS_CHECK(job.pending_deps[child] > 0);
-    if (--job.pending_deps[child] == 0) {
+  uint32_t* const pending_deps = job.pending_deps();
+  const uint32_t* const child_begin = job.child_begin();
+  const uint32_t* const children = job.children();
+  for (uint32_t c = child_begin[node_index]; c < child_begin[node_index + 1]; ++c) {
+    const uint32_t child = children[c];
+    DRACONIS_CHECK(pending_deps[child] > 0);
+    if (--pending_deps[child] == 0) {
       ready_.push_back(child);
     }
   }

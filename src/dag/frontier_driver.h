@@ -27,6 +27,7 @@
 #include "cluster/testbed.h"
 #include "common/rng.h"
 #include "dag/job_spec.h"
+#include "sim/simulator.h"
 
 namespace draconis::dag {
 
@@ -51,7 +52,9 @@ struct HedgePolicy {
   std::string Validate() const;  // "" when well-formed
 };
 
-class FrontierDriver {
+// The driver is the sink of its hedge timers: each fires as
+// OnEvent(jid, tid), a typed event, so no closure is built per task.
+class FrontierDriver : public sim::EventSink {
  public:
   // The driver records into the testbed's simulator/metrics and drives
   // `client` (installing itself as the client's completion callback on
@@ -76,14 +79,21 @@ class FrontierDriver {
   void Harvest(cluster::DagRunStats* out) const;
 
  private:
+  // A job's dependency state lives in one block, `graph`, for its n tasks:
+  //   [0, n)          task i's unmet dependency count
+  //   [n, 2n + 1)     child_begin: task i's successors are
+  //                   children[child_begin[i] .. child_begin[i + 1])
+  //   [2n + 1, end)   children, the successor lists
   struct JobState {
     TimeNs arrival = 0;
     JobSpec spec;
-    std::vector<uint32_t> pending_deps;  // per task: unmet dependency count
-    // Task i's successors are children[child_begin[i] .. child_begin[i + 1]).
-    std::vector<uint32_t> child_begin;
-    std::vector<uint32_t> children;
+    std::vector<uint32_t> graph;
     size_t remaining = 0;  // tasks not yet completed
+
+    size_t tasks() const { return spec.tasks.size(); }
+    uint32_t* pending_deps() { return graph.data(); }
+    uint32_t* child_begin() { return graph.data() + tasks(); }
+    uint32_t* children() { return graph.data() + 2 * tasks() + 1; }
   };
   struct TaskState {
     uint32_t job = 0;
@@ -95,6 +105,8 @@ class FrontierDriver {
   // Submits the tasks in ready_ as one client job.
   void SubmitFrontier(uint32_t job_index);
   void OnCompletion(const net::TaskInfo& task, TimeNs now);
+  // sim::EventSink: the hedge timer of the client's task (jid, tid) fired.
+  void OnEvent(uint32_t jid, uint32_t tid) override { OnHedgeTimer(jid, tid); }
   void OnHedgeTimer(uint32_t jid, uint32_t tid);
   TimeNs HedgeDelay() const;
 

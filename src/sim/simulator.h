@@ -20,10 +20,14 @@
 // per-occurrence allocation at all.
 //
 //   sim.ScheduleAt(at, &sink, a, b);         // typed: sink.OnEvent(a, b)
+//   EventHandle h = sim.ScheduleAt(at, &sink, a, b, kCancellable);
 //
-// The typed event is for the per-packet hops (net::Network): it carries an
-// EventSink pointer and two words, which the run loop passes straight to
-// OnEvent with no closure to move, invoke through a manager, or destroy.
+// The typed event carries an EventSink pointer and two words, which the run
+// loop passes straight to OnEvent with no closure to build, move, invoke
+// through a manager, or destroy. The per-packet hops (net::Network) use the
+// fire-and-forget form; the per-task timers (the client's timeouts, the DAG
+// driver's hedges) use the cancellable one, with the task's (jid, tid) as
+// the two words.
 //
 // Engine layout:
 //  - Slots live in a free-listed slab split into a hot generation array
@@ -185,6 +189,10 @@ class Simulator {
   // fire-and-forget. It takes a sequence number like any other event.
   void ScheduleAt(TimeNs at, EventSink* sink, uint32_t a, uint32_t b);
 
+  // Cancellable typed event: per-task timers (client timeouts, hedges) use
+  // it so that no closure is built per task.
+  EventHandle ScheduleAt(TimeNs at, EventSink* sink, uint32_t a, uint32_t b, CancellableTag);
+
   // Runs events until the queue drains or the clock passes `until`.
   // Events scheduled exactly at `until` still run. Returns the number of
   // events executed.
@@ -207,6 +215,8 @@ class Simulator {
 
   // Number of live (scheduled, not yet fired or cancelled) events.
   size_t pending_events() const { return live_; }
+  // Events executed by completed runs; a run adds its count when it returns,
+  // so an event reading this mid-run does not see its own run's events.
   uint64_t executed_events() const { return executed_; }
 
   // Registers / unregisters off-queue work (see OffQueueWork). It must
@@ -246,12 +256,18 @@ class Simulator {
   uint32_t AllocSlot();
   void FreeSlot(uint32_t slot);
   // Takes a slot for a one-shot event at `at`, draws its sequence number and
-  // queues its key; the caller fills the payload.
-  EventKey Claim(TimeNs at);
-  // Schedules a one-shot closure and returns (slot, gen) for handle creation.
-  EventKey Push(TimeNs at, std::function<void()> fn);
+  // queues its key; the caller fills the payload. The key stays in scalars
+  // until the queue stores it: a 24-byte EventKey built here would be
+  // written field by field and read back whole, and that read cannot be
+  // forwarded from the store buffer.
+  uint32_t Claim(TimeNs at);
+  // Schedules a one-shot closure or typed event; returns its slot.
+  uint32_t Push(TimeNs at, std::function<void()> fn);
+  uint32_t PushTyped(TimeNs at, EventSink* sink, uint32_t a, uint32_t b);
+  // The handle of the one-shot event just scheduled into `slot`.
+  EventHandle HandleFor(uint32_t slot);
   // Enum dispatch to a concrete backend; both calls devirtualize.
-  void QueuePush(EventKey key);
+  void QueuePush(TimeNs at, uint64_t seq, uint32_t slot);
   uint64_t Run(bool bounded, TimeNs until);
   template <typename Queue>
   uint64_t RunLoop(Queue& queue, bool bounded, TimeNs until);
@@ -302,34 +318,50 @@ inline uint32_t Simulator::AllocSlot() {
   return static_cast<uint32_t>(gens_.size() - 1);
 }
 
-inline void Simulator::QueuePush(EventKey key) {
+inline void Simulator::QueuePush(TimeNs at, uint64_t seq, uint32_t slot) {
   if (backend_ == QueueBackend::kLadder) {
-    ladder_.Push(key);
+    ladder_.Push(at, seq, slot);
   } else {
-    heap_.Push(key);
+    heap_.Push(EventKey{at, seq, slot});
   }
 }
 
-inline EventKey Simulator::Claim(TimeNs at) {
+inline uint32_t Simulator::Claim(TimeNs at) {
   DRACONIS_CHECK_MSG(at >= now_, "cannot schedule an event in the past");
-  const EventKey key{at, next_seq_++, AllocSlot()};
-  gens_[key.slot] = key.seq + 1;
-  QueuePush(key);
+  const uint64_t seq = next_seq_++;
+  const uint32_t slot = AllocSlot();
+  gens_[slot] = seq + 1;
+  QueuePush(at, seq, slot);
   ++live_;
-  return key;
+  return slot;
 }
 
-inline EventKey Simulator::Push(TimeNs at, std::function<void()> fn) {
-  const EventKey key = Claim(at);
-  payloads_[key.slot].fn = std::move(fn);
-  return key;
+inline uint32_t Simulator::Push(TimeNs at, std::function<void()> fn) {
+  const uint32_t slot = Claim(at);
+  payloads_[slot].fn = std::move(fn);
+  return slot;
 }
 
-inline void Simulator::ScheduleAt(TimeNs at, EventSink* sink, uint32_t a, uint32_t b) {
-  Payload& p = payloads_[Claim(at).slot];
+inline uint32_t Simulator::PushTyped(TimeNs at, EventSink* sink, uint32_t a, uint32_t b) {
+  const uint32_t slot = Claim(at);
+  Payload& p = payloads_[slot];
   p.target = reinterpret_cast<uintptr_t>(sink) | kTypedTag;
   p.words[0] = a;
   p.words[1] = b;
+  return slot;
+}
+
+inline EventHandle Simulator::HandleFor(uint32_t slot) {
+  return EventHandle(this, slot, gens_[slot] - 1);
+}
+
+inline void Simulator::ScheduleAt(TimeNs at, EventSink* sink, uint32_t a, uint32_t b) {
+  PushTyped(at, sink, a, b);
+}
+
+inline EventHandle Simulator::ScheduleAt(TimeNs at, EventSink* sink, uint32_t a, uint32_t b,
+                                         CancellableTag) {
+  return HandleFor(PushTyped(at, sink, a, b));
 }
 
 inline void Simulator::ScheduleAt(TimeNs at, std::function<void()> fn) {
@@ -343,8 +375,7 @@ inline void Simulator::ScheduleAfter(TimeNs delay, std::function<void()> fn) {
 
 inline EventHandle Simulator::ScheduleAt(TimeNs at, std::function<void()> fn,
                                          CancellableTag) {
-  const EventKey key = Push(at, std::move(fn));
-  return EventHandle(this, key.slot, key.seq);
+  return HandleFor(Push(at, std::move(fn)));
 }
 
 inline EventHandle Simulator::ScheduleAfter(TimeNs delay,
@@ -364,7 +395,7 @@ inline void Simulator::ArmTimer(const Timer& timer, TimeNs at) {
   }
   const uint64_t seq = next_seq_++;
   gens_[timer.slot_] = seq + 1;  // any previously pushed key goes stale
-  QueuePush(EventKey{at, seq, timer.slot_});
+  QueuePush(at, seq, timer.slot_);
 }
 
 inline void Simulator::DisarmTimer(const Timer& timer) {

@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -427,6 +428,106 @@ TEST(EventQueueDifferentialTest, LadderLivenessFilterDropsOnlyDeadKeys) {
     ASSERT_EQ(popped.size(), live.size()) << "seed=" << seed;
     for (size_t i = 0; i < live.size(); ++i) {
       ASSERT_EQ(popped[i], live[i].seq) << "seed=" << seed << " i=" << i;
+    }
+  }
+}
+
+// The near-future shape of the packet-hop path: most pushes land inside
+// the ladder's sorted bottom window (hop-like delays shorter than a refill,
+// many of them at an instant that already holds keys), interleaved with
+// pops, plus a few far keys that keep rungs alive. The oracle is a sorted
+// vector of the live keys. Some keys die before they surface, as cancelled
+// events do. With liveness words attached the ladder may drop them at a
+// re-spread; without, it must pop them. Either way, the live keys must pop
+// in exact (at, seq) order, which catches an insert into the bottom that
+// breaks a same-instant tie the wrong way.
+void DriveNearFuture(uint64_t seed, bool attach_liveness) {
+  LadderQueue ladder;
+  std::vector<uint64_t> gens;
+  if (attach_liveness) {
+    ladder.AttachLiveness(&gens);
+  }
+  std::vector<EventKey> oracle;  // live keys, ascending (at, seq)
+  Rng rng(seed);
+  uint64_t next_seq = 0;
+  TimeNs now = 0;  // the time of the last pop; pushes never go below it
+  int in_bottom_ties = 0;
+  for (int step = 0; step < 20000; ++step) {
+    const uint64_t op = rng.NextBelow(100);
+    if (op < 58 || oracle.empty()) {
+      TimeNs at = now;
+      const uint64_t shape = rng.NextBelow(100);
+      if (shape < 30) {
+        at += static_cast<TimeNs>(rng.NextBelow(4)) * 8;  // a few hot instants
+      } else if (shape < 85) {
+        at += static_cast<TimeNs>(rng.NextBelow(48));  // a hop
+      } else if (shape < 97) {
+        at += static_cast<TimeNs>(rng.NextBelow(4096));
+      } else {
+        at += static_cast<TimeNs>(rng.NextBelow(1'000'000));
+      }
+      const uint32_t slot = static_cast<uint32_t>(gens.size());
+      const EventKey key{at, next_seq++, slot};
+      gens.push_back(key.seq + 1);
+      const auto pos = std::upper_bound(oracle.begin(), oracle.end(), key, EventKeyBefore);
+      if (pos != oracle.begin() && std::prev(pos)->at == at) {
+        ++in_bottom_ties;
+      }
+      oracle.insert(pos, key);
+      ladder.Push(key);
+    } else if (op < 64) {
+      // Kill a random pending key, as a cancellation does.
+      const size_t victim = rng.NextBelow(oracle.size());
+      gens[oracle[victim].slot] = 0;
+      oracle.erase(oracle.begin() + static_cast<ptrdiff_t>(victim));
+    } else {
+      // Pop the next live key; dead ones that surface are skipped, as the
+      // run loop skips them.
+      EventKey key{};
+      for (;;) {
+        ASSERT_TRUE(ladder.PeekTop(&key)) << "seed=" << seed << " step=" << step;
+        const EventKey popped = ladder.PopTop();
+        ASSERT_EQ(popped.seq, key.seq);
+        ASSERT_GE(popped.at, now) << "seed=" << seed << " step=" << step;
+        if (gens[popped.slot] == popped.seq + 1) {
+          key = popped;
+          break;
+        }
+      }
+      ASSERT_EQ(key.at, oracle.front().at) << "seed=" << seed << " step=" << step;
+      ASSERT_EQ(key.seq, oracle.front().seq) << "seed=" << seed << " step=" << step;
+      gens[key.slot] = 0;
+      oracle.erase(oracle.begin());
+      now = key.at;
+    }
+    ASSERT_GE(ladder.size(), oracle.size());
+  }
+  // The drain agrees too, and nothing but dead keys is left over.
+  EventKey key{};
+  size_t next = 0;
+  while (ladder.PeekTop(&key)) {
+    const EventKey popped = ladder.PopTop();
+    if (gens[popped.slot] != popped.seq + 1) {
+      continue;
+    }
+    ASSERT_LT(next, oracle.size()) << "seed=" << seed;
+    ASSERT_EQ(popped.seq, oracle[next].seq) << "seed=" << seed;
+    ++next;
+  }
+  ASSERT_EQ(next, oracle.size()) << "seed=" << seed;
+  ASSERT_TRUE(ladder.empty());
+  // The shape must really produce same-instant pushes.
+  ASSERT_GT(in_bottom_ties, 1000) << "seed=" << seed;
+}
+
+TEST(EventQueueDifferentialTest, NearFuturePushesMatchSortedOracle) {
+  for (const bool attach : {false, true}) {
+    for (uint64_t seed = 1; seed <= 32; ++seed) {
+      SCOPED_TRACE(attach ? "liveness attached" : "no liveness words");
+      DriveNearFuture(seed, attach);
+      if (::testing::Test::HasFatalFailure()) {
+        return;
+      }
     }
   }
 }

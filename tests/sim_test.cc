@@ -430,6 +430,85 @@ TEST_P(TypedEventTest, RunUntilBoundAndAnyEventDueNowSeeThem) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
+// The cancellable typed event (the per-task timer path).
+
+TEST_P(TypedEventTest, CancellableFiresOnceWithItsWords) {
+  Simulator s(GetParam());
+  std::vector<int> order;
+  Recorder sink(&s, &order);
+  EventHandle h = s.ScheduleAt(40, &sink, 3, 2, kCancellable);
+  EXPECT_TRUE(h.pending());
+  EXPECT_EQ(s.pending_events(), 1u);
+  s.RunUntil(39);
+  EXPECT_TRUE(h.pending());
+  s.RunAll();
+  EXPECT_EQ(order, (std::vector<int>{203}));
+  EXPECT_EQ(sink.fired_at, (std::vector<TimeNs>{40}));
+  EXPECT_FALSE(h.pending());
+  h.Cancel();  // after firing: a no-op
+  EXPECT_EQ(s.executed_events(), 1u);
+  EXPECT_EQ(s.pending_events(), 0u);
+}
+
+TEST_P(TypedEventTest, CancelledOneDoesNotFire) {
+  Simulator s(GetParam());
+  std::vector<int> order;
+  Recorder sink(&s, &order);
+  EventHandle cancelled = s.ScheduleAt(10, &sink, 1, 0, kCancellable);
+  EventHandle kept = s.ScheduleAt(10, &sink, 2, 0, kCancellable);
+  EXPECT_EQ(s.pending_events(), 2u);
+  cancelled.Cancel();
+  EXPECT_FALSE(cancelled.pending());
+  EXPECT_TRUE(kept.pending());
+  EXPECT_EQ(s.pending_events(), 1u);
+  cancelled.Cancel();  // idempotent
+  EXPECT_EQ(s.pending_events(), 1u);
+  s.RunAll();
+  EXPECT_EQ(order, (std::vector<int>{2}));
+  EXPECT_EQ(s.executed_events(), 1u);
+}
+
+TEST_P(TypedEventTest, StaleHandleIsInertOnceItsSlotIsRecycled) {
+  Simulator s(GetParam());
+  std::vector<int> order;
+  Recorder sink(&s, &order);
+  EventHandle fired = s.ScheduleAt(5, &sink, 1, 0, kCancellable);
+  s.RunAll();
+  EventHandle cancelled = s.ScheduleAt(6, &sink, 2, 0, kCancellable);
+  cancelled.Cancel();
+  // The freelist is LIFO: the next two events take the slots the stale
+  // handles point at, one typed and one closure.
+  EventHandle fresh = s.ScheduleAt(20, &sink, 3, 0, kCancellable);
+  bool closure_fired = false;
+  s.ScheduleAt(20, [&] { closure_fired = true; });
+  EXPECT_FALSE(fired.pending());
+  EXPECT_FALSE(cancelled.pending());
+  fired.Cancel();
+  cancelled.Cancel();
+  EXPECT_TRUE(fresh.pending());
+  EXPECT_EQ(s.pending_events(), 2u);
+  s.RunAll();
+  EXPECT_EQ(order, (std::vector<int>{1, 3}));
+  EXPECT_TRUE(closure_fired);
+}
+
+TEST_P(TypedEventTest, ClearInvalidatesCancellableOnes) {
+  Simulator s(GetParam());
+  std::vector<int> order;
+  Recorder sink(&s, &order);
+  EventHandle h = s.ScheduleAt(10, &sink, 1, 0, kCancellable);
+  s.Clear();
+  EXPECT_FALSE(h.pending());
+  h.Cancel();  // no-op on the cleared engine
+  EXPECT_EQ(s.pending_events(), 0u);
+  // The slot is reused and the old handle stays inert.
+  EventHandle next = s.ScheduleAt(12, &sink, 2, 0, kCancellable);
+  h.Cancel();
+  EXPECT_TRUE(next.pending());
+  s.RunAll();
+  EXPECT_EQ(order, (std::vector<int>{2}));
+}
+
 INSTANTIATE_TEST_SUITE_P(Backends, TypedEventTest,
                          ::testing::ValuesIn(AllQueueBackends()), BackendName);
 
