@@ -27,38 +27,29 @@ ratios. A pair is won when the head's value is better by the metric's
 non-zero when a run fails or reports "correct": false.
 
 --concurrent runs the two sides of a pair at the same time instead, each
-pinned to its own core with os.sched_setaffinity (the last two cores this
-process may use); the sides swap cores from pair to pair.
+pinned to its own core (scripts/ab_pairs.py: the sides swap cores from
+pair to pair, --pairs must be even, and the report adds "swap_ratios").
 On a shared host whose load drifts over seconds, the two runs of a pair
 then see the same load, and the median of the per-pair ratios is the
 number to read. On a 4-core VM the sequential median dag run_s of one
 build read 0.180 s in one 10-pair 3 s set and 0.127 s in another an hour
 later, while a concurrent set of that build against itself gave a median
-ratio of 0.993 (single pairs from 0.70 to 1.23). Two cores of a shared
-host need not run equally fast, so the report also holds "swap_ratios",
-the geometric mean of the ratios of pairs 1 and 2, 3 and 4, and so on:
-each such couple runs the head once on each core, which cancels a steady
-difference between them. The benchmark itself (simbench/run.py) still
-runs its workloads one at a time, so an end-to-end claim also needs a
-sequential set.
+ratio of 0.993 (single pairs from 0.70 to 1.23). The benchmark itself
+(simbench/run.py) still runs its workloads one at a time, so an
+end-to-end claim also needs a sequential set.
 """
 
 import argparse
 import json
-import math
 import os
-import statistics
 import subprocess
 import sys
+
+from ab_pairs import batches, check_pairs, compare, fail, pin, pinned_cores
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCHEMA = "ab_simbench/1"
 RUN_TIMEOUT_S = 600
-
-
-def fail(message):
-    print(f"ab_simbench: {message}", file=sys.stderr)
-    sys.exit(2)
 
 
 def binary_in(build_dir):
@@ -69,12 +60,11 @@ def binary_in(build_dir):
     fail(f"no simbench binary under {build_dir} (build it with simbench/run.py)")
 
 
-def start(binary, workload, seconds, heldout, core=None):
+def start(binary, workload, seconds, heldout, core):
     cmd = [binary, "--workload", workload, "--seconds", str(seconds)]
     if heldout:
         cmd.append("--heldout")
-    pin = None if core is None else (lambda: os.sched_setaffinity(0, {core}))
-    return subprocess.Popen(cmd, stdout=subprocess.PIPE, text=True, preexec_fn=pin)
+    return subprocess.Popen(cmd, stdout=subprocess.PIPE, text=True, preexec_fn=pin(core))
 
 
 def finish(proc, binary, workload):
@@ -92,36 +82,6 @@ def finish(proc, binary, workload):
     if proc.returncode != 0 or not result.get("correct", False):
         fail(f"{binary} --workload {workload} failed a check (exit {proc.returncode})")
     return {name: metric["value"] for name, metric in result["metrics"].items()}
-
-
-def run(binary, workload, seconds, heldout):
-    return finish(start(binary, workload, seconds, heldout), binary, workload)
-
-
-def run_pinned_pair(binaries, cores, workload, seconds, heldout):
-    """Runs both sides at once, side i pinned to cores[i]."""
-    procs = {side: start(binaries[side], workload, seconds, heldout, core)
-             for side, core in zip(("base", "head"), cores)}
-    return {side: finish(proc, binaries[side], workload) for side, proc in procs.items()}
-
-
-def pinned_cores():
-    allowed = sorted(os.sched_getaffinity(0))
-    if len(allowed) < 2:
-        fail("--concurrent needs two cores; this process may use one")
-    return allowed[-2:]
-
-
-def quartiles(values):
-    if len(values) < 2:
-        return values[0], values[0]
-    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return q1, q3
-
-
-def summarize(values):
-    q1, q3 = quartiles(values)
-    return {"values": values, "median": statistics.median(values), "q1": q1, "q3": q3}
 
 
 def main():
@@ -142,8 +102,7 @@ def main():
     parser.add_argument("--concurrent", action="store_true",
                         help="run each pair's two sides at once, pinned to two cores")
     args = parser.parse_args()
-    if args.pairs < 1:
-        fail("--pairs must be at least 1")
+    check_pairs(args.pairs, args.concurrent)
     cores = pinned_cores() if args.concurrent else None
 
     binaries = {"base": binary_in(args.base), "head": binary_in(args.head)}
@@ -151,15 +110,15 @@ def main():
     values = {w: {side: [] for side in binaries} for w in chosen}
     for pair in range(args.pairs):
         for workload in chosen:
-            if cores is not None:
-                pinned = cores if pair % 2 == 0 else cores[::-1]
-                results = run_pinned_pair(binaries, pinned, workload, args.seconds, args.heldout)
-                how = f"base on core {pinned[0]}, head on core {pinned[1]}"
-            else:
-                order = ["base", "head"] if pair % 2 == 0 else ["head", "base"]
-                results = {side: run(binaries[side], workload, args.seconds, args.heldout)
-                           for side in order}
-                how = f"{order[0]} first"
+            layout = batches(pair, cores)
+            results = {}
+            for batch in layout:
+                procs = {side: start(binaries[side], workload, args.seconds, args.heldout, core)
+                         for side, core in batch}
+                for side, proc in procs.items():
+                    results[side] = finish(proc, binaries[side], workload)
+            how = (", ".join(f"{side} on core {core}" for side, core in layout[0])
+                   if cores is not None else f"{layout[0][0][0]} first")
             for side in binaries:
                 values[workload][side].append(results[side])
             print(f"pair {pair + 1}/{args.pairs} {workload}: run_s base "
@@ -183,28 +142,9 @@ def main():
         for name, metric in metrics.items():
             base = [run[name] for run in values[workload]["base"]]
             head = [run[name] for run in values[workload]["head"]]
-            lower = metric["better"] == "lower"
-            wins = sum(1 for b, h in zip(base, head) if (h < b if lower else h > b))
-            base_s, head_s = summarize(base), summarize(head)
-            ratios = [h / b if b else None for b, h in zip(base, head)]
-            known = [r for r in ratios if r is not None]
-            swapped = [math.sqrt(r1 * r2) for r1, r2 in zip(ratios[0::2], ratios[1::2])
-                       if r1 is not None and r2 is not None]
-            out[name] = {
-                "unit": metric["unit"],
-                "better": metric["better"],
-                "base": base_s,
-                "head": head_s,
-                "change": (head_s["median"] / base_s["median"] - 1.0
-                           if base_s["median"] else None),
-                "head_wins": wins,
-                "ratios": ratios,
-                "ratio_median": statistics.median(known) if known else None,
-                "identical": base == head,
-            }
-            if cores is not None:
-                out[name]["swap_ratios"] = swapped
-                out[name]["swap_ratio_median"] = statistics.median(swapped) if swapped else None
+            out[name] = {"unit": metric["unit"], "better": metric["better"]}
+            out[name].update(compare(base, head, metric["better"] == "lower", cores is not None))
+            out[name]["identical"] = base == head
         report["workloads"][workload] = out
 
     text = json.dumps(report, indent=2) + "\n"

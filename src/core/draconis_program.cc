@@ -326,7 +326,9 @@ void DraconisProgram::SendNoOp(p4::PassContext& ctx, net::NodeId executor) {
 
 bool DraconisProgram::PollsArePure() const {
   if (pifo_ != nullptr) {
-    return false;
+    // An empty Pop only claims the PIFO for the pass, and the rank
+    // function's OnDequeue runs only after a successful one.
+    return true;
   }
   for (const auto& q : queues_) {
     if (!q->shadow_copy_dequeue()) {
@@ -337,6 +339,9 @@ bool DraconisProgram::PollsArePure() const {
 }
 
 bool DraconisProgram::QueuesIdle() const {
+  if (pifo_ != nullptr && !pifo_->cp_empty()) {
+    return false;
+  }
   for (const auto& q : queues_) {
     if (q->cp_occupancy() != 0 || q->cp_add_repair_flag() || q->cp_retrieve_repair_flag()) {
       return false;

@@ -85,11 +85,12 @@ class DraconisProgram : public p4::SwitchProgram {
 
   // --- Idle-poll fast-forward seam (core/poll_roster.h) --------------------
   // Whether a task_request that finds every queue empty changes no register
-  // state: the shadow-copy dequeue on a single queue (more levels are probed
-  // by recirculating).
+  // state: a PIFO, or the shadow-copy dequeue on a single queue (more levels
+  // are probed by recirculating).
   bool PollsArePure() const;
-  // Every queue is empty and has no repair pending: a task_request now gets
-  // a no-op, and the pass changes nothing but counters.
+  // Every queue (or the PIFO) is empty and has no repair pending: a
+  // task_request now gets a no-op, and the pass changes nothing but
+  // counters.
   bool QueuesIdle() const;
   void CreditElidedNoOps(uint64_t n) { counters_.noops_sent += n; }
   // The no-op answer to the executor at `executor`.

@@ -19,6 +19,13 @@
 // becomes the front bucket, which is then sorted once and kept sorted. An
 // occupancy bitmap finds the next non-empty bucket in a few word scans.
 //
+// Sweeping. An owner that serves every overdue entry anyway, each
+// independently of the others, takes them with TakeBefore: the buckets
+// before `now`'s are unlinked whole and never sorted, and only `now`'s
+// bucket and (once its least entry is due) the overflow list are filtered
+// entry by entry. The queue's order is total on (at, key), so the order in
+// which the owner re-inserts what it took changes nothing.
+//
 // Fetching. On a large roster the owner's records of consecutive entries
 // are far apart in memory. When a bucket becomes the front, the queue walks
 // its links (4 bytes a slot, so they stay cached) and prefetches every
@@ -70,6 +77,14 @@ class DueQueue {
   uint32_t Front();
   // Removes and returns Front().
   uint32_t PopFront();
+  // Removes every entry with at < now, and every entry at `now` whose slot
+  // satisfies `at_now`, and appends them to `out` in no particular order.
+  // `at_now` must hold for a prefix of the entries at `now` in key order.
+  // The buckets before now's are unlinked whole and never sorted; only
+  // now's bucket and (when it may hold such entries) the overflow list are
+  // filtered. A take that finds nothing due changes nothing.
+  template <typename AtNow>
+  void TakeBefore(TimeNs now, AtNow at_now, std::vector<uint32_t>& out);
   // Drops every entry.
   void Clear();
 
@@ -180,6 +195,82 @@ uint32_t DueQueue<Slots>::PopFront() {
   --size_;
   front_ready_ = false;
   return slot;
+}
+
+template <typename Slots>
+template <typename AtNow>
+void DueQueue<Slots>::TakeBefore(TimeNs now, AtNow at_now, std::vector<uint32_t>& out) {
+  if (size_ == 0) {
+    return;
+  }
+  const auto due = [this, now, &at_now](uint32_t slot) {
+    const TimeNs at = slots_.At(slot);
+    return at < now || (at == now && at_now(slot));
+  };
+  if (front_ready_ && !due(heads_[PositionOf(cursor_)])) {
+    return;  // not even the least entry is due
+  }
+  const uint64_t now_bucket = BucketOf(now);
+  const bool overflow_due = overflow_ != kNil && overflow_min_ <= now;
+  uint64_t b = FirstOccupied(cursor_);
+  if ((b == kNoBucket || b > now_bucket) && !overflow_due) {
+    return;  // every entry lies past now's bucket
+  }
+  const size_t taken = out.size();
+  // Whole buckets before now's.
+  for (; b != kNoBucket && b < now_bucket; b = FirstOccupied(b + 1)) {
+    const uint32_t pos = PositionOf(b);
+    for (uint32_t slot = heads_[pos]; slot != kNil; slot = next_[slot]) {
+      out.push_back(slot);
+    }
+    heads_[pos] = kNil;
+    occupied_[pos / 64] &= ~(uint64_t{1} << (pos % 64));
+    if (b == sorted_bucket_) {
+      sorted_bucket_ = kNoBucket;
+    }
+  }
+  // Every wheel entry now sits in now's bucket or later, inside the window.
+  cursor_ = std::max(cursor_, now_bucket);
+  if (b == now_bucket) {
+    // The due entries of a sorted bucket are a prefix of it (`at_now` holds
+    // for a prefix of the entries at `now` in key order).
+    const uint32_t pos = PositionOf(now_bucket);
+    const bool sorted = now_bucket == sorted_bucket_;
+    for (uint32_t* link = &heads_[pos]; *link != kNil;) {
+      const uint32_t slot = *link;
+      if (due(slot)) {
+        *link = next_[slot];
+        out.push_back(slot);
+      } else if (sorted) {
+        break;
+      } else {
+        link = &next_[slot];
+      }
+    }
+    if (heads_[pos] == kNil) {
+      occupied_[pos / 64] &= ~(uint64_t{1} << (pos % 64));
+    }
+  }
+  if (overflow_due) {
+    // Filter the list, and move what the window covers into the wheel, as
+    // Front() does when it reaches the list.
+    uint32_t slot = overflow_;
+    overflow_ = kNil;
+    while (slot != kNil) {
+      const uint32_t next = next_[slot];
+      const uint64_t bucket = BucketOf(slots_.At(slot));
+      if (due(slot)) {
+        out.push_back(slot);
+      } else if (bucket - cursor_ < kBuckets) {
+        LinkIntoBucket(slot, bucket);
+      } else {
+        LinkIntoOverflow(slot);
+      }
+      slot = next;
+    }
+  }
+  size_ -= out.size() - taken;
+  front_ready_ = false;
 }
 
 template <typename Slots>

@@ -27,11 +27,12 @@ PollRoster::PollRoster(sim::Simulator* simulator, net::Network* network,
       pipeline_(pipeline),
       program_(program),
       switch_node_(pipeline->node_id()),
-      pass_latency_(pipeline->pass_latency()) {
+      pass_latency_(pipeline->pass_latency()),
+      max_jitter_(network->max_jitter()) {
   DRACONIS_CHECK(Supports(*program));
   DRACONIS_CHECK_MSG(network->IsSwitch(switch_node_), "roster on a pipeline off the fabric");
   const net::HostProfile& wire = network->profile(switch_node_);
-  // StepCycle() times the switch side with an idle core and no stack latency.
+  // Credit() times the switch side with an idle core and no stack latency.
   DRACONIS_CHECK(wire.tx_cost == 0 && wire.rx_cost == 0 && wire.stack_latency == 0);
   pipeline_->SetPassObserver(this);
   simulator_->AddOffQueueWork(this);
@@ -73,8 +74,8 @@ bool PollRoster::TryPark(cluster::Executor* executor, TimeNs next_pull) {
   tail.handoff_at = host_busy + c.profile.stack_latency;
   // The pull, and its request's switch arrival.
   net::Network::Link up = *b.up;
-  TimeNs busy = host_busy;
-  t.at = network_->LaunchTiming(node, c.up_cost, next_pull, busy, up).arrives;
+  t.at = net::Network::WireArrival(next_pull + c.up_tx, c.up_wire + network_->latency_penalty(),
+                                   max_jitter_, up);
   t.pull = next_pull;
   t.up_jitter = up.jitter;
   t.up_sent = up.sent;
@@ -111,10 +112,16 @@ uint32_t PollRoster::SlotOf(cluster::Executor* executor) {
     const net::Packet request = executor->MakeRequest();
     DRACONIS_CHECK(request.dst == switch_node_);
     const size_t noop_size = DraconisProgram::NoOpFor(node).WireSize();
+    const net::Network::HopCost up = network_->CostOf(node, switch_node_, request.WireSize());
+    const net::Network::HopCost down = network_->CostOf(switch_node_, node, noop_size);
+    // Fleet's folded form has no two-tier surcharge.
+    DRACONIS_CHECK(!up.cross_rack && !down.cross_rack);
     Fleet fleet;
     fleet.profile = network_->profile(node);
-    fleet.up_cost = network_->CostOf(node, switch_node_, request.WireSize());
-    fleet.down_cost = network_->CostOf(switch_node_, node, noop_size);
+    fleet.up_tx = up.tx_cost;
+    fleet.up_wire = up.wire;
+    fleet.noop_departs = pass_latency_ + down.tx_cost;
+    fleet.down_wire = down.wire;
     fleet.max_retry = executor->max_retry();
     b.fleet = FleetFor(fleet);
   }
@@ -157,67 +164,90 @@ TimeNs PollRoster::HopAt(const Train& t, const Tail& tail) {
   return t.at;
 }
 
-void PollRoster::StepCycle(Train& t, Tail& tail) {
-  const Fleet& c = fleets_[t.fleet];
-  // The pass emits the no-op ...
-  tail.egress_at = t.at + pass_latency_;
-  tail.down_jitter_before = t.down_jitter;
-  TimeNs switch_core = 0;  // zero-cost Wire profile: never busy
-  net::Network::Link down{t.down_jitter};
-  tail.nic_at =
-      network_->LaunchTiming(switch_node_, c.down_cost, tail.egress_at, switch_core, down).arrives;
-  t.down_jitter = down.jitter;
-  // ... the executor's NIC core, busy since the pull's send, takes it ...
-  TimeNs host_busy = t.pull + c.up_cost.tx_cost;
-  tail.handoff_at = net::Network::DeliveryTime(c.profile, tail.nic_at, host_busy);
-  // ... and the executor backs off and pulls again, after the hand-off: so
-  // its core is free at the pull.
-  tail.rng_before = t.rng;
-  tail.retry_before = t.retry;
-  tail.prev_pull = t.pull;
-  tail.up_jitter_before = t.up_jitter;
-  t.pull = tail.handoff_at + cluster::Executor::NextPollDelay(t.rng, t.retry, c.max_retry);
-  net::Network::Link up{t.up_jitter, t.up_sent};
-  t.at = network_->LaunchTiming(t.node, c.up_cost, t.pull, host_busy, up).arrives;
-  t.up_jitter = up.jitter;
-  t.up_sent = up.sent;
-  t.hop = Hop::kEgress;
-}
-
 void PollRoster::Credit(Train& t, Tail& tail, TimeNs now, bool inclusive,
-                        const p4::IngressKey* pass) {
-  const auto before = [now, inclusive](TimeNs at) { return at < now || (inclusive && at == now); };
+                        const p4::IngressKey* pass, TimeNs penalty) {
   // A switch arrival at `now` goes before `*pass` only once every earlier
   // hop of its train has happened, i.e. its pull came before now.
-  const auto passes = [&before, now, pass](const Train& x) {
-    if (before(x.at)) {
-      return true;
-    }
-    const bool pulled = x.hop == Hop::kAtSwitch || x.pull < now;
-    return pass != nullptr && x.at == now && pulled && KeyOf(x) < *pass;
+  const net::NodeId node = t.node;
+  const auto passes = [now, inclusive, pass, node](TimeNs at, bool pulled, TimeNs pull,
+                                                   uint64_t up_sent) {
+    return at < now ||
+           (at == now && (inclusive || (pass != nullptr && pulled &&
+                                        KeyOf(pull, node, up_sent) < *pass)));
   };
-  if (!passes(t)) {
+  if (!passes(t.at, t.hop == Hop::kAtSwitch || t.pull < now, t.pull, t.up_sent)) {
     return;
   }
   // The rest of the current cycle ...
   delivered_ += t.hop <= Hop::kHandOff ? 1 : 0;  // the no-op reaches the executor
   sent_ += t.hop <= Hop::kPull ? 1 : 0;           // the request leaves
-  // ... then whole cycles: the request is delivered and passes, its no-op
-  // is emitted and delivered, and the next request leaves.
+  // ... then whole cycles, in locals: the request is delivered and passes,
+  // its no-op is emitted and delivered, the executor's core (busy tx_cost
+  // past the pull's send, see Layout) takes it, and the executor backs off
+  // and pulls again after the hand-off, so its core is free at the pull.
+  const Fleet& c = fleets_[t.fleet];
+  const net::HostProfile profile = c.profile;
+  const TimeNs up_tx = c.up_tx;
+  const TimeNs up_fixed = c.up_wire + penalty;
+  const TimeNs noop_departs = c.noop_departs;
+  const TimeNs down_fixed = c.down_wire + penalty;
+  const TimeNs max_retry = c.max_retry;
+  const TimeNs max_jitter = max_jitter_;
+  TimeNs at = t.at;
+  TimeNs pull = t.pull;
+  Rng rng = t.rng;
+  TimeNs retry = t.retry;
+  net::Network::Link up{t.up_jitter, t.up_sent};
+  net::Network::Link down{t.down_jitter};
+  // The last cycle's tail.
+  TimeNs passed_at = 0;
+  TimeNs nic_at = 0;
+  TimeNs handoff_at = 0;
+  TimeNs prev_pull = 0;
+  Rng rng_before{0};
+  TimeNs retry_before = 0;
+  Rng up_jitter_before{0};
+  Rng down_jitter_before{0};
   uint64_t cycles = 0;
   do {
     ++cycles;
-    StepCycle(t, tail);
-  } while (passes(t));
+    passed_at = at;
+    down_jitter_before = down.jitter;
+    nic_at = net::Network::WireArrival(at + noop_departs, down_fixed, max_jitter, down);
+    TimeNs host_busy = pull + up_tx;
+    handoff_at = net::Network::DeliveryTime(profile, nic_at, host_busy);
+    rng_before = rng;
+    retry_before = retry;
+    prev_pull = pull;
+    up_jitter_before = up.jitter;
+    pull = handoff_at + cluster::Executor::NextPollDelay(rng, retry, max_retry);
+    at = net::Network::WireArrival(pull + up_tx, up_fixed, max_jitter, up);
+  } while (passes(at, pull < now, pull, up.sent));
+  t.at = at;
+  t.pull = pull;
+  t.rng = rng;
+  t.retry = retry;
+  t.up_jitter = up.jitter;
+  t.up_sent = up.sent;
+  t.down_jitter = down.jitter;
+  t.hop = Hop::kEgress;
+  tail.egress_at = passed_at + pass_latency_;
+  tail.nic_at = nic_at;
+  tail.handoff_at = handoff_at;
+  tail.prev_pull = prev_pull;
+  tail.rng_before = rng_before;
+  tail.retry_before = retry_before;
+  tail.up_jitter_before = up_jitter_before;
+  tail.down_jitter_before = down_jitter_before;
   sent_ += 2 * cycles - 1;
   delivered_ += 2 * cycles - 1;
   passes_ += cycles;
 }
 
-void PollRoster::Advance(uint32_t slot, TimeNs now, bool inclusive) {
+void PollRoster::Advance(uint32_t slot, TimeNs now, bool inclusive, TimeNs penalty) {
   Train& t = trains_[slot];
   Tail& tail = tails_[slot];
-  Credit(t, tail, now, inclusive, nullptr);
+  Credit(t, tail, now, inclusive, nullptr, penalty);
   while (t.hop != Hop::kAtSwitch) {
     const TimeNs at = HopAt(t, tail);
     if (!(at < now || (inclusive && at == now))) {
@@ -251,17 +281,21 @@ void PollRoster::AfterPass(const p4::IngressKey& key) {
     return;
   }
   const TimeNs now = simulator_->Now();
+  const TimeNs penalty = network_->latency_penalty();
   // Parked arrivals the canonical order puts before this pass saw the queue
-  // empty: credit them. Their later hops before now are tallied when the
-  // train is next credited, handed back or settled.
-  for (;;) {
-    const uint32_t slot = due_.Front();
+  // empty: credit them, each independently of the others, so in any order.
+  // Their later hops before now are tallied when the train is next
+  // credited, handed back or settled.
+  overdue_.clear();
+  due_.TakeBefore(
+      now, [this, &key](uint32_t slot) { return KeyOf(trains_[slot]) < key; }, overdue_);
+  for (const uint32_t slot : overdue_) {
+    __builtin_prefetch(&trains_[slot], /*rw=*/1);
+    __builtin_prefetch(&tails_[slot], /*rw=*/1);
+  }
+  for (const uint32_t slot : overdue_) {
     Train& t = trains_[slot];
-    if (!(t.at < now || (t.at == now && KeyOf(t) < key))) {
-      break;
-    }
-    due_.PopFront();
-    Credit(t, tails_[slot], now, /*inclusive=*/false, &key);
+    Credit(t, tails_[slot], now, /*inclusive=*/false, &key, penalty);
     DRACONIS_CHECK(t.at > now || key < KeyOf(t));  // it has left the credit boundary
     due_.Insert(slot);
   }
@@ -269,7 +303,7 @@ void PollRoster::AfterPass(const p4::IngressKey& key) {
   // Same-instant arrivals after this pass join its group, in key order.
   while (!due_.empty() && trains_[due_.Front()].at == now) {
     const uint32_t slot = due_.PopFront();
-    Advance(slot, now, /*inclusive=*/false);
+    Advance(slot, now, /*inclusive=*/false, penalty);
     const Train& t = trains_[slot];
     DRACONIS_CHECK(t.hop == Hop::kAtSwitch && t.at == now);
     ++delivered_;  // the request reaches the switch
@@ -298,7 +332,7 @@ void PollRoster::AfterPass(const p4::IngressKey& key) {
     return;
   }
   due_.PopFront();
-  Advance(slot, now, /*inclusive=*/false);
+  Advance(slot, now, /*inclusive=*/false, penalty);
   Flush();
   if (trains_[slot].hop >= Hop::kPull) {
     // Its pass at next.first is now a real event.
@@ -313,9 +347,10 @@ void PollRoster::AdvanceAll(TimeNs now, bool inclusive) {
     return;
   }
   due_.Clear();
+  const TimeNs penalty = network_->latency_penalty();
   for (uint32_t slot = 0; slot < berths_.size(); ++slot) {
     if (berths_[slot].parked) {
-      Advance(slot, now, inclusive);
+      Advance(slot, now, inclusive, penalty);
       due_.Insert(slot);
     }
   }
@@ -358,7 +393,7 @@ PollRoster::Snapshot PollRoster::SnapshotOf(uint32_t slot) const {
   s.up.sent = t.up_sent;
   s.down.jitter = t.down_jitter;
   s.down.sent = t.up_sent + berths_[slot].down_offset;
-  s.host_busy = t.pull + c.up_cost.tx_cost;
+  s.host_busy = t.pull + c.up_tx;
   if (t.hop <= Hop::kPull) {
     s.poll.last_request_time = tail.prev_pull;
     s.up.jitter = tail.up_jitter_before;
@@ -370,7 +405,7 @@ PollRoster::Snapshot PollRoster::SnapshotOf(uint32_t slot) const {
     s.poll.retry_interval = tail.retry_before;
   }
   if (t.hop <= Hop::kAtExecutor) {
-    s.host_busy = tail.prev_pull + c.up_cost.tx_cost;
+    s.host_busy = tail.prev_pull + c.up_tx;
   }
   if (t.hop == Hop::kEgress) {
     s.down.jitter = tail.down_jitter_before;

@@ -7,7 +7,7 @@
 // poll train: its backoff RNG and retry interval, its host core, the jitter
 // streams of its two links (net/network.h: per-link streams), and counters.
 // So the executor *parks* here. Its train then advances as arithmetic,
-// through the very calls the eager path makes (Network::LaunchTiming and
+// through the very calls the eager path makes (Network::WireArrival and
 // DeliveryTime, Executor::NextPollDelay), and schedules no events.
 //
 // A train is a cycle of five hops: the pull (the request leaves the
@@ -38,12 +38,17 @@
 // is certain to be answered with a no-op, so its round trip is elided like
 // any other.
 //
-// Cost. A parked train is stepped once per cycle: as soon as its switch
-// arrival is credited, the rest of the cycle up to the next arrival is
-// computed and kept, with what a mid-cycle hand-back needs to undo it. Hops
-// are tallied in the roster and reach the fabric, pipeline and program
-// counters in one flush per call, before anything can observe them. Trains
-// wait in a DueQueue (core/due_queue.h) on their next switch arrival.
+// Cost. A parked train is stepped a run at a time: a credit loads it into
+// locals once, steps cycle after cycle until its next switch arrival leaves
+// the credit boundary, and stores its Train and Tail once, from the last
+// cycle (with what a mid-cycle hand-back needs to undo that cycle). The
+// step adds per-fleet constants folded at the train's first park (see
+// Fleet) and the fabric's fault penalty, read once per sweep: a fault action
+// wakes every train first, so the penalty cannot change while one is
+// parked. Hops are tallied in the roster and reach the fabric, pipeline and
+// program counters in one flush per call, before anything can observe them.
+// Trains wait in a DueQueue (core/due_queue.h) on their next switch
+// arrival; a pass takes every overdue one at once, without sorting them.
 //
 // Layout. Crediting a cycle reads one cache line: a train's Train record
 // holds its stepping state, its due-queue `at` and its IngressKey (KeyOf).
@@ -106,11 +111,16 @@ class PollRoster : public cluster::PollParking,
   // `hop <= kPull` reads "the pull has not happened yet".
   enum class Hop : uint8_t { kEgress, kAtExecutor, kHandOff, kPull, kAtSwitch };
 
-  // What every train of one fleet shares, looked up once per executor.
+  // What every train of one fleet shares, looked up once per executor. Both
+  // hops stay in the rack (no two-tier surcharge), and the switch's core is
+  // never busy (zero-cost Wire profile), so each hop is its sender's tx cost
+  // and a fixed wire time, plus the fault penalty and a jitter draw.
   struct Fleet {
-    net::HostProfile profile;         // the executor's NIC core costs
-    net::Network::HopCost up_cost;    // the request's hop
-    net::Network::HopCost down_cost;  // the no-op's hop
+    net::HostProfile profile;  // the executor's NIC core costs
+    TimeNs up_tx = 0;          // the request's: the executor's tx cost ...
+    TimeNs up_wire = 0;        // ... and its wire time
+    TimeNs noop_departs = 0;   // from the pass to the no-op leaving the switch
+    TimeNs down_wire = 0;      // the no-op's wire time
     TimeNs max_retry = 0;
 
     bool operator==(const Fleet&) const = default;
@@ -120,7 +130,7 @@ class PollRoster : public cluster::PollParking,
   // A parked train's stepping state, stepped ahead to its next switch
   // arrival `at`: the executor's backoff and its two link streams just
   // after the pull that arrives then. The hops from `hop` up to that
-  // arrival have not happened yet (or are not yet tallied: see Credit).
+  // arrival have not happened yet (or are not yet tallied: see Advance).
   struct alignas(64) Train {
     TimeNs at = 0;
     TimeNs pull = 0;  // the executor's last_request_time
@@ -180,9 +190,12 @@ class PollRoster : public cluster::PollParking,
     }
   };
 
-  static p4::IngressKey KeyOf(const Train& t) {
-    return p4::IngressKey{t.pull, t.node, t.up_sent - 1};
+  // A switch arrival's ingress key: its request's send time, sender and
+  // sequence number on the up link (`up_sent` counts that request).
+  static p4::IngressKey KeyOf(TimeNs pull, net::NodeId node, uint64_t up_sent) {
+    return p4::IngressKey{pull, node, up_sent - 1};
   }
+  static p4::IngressKey KeyOf(const Train& t) { return KeyOf(t.pull, t.node, t.up_sent); }
   static TimeNs HopAt(const Train& t, const Tail& tail);
 
   // The executor's slot, set up at its first park.
@@ -190,16 +203,14 @@ class PollRoster : public cluster::PollParking,
   uint8_t FleetFor(const Fleet& fleet);
   // Looks the berth's links up again if they may have moved.
   void RefreshLinks(Berth& b, net::NodeId node);
-  // From a credited switch arrival, steps through the rest of the cycle to
-  // the next one.
-  void StepCycle(Train& t, Tail& tail);
   // Credits the switch arrivals of `t` before `now` (at `now` too when
   // `inclusive`), and one at `now` whose key is below `*pass`, each with
-  // the rest of its cycle.
-  void Credit(Train& t, Tail& tail, TimeNs now, bool inclusive, const p4::IngressKey* pass);
+  // the rest of its cycle. `penalty` is the fabric's latency penalty.
+  void Credit(Train& t, Tail& tail, TimeNs now, bool inclusive, const p4::IngressKey* pass,
+              TimeNs penalty);
   // Credit() with no pass, then tallies the hops after the last credited
   // arrival that come before `now` (at `now` too when `inclusive`).
-  void Advance(uint32_t slot, TimeNs now, bool inclusive);
+  void Advance(uint32_t slot, TimeNs now, bool inclusive, TimeNs penalty);
   // Moves the tallies into the fabric, pipeline and program counters.
   void Flush();
 
@@ -223,6 +234,7 @@ class PollRoster : public cluster::PollParking,
   DraconisProgram* program_;
   net::NodeId switch_node_;
   TimeNs pass_latency_;
+  TimeNs max_jitter_;  // the fabric's, fixed for its life
   std::vector<Fleet> fleets_;
   // Three parallel arrays, by slot.
   std::vector<Train> trains_;
@@ -230,6 +242,7 @@ class PollRoster : public cluster::PollParking,
   std::vector<Berth> berths_;
   // Parked slots on (at, KeyOf).
   DueQueue<DueSlots> due_{DueSlots{this}};
+  std::vector<uint32_t> overdue_;  // AfterPass's take from due_
   // Switch arrivals of trains handed back with their request not yet past
   // the switch, latest first: each is a real pass to come.
   std::vector<std::pair<TimeNs, p4::IngressKey>> woken_;

@@ -154,6 +154,35 @@ Network::HopCost Network::CostOf(NodeId from, NodeId to, size_t wire_size) const
   return cost;
 }
 
+// Inline: every eager hop runs it, and out of line it costs Launch a call
+// with its HopCost and HopTiming passed through memory.
+inline Network::HopTiming Network::LaunchTiming(NodeId from, const HopCost& cost, TimeNs now,
+                                                TimeNs& tx_busy, Link& link) {
+  // Transmit-side CPU occupancy: the sender's core serializes its sends.
+  tx_busy = std::max(tx_busy, now) + cost.tx_cost;
+  HopTiming t;
+  t.departs = tx_busy;
+
+  // Two-tier model: endpoints in different racks route via the aggregation
+  // tier — two extra tier hops plus queueing/serialization on the source
+  // rack's uplink (a single busy server per rack). Same-rack traffic (the
+  // only kind on an unconfigured fabric) pays nothing here.
+  TimeNs tier_extra = 0;
+  if (cost.cross_rack) {
+    ++cross_rack_packets_;
+    tier_extra = 2 * config_.aggregation_latency;
+    if (config_.agg_ns_per_byte > 0.0) {
+      TimeNs& uplink = uplink_busy_[rack_of_[from]];
+      uplink = std::max(uplink, t.departs) + cost.uplink;
+      tier_extra += uplink - t.departs;
+    }
+  }
+
+  t.arrives = WireArrival(t.departs, cost.wire + tier_extra + latency_penalty_,
+                          config_.max_jitter, link);
+  return t;
+}
+
 void Network::Launch(NodeId from, uint32_t slot) {
   Packet& pkt = Held(slot);
   DRACONIS_CHECK_MSG(from < hosts_.size(), "unknown sender");

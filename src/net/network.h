@@ -150,6 +150,7 @@ class Network {
   // latency of every subsequently sent packet. Degradation windows stack.
   void AddLatencyPenalty(TimeNs delta);
   TimeNs latency_penalty() const { return latency_penalty_; }
+  TimeNs max_jitter() const { return config_.max_jitter; }
 
   // Packets handed to Send/SendAfter, delivered, dropped, and neither yet.
   // All four include the hops a fast-forward elided (CreditElided), so
@@ -169,10 +170,10 @@ class Network {
   // --- Per-link streams and the hop arithmetic ------------------------------
   //
   // The eager path (Send -> Launch -> Arrive -> Deliver) and the idle-poll
-  // fast-forward (core/poll_roster.h) time a hop with the same two calls.
-  // The fast-forward runs them on its own copies of a parked poll train's
-  // sender state and link streams, and writes those back when it
-  // materializes the train.
+  // fast-forward (core/poll_roster.h) time a hop with the same two calls,
+  // WireArrival and DeliveryTime. The fast-forward runs them on its own
+  // copies of a parked poll train's link streams, and writes those back
+  // when it materializes the train.
 
   // The stream seed of the directed link (from, to) under `base`: a mixing
   // hash, so no two links' streams overlap.
@@ -203,17 +204,16 @@ class Network {
   };
   HopCost CostOf(NodeId from, NodeId to, size_t wire_size) const;
 
-  struct HopTiming {
-    TimeNs departs = 0;  // the sender's core releases the packet
-    TimeNs arrives = 0;  // NIC arrival at the destination
-  };
-  // The transmit half of a hop launched at `now`: the sender's core
-  // (`tx_busy`) serializes its sends, then the wire, the two-tier surcharge,
-  // `link`'s jitter draw and the fault penalty. Advances `tx_busy` and
-  // `link` (one draw, one sequence number).
-  // Inline (below the class): the fast-forward times every elided hop here.
-  HopTiming LaunchTiming(NodeId from, const HopCost& cost, TimeNs now, TimeNs& tx_busy,
-                         Link& link);
+  // The wire half of a hop whose packet leaves its sender at `departs`:
+  // NIC arrival at the destination after `fixed` (the wire, any two-tier
+  // surcharge and the fault penalty) and `link`'s jitter draw, uniform in
+  // [0, max_jitter). Advances `link` (one draw, one sequence number).
+  static TimeNs WireArrival(TimeNs departs, TimeNs fixed, TimeNs max_jitter, Link& link) {
+    ++link.sent;
+    const TimeNs jitter =
+        max_jitter > 0 ? static_cast<TimeNs>(link.jitter.NextBelow(max_jitter)) : 0;
+    return departs + fixed + jitter;
+  }
   // The receive half: NIC arrival at `now_rx` -> hand-off to an endpoint
   // with profile `rx`, after its core (`rx_busy`) and stack latency.
   static TimeNs DeliveryTime(const HostProfile& rx, TimeNs now_rx, TimeNs& rx_busy) {
@@ -265,6 +265,15 @@ class Network {
   void Release(uint32_t slot);
   // Send on a held packet (applies the checks, drops and latency model).
   void Launch(NodeId from, uint32_t slot);
+  struct HopTiming {
+    TimeNs departs = 0;  // the sender's core releases the packet
+    TimeNs arrives = 0;  // NIC arrival at the destination
+  };
+  // The transmit half of Launch at `now`: the sender's core (`tx_busy`)
+  // serializes its sends, then the two-tier surcharge and WireArrival with
+  // the fault penalty. Advances `tx_busy` and `link`.
+  HopTiming LaunchTiming(NodeId from, const HopCost& cost, TimeNs now, TimeNs& tx_busy,
+                         Link& link);
   // NIC arrival at dst, then hand-off to its endpoint.
   void Arrive(NodeId dst, uint32_t slot);
   void Deliver(NodeId dst, uint32_t slot);
@@ -320,35 +329,6 @@ class Network {
   HopEvent<&Network::Arrive> arrive_{this};
   HopEvent<&Network::Deliver> deliver_{this};
 };
-
-inline Network::HopTiming Network::LaunchTiming(NodeId from, const HopCost& cost, TimeNs now,
-                                                TimeNs& tx_busy, Link& link) {
-  // Transmit-side CPU occupancy: the sender's core serializes its sends.
-  tx_busy = std::max(tx_busy, now) + cost.tx_cost;
-  HopTiming t;
-  t.departs = tx_busy;
-
-  // Two-tier model: endpoints in different racks route via the aggregation
-  // tier — two extra tier hops plus queueing/serialization on the source
-  // rack's uplink (a single busy server per rack). Same-rack traffic (the
-  // only kind on an unconfigured fabric) pays nothing here.
-  TimeNs tier_extra = 0;
-  if (cost.cross_rack) {
-    ++cross_rack_packets_;
-    tier_extra = 2 * config_.aggregation_latency;
-    if (config_.agg_ns_per_byte > 0.0) {
-      TimeNs& uplink = uplink_busy_[rack_of_[from]];
-      uplink = std::max(uplink, t.departs) + cost.uplink;
-      tier_extra += uplink - t.departs;
-    }
-  }
-
-  ++link.sent;
-  const TimeNs jitter =
-      config_.max_jitter > 0 ? static_cast<TimeNs>(link.jitter.NextBelow(config_.max_jitter)) : 0;
-  t.arrives = t.departs + cost.wire + tier_extra + jitter + latency_penalty_;
-  return t;
-}
 
 }  // namespace draconis::net
 

@@ -782,6 +782,49 @@ TEST(DeterminismTest, ParkedPollingMatchesEagerTwinWhenHandedBackTrainsReParkAtS
   ExpectParkedMatchesEager(config);
 }
 
+// PIFO programs park too (docs/pifo.md): a poll into an empty PIFO only
+// claims it for its pass. Every switch policy (fifo is the circular queue),
+// at a low load where the PIFO often empties (WFQ's virtual clock is
+// written only at dequeue, so the 10% point pins that it does not move
+// while polls are parked) and at 80%; with link jitter, and without, where
+// every hop takes the no-draw branch of Network::WireArrival.
+TEST(DeterminismTest, ParkedPollingMatchesEagerTwinOnEverySwitchPolicy) {
+  for (const core::SwitchPolicy policy : core::AllSwitchPolicies()) {
+    for (const double load : {0.1, 0.8}) {
+      for (const TimeNs max_jitter : {net::NetworkConfig{}.max_jitter, TimeNs{0}}) {
+        SCOPED_TRACE(std::string(core::SwitchPolicyName(policy)) + " at " + std::to_string(load) +
+                     ", max_jitter " + std::to_string(max_jitter));
+        cluster::ExperimentConfig config = Fig05aMiniConfig();
+        config.switch_policy = policy;
+        config.wfq_weights = {3, 1};
+        config.network.max_jitter = max_jitter;
+        workload::WorkloadSpec spec;
+        spec.arrival = workload::ArrivalKind::kOpenLoop;
+        spec.tasks_per_second = load * 16 / 100e-6;
+        spec.duration = config.horizon;
+        spec.service = workload::ServiceTime::Exponential(FromMicros(100));
+        spec.seed = config.seed;
+        config.stream = spec.Generate();
+        switch (policy) {
+          case core::SwitchPolicy::kStrictPriority:
+            workload::TaggerStage::Priority({1, 2, 3, 4}, 11).Apply(config.stream);
+            break;
+          case core::SwitchPolicy::kEdf:
+            workload::TaggerStage::Deadline(/*slack=*/3.0, /*jitter_us=*/200, 12)
+                .Apply(config.stream);
+            break;
+          case core::SwitchPolicy::kWfq:
+            workload::TaggerStage::Tenant(/*num_tenants=*/2, 13).Apply(config.stream);
+            break;
+          default:
+            break;
+        }
+        ExpectParkedMatchesEager(config);
+      }
+    }
+  }
+}
+
 // The harvest boundary, on a fleet that only polls (no clients). Parked and
 // eager fleets must agree on every counter after RunUntil(t) for every t in
 // a window, so a poll hop exactly at `until` is counted; and after a Clear()

@@ -4,6 +4,8 @@
 // A sorted std::vector of (at, key, slot) is driven through the same seeded
 // interleavings of inserts, minimum queries, "pop everything before
 // (now, key)" sweeps, whole-queue drains and clears as the timing wheel.
+// A sweep either pops entry by entry or takes the lot with TakeBefore, the
+// roster's unsorted sweep, which must take exactly the same set.
 // Times collide on the nanosecond and keys tie on their leading members, so
 // the order rests on the full (at, key) comparison; offsets reach past the
 // wheel's window, `now` jumps by more than the window, and inserts land
@@ -54,6 +56,11 @@ class KeyedQueue {
   }
   uint32_t Front() { return queue_.Front(); }
   uint32_t PopFront() { return queue_.PopFront(); }
+  // Takes every entry before (now, bound).
+  void TakeBefore(TimeNs now, const p4::IngressKey& bound, std::vector<uint32_t>& out) {
+    queue_.TakeBefore(
+        now, [this, &bound](uint32_t slot) { return table_.key.at(slot) < bound; }, out);
+  }
   void Clear() { queue_.Clear(); }
   bool empty() const { return queue_.empty(); }
   size_t size() const { return queue_.size(); }
@@ -102,9 +109,12 @@ class ReferenceDue {
   std::vector<RefEntry> entries_;
 };
 
+// How a Driver sweeps the entries before (now, key).
+enum class Sweep { kPopEach, kTakeBefore };
+
 class Driver {
  public:
-  explicit Driver(uint64_t seed) : rng_(seed) {}
+  Driver(uint64_t seed, Sweep sweep) : rng_(seed), sweep_(sweep) {}
 
   void Run(int steps) {
     for (int step = 0; step < steps; ++step) {
@@ -210,29 +220,65 @@ class Driver {
     free_.push_back(want.slot);
   }
 
-  // Pops every entry before (now, key), re-queueing each one later, as the
+  // Sweeps every entry before (now, key), re-queueing each one later, as the
   // roster's credit phase does.
   void PopBefore() {
     const p4::IngressKey bound = DrawKey(now_);
     const RefEntry limit{now_, bound, 0};
+    if (sweep_ == Sweep::kTakeBefore) {
+      TakeBefore(bound, limit);
+      return;
+    }
     while (!ref_.empty() && ref_.Front() < limit) {
       const RefEntry want = ref_.PopFront();
       const uint32_t slot = queue_.Front();
       ASSERT_EQ(slot, want.slot);
       ASSERT_EQ(queue_.PopFront(), want.slot);
-      if (rng_.NextBelow(4) != 0) {
-        RefEntry again{now_ + 1 + static_cast<TimeNs>(rng_.NextBelow(30'000)), {}, want.slot};
-        do {
-          again.key = DrawKey(again.at);
-        } while (ref_.Contains(again));
-        queue_.Insert(again.slot, again.at, again.key);
-        ref_.Insert(again);
-      } else {
-        free_.push_back(want.slot);
-      }
+      Requeue(want.slot);
     }
     if (!ref_.empty()) {
       ASSERT_FALSE(queue_.at(queue_.Front()) < now_);
+    }
+  }
+
+  // PopBefore as one TakeBefore, which must take exactly the reference's
+  // entries before `limit`; they are re-queued in a shuffled order, as the
+  // roster's credits need none.
+  void TakeBefore(const p4::IngressKey& bound, const RefEntry& limit) {
+    std::vector<uint32_t> want;
+    while (!ref_.empty() && ref_.Front() < limit) {
+      want.push_back(ref_.PopFront().slot);
+    }
+    std::vector<uint32_t> got{kSentinel};  // TakeBefore appends
+    queue_.TakeBefore(now_, bound, got);
+    ASSERT_EQ(got.front(), kSentinel);
+    got.erase(got.begin());
+    std::sort(got.begin(), got.end());
+    std::vector<uint32_t> sorted_want = want;
+    std::sort(sorted_want.begin(), sorted_want.end());
+    ASSERT_EQ(got, sorted_want);
+    for (size_t i = want.size(); i > 1; --i) {
+      std::swap(want[i - 1], want[rng_.NextBelow(i)]);
+    }
+    for (const uint32_t slot : want) {
+      Requeue(slot);
+    }
+    if (!ref_.empty()) {
+      ASSERT_FALSE(queue_.at(queue_.Front()) < now_);
+    }
+  }
+
+  // Re-inserts a swept slot later than now, or frees it.
+  void Requeue(uint32_t slot) {
+    if (rng_.NextBelow(4) != 0) {
+      RefEntry again{now_ + 1 + static_cast<TimeNs>(rng_.NextBelow(30'000)), {}, slot};
+      do {
+        again.key = DrawKey(again.at);
+      } while (ref_.Contains(again));
+      queue_.Insert(again.slot, again.at, again.key);
+      ref_.Insert(again);
+    } else {
+      free_.push_back(slot);
     }
   }
 
@@ -246,7 +292,10 @@ class Driver {
     ASSERT_TRUE(queue_.empty());
   }
 
+  static constexpr uint32_t kSentinel = UINT32_MAX;
+
   Rng rng_;
+  Sweep sweep_;
   KeyedQueue queue_;
   ReferenceDue ref_;
   std::vector<uint32_t> free_;
@@ -257,11 +306,56 @@ class Driver {
 TEST(DueQueuePropertyTest, MatchesSortedReferenceAcross32Seeds) {
   for (uint64_t seed = 1; seed <= 32; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
-    Driver(seed).Run(6000);
+    Driver(seed, Sweep::kPopEach).Run(6000);
     if (HasFailure()) {
       return;
     }
   }
+}
+
+// The same interleavings with every sweep a TakeBefore: whole buckets
+// unlinked unsorted, the bucket of `now` and the overflow list filtered,
+// then pops and inserts against what the take left.
+TEST(DueQueuePropertyTest, TakeBeforeMatchesSortedReferenceAcross32Seeds) {
+  for (uint64_t seed = 1; seed <= 32; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Driver(seed, Sweep::kTakeBefore).Run(6000);
+    if (HasFailure()) {
+      return;
+    }
+  }
+}
+
+// A take splits the entries of `now` by key, leaves later ones in order,
+// reaches overflow entries once `now` passes them, and the queue serves
+// pops and inserts afterwards.
+TEST(DueQueuePropertyTest, TakeBeforeSplitsTheInstantAndReachesTheOverflow) {
+  KeyedQueue queue;
+  const TimeNs now = 5'000;
+  queue.Insert(0, now - 100, p4::IngressKey{4'000, 9, 9});  // an earlier bucket
+  queue.Insert(1, now, p4::IngressKey{4'000, 2, 3});        // below the bound
+  queue.Insert(2, now, p4::IngressKey{4'000, 2, 9});        // above it
+  queue.Insert(3, now + 1, p4::IngressKey{0, 0, 0});        // later, same bucket
+  queue.Insert(4, now + 3 * kWindow, p4::IngressKey{});     // overflow
+  std::vector<uint32_t> out;
+  queue.TakeBefore(now, p4::IngressKey{4'000, 2, 5}, out);
+  std::sort(out.begin(), out.end());
+  EXPECT_EQ(out, (std::vector<uint32_t>{0, 1}));
+  EXPECT_EQ(queue.size(), 3u);
+  queue.Insert(5, now, p4::IngressKey{4'000, 2, 7});  // between 1 and 2
+  EXPECT_EQ(queue.PopFront(), 5u);
+  EXPECT_EQ(queue.PopFront(), 2u);
+
+  out.clear();
+  queue.TakeBefore(now + 3 * kWindow + 1, p4::IngressKey{}, out);
+  std::sort(out.begin(), out.end());
+  EXPECT_EQ(out, (std::vector<uint32_t>{3, 4}));
+  EXPECT_TRUE(queue.empty());
+  queue.Insert(6, now + 4 * kWindow, p4::IngressKey{});
+  queue.Insert(7, now + 3 * kWindow + 2, p4::IngressKey{});
+  EXPECT_EQ(queue.PopFront(), 7u);
+  EXPECT_EQ(queue.PopFront(), 6u);
+  EXPECT_TRUE(queue.empty());
 }
 
 // Arrivals in one nanosecond leave in key order, whatever order they came
