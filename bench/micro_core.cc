@@ -55,15 +55,20 @@ void BM_SwitchQueueSwap(benchmark::State& state) {
 }
 BENCHMARK(BM_SwitchQueueSwap);
 
+struct CountingSink final : sim::EventSink {
+  void OnEvent(uint32_t /*unused*/, uint32_t /*unused*/) override { ++fired; }
+  int fired = 0;
+};
+
 void BM_SimulatorEventChurn(benchmark::State& state) {
   for (auto _ : state) {
     sim::Simulator simulator;
-    int fired = 0;
+    CountingSink sink;
     for (int i = 0; i < 1000; ++i) {
-      simulator.ScheduleAt(i, [&fired] { ++fired; });
+      simulator.ScheduleAt(i, &sink, 0, 0);
     }
     simulator.RunAll();
-    benchmark::DoNotOptimize(fired);
+    benchmark::DoNotOptimize(sink.fired);
   }
   state.SetItemsProcessed(state.iterations() * 1000);
 }

@@ -10,6 +10,9 @@
 // backends ("current" = ladder, the default; "heap" alongside).
 //
 // Workloads:
+// Every workload event is a sink call on the current engine and a closure
+// that makes the same call on the seed engine.
+//
 //   schedule_heavy  self-rescheduling chains, plain events only
 //   cancel_heavy    watchdog pattern: arm a far-future cancellable event,
 //                   cancel + re-arm on every firing
@@ -21,8 +24,7 @@
 //                   fan-out frontiers of typed hops, most of them landing
 //                   in the ladder's sorted bottom, each task guarded by a
 //                   cancellable typed timeout and hedge timer that are
-//                   cancelled before they fire (the seed engine runs the
-//                   same chains as closures)
+//                   cancelled before they fire
 //
 // Environment:
 //   DRACONIS_BENCH_QUICK=1    ~10x fewer events (CI smoke)
@@ -183,31 +185,28 @@ namespace draconis::bench {
 namespace {
 
 // Adapter so the workloads below compile against either engine with the
-// same scheduling and Timer spelling (the legacy engine keeps the seed's
-// At/After/CancellableAfter surface verbatim).
+// same scheduling and Timer spelling. Every workload event is a call
+// sink->OnEvent(a, b): the current engine schedules it as such, and the
+// seed engine, which had only closures, as a closure that makes the call.
 struct CurrentEngine {
   using Sim = sim::Simulator;
   using Handle = sim::EventHandle;
   class RearmTimer {
    public:
-    RearmTimer(Sim* s, std::function<void()> fn) { timer_.Bind(s, std::move(fn)); }
+    RearmTimer(Sim* s, sim::EventSink* sink, uint32_t a, uint32_t b) {
+      timer_.Bind(s, sink, a, b);
+    }
     void ScheduleAfter(TimeNs delay) { timer_.ScheduleAfter(delay); }
     void Cancel() { timer_.Cancel(); }
 
    private:
     sim::Timer timer_;
   };
-  static void After(Sim& sim, TimeNs delay, std::function<void()> fn) {
-    sim.ScheduleAfter(delay, std::move(fn));
-  }
-  static Handle CancellableAfter(Sim& sim, TimeNs delay, std::function<void()> fn) {
-    return sim.ScheduleAfter(delay, std::move(fn), sim::kCancellable);
-  }
-  static void TypedAfter(Sim& sim, TimeNs delay, sim::EventSink* sink, uint32_t a, uint32_t b) {
+  static void After(Sim& sim, TimeNs delay, sim::EventSink* sink, uint32_t a, uint32_t b) {
     sim.ScheduleAt(sim.Now() + delay, sink, a, b);
   }
-  static Handle CancellableTypedAfter(Sim& sim, TimeNs delay, sim::EventSink* sink, uint32_t a,
-                                      uint32_t b) {
+  static Handle CancellableAfter(Sim& sim, TimeNs delay, sim::EventSink* sink, uint32_t a,
+                                 uint32_t b) {
     return sim.ScheduleAt(sim.Now() + delay, sink, a, b, sim::kCancellable);
   }
 };
@@ -215,60 +214,73 @@ struct CurrentEngine {
 struct LegacyEngine {
   using Sim = legacy::Simulator;
   using Handle = legacy::EventHandle;
-  using RearmTimer = legacy::RearmTimer;
-  static void After(Sim& sim, TimeNs delay, std::function<void()> fn) {
-    sim.After(delay, std::move(fn));
-  }
-  static Handle CancellableAfter(Sim& sim, TimeNs delay, std::function<void()> fn) {
-    return sim.CancellableAfter(delay, std::move(fn));
-  }
-  // The seed engine had no typed events: the same calls, as closures.
-  static void TypedAfter(Sim& sim, TimeNs delay, sim::EventSink* sink, uint32_t a, uint32_t b) {
+  class RearmTimer : public legacy::RearmTimer {
+   public:
+    RearmTimer(Sim* s, sim::EventSink* sink, uint32_t a, uint32_t b)
+        : legacy::RearmTimer(s, [sink, a, b] { sink->OnEvent(a, b); }) {}
+  };
+  static void After(Sim& sim, TimeNs delay, sim::EventSink* sink, uint32_t a, uint32_t b) {
     sim.After(delay, [sink, a, b] { sink->OnEvent(a, b); });
   }
-  static Handle CancellableTypedAfter(Sim& sim, TimeNs delay, sim::EventSink* sink, uint32_t a,
-                                      uint32_t b) {
+  static Handle CancellableAfter(Sim& sim, TimeNs delay, sim::EventSink* sink, uint32_t a,
+                                 uint32_t b) {
     return sim.CancellableAfter(delay, [sink, a, b] { sink->OnEvent(a, b); });
   }
 };
 
 // --- Workloads ---------------------------------------------------------------
 // Each runs `budget` events through the engine and returns the executed
-// count. Callbacks stay tiny (and inside std::function's small-buffer
-// optimization) so the measurement is the engine, not the payload.
+// count. Each workload's state is the sink of its events, and the handlers
+// stay tiny so the measurement is the engine, not the payload.
 
+// Self-rescheduling chains.
 template <typename E>
-struct ChainState {
+struct ChainState final : sim::EventSink {
+  ChainState(typename E::Sim* s, uint64_t b) : sim(s), budget(b) {}
+  void OnEvent(uint32_t /*unused*/, uint32_t /*unused*/) override {
+    if (budget > 0) {
+      --budget;
+      E::After(*sim, 1 + static_cast<TimeNs>(rng.NextU64() & 255), this, 0, 0);
+    }
+  }
+
   typename E::Sim* sim;
   Rng rng{7};
   uint64_t budget;
 };
 
 template <typename E>
-void ChainTick(ChainState<E>* st) {
-  if (st->budget > 0) {
-    --st->budget;
-    E::After(*st->sim, 1 + static_cast<TimeNs>(st->rng.NextU64() & 255),
-             [st] { ChainTick<E>(st); });
-  }
-}
-
-template <typename E>
 uint64_t ScheduleHeavy(typename E::Sim& sim, uint64_t budget) {
   constexpr uint64_t kChains = 1024;  // steady-state heap size
-  ChainState<E> st{&sim, Rng(7), budget};
+  ChainState<E> st(&sim, budget);
   for (uint64_t k = 0; k < kChains && st.budget > 0; ++k) {
     --st.budget;
-    E::After(sim, static_cast<TimeNs>(k + 1), [p = &st] { ChainTick<E>(p); });
+    E::After(sim, static_cast<TimeNs>(k + 1), &st, 0, 0);
   }
   sim.RunAll();
   return sim.executed_events();
 }
 
-// Watchdog pattern: every firing cancels the actor's previous far-future
-// cancellable event, arms a new one, and reschedules itself.
+// Watchdog pattern: every firing (k, 0) cancels actor k's previous
+// far-future cancellable event (k, kWatchdog), arms a new one, and
+// reschedules itself.
 template <typename E>
-struct WatchdogState {
+struct WatchdogState final : sim::EventSink {
+  static constexpr uint32_t kWatchdog = 1;
+  WatchdogState(typename E::Sim* s, uint64_t b, uint32_t actors)
+      : sim(s), budget(b), watchdogs(actors) {}
+  void OnEvent(uint32_t k, uint32_t kind) override {
+    if (kind == kWatchdog) {
+      return;
+    }
+    watchdogs[k].Cancel();
+    watchdogs[k] = E::CancellableAfter(*sim, FromMillis(1), this, k, kWatchdog);
+    if (budget > 0) {
+      --budget;
+      E::After(*sim, 1 + static_cast<TimeNs>(rng.NextU64() & 255), this, k, 0);
+    }
+  }
+
   typename E::Sim* sim;
   Rng rng{11};
   uint64_t budget;
@@ -276,35 +288,30 @@ struct WatchdogState {
 };
 
 template <typename E>
-void WatchdogTick(WatchdogState<E>* st, uint32_t k) {
-  st->watchdogs[k].Cancel();
-  st->watchdogs[k] = E::CancellableAfter(*st->sim, FromMillis(1), [] {});
-  if (st->budget > 0) {
-    --st->budget;
-    E::After(*st->sim, 1 + static_cast<TimeNs>(st->rng.NextU64() & 255),
-             [st, k] { WatchdogTick<E>(st, k); });
-  }
-}
-
-template <typename E>
 uint64_t CancelHeavy(typename E::Sim& sim, uint64_t budget) {
   constexpr uint32_t kActors = 256;
-  WatchdogState<E> st{&sim, Rng(11), budget, {}};
-  st.watchdogs.resize(kActors);
+  WatchdogState<E> st(&sim, budget, kActors);
   for (uint32_t k = 0; k < kActors && st.budget > 0; ++k) {
     --st.budget;
-    E::After(sim, static_cast<TimeNs>(k + 1), [p = &st, k] { WatchdogTick<E>(p, k); });
+    E::After(sim, static_cast<TimeNs>(k + 1), &st, k, 0);
   }
-  // Stop before the surviving watchdogs fire: only the chain is measured.
   sim.RunUntil(sim.Now() + FromSeconds(3600));
   return sim.executed_events();
 }
 
-// Executor-pull shape: a periodic callback per actor, re-armed from inside
-// the callback (the engine's reusable-event path; the legacy engine pays a
+// Executor-pull shape: a periodic timer per actor, re-armed from inside its
+// handler (the engine's reusable-event path; the legacy engine pays a
 // cancel + fresh cancellable event per period).
 template <typename E>
-struct TimerLoopState {
+struct TimerLoopState final : sim::EventSink {
+  TimerLoopState(typename E::Sim* s, uint64_t b) : sim(s), budget(b) {}
+  void OnEvent(uint32_t k, uint32_t /*unused*/) override {
+    if (budget > 0) {
+      --budget;
+      timers[k]->ScheduleAfter(1 + static_cast<TimeNs>(rng.NextU64() & 255));
+    }
+  }
+
   typename E::Sim* sim;
   Rng rng{13};
   uint64_t budget;
@@ -314,14 +321,9 @@ struct TimerLoopState {
 template <typename E>
 uint64_t TimerLoop(typename E::Sim& sim, uint64_t budget) {
   constexpr uint32_t kActors = 256;
-  TimerLoopState<E> st{&sim, Rng(13), budget, {}};
+  TimerLoopState<E> st(&sim, budget);
   for (uint32_t k = 0; k < kActors; ++k) {
-    st.timers.push_back(std::make_unique<typename E::RearmTimer>(&sim, [p = &st, k] {
-      if (p->budget > 0) {
-        --p->budget;
-        p->timers[k]->ScheduleAfter(1 + static_cast<TimeNs>(p->rng.NextU64() & 255));
-      }
-    }));
+    st.timers.push_back(std::make_unique<typename E::RearmTimer>(&sim, &st, k, 0));
   }
   for (uint32_t k = 0; k < kActors && st.budget > 0; ++k) {
     --st.budget;
@@ -331,11 +333,48 @@ uint64_t TimerLoop(typename E::Sim& sim, uint64_t budget) {
   return sim.executed_events();
 }
 
-// The fig05a per-task shape: a client submit fans into a fixed chain of
-// network-hop events (plain), guarded by a client timeout (cancellable,
-// cancelled at completion) and an executor pull re-arm per hop pair.
+// The fig05a per-task shape: a client submit (k, kSubmit) fans into a fixed
+// chain of network-hop events (k, hop), guarded by a client timeout
+// (cancellable, cancelled at completion) and an executor pull re-arm per hop
+// pair. Timeouts and pulls are (k, kIdle) and do nothing.
 template <typename E>
-struct MixedState {
+struct MixedState final : sim::EventSink {
+  static constexpr uint32_t kLastHop = 6;
+  static constexpr uint32_t kSubmit = 7;
+  static constexpr uint32_t kIdle = 8;
+  MixedState(typename E::Sim* s, uint64_t b, uint32_t clients)
+      : sim(s), budget(b), timeouts(clients) {}
+
+  void OnEvent(uint32_t k, uint32_t step) override {
+    if (step == kSubmit) {
+      // Client-side timeout for the task (cancelled when it completes).
+      timeouts[k].Cancel();
+      timeouts[k] = E::CancellableAfter(*sim, FromMicros(2500), this, k, kIdle);
+      Hop(k, 0);
+    } else if (step <= kLastHop) {
+      Hop(k, step);
+    }
+  }
+
+  void Hop(uint32_t k, uint32_t hop) {
+    if (hop < kLastHop) {
+      // tx occupancy / propagation / rx occupancy / stack, twice (to the
+      // switch and on to the executor).
+      E::After(*sim, 100 + static_cast<TimeNs>(rng.NextU64() & 127), this, k, hop + 1);
+      if (hop % 3 == 0) {
+        pulls[k]->ScheduleAfter(FromMillis(1));  // watchdog re-arm per leg
+      }
+      return;
+    }
+    // Completion: cancel the timeout, re-arm the pull, next task.
+    timeouts[k].Cancel();
+    pulls[k]->ScheduleAfter(FromMillis(1));
+    if (budget > 0) {
+      --budget;
+      E::After(*sim, 1 + static_cast<TimeNs>(rng.NextU64() & 255), this, k, kSubmit);
+    }
+  }
+
   typename E::Sim* sim;
   Rng rng{17};
   uint64_t budget;  // tasks
@@ -344,49 +383,16 @@ struct MixedState {
 };
 
 template <typename E>
-void MixedHop(MixedState<E>* st, uint32_t k, int hop);
-
-template <typename E>
-void MixedSubmit(MixedState<E>* st, uint32_t k) {
-  // Client-side timeout for the task (cancelled when it completes).
-  st->timeouts[k].Cancel();
-  st->timeouts[k] = E::CancellableAfter(*st->sim, FromMicros(2500), [] {});
-  MixedHop<E>(st, k, 0);
-}
-
-template <typename E>
-void MixedHop(MixedState<E>* st, uint32_t k, int hop) {
-  if (hop < 6) {
-    // tx occupancy / propagation / rx occupancy / stack, twice (to the
-    // switch and on to the executor).
-    E::After(*st->sim, 100 + static_cast<TimeNs>(st->rng.NextU64() & 127),
-             [st, k, hop] { MixedHop<E>(st, k, hop + 1); });
-    if (hop % 3 == 0) {
-      st->pulls[k]->ScheduleAfter(FromMillis(1));  // watchdog re-arm per leg
-    }
-    return;
-  }
-  // Completion: cancel the timeout, re-arm the pull, next task.
-  st->timeouts[k].Cancel();
-  st->pulls[k]->ScheduleAfter(FromMillis(1));
-  if (st->budget > 0) {
-    --st->budget;
-    E::After(*st->sim, 1 + static_cast<TimeNs>(st->rng.NextU64() & 255),
-             [st, k] { MixedSubmit<E>(st, k); });
-  }
-}
-
-template <typename E>
 uint64_t MixedFig05a(typename E::Sim& sim, uint64_t budget) {
   constexpr uint32_t kClients = 64;
-  MixedState<E> st{&sim, Rng(17), budget, {}, {}};
-  st.timeouts.resize(kClients);
+  MixedState<E> st(&sim, budget, kClients);
   for (uint32_t k = 0; k < kClients; ++k) {
-    st.pulls.push_back(std::make_unique<typename E::RearmTimer>(&sim, [] {}));
+    st.pulls.push_back(
+        std::make_unique<typename E::RearmTimer>(&sim, &st, k, MixedState<E>::kIdle));
   }
   for (uint32_t k = 0; k < kClients && st.budget > 0; ++k) {
     --st.budget;
-    E::After(sim, static_cast<TimeNs>(k + 1), [p = &st, k] { MixedSubmit<E>(p, k); });
+    E::After(sim, static_cast<TimeNs>(k + 1), &st, k, MixedState<E>::kSubmit);
   }
   sim.RunUntil(sim.Now() + FromSeconds(3600));
   return sim.executed_events();
@@ -437,18 +443,18 @@ class NearFutureState final : public sim::EventSink {
   void OnEvent(uint32_t task, uint32_t step) override {
     DRACONIS_CHECK_MSG(step != kTimerWord, "a task timer fired");
     if (step == 0) {
-      timeouts_[task] = E::CancellableTypedAfter(*sim_, FromMicros(2500), this, task, kTimerWord);
-      hedges_[task] = E::CancellableTypedAfter(
+      timeouts_[task] = E::CancellableAfter(*sim_, FromMicros(2500), this, task, kTimerWord);
+      hedges_[task] = E::CancellableAfter(
           *sim_, FromMicros(600) + static_cast<TimeNs>(rng_.NextU64() & 0x3FFFF), this, task,
           kTimerWord);
     }
     if (step == kService) {
-      E::TypedAfter(*sim_, FromMicros(58) + static_cast<TimeNs>(rng_.NextU64() & 0x3FFFF), this,
+      E::After(*sim_, FromMicros(58) + static_cast<TimeNs>(rng_.NextU64() & 0x3FFFF), this,
                     task, step + 1);
       return;
     }
     if (step < kLastStep) {
-      E::TypedAfter(*sim_, Hop(), this, task, step + 1);
+      E::After(*sim_, Hop(), this, task, step + 1);
       return;
     }
     timeouts_[task].Cancel();
@@ -477,7 +483,7 @@ class NearFutureState final : public sim::EventSink {
     open_[job] = width;
     const TimeNs first_hop = Hop();
     for (uint32_t i = 0; i < width; ++i) {
-      E::TypedAfter(*sim_, first_hop, this, job * kMaxWidth + i, 0);
+      E::After(*sim_, first_hop, this, job * kMaxWidth + i, 0);
     }
   }
 

@@ -44,11 +44,20 @@ void RackSchedWorker::HandlePacket(net::Packet&& pkt) {
     // Admission is delayed by the dispatcher's overhead, then the task joins
     // the sharing pool immediately (preemptive: no queueing behind peers).
     ps_admitting_.push_back(CoreSlot{std::move(pkt.tasks.at(0)), pkt.client_addr});
-    simulator_->ScheduleAfter(kDispatchOverhead + cluster::kPickupOverhead, [this] { PsAdmit(); });
+    simulator_->ScheduleAt(simulator_->Now() + kDispatchOverhead + cluster::kPickupOverhead, this,
+                           0, kPsAdmitEvent);
     return;
   }
   queue_.push_back(CoreSlot{pkt.tasks.at(0), pkt.client_addr, /*busy=*/true});
   TryDispatch();
+}
+
+void RackSchedWorker::OnEvent(uint32_t core, uint32_t kind) {
+  if (kind == kTaskEnd) {
+    TaskRunner::OnEvent(core, kind);
+  } else {
+    kind == kPsAdmitEvent ? PsAdmit() : PsReschedule();
+  }
 }
 
 double RackSchedWorker::PsRate() const {
@@ -114,8 +123,8 @@ void RackSchedWorker::PsReschedule() {
   if (next != ~size_t{0}) {
     // The earliest finisher completes after remaining / (possibly new) rate.
     const auto wait = static_cast<TimeNs>(min_remaining / PsRate()) + 1;
-    ps_completion_ =
-        simulator_->ScheduleAfter(wait, [this] { PsReschedule(); }, sim::kCancellable);
+    ps_completion_ = simulator_->ScheduleAt(simulator_->Now() + wait, this, 0,
+                                            kPsRescheduleEvent, sim::kCancellable);
   }
 }
 

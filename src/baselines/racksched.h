@@ -71,8 +71,13 @@ class RackSchedWorker : public cluster::TaskRunner {
 
   // net::Endpoint:
   void HandlePacket(net::Packet&& pkt) override;
+  // sim::EventSink: the processor-sharing admission and reschedule, and the
+  // task end.
+  void OnEvent(uint32_t core, uint32_t kind) override;
 
  private:
+  enum : uint32_t { kPsAdmitEvent = kTaskEnd + 1, kPsRescheduleEvent };  // OnEvent's kinds
+
   // --- cFCFS / EDF mode ---
   void TryDispatch();
   // TaskRunner:

@@ -108,6 +108,12 @@ void Client::SendSubmission(net::Packet&& pkt) {
   network_->Send(node_id_, std::move(pkt));
 }
 
+void Client::OnRetry(uint32_t /*unused*/, uint32_t /*unused*/) {
+  net::TaskList tasks = std::move(retries_.front());
+  retries_.pop_front();
+  SendTasks(std::move(tasks));
+}
+
 void Client::HandlePacket(net::Packet&& pkt) {
   switch (pkt.op) {
     case net::OpCode::kJobAck:
@@ -128,10 +134,8 @@ void Client::HandlePacket(net::Packet&& pkt) {
         retry.push_back(task);
       }
       if (!retry.empty()) {
-        simulator_->ScheduleAfter(kQueueFullRetryWait,
-                          [this, retry = std::move(retry)]() mutable {
-                            SendTasks(std::move(retry));
-                          });
+        retries_.push_back(std::move(retry));
+        simulator_->ScheduleAt(simulator_->Now() + kQueueFullRetryWait, &retry_, 0, 0);
       }
       return;
     }

@@ -10,6 +10,7 @@
 #define DRACONIS_CLUSTER_CLIENT_H_
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <vector>
 
@@ -44,7 +45,7 @@ struct ClientConfig {
 };
 
 // The client is the sink of its own task timeouts: each fires as
-// OnEvent(jid, tid), a typed event, so no closure is built per task.
+// OnEvent(jid, tid), so no closure is built per task.
 class Client : public net::Endpoint, public sim::EventSink {
  public:
   // How long a job the scheduler refused as queue-full waits before resubmission.
@@ -125,6 +126,9 @@ class Client : public net::Endpoint, public sim::EventSink {
   // sim::EventSink: a task timeout fired.
   void OnEvent(uint32_t jid, uint32_t tid) override { OnTimeout(jid, tid); }
   void OnTimeout(uint32_t jid, uint32_t tid);
+  // The oldest queue-full retry batch is due: every batch waits
+  // kQueueFullRetryWait, so they come due in the order they were queued.
+  void OnRetry(uint32_t /*unused*/, uint32_t /*unused*/);
   TimeNs TimeoutFor(const net::TaskInfo& task) const;
 
   sim::Simulator* simulator_;
@@ -141,6 +145,8 @@ class Client : public net::Endpoint, public sim::EventSink {
   uint32_t consecutive_timeouts_ = 0;
   TimeNs last_rehome_time_ = -1;  // timeouts of older attempts don't rehome
   JobSlots<Pending> outstanding_;  // by (jid, tid) of this client's uid
+  std::deque<net::TaskList> retries_;  // queue-full retry batches, oldest first
+  sim::MemberSink<Client, &Client::OnRetry> retry_{this};
 };
 
 }  // namespace draconis::cluster

@@ -14,12 +14,18 @@ Executor::Executor(Testbed* testbed, const ExecutorConfig& config)
       config_(config),
       rng_(config.worker_node * 1000003ULL + config.exec_props + 17),
       retry_interval_(kInitialRetry) {
-  pull_timer_.Bind(simulator_, [this] { SendRequest(); });
-  fetch_timer_.Bind(simulator_, [this] {
-    if (fetch_pending_) {
-      SendParamFetch();  // the fetch or its reply was lost
-    }
-  });
+  pull_timer_.Bind(simulator_, this, 0, kPullEvent);
+  fetch_timer_.Bind(simulator_, this, 0, kFetchEvent);
+}
+
+void Executor::OnEvent(uint32_t core, uint32_t kind) {
+  if (kind == kTaskEnd) {
+    TaskRunner::OnEvent(core, kind);
+  } else if (kind == kPullEvent) {
+    SendRequest();
+  } else if (fetch_pending_) {
+    SendParamFetch();  // the fetch or its reply was lost
+  }
 }
 
 void Executor::Start(net::NodeId scheduler, TimeNs at) {

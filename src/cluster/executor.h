@@ -126,8 +126,12 @@ class Executor : public TaskRunner {
 
   // net::Endpoint:
   void HandlePacket(net::Packet&& pkt) override;
+  // sim::EventSink: the pull and fetch timers, and the task end.
+  void OnEvent(uint32_t core, uint32_t kind) override;
 
  private:
+  enum : uint32_t { kPullEvent = kTaskEnd + 1, kFetchEvent };  // OnEvent's kinds
+
   void SendRequest();
   void RunTask(net::Packet&& assignment);
   // Runs the task held on `core` (data access + service); its end sends the

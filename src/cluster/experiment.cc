@@ -243,6 +243,42 @@ class StreamSource : public JobSource {
   std::optional<Feeder> feeder_;
 };
 
+// Polls for drain every 10 ms; once everything is done, records the drain
+// time and drops the remaining events (idle executor polling would otherwise
+// run forever). The source and the clients must outlive the check.
+class DrainCheck final : public sim::EventSink {
+ public:
+  DrainCheck(sim::Simulator& sim, const JobSource& source, const std::vector<Client*>& clients,
+             TimeNs last_arrival, TimeNs& drain_time)
+      : sim_(sim), source_(source), clients_(clients), last_(last_arrival), drain_(drain_time) {
+    timer_.Bind(&sim, this, 0, 0);
+    timer_.ScheduleAfter(kPoll);
+  }
+
+  void OnEvent(uint32_t /*unused*/, uint32_t /*unused*/) override {
+    size_t outstanding = 0;
+    for (const Client* client : clients_) {
+      outstanding += client->outstanding();
+    }
+    if (source_.done() && outstanding == 0 && sim_.Now() > last_) {
+      drain_ = sim_.Now();
+      sim_.Clear();
+      return;
+    }
+    timer_.ScheduleAfter(kPoll);
+  }
+
+ private:
+  static constexpr TimeNs kPoll = FromMillis(10);
+
+  sim::Simulator& sim_;
+  const JobSource& source_;
+  const std::vector<Client*>& clients_;
+  TimeNs last_;  // the source's last arrival
+  TimeNs& drain_;
+  sim::Timer timer_;
+};
+
 }  // namespace
 
 ExperimentResult RunExperiment(const ExperimentConfig& config) {
@@ -386,24 +422,9 @@ ExperimentResult RunExperiment(const ExperimentConfig& config, JobSource& source
 
   ExperimentResult result;
 
-  // Poll for drain; once everything is done, drop the remaining events
-  // (idle executor polling would otherwise run forever).
-  sim::Timer drain_check;
+  std::optional<DrainCheck> drain_check;
   if (config.run_to_completion) {
-    const TimeNs poll = FromMillis(10);
-    drain_check.Bind(&simulator, [&, poll] {
-      size_t outstanding = 0;
-      for (const auto& client : clients) {
-        outstanding += client->outstanding();
-      }
-      if (source.done() && outstanding == 0 && simulator.Now() > last_arrival) {
-        result.drain_time = simulator.Now();
-        simulator.Clear();
-        return;
-      }
-      drain_check.ScheduleAfter(poll);
-    });
-    drain_check.ScheduleAfter(poll);
+    drain_check.emplace(simulator, source, client_ptrs, last_arrival, result.drain_time);
   }
 
   simulator.RunUntil(horizon + config.drain_margin);

@@ -17,16 +17,14 @@ Feeder::Feeder(sim::Simulator* simulator, const workload::JobStream* stream,
   DRACONIS_CHECK(sink_ != nullptr);
 }
 
-void Feeder::Start() { ScheduleNext(); }
-
 void Feeder::ScheduleNext() {
   if (done()) {
     return;
   }
-  simulator_->ScheduleAt((*stream_)[next_].at, [this] { Fire(); });
+  simulator_->ScheduleAt((*stream_)[next_].at, this, 0, 0);
 }
 
-void Feeder::Fire() {
+void Feeder::OnEvent(uint32_t /*unused*/, uint32_t /*unused*/) {
   const workload::JobArrival& job = (*stream_)[next_];
   sink_(next_ % num_clients_, job.tasks);
   ++next_;

@@ -15,7 +15,7 @@
 
 namespace draconis::cluster {
 
-class Feeder {
+class Feeder : public sim::EventSink {
  public:
   // Called once per job arrival with the round-robin client index and the
   // job's tasks.
@@ -27,16 +27,18 @@ class Feeder {
          Sink sink);
 
   // Schedules the first arrival; a no-op for an empty stream.
-  void Start();
+  void Start() { ScheduleNext(); }
 
   // True once every job in the stream has been fed.
   bool done() const { return next_ >= stream_->size(); }
 
   size_t jobs_fed() const { return next_; }
 
+  // sim::EventSink: the next job arrives.
+  void OnEvent(uint32_t /*unused*/, uint32_t /*unused*/) override;
+
  private:
   void ScheduleNext();
-  void Fire();
 
   sim::Simulator* simulator_;
   const workload::JobStream* stream_;

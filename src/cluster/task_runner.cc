@@ -63,7 +63,7 @@ TimeNs TaskRunner::Run(const net::TaskInfo& task, bool first, TimeNs overhead, T
   return done;
 }
 
-void TaskRunner::EndTask(uint32_t core) {
+void TaskRunner::OnEvent(uint32_t core, uint32_t /*kind*/) {
   CoreSlot& slot = cores_[core];
   slot.busy = false;
   TaskDone(core, slot.task, slot.client);

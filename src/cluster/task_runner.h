@@ -8,7 +8,7 @@
 // execution check with the assignment and execution-start records, the busy
 // interval, the wasted work, the exec_* trace spans, the node completion and
 // the executions count. It also holds each core's task until the task's end
-// event, which carries only the core's index.
+// event, whose sink is the runner itself and whose words are (core, 0).
 //
 // Wasted work has one definition: the in-window core time a repeat
 // execution (a timeout resubmission or a hedge replica of an id that already
@@ -31,7 +31,7 @@
 
 namespace draconis::cluster {
 
-class TaskRunner : public net::Endpoint {
+class TaskRunner : public net::Endpoint, public sim::EventSink {
  public:
   // The fabric and pending completion events hold the runner's address.
   TaskRunner(const TaskRunner&) = delete;
@@ -40,7 +40,15 @@ class TaskRunner : public net::Endpoint {
   net::NodeId node_id() const { return node_id_; }
   uint64_t tasks_executed() const { return tasks_executed_; }
 
+  // sim::EventSink: (core, kTaskEnd) is the end of the task cores_[core]
+  // held; the slot is freed and TaskDone receives the task. A subclass with
+  // events of its own tells them apart by other kinds and forwards
+  // kTaskEnd here.
+  void OnEvent(uint32_t core, uint32_t kind) override;
+
  protected:
+  static constexpr uint32_t kTaskEnd = 0;
+
   // FinishTask's credit target for a worker that returns no credit.
   static constexpr uint32_t kNoCredit = ~uint32_t{0};
 
@@ -83,13 +91,8 @@ class TaskRunner : public net::Endpoint {
   TimeNs Run(const net::TaskInfo& task, bool first, TimeNs overhead = kPickupOverhead,
              TimeNs access = 0);
 
-  // Schedules the end of the task held in cores_[core] at `done`. The event
-  // captures only (this, core), which std::function stores inline, so a task
-  // execution allocates nothing. When it fires, the slot is freed and
-  // TaskDone receives the task.
-  void EndAt(TimeNs done, uint32_t core) {
-    simulator_->ScheduleAt(done, [this, core] { EndTask(core); });
-  }
+  // Schedules the end of the task held in cores_[core] at `done`.
+  void EndAt(TimeNs done, uint32_t core) { simulator_->ScheduleAt(done, this, core, kTaskEnd); }
   // The task that cores_[core] held ended now; the slot is free again.
   virtual void TaskDone(uint32_t core, net::TaskInfo task, net::NodeId client) = 0;
 
@@ -111,9 +114,6 @@ class TaskRunner : public net::Endpoint {
   net::NodeId node_id_;
   uint64_t tasks_executed_ = 0;
   std::vector<CoreSlot> cores_;
-
- private:
-  void EndTask(uint32_t core);
 };
 
 }  // namespace draconis::cluster

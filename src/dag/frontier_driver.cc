@@ -90,11 +90,11 @@ void FrontierDriver::Start() {
   client_->SetCompletionCallback(
       [this](const net::TaskInfo& task, TimeNs now) { OnCompletion(task, now); });
   for (uint32_t j = 0; j < static_cast<uint32_t>(jobs_.size()); ++j) {
-    simulator_->ScheduleAt(jobs_[j].arrival, [this, j] { StartJob(j); });
+    simulator_->ScheduleAt(jobs_[j].arrival, &job_arrival_, j, 0);
   }
 }
 
-void FrontierDriver::StartJob(uint32_t job_index) {
+void FrontierDriver::StartJob(uint32_t job_index, uint32_t /*unused*/) {
   JobState& job = jobs_[job_index];
   if (metrics_->InWindow(job.arrival)) {
     ++jobs_submitted_;

@@ -53,7 +53,8 @@ struct HedgePolicy {
 };
 
 // The driver is the sink of its hedge timers: each fires as
-// OnEvent(jid, tid), a typed event, so no closure is built per task.
+// OnEvent(jid, tid), so no closure is built per task. Job arrivals have a
+// sink of their own.
 class FrontierDriver : public sim::EventSink {
  public:
   // The driver records into the testbed's simulator/metrics and drives
@@ -101,7 +102,8 @@ class FrontierDriver : public sim::EventSink {
     sim::EventHandle hedge_timer;
   };
 
-  void StartJob(uint32_t job_index);
+  // A job's arrival event: (job index, unused).
+  void StartJob(uint32_t job_index, uint32_t /*unused*/);
   // Submits the tasks in ready_ as one client job.
   void SubmitFrontier(uint32_t job_index);
   void OnCompletion(const net::TaskInfo& task, TimeNs now);
@@ -117,6 +119,7 @@ class FrontierDriver : public sim::EventSink {
   const HedgePolicy hedge_;
   Rng resample_rng_;  // SeedDomain::kDag; consumed only on hedge launches
 
+  sim::MemberSink<FrontierDriver, &FrontierDriver::StartJob> job_arrival_{this};
   std::vector<JobState> jobs_;
   cluster::JobSlots<TaskState> inflight_;  // by the client's (jid, tid)
   // Every completion's latency, window or not, with the hedge quantile kept

@@ -23,13 +23,17 @@ void Injector::Arm() {
   sim::Simulator& simulator = testbed_->simulator();
   for (size_t i = 0; i < plan_.events().size(); ++i) {
     const FaultEvent& e = plan_.events()[i];
-    simulator.ScheduleAt(e.start, [this, i] { StartEvent(i); });
+    simulator.ScheduleAt(e.start, this, static_cast<uint32_t>(i), 0);
     // A failover's `end` only bounds the during-fault metric window — the
     // dead scheduler stays dead — so there is nothing to clear.
     if (e.end != FaultEvent::kNever && e.kind != EventKind::kSchedulerFailover) {
-      simulator.ScheduleAt(e.end, [this, i] { ClearEvent(i); });
+      simulator.ScheduleAt(e.end, this, static_cast<uint32_t>(i), 1);
     }
   }
+}
+
+void Injector::OnEvent(uint32_t index, uint32_t edge) {
+  edge == 0 ? StartEvent(index) : ClearEvent(index);
 }
 
 std::vector<net::NodeId> Injector::Resolve(const NodeRef& ref) const {

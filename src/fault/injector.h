@@ -41,7 +41,7 @@ struct InjectorHooks {
   std::function<void()> before_action;
 };
 
-class Injector {
+class Injector : public sim::EventSink {
  public:
   // The testbed (and the hooks' targets) must outlive the injector; the
   // injector must outlive the simulation run it is armed on.
@@ -56,6 +56,10 @@ class Injector {
   // Observability for tests: onsets / clearances executed so far.
   uint64_t events_started() const { return events_started_; }
   uint64_t events_cleared() const { return events_cleared_; }
+
+  // sim::EventSink: event `index` of the plan starts (edge 0) or clears
+  // (edge 1).
+  void OnEvent(uint32_t index, uint32_t edge) override;
 
  private:
   void StartEvent(size_t index);

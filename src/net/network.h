@@ -255,9 +255,9 @@ class Network {
   }
 
   // The hop path. A packet is moved into the in-flight slab once, and the
-  // event that carries each hop is a typed simulator event: a HopEvent sink
-  // and the two words (node, slab slot). A hop neither allocates nor goes
-  // through a std::function.
+  // event that carries each hop is a simulator event: the MemberSink of its
+  // step (Launch, Arrive or Deliver) and the two words (node, slab slot). A
+  // hop neither allocates nor goes through a std::function.
   uint32_t Hold(Packet&& pkt);
   Packet& Held(uint32_t slot) {
     return in_flight_[slot >> kSlabChunkLog2][slot & (kSlabChunk - 1)];
@@ -278,17 +278,6 @@ class Network {
   void Arrive(NodeId dst, uint32_t slot);
   void Deliver(NodeId dst, uint32_t slot);
   void DropHeld(uint32_t slot);
-
-  // The sink of one hop step: fires as Step(node, slot) on the network.
-  template <void (Network::*Step)(NodeId, uint32_t)>
-  class HopEvent final : public sim::EventSink {
-   public:
-    explicit HopEvent(Network* network) : network_(network) {}
-    void OnEvent(uint32_t node, uint32_t slot) override { (network_->*Step)(node, slot); }
-
-   private:
-    Network* network_;
-  };
 
   void RecordNetDrops(const Packet& pkt);
   // The sender's outgoing link table, grown to cover it on first use.
@@ -325,9 +314,9 @@ class Network {
   size_t elided_in_flight_ = 0;
   uint64_t packets_dropped_ = 0;
   uint64_t cross_rack_packets_ = 0;
-  HopEvent<&Network::Launch> launch_{this};
-  HopEvent<&Network::Arrive> arrive_{this};
-  HopEvent<&Network::Deliver> deliver_{this};
+  sim::MemberSink<Network, &Network::Launch> launch_{this};
+  sim::MemberSink<Network, &Network::Arrive> arrive_{this};
+  sim::MemberSink<Network, &Network::Deliver> deliver_{this};
 };
 
 }  // namespace draconis::net

@@ -158,7 +158,7 @@ struct PipelineCounters {
   PipelineCounters& operator+=(const PipelineCounters& o);
 };
 
-class SwitchPipeline : public net::Endpoint {
+class SwitchPipeline : public net::Endpoint, public sim::EventSink {
  public:
   // Deploys the pipeline on a testbed: registers on its fabric (becoming the
   // fabric's switch node) and picks up its recorder. The testbed and the
@@ -186,6 +186,10 @@ class SwitchPipeline : public net::Endpoint {
 
   // net::Endpoint:
   void HandlePacket(net::Packet&& pkt) override;
+  // sim::EventSink: the same-instant group's flush (0, kFlushEvent), or the
+  // re-ingress of the oldest recirculation in flight (the low 32 bits of its
+  // loopback sequence number, kReingressEvent).
+  void OnEvent(uint32_t seq_low, uint32_t kind) override;
 
   // Fast-forward seam (core/poll_roster.h). Admits a fabric packet that was
   // elided up to its arrival now into the current same-instant group (never
@@ -202,6 +206,8 @@ class SwitchPipeline : public net::Endpoint {
 
  private:
   friend class PassContext;
+
+  enum : uint32_t { kFlushEvent, kReingressEvent };  // OnEvent's kinds
 
   // One packet waiting in the same-instant group. Its pass number is
   // pkt.pipeline_passes.
@@ -238,6 +244,11 @@ class SwitchPipeline : public net::Endpoint {
   TimeNs recirc_interval_;
   TimeNs recirc_next_free_ = 0;
   uint64_t loopback_seq_ = 0;  // recirculations issued so far
+  // The passes in flight through the loopback port, oldest at recirc_head_.
+  // Its latency is fixed and its turns never go back, so they re-ingress in
+  // the order they were pushed.
+  std::vector<Ingress> recirc_;
+  size_t recirc_head_ = 0;
 
   // The same-instant group, a min-heap on IngressKey, and whether its flush
   // event is pending (or running).

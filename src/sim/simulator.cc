@@ -8,38 +8,67 @@ namespace draconis::sim {
 // --- EventHandle -------------------------------------------------------------
 
 void EventHandle::Cancel() {
-  if (sim_ != nullptr) {
-    sim_->CancelHandle(*this);
+  if (pending()) {
+    --sim_->live_;
+    sim_->FreeSlot(slot_);  // the queue key goes stale
   }
 }
 
-bool EventHandle::pending() const { return sim_ != nullptr && sim_->HandlePending(*this); }
+bool EventHandle::pending() const { return sim_ != nullptr && sim_->gens_[slot_] == gen_ + 1; }
 
 // --- Timer -------------------------------------------------------------------
 
 Timer::~Timer() {
   if (sim_ != nullptr) {
-    sim_->UnregisterTimer(*this);
+    Cancel();
+    sim_->FreeSlot(slot_);
   }
 }
 
-void Timer::Bind(Simulator* sim, std::function<void()> fn) {
+void Timer::Bind(Simulator* sim, EventSink* sink, uint32_t a, uint32_t b) {
   DRACONIS_CHECK_MSG(sim_ == nullptr, "Timer bound twice");
-  DRACONIS_CHECK(sim != nullptr && fn != nullptr);
+  DRACONIS_CHECK(sim != nullptr && sink != nullptr);
   sim_ = sim;
-  fn_ = std::move(fn);
-  slot_ = sim_->RegisterTimer(this);
+  slot_ = sim->AllocSlot();
+  Simulator::Payload& p = sim->payloads_[slot_];
+  p.target = reinterpret_cast<uintptr_t>(sink) | Simulator::kPinnedTag;
+  p.words[0] = a;
+  p.words[1] = b;
 }
 
 // --- Simulator: slab ---------------------------------------------------------
 
 void Simulator::FreeSlot(uint32_t slot) {
-  Payload& p = payloads_[slot];
-  p.fn = nullptr;
-  p.target = 0;
   gens_[slot] = 0;
-  p.words[0] = free_head_;
+  payloads_[slot].words[0] = free_head_;
   free_head_ = slot;
+}
+
+// --- Simulator: closures -----------------------------------------------------
+
+void Simulator::ScheduleAt(TimeNs at, std::function<void()> fn) {
+  DRACONIS_CHECK(fn != nullptr);
+  const uint32_t slot = Push(at, &closures_, 0, 0);
+  payloads_[slot].words[0] = closures_.Put(std::move(fn));
+}
+
+uint32_t Simulator::ClosureStore::Put(std::function<void()> fn) {
+  if (free_.empty()) {
+    fns_.push_back(std::move(fn));
+    return static_cast<uint32_t>(fns_.size() - 1);
+  }
+  const uint32_t index = free_.back();
+  free_.pop_back();
+  fns_[index] = std::move(fn);
+  return index;
+}
+
+void Simulator::ClosureStore::OnEvent(uint32_t index, uint32_t /*unused*/) {
+  // Moved out first: the closure may schedule more and grow the store.
+  std::function<void()> fn = std::move(fns_[index]);
+  fns_[index] = nullptr;
+  free_.push_back(index);
+  fn();
 }
 
 // --- Simulator: run loop -----------------------------------------------------
@@ -49,7 +78,7 @@ void Simulator::FreeSlot(uint32_t slot) {
 // event. The count of executed events stays in a register and Run adds it
 // to executed_ once: incremented per event next to live_, the two counters
 // would be merged into one 16-byte read-modify-write that waits on the
-// 8-byte store of live_ the previous event's Claim has just made.
+// 8-byte store of live_ the previous event's Push has just made.
 template <typename Queue>
 uint64_t Simulator::RunLoop(Queue& queue, bool bounded, TimeNs until) {
   uint64_t ran = 0;
@@ -67,28 +96,16 @@ uint64_t Simulator::RunLoop(Queue& queue, bool bounded, TimeNs until) {
     now_ = key.at;
     ++ran;
     Payload& p = payloads_[key.slot];
-    // Don't touch the slot after a call: the callee may schedule events and
-    // grow the slab.
-    if (p.target == 0) {
-      std::function<void()> fn = std::move(p.fn);
-      // Minimal free: `fn` was just moved out (leaving the slot's empty), so
-      // only relink the freelist.
+    auto* sink = reinterpret_cast<EventSink*>(p.target & ~kPinnedTag);
+    const uint32_t a = p.words[0];
+    const uint32_t b = p.words[1];
+    // A one-shot slot is free before the call, which may schedule events
+    // and grow the slab; a timer keeps its slot, and the sink may re-arm it.
+    if (!p.pinned()) {
       p.words[0] = free_head_;
       free_head_ = key.slot;
-      fn();
-    } else if ((p.target & kTypedTag) != 0) {
-      auto* sink = reinterpret_cast<EventSink*>(p.target & ~kTypedTag);
-      const uint32_t a = p.words[0];
-      const uint32_t b = p.words[1];
-      p.target = 0;
-      p.words[0] = free_head_;
-      free_head_ = key.slot;
-      sink->OnEvent(a, b);
-    } else {
-      // Persistent slot: the callback lives in the Timer (stable storage)
-      // and may re-arm it.
-      reinterpret_cast<Timer*>(p.target)->fn_();
     }
+    sink->OnEvent(a, b);
   }
   if (bounded && now_ < until) {
     now_ = until;
@@ -142,47 +159,17 @@ void Simulator::Clear() {
     heap_.Clear();
   }
   for (uint32_t slot = 0; slot < gens_.size(); ++slot) {
-    if (gens_[slot] == 0) {
-      continue;
-    }
-    gens_[slot] = 0;
-    if (!payloads_[slot].pinned()) {
+    if (gens_[slot] != 0 && !payloads_[slot].pinned()) {
       FreeSlot(slot);
     }
+    gens_[slot] = 0;  // a timer keeps its slot
   }
   live_ = 0;
+  closures_ = ClosureStore();
 }
 
 void Simulator::RemoveOffQueueWork(OffQueueWork* work) {
   off_queue_.erase(std::remove(off_queue_.begin(), off_queue_.end(), work), off_queue_.end());
-}
-
-// --- Simulator: handle plumbing ----------------------------------------------
-
-void Simulator::CancelHandle(const EventHandle& handle) {
-  if (gens_[handle.slot_] == handle.gen_ + 1) {
-    --live_;
-    FreeSlot(handle.slot_);  // releases the closure; the queue key goes stale
-  }
-}
-
-bool Simulator::HandlePending(const EventHandle& handle) const {
-  return gens_[handle.slot_] == handle.gen_ + 1;
-}
-
-// --- Simulator: timer plumbing -----------------------------------------------
-
-uint32_t Simulator::RegisterTimer(Timer* timer) {
-  const uint32_t slot = AllocSlot();
-  payloads_[slot].target = reinterpret_cast<uintptr_t>(timer);
-  return slot;
-}
-
-void Simulator::UnregisterTimer(const Timer& timer) {
-  if (gens_[timer.slot_] != 0) {
-    --live_;
-  }
-  FreeSlot(timer.slot_);
 }
 
 }  // namespace draconis::sim

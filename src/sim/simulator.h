@@ -6,37 +6,35 @@
 // ties), which gives the deterministic serial packet ordering the switch
 // model relies on.
 //
-// Scheduling surface: one orthogonal pair.
+// One event kind: every event is a call sink->OnEvent(a, b) on an EventSink
+// with two 32-bit words.
 //
-//   sim.ScheduleAt(at, fn);                  // fire-and-forget
-//   sim.ScheduleAfter(delay, fn);
-//   EventHandle h = sim.ScheduleAt(at, fn, kCancellable);   // cancellable
-//   EventHandle h = sim.ScheduleAfter(delay, fn, kCancellable);
-//
-// The fire-and-forget default is the zero-overhead path; passing
-// `kCancellable` opts into a handle. `Timer` is the reusable-event path for
-// high-frequency periodic callers (executor pull loops and the like): the
-// callback is stored once and re-arming costs one queue push — no
-// per-occurrence allocation at all.
-//
-//   sim.ScheduleAt(at, &sink, a, b);         // typed: sink.OnEvent(a, b)
+//   sim.ScheduleAt(at, &sink, a, b);                       // fire-and-forget
 //   EventHandle h = sim.ScheduleAt(at, &sink, a, b, kCancellable);
+//   timer.Bind(&sim, &sink, a, b);  timer.ScheduleAt(at);  // reusable
 //
-// The typed event carries an EventSink pointer and two words, which the run
-// loop passes straight to OnEvent with no closure to build, move, invoke
-// through a manager, or destroy. The per-packet hops (net::Network) use the
-// fire-and-forget form; the per-task timers (the client's timeouts, the DAG
-// driver's hedges) use the cancellable one, with the task's (jid, tid) as
-// the two words.
+// An object with one or two kinds of event is itself the sink and tells
+// them apart by a word (a TaskRunner's task end is (core, 0); its pull timer
+// another kind); one with more keeps a MemberSink per kind (net::Network's
+// hop steps). Passing `kCancellable` opts into a handle. `Timer` is the
+// reusable-event path for high-frequency periodic callers (executor pull
+// loops and the like): its slot and words are bound once and re-arming
+// costs one queue push.
+//
+//   sim.ScheduleAt(at, fn);                  // cold: a std::function
+//
+// The one closure entry is an out-of-line adapter for code off the hot path
+// (an experiment's window markers, tests): the closure waits in a store the
+// simulator owns, which is itself the sink of those events.
 //
 // Engine layout:
 //  - Slots live in a free-listed slab split into a hot generation array
 //    (one word per slot — all the dequeue validation scan ever touches) and
-//    a cold 48-byte payload array (closure, then one target word and two
-//    data words that a timer, a typed event and the freelist link share).
-//    Slots are recycled after an event fires or is cancelled, so
-//    steady-state scheduling does not grow any container.
-//  - The queue orders trivially copyable 24-byte keys; the closure never
+//    a cold 16-byte payload array (the sink's address and the two words; a
+//    free slot's first word links the freelist). Slots are recycled after
+//    an event fires or is cancelled, so steady-state scheduling does not
+//    grow any container.
+//  - The queue orders trivially copyable 24-byte keys; the payload never
 //    moves. Two backends — the ladder queue (default) and the binary heap —
 //    are selected at construction and produce bit-identical execution order
 //    (see event_queue.h). Both are held as concrete `final` members behind
@@ -70,12 +68,32 @@ namespace draconis::sim {
 
 class Simulator;
 
-// Tag selecting the cancellable Schedule{At,After} overloads:
-//   sim.ScheduleAfter(delay, fn, kCancellable)
+// Tag selecting the cancellable ScheduleAt overload:
+//   sim.ScheduleAt(at, &sink, a, b, kCancellable)
 struct CancellableTag {
   explicit CancellableTag() = default;
 };
 inline constexpr CancellableTag kCancellable{};
+
+// The receiver of events: Simulator::ScheduleAt(at, sink, a, b) fires as
+// sink->OnEvent(a, b). The sink must outlive its pending events.
+class EventSink {
+ public:
+  virtual ~EventSink() = default;
+  virtual void OnEvent(uint32_t a, uint32_t b) = 0;
+};
+
+// The sink of one kind of event of `Owner`, for an owner with more kinds
+// than its words can tell apart: fires as (owner->*Method)(a, b).
+template <typename Owner, void (Owner::*Method)(uint32_t, uint32_t)>
+class MemberSink final : public EventSink {
+ public:
+  explicit MemberSink(Owner* owner) : owner_(owner) {}
+  void OnEvent(uint32_t a, uint32_t b) override { (owner_->*Method)(a, b); }
+
+ private:
+  Owner* owner_;
+};
 
 // Handle for a scheduled event that may be cancelled before it fires.
 // Copies refer to the same underlying event and observe each other's
@@ -103,24 +121,23 @@ class EventHandle {
   uint64_t gen_ = 0;
 };
 
-// A reusable scheduled callback: bind the closure once, then arm it as often
-// as needed. At most one occurrence is pending at a time — re-arming
+// A reusable scheduled event: bind its sink and words once, then arm it as
+// often as needed. At most one occurrence is pending at a time — re-arming
 // replaces the previous one. Firing and re-arming are allocation-free,
 // which is what the highest-frequency periodic callers (executor pull
-// watchdogs, drain polls) want. The callback may re-arm its own timer.
-// Non-copyable and non-movable: the simulator holds a pointer to it.
+// watchdogs, drain polls) want. The sink may re-arm the timer from its
+// OnEvent. Non-copyable: the timer owns its slot.
 class Timer {
  public:
   Timer() = default;
-  Timer(Simulator* sim, std::function<void()> fn) { Bind(sim, std::move(fn)); }
+  Timer(Simulator* sim, EventSink* sink, uint32_t a, uint32_t b) { Bind(sim, sink, a, b); }
   Timer(const Timer&) = delete;
   Timer& operator=(const Timer&) = delete;
   ~Timer();
 
-  // Registers the timer with `sim` and stores its callback. Must be called
-  // exactly once before arming (two-phase init for members whose callback
-  // captures `this`).
-  void Bind(Simulator* sim, std::function<void()> fn);
+  // Registers the timer with `sim`: each occurrence fires as
+  // sink->OnEvent(a, b). Must be called exactly once before arming.
+  void Bind(Simulator* sim, EventSink* sink, uint32_t a, uint32_t b);
 
   // Arms the timer to fire at `at` / after `delay`, replacing any pending
   // occurrence.
@@ -137,15 +154,6 @@ class Timer {
   friend class Simulator;
   Simulator* sim_ = nullptr;
   uint32_t slot_ = 0;
-  std::function<void()> fn_;
-};
-
-// The receiver of typed events: Simulator::ScheduleAt(at, sink, a, b) fires
-// as sink->OnEvent(a, b). The sink must outlive its pending events.
-class EventSink {
- public:
-  virtual ~EventSink() = default;
-  virtual void OnEvent(uint32_t a, uint32_t b) = 0;
 };
 
 // Work kept outside the event queue that still advances with the clock: the
@@ -174,24 +182,20 @@ class Simulator {
   TimeNs Now() const { return now_; }
   QueueBackend queue_backend() const { return backend_; }
 
-  // Schedules fn at absolute time `at` (>= Now()), fire-and-forget.
+  // Schedules sink->OnEvent(a, b) at absolute time `at` (>= Now()),
+  // fire-and-forget.
+  void ScheduleAt(TimeNs at, EventSink* sink, uint32_t a, uint32_t b) { Push(at, sink, a, b); }
+
+  // The same, with a handle that can cancel it: per-task timers (client
+  // timeouts, hedges) use it.
+  EventHandle ScheduleAt(TimeNs at, EventSink* sink, uint32_t a, uint32_t b, CancellableTag) {
+    const uint32_t slot = Push(at, sink, a, b);
+    return EventHandle(this, slot, gens_[slot] - 1);
+  }
+
+  // Schedules fn at `at` (>= Now()), fire-and-forget. Cold: fn waits in the
+  // simulator's closure store, so keep it off per-task and per-packet paths.
   void ScheduleAt(TimeNs at, std::function<void()> fn);
-
-  // Schedules fn after a relative delay (>= 0), fire-and-forget.
-  void ScheduleAfter(TimeNs delay, std::function<void()> fn);
-
-  // Cancellable variants: return a handle that can cancel the event.
-  EventHandle ScheduleAt(TimeNs at, std::function<void()> fn, CancellableTag);
-  EventHandle ScheduleAfter(TimeNs delay, std::function<void()> fn,
-                            CancellableTag);
-
-  // Schedules the typed event sink->OnEvent(a, b) at `at` (>= Now()),
-  // fire-and-forget. It takes a sequence number like any other event.
-  void ScheduleAt(TimeNs at, EventSink* sink, uint32_t a, uint32_t b);
-
-  // Cancellable typed event: per-task timers (client timeouts, hedges) use
-  // it so that no closure is built per task.
-  EventHandle ScheduleAt(TimeNs at, EventSink* sink, uint32_t a, uint32_t b, CancellableTag);
 
   // Runs events until the queue drains or the clock passes `until`.
   // Events scheduled exactly at `until` still run. Returns the number of
@@ -202,8 +206,9 @@ class Simulator {
   uint64_t RunAll();
 
   // Drops every pending event (used to tear down a run that has reached its
-  // measurement horizon without draining executor loops). Outstanding
-  // handles and timers all report !pending() afterwards.
+  // measurement horizon without draining executor loops), and the closures
+  // they held. Outstanding handles and timers all report !pending()
+  // afterwards.
   void Clear();
 
   // True if a live event is queued to fire at Now(). Called from inside an
@@ -230,42 +235,45 @@ class Simulator {
 
   static constexpr uint32_t kNilSlot = UINT32_MAX;
 
-  // A typed slot's target word is its EventSink's address with this bit
-  // set; a timer slot's is its Timer's address (both aligned, so bit 0 is
-  // free); a closure slot's is 0.
-  static constexpr uintptr_t kTypedTag = 1;
+  // A slot's target word is its EventSink's address; a timer's slot, which
+  // the timer keeps across firings, has this bit set too (a sink is aligned,
+  // so bit 0 is free).
+  static constexpr uintptr_t kPinnedTag = 1;
 
   // Cold per-slot state; the hot liveness word lives in gens_ so the run
   // loop's stale-key scan touches one cache line per ~8 keys instead of one
-  // per slot. A slot is a closure, a timer or a typed event, and the last
-  // two share the target and data words with the freelist link.
+  // per slot.
   struct Payload {
-    std::function<void()> fn;  // closure slots; empty otherwise
-    uintptr_t target = 0;      // Timer* or tagged EventSink*; 0 for closures
-    // Typed slots: the event's two words. Free slots: words[0] links the
-    // freelist.
+    uintptr_t target = 0;  // EventSink*, tagged kPinnedTag for a timer
+    // The event's two words. Free slots: words[0] links the freelist.
     uint32_t words[2] = {kNilSlot, 0};
 
-    bool pinned() const { return target != 0 && (target & kTypedTag) == 0; }
+    bool pinned() const { return (target & kPinnedTag) != 0; }
   };
-  // Timer slots number in the tens of thousands on big fleets, so the
-  // typed event reuses a timer's words instead of growing the slot.
-  static_assert(sizeof(Payload) == 48, "the payload slab must not grow");
-  static_assert(alignof(Timer) > 1 && alignof(EventSink) > 1, "kTypedTag needs bit 0 free");
+  static_assert(sizeof(Payload) == 16, "the payload slab must not grow");
+  static_assert(alignof(EventSink) > 1, "kPinnedTag needs bit 0 free");
+
+  // The closures of ScheduleAt(at, fn), until they fire or Clear() drops
+  // them; the event's first word is the closure's index here.
+  class ClosureStore final : public EventSink {
+   public:
+    uint32_t Put(std::function<void()> fn);
+    // Moves the closure out, frees its index, then calls it.
+    void OnEvent(uint32_t index, uint32_t) override;
+
+   private:
+    std::vector<std::function<void()>> fns_;
+    std::vector<uint32_t> free_;
+  };
 
   uint32_t AllocSlot();
   void FreeSlot(uint32_t slot);
-  // Takes a slot for a one-shot event at `at`, draws its sequence number and
-  // queues its key; the caller fills the payload. The key stays in scalars
-  // until the queue stores it: a 24-byte EventKey built here would be
-  // written field by field and read back whole, and that read cannot be
-  // forwarded from the store buffer.
-  uint32_t Claim(TimeNs at);
-  // Schedules a one-shot closure or typed event; returns its slot.
-  uint32_t Push(TimeNs at, std::function<void()> fn);
-  uint32_t PushTyped(TimeNs at, EventSink* sink, uint32_t a, uint32_t b);
-  // The handle of the one-shot event just scheduled into `slot`.
-  EventHandle HandleFor(uint32_t slot);
+  // Takes a slot for a one-shot event at `at`, draws its sequence number,
+  // queues its key and fills its payload. The key stays in scalars until
+  // the queue stores it: a 24-byte EventKey built here would be written
+  // field by field and read back whole, and that read cannot be forwarded
+  // from the store buffer.
+  uint32_t Push(TimeNs at, EventSink* sink, uint32_t a, uint32_t b);
   // Enum dispatch to a concrete backend; both calls devirtualize.
   void QueuePush(TimeNs at, uint64_t seq, uint32_t slot);
   uint64_t Run(bool bounded, TimeNs until);
@@ -273,17 +281,6 @@ class Simulator {
   uint64_t RunLoop(Queue& queue, bool bounded, TimeNs until);
   template <typename Queue>
   bool LiveKeyDueNow(Queue& queue);
-
-  // Timer plumbing.
-  uint32_t RegisterTimer(Timer* timer);
-  void UnregisterTimer(const Timer& timer);
-  void ArmTimer(const Timer& timer, TimeNs at);
-  void DisarmTimer(const Timer& timer);
-  bool TimerPending(const Timer& timer) const;
-
-  // EventHandle plumbing.
-  void CancelHandle(const EventHandle& handle);
-  bool HandlePending(const EventHandle& handle) const;
 
   const QueueBackend backend_;
   TimeNs now_ = 0;
@@ -299,9 +296,12 @@ class Simulator {
   std::vector<uint64_t> gens_;
   std::vector<Payload> payloads_;  // cold, parallel to gens_
   std::vector<OffQueueWork*> off_queue_;
+  ClosureStore closures_;
   EventHeap heap_;
   LadderQueue ladder_;
 };
+
+static_assert(sizeof(Timer) == 16, "a Timer is its simulator and its slot");
 
 // The scheduling fast path is header-inline: benches and the cluster layers
 // schedule millions of events per run, and the slab + queue push should
@@ -326,109 +326,48 @@ inline void Simulator::QueuePush(TimeNs at, uint64_t seq, uint32_t slot) {
   }
 }
 
-inline uint32_t Simulator::Claim(TimeNs at) {
+inline uint32_t Simulator::Push(TimeNs at, EventSink* sink, uint32_t a, uint32_t b) {
   DRACONIS_CHECK_MSG(at >= now_, "cannot schedule an event in the past");
   const uint64_t seq = next_seq_++;
   const uint32_t slot = AllocSlot();
   gens_[slot] = seq + 1;
   QueuePush(at, seq, slot);
   ++live_;
-  return slot;
-}
-
-inline uint32_t Simulator::Push(TimeNs at, std::function<void()> fn) {
-  const uint32_t slot = Claim(at);
-  payloads_[slot].fn = std::move(fn);
-  return slot;
-}
-
-inline uint32_t Simulator::PushTyped(TimeNs at, EventSink* sink, uint32_t a, uint32_t b) {
-  const uint32_t slot = Claim(at);
   Payload& p = payloads_[slot];
-  p.target = reinterpret_cast<uintptr_t>(sink) | kTypedTag;
+  p.target = reinterpret_cast<uintptr_t>(sink);
   p.words[0] = a;
   p.words[1] = b;
   return slot;
 }
 
-inline EventHandle Simulator::HandleFor(uint32_t slot) {
-  return EventHandle(this, slot, gens_[slot] - 1);
-}
-
-inline void Simulator::ScheduleAt(TimeNs at, EventSink* sink, uint32_t a, uint32_t b) {
-  PushTyped(at, sink, a, b);
-}
-
-inline EventHandle Simulator::ScheduleAt(TimeNs at, EventSink* sink, uint32_t a, uint32_t b,
-                                         CancellableTag) {
-  return HandleFor(PushTyped(at, sink, a, b));
-}
-
-inline void Simulator::ScheduleAt(TimeNs at, std::function<void()> fn) {
-  Push(at, std::move(fn));
-}
-
-inline void Simulator::ScheduleAfter(TimeNs delay, std::function<void()> fn) {
-  DRACONIS_CHECK(delay >= 0);
-  Push(now_ + delay, std::move(fn));
-}
-
-inline EventHandle Simulator::ScheduleAt(TimeNs at, std::function<void()> fn,
-                                         CancellableTag) {
-  return HandleFor(Push(at, std::move(fn)));
-}
-
-inline EventHandle Simulator::ScheduleAfter(TimeNs delay,
-                                            std::function<void()> fn,
-                                            CancellableTag) {
-  DRACONIS_CHECK(delay >= 0);
-  return ScheduleAt(now_ + delay, std::move(fn), kCancellable);
-}
-
 // Timer re-arm is the other per-event hot path (executor pull loops re-arm
-// from inside the callback), so it inlines the same way.
-
-inline void Simulator::ArmTimer(const Timer& timer, TimeNs at) {
-  DRACONIS_CHECK_MSG(at >= now_, "cannot schedule an event in the past");
-  if (gens_[timer.slot_] == 0) {
-    ++live_;
-  }
-  const uint64_t seq = next_seq_++;
-  gens_[timer.slot_] = seq + 1;  // any previously pushed key goes stale
-  QueuePush(at, seq, timer.slot_);
-}
-
-inline void Simulator::DisarmTimer(const Timer& timer) {
-  if (gens_[timer.slot_] != 0) {
-    gens_[timer.slot_] = 0;
-    --live_;
-  }
-}
-
-inline bool Simulator::TimerPending(const Timer& timer) const {
-  return gens_[timer.slot_] != 0;
-}
+// from inside OnEvent), so it inlines the same way.
 
 inline void Timer::ScheduleAt(TimeNs at) {
   DRACONIS_CHECK_MSG(sim_ != nullptr, "Timer used before Bind()");
-  sim_->ArmTimer(*this, at);
+  DRACONIS_CHECK_MSG(at >= sim_->now_, "cannot schedule an event in the past");
+  if (sim_->gens_[slot_] == 0) {
+    ++sim_->live_;
+  }
+  const uint64_t seq = sim_->next_seq_++;
+  sim_->gens_[slot_] = seq + 1;  // any previously pushed key goes stale
+  sim_->QueuePush(at, seq, slot_);
 }
 
 inline void Timer::ScheduleAfter(TimeNs delay) {
   DRACONIS_CHECK_MSG(sim_ != nullptr, "Timer used before Bind()");
   DRACONIS_CHECK(delay >= 0);
-  sim_->ArmTimer(*this, sim_->Now() + delay);
+  ScheduleAt(sim_->Now() + delay);
 }
 
 inline void Timer::Cancel() {
-  if (sim_ != nullptr) {
-    sim_->DisarmTimer(*this);
+  if (pending()) {
+    sim_->gens_[slot_] = 0;
+    --sim_->live_;
   }
 }
 
-inline bool Timer::pending() const {
-  return sim_ != nullptr && sim_->TimerPending(*this);
-}
+inline bool Timer::pending() const { return sim_ != nullptr && sim_->gens_[slot_] != 0; }
 
 }  // namespace draconis::sim
 

@@ -40,7 +40,7 @@ SummaryPublisher::SummaryPublisher(sim::Simulator* simulator, net::Network* netw
       period_(period) {
   DRACONIS_CHECK(simulator != nullptr && network != nullptr && probe_ != nullptr);
   DRACONIS_CHECK(period > 0);
-  timer_.Bind(simulator_, [this] { Tick(); });
+  timer_.Bind(simulator_, this, 0, 0);
 }
 
 void SummaryPublisher::Start(TimeNs first_at) { timer_.ScheduleAt(first_at); }
@@ -50,7 +50,7 @@ void SummaryPublisher::Retarget(net::NodeId tor_node, DepthProbe probe) {
   probe_ = std::move(probe);
 }
 
-void SummaryPublisher::Tick() {
+void SummaryPublisher::OnEvent(uint32_t /*unused*/, uint32_t /*unused*/) {
   const uint64_t depth = probe_();
   if (local_directory_ != nullptr) {
     local_directory_->Update(rack_, depth, simulator_->Now());

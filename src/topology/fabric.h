@@ -45,7 +45,7 @@ class SummaryExchange : public net::Endpoint {
 // directory synchronously, and broadcasts the depth to every sibling
 // exchange as real packets — so remote views pay serialization, the
 // aggregation tier, and jitter like any other traffic.
-class SummaryPublisher {
+class SummaryPublisher : public sim::EventSink {
  public:
   using DepthProbe = std::function<uint64_t()>;
 
@@ -66,8 +66,10 @@ class SummaryPublisher {
 
   uint64_t summaries_sent() const { return summaries_sent_; }
 
+  // sim::EventSink: the publish tick.
+  void OnEvent(uint32_t /*unused*/, uint32_t /*unused*/) override;
+
  private:
-  void Tick();
 
   sim::Simulator* simulator_;
   net::Network* network_;

@@ -973,8 +973,14 @@ TEST(DeterminismTest, PinnedDagGoldens) {
 // Builds a randomized self-extending event graph on `sim`: chains that
 // reschedule themselves, cancellable watchdogs that are armed and torn
 // down, and a periodic timer — all driven off one seeded Rng so two
-// instances evolve identically.
-struct ScriptedWorkload {
+// instances evolve identically. The workload is the sink of all three:
+// (id, kTick) runs Tick(id), (0, kWatchdog) a watchdog, (0, kPulse) the
+// timer.
+struct ScriptedWorkload final : sim::EventSink {
+  static constexpr uint32_t kTick = 0;
+  static constexpr uint32_t kWatchdog = 1;
+  static constexpr uint32_t kPulse = 2;
+
   sim::Simulator* sim;
   Rng rng;
   std::vector<int>* order;
@@ -984,14 +990,22 @@ struct ScriptedWorkload {
 
   ScriptedWorkload(sim::Simulator* s, uint64_t seed, std::vector<int>* out, int events)
       : sim(s), rng(seed), order(out), remaining(events) {
-    pulse.Bind(sim, [this] {
+    pulse.Bind(sim, this, 0, kPulse);
+    pulse.ScheduleAfter(17);
+    Tick(0);
+  }
+
+  void OnEvent(uint32_t id, uint32_t kind) override {
+    if (kind == kTick) {
+      Tick(static_cast<int>(id));
+    } else if (kind == kWatchdog) {
+      order->push_back(-2);
+    } else {
       order->push_back(-1);
       if (remaining > 0) {
         pulse.ScheduleAfter(17);
       }
-    });
-    pulse.ScheduleAfter(17);
-    Tick(0);
+    }
   }
 
   void Tick(int id) {
@@ -1000,12 +1014,12 @@ struct ScriptedWorkload {
       return;
     }
     const int next = static_cast<int>(rng.NextBelow(1 << 30));
-    sim->ScheduleAfter(1 + static_cast<TimeNs>(rng.NextBelow(37)),
-                       [this, next] { Tick(next); });
+    sim->ScheduleAt(sim->Now() + 1 + static_cast<TimeNs>(rng.NextBelow(37)), this,
+                    static_cast<uint32_t>(next), kTick);
     // Churn a watchdog like the executor pull loop does.
     watchdog.Cancel();
-    watchdog = sim->ScheduleAfter(500 + static_cast<TimeNs>(rng.NextBelow(100)),
-                                  [this] { order->push_back(-2); }, sim::kCancellable);
+    watchdog = sim->ScheduleAt(sim->Now() + 500 + static_cast<TimeNs>(rng.NextBelow(100)), this,
+                               0, kWatchdog, sim::kCancellable);
   }
 };
 

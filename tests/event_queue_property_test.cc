@@ -91,6 +91,19 @@ class ReferenceQueue {
   std::vector<RefEvent> events_;
 };
 
+// The sink of the typed events and timers below: records its first word as
+// the event's id (timer ids are negative).
+class IdRecorder final : public EventSink {
+ public:
+  explicit IdRecorder(std::vector<int>* fired) : fired_(fired) {}
+  void OnEvent(uint32_t id, uint32_t /*unused*/) override {
+    fired_->push_back(static_cast<int>(id));
+  }
+
+ private:
+  std::vector<int>* fired_;
+};
+
 struct LiveHandle {
   EventHandle handle;
   uint64_t ref_seq = 0;
@@ -104,6 +117,7 @@ struct Fixture {
   Simulator sim;
   ReferenceQueue ref;
   std::vector<int> fired;  // ids recorded by real-engine callbacks
+  IdRecorder sink{&fired};
   std::vector<LiveHandle> handles;
   std::vector<std::unique_ptr<Timer>> timers;
   // ref seq of each timer's pending occurrence, if armed.
@@ -117,7 +131,7 @@ void DriveSeed(QueueBackend backend, uint64_t seed, int steps) {
   // fires id -(t+1).
   for (int t = 0; t < kTimerCount; ++t) {
     fx.timers.push_back(
-        std::make_unique<Timer>(&fx.sim, [&fx, t] { fx.fired.push_back(-(t + 1)); }));
+        std::make_unique<Timer>(&fx.sim, &fx.sink, static_cast<uint32_t>(-(t + 1)), 0));
   }
 
   Rng rng(seed);
@@ -133,8 +147,7 @@ void DriveSeed(QueueBackend backend, uint64_t seed, int steps) {
       // Cancellable one-shot event; keep the handle.
       const TimeNs at = fx.sim.Now() + static_cast<TimeNs>(rng.NextBelow(1000));
       const int id = fx.next_id++;
-      EventHandle h =
-          fx.sim.ScheduleAt(at, [&fx, id] { fx.fired.push_back(id); }, kCancellable);
+      EventHandle h = fx.sim.ScheduleAt(at, &fx.sink, static_cast<uint32_t>(id), 0, kCancellable);
       fx.handles.push_back(LiveHandle{h, fx.ref.Schedule(at, id)});
     } else if (op < 70) {
       // Cancel a random tracked handle (may already have fired).
@@ -229,6 +242,7 @@ TEST_P(EventQueuePropertyTest, SameInstantClustersKeepSchedulingOrder) {
     Simulator sim(GetParam());
     ReferenceQueue ref;
     std::vector<int> fired;
+    IdRecorder sink(&fired);
     std::vector<LiveHandle> handles;
     Rng rng(seed);
     int next_id = 0;
@@ -237,8 +251,7 @@ TEST_P(EventQueuePropertyTest, SameInstantClustersKeepSchedulingOrder) {
       for (int burst = 0; burst < 20; ++burst) {
         const int id = next_id++;
         if (rng.NextBool(0.5)) {
-          EventHandle h =
-              sim.ScheduleAt(t, [&fired, id] { fired.push_back(id); }, kCancellable);
+          EventHandle h = sim.ScheduleAt(t, &sink, static_cast<uint32_t>(id), 0, kCancellable);
           handles.push_back(LiveHandle{h, ref.Schedule(t, id)});
         } else {
           sim.ScheduleAt(t, [&fired, id] { fired.push_back(id); });
@@ -275,11 +288,13 @@ TEST_P(EventQueuePropertyTest, SupersededFarArmsMatchReference) {
     Simulator sim(GetParam());
     ReferenceQueue ref;
     std::vector<int> fired;
+    IdRecorder sink(&fired);
     std::vector<std::unique_ptr<Timer>> timers;
     std::vector<std::optional<uint64_t>> timer_seq(kExecutors);
     std::vector<LiveHandle> handles;
     for (int e = 0; e < kExecutors; ++e) {
-      timers.push_back(std::make_unique<Timer>(&sim, [&fired, e] { fired.push_back(-(e + 1)); }));
+      timers.push_back(
+          std::make_unique<Timer>(&sim, &sink, static_cast<uint32_t>(-(e + 1)), 0));
     }
     auto arm = [&](int e, TimeNs at) {
       timers[e]->ScheduleAt(at);
@@ -301,7 +316,7 @@ TEST_P(EventQueuePropertyTest, SupersededFarArmsMatchReference) {
           const TimeNs at =
               sim.Now() + kWatchdog / 2 + static_cast<TimeNs>(rng.NextBelow(kWatchdog));
           const int id = next_id++;
-          EventHandle h = sim.ScheduleAt(at, [&fired, id] { fired.push_back(id); }, kCancellable);
+          EventHandle h = sim.ScheduleAt(at, &sink, static_cast<uint32_t>(id), 0, kCancellable);
           handles.push_back(LiveHandle{h, ref.Schedule(at, id)});
         } else if (!handles.empty()) {
           LiveHandle& lh = handles[rng.NextBelow(handles.size())];

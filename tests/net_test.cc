@@ -577,10 +577,15 @@ TEST(NetworkTest, InFlightSlabDrainsAndIsReusedAcrossBursts) {
 // with nothing else due (or only a cancelled key), it runs inline: the same
 // order, one event fewer.
 TEST(NetworkTest, ZeroCostDeliveryYieldsToEventsDueAtTheSameInstant) {
-  class LoggingEndpoint : public Endpoint {
+  // Logs each delivery as 1, and is the sink of the other event, logged as
+  // its first word.
+  class LoggingEndpoint : public Endpoint, public sim::EventSink {
    public:
     explicit LoggingEndpoint(std::vector<int>* log) : log_(log) {}
     void HandlePacket(Packet&&) override { log_->push_back(1); }
+    void OnEvent(uint32_t a, uint32_t /*unused*/) override {
+      log_->push_back(static_cast<int>(a));
+    }
 
    private:
     std::vector<int>* log_;
@@ -613,8 +618,7 @@ TEST(NetworkTest, ZeroCostDeliveryYieldsToEventsDueAtTheSameInstant) {
       Packet p;
       p.dst = idb;
       network.Send(ida, std::move(p));
-      sim::EventHandle other =
-          simulator.ScheduleAt(c.other_at, [&log] { log.push_back(2); }, sim::kCancellable);
+      sim::EventHandle other = simulator.ScheduleAt(c.other_at, &b, 2, 0, sim::kCancellable);
       if (c.cancel_other) {
         other.Cancel();
       }

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -29,6 +30,9 @@ class Scripted : public SwitchProgram {
 
   void OnPass(PassContext& ctx, net::Packet&& pkt) override {
     order.push_back(pkt.uid);
+    if (after_pass) {
+      after_pass(pkt.uid, ctx.pass_number());
+    }
     if (pkt.op == net::OpCode::kProbe) {
       ctx.Drop(pkt, "probe");
       return;
@@ -42,6 +46,9 @@ class Scripted : public SwitchProgram {
   }
 
   std::vector<uint32_t> order;
+  // Called after each pass with the packet's uid and pass number (unset:
+  // nothing).
+  std::function<void(uint32_t, uint32_t)> after_pass;
 
  private:
   uint32_t bounces_;
@@ -136,6 +143,37 @@ TEST(PipelineExtraTest, RecirculationPortServesAtItsRate) {
   // The ten packets all arrived ~simultaneously; the port spaced their
   // recirculations 1 us apart, so the run takes at least ~9 us.
   EXPECT_GE(rig.simulator.Now(), FromMicros(9));
+
+  // A backlogged port with a latency: four passes in flight at once
+  // re-ingress in the order they entered it, each its own packet. The
+  // fabric packet 9 leaves the host the instant the first passes run (right
+  // after them) and reaches the switch 1.1 us later, exactly when packet 2
+  // re-ingresses: at that instant the two are served in IngressKey order,
+  // which puts the fabric port ahead of the loopback port on the tied launch
+  // time, although 2's re-ingress event was scheduled first.
+  cfg.recirc_latency = 100;
+  Rig backlogged(cfg, /*bounces=*/1);
+  backlogged.program.after_pass = [&backlogged](uint32_t uid, uint32_t pass) {
+    if (uid == 4 && pass == 0) {
+      backlogged.Send(net::OpCode::kOther, 9);
+    }
+  };
+  for (uint32_t uid = 1; uid <= 4; ++uid) {
+    backlogged.Send(net::OpCode::kOther, uid);
+  }
+  backlogged.simulator.RunAll();
+  EXPECT_EQ(backlogged.program.order, (std::vector<uint32_t>{1, 2, 3, 4, 1, 9, 2, 3, 4, 9}));
+  std::vector<uint32_t> emitted;
+  for (const net::Packet& pkt : backlogged.sink.received) {
+    emitted.push_back(pkt.uid);
+    EXPECT_EQ(pkt.pipeline_passes, 1u);
+  }
+  EXPECT_EQ(emitted, (std::vector<uint32_t>{1, 2, 3, 4, 9}));
+  // The port serves one pass per microsecond from the first passes at
+  // 1.1 us, so 9 takes the turn after 4's and leaves its second pass at
+  // 5.2 us.
+  EXPECT_EQ(backlogged.pipeline.counters().recirculations, 5u);
+  EXPECT_EQ(backlogged.simulator.Now(), 1100 + 4 * 1000 + 100 + 1100);
 }
 
 TEST(PipelineExtraTest, CountersAreConsistentUnderMixedTraffic) {

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <functional>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -14,6 +18,25 @@ class SimulatorTest : public ::testing::TestWithParam<QueueBackend> {};
 
 std::string BackendName(const ::testing::TestParamInfo<QueueBackend>& info) {
   return QueueBackendName(info.param);
+}
+
+// The test-side sink of closures, for tests that want one per event or per
+// timer: event (i, 0) calls the i-th closure added.
+class Closures final : public EventSink {
+ public:
+  uint32_t Add(std::function<void()> fn) {
+    fns_.push_back(std::move(fn));
+    return static_cast<uint32_t>(fns_.size() - 1);
+  }
+  void OnEvent(uint32_t i, uint32_t /*unused*/) override { fns_[i](); }
+
+ private:
+  std::deque<std::function<void()>> fns_;  // stable: a call may add more
+};
+
+// Schedules `fn` through `calls` at `at`, with a handle.
+EventHandle CancellableAt(Simulator& s, Closures& calls, TimeNs at, std::function<void()> fn) {
+  return s.ScheduleAt(at, &calls, calls.Add(std::move(fn)), 0, kCancellable);
 }
 
 TEST_P(SimulatorTest, StartsAtZero) {
@@ -48,8 +71,10 @@ TEST_P(SimulatorTest, SameTimeEventsRunInSchedulingOrder) {
 
 TEST_P(SimulatorTest, AfterIsRelative) {
   Simulator s(GetParam());
+  Closures calls;
   TimeNs fired_at = -1;
-  s.ScheduleAt(100, [&] { s.ScheduleAfter(50, [&] { fired_at = s.Now(); }); });
+  Timer t(&s, &calls, calls.Add([&] { fired_at = s.Now(); }), 0);
+  s.ScheduleAt(100, [&] { t.ScheduleAfter(50); });
   s.RunAll();
   EXPECT_EQ(fired_at, 150);
 }
@@ -78,10 +103,10 @@ TEST_P(SimulatorTest, EventsCanScheduleMoreEvents) {
   int depth = 0;
   std::function<void()> chain = [&] {
     if (++depth < 100) {
-      s.ScheduleAfter(1, chain);
+      s.ScheduleAt(s.Now() + 1, chain);
     }
   };
-  s.ScheduleAfter(1, chain);
+  s.ScheduleAt(1, chain);
   s.RunAll();
   EXPECT_EQ(depth, 100);
   EXPECT_EQ(s.Now(), 100);
@@ -96,13 +121,16 @@ TEST_P(SimulatorTest, SchedulingInThePastThrows) {
 
 TEST_P(SimulatorTest, NegativeDelayThrows) {
   Simulator s(GetParam());
-  EXPECT_THROW(s.ScheduleAfter(-1, [] {}), CheckFailure);
+  Closures calls;
+  Timer t(&s, &calls, calls.Add([] {}), 0);
+  EXPECT_THROW(t.ScheduleAfter(-1), CheckFailure);
 }
 
 TEST_P(SimulatorTest, CancelPreventsExecution) {
   Simulator s(GetParam());
+  Closures calls;
   bool fired = false;
-  EventHandle h = s.ScheduleAfter(10, [&] { fired = true; }, kCancellable);
+  EventHandle h = CancellableAt(s, calls, 10, [&] { fired = true; });
   EXPECT_TRUE(h.pending());
   h.Cancel();
   EXPECT_FALSE(h.pending());
@@ -112,8 +140,9 @@ TEST_P(SimulatorTest, CancelPreventsExecution) {
 
 TEST_P(SimulatorTest, CancelAfterFiringIsSafe) {
   Simulator s(GetParam());
+  Closures calls;
   bool fired = false;
-  EventHandle h = s.ScheduleAfter(10, [&] { fired = true; }, kCancellable);
+  EventHandle h = CancellableAt(s, calls, 10, [&] { fired = true; });
   s.RunAll();
   EXPECT_TRUE(fired);
   EXPECT_FALSE(h.pending());
@@ -159,7 +188,8 @@ TEST_P(SimulatorTest, ExecutedEventsCounter) {
 
 TEST_P(SimulatorTest, CancelledEventsAreNotCountedAsExecuted) {
   Simulator s(GetParam());
-  EventHandle h = s.ScheduleAt(5, [] {}, kCancellable);
+  Closures calls;
+  EventHandle h = CancellableAt(s, calls, 5, [] {});
   h.Cancel();
   s.ScheduleAt(6, [] {});
   s.RunAll();
@@ -168,8 +198,9 @@ TEST_P(SimulatorTest, CancelledEventsAreNotCountedAsExecuted) {
 
 TEST_P(SimulatorTest, DoubleCancelIsSafe) {
   Simulator s(GetParam());
+  Closures calls;
   bool fired = false;
-  EventHandle h = s.ScheduleAfter(10, [&] { fired = true; }, kCancellable);
+  EventHandle h = CancellableAt(s, calls, 10, [&] { fired = true; });
   h.Cancel();
   h.Cancel();  // idempotent
   EXPECT_FALSE(h.pending());
@@ -179,8 +210,9 @@ TEST_P(SimulatorTest, DoubleCancelIsSafe) {
 
 TEST_P(SimulatorTest, HandleCopiesObserveEachOthersCancellation) {
   Simulator s(GetParam());
+  Closures calls;
   bool fired = false;
-  EventHandle a = s.ScheduleAfter(10, [&] { fired = true; }, kCancellable);
+  EventHandle a = CancellableAt(s, calls, 10, [&] { fired = true; });
   EventHandle b = a;
   EXPECT_TRUE(b.pending());
   a.Cancel();
@@ -193,9 +225,10 @@ TEST_P(SimulatorTest, HandleCopiesObserveEachOthersCancellation) {
 
 TEST_P(SimulatorTest, PendingFlipsExactlyAtFireTime) {
   Simulator s(GetParam());
+  Closures calls;
   EventHandle h;
   bool pending_during_fire = true;
-  h = s.ScheduleAt(10, [&] { pending_during_fire = h.pending(); }, kCancellable);
+  h = CancellableAt(s, calls, 10, [&] { pending_during_fire = h.pending(); });
   s.RunUntil(9);
   EXPECT_TRUE(h.pending());  // one tick before the deadline
   s.RunUntil(10);
@@ -205,15 +238,16 @@ TEST_P(SimulatorTest, PendingFlipsExactlyAtFireTime) {
 
 TEST_P(SimulatorTest, StaleHandleCannotCancelRecycledSlot) {
   Simulator s(GetParam());
+  Closures calls;
   // Fire (and thereby free) the first cancellable event's slot...
-  EventHandle stale = s.ScheduleAt(1, [] {}, kCancellable);
+  EventHandle stale = CancellableAt(s, calls, 1, [] {});
   s.RunAll();
   EXPECT_FALSE(stale.pending());
   // ...then let a fresh event recycle that slot (LIFO free list: the very
   // next allocation reuses it). The stale handle sees the new generation:
   // pending() stays false and Cancel() must not touch the new occupant.
   bool fired = false;
-  EventHandle fresh = s.ScheduleAt(5, [&] { fired = true; }, kCancellable);
+  EventHandle fresh = CancellableAt(s, calls, 5, [&] { fired = true; });
   EXPECT_FALSE(stale.pending());
   stale.Cancel();
   EXPECT_TRUE(fresh.pending());
@@ -224,8 +258,9 @@ TEST_P(SimulatorTest, StaleHandleCannotCancelRecycledSlot) {
 
 TEST_P(SimulatorTest, ClearInvalidatesOutstandingHandles) {
   Simulator s(GetParam());
+  Closures calls;
   bool fired = false;
-  EventHandle h = s.ScheduleAt(10, [&] { fired = true; }, kCancellable);
+  EventHandle h = CancellableAt(s, calls, 10, [&] { fired = true; });
   s.Clear();
   EXPECT_FALSE(h.pending());
   h.Cancel();  // no-op on the cleared engine
@@ -243,8 +278,9 @@ class TimerTest : public ::testing::TestWithParam<QueueBackend> {};
 
 TEST_P(TimerTest, FiresAtScheduledTime) {
   Simulator s(GetParam());
+  Closures calls;
   TimeNs fired_at = -1;
-  Timer t(&s, [&] { fired_at = s.Now(); });
+  Timer t(&s, &calls, calls.Add([&] { fired_at = s.Now(); }), 0);
   EXPECT_FALSE(t.pending());
   t.ScheduleAt(25);
   EXPECT_TRUE(t.pending());
@@ -255,8 +291,9 @@ TEST_P(TimerTest, FiresAtScheduledTime) {
 
 TEST_P(TimerTest, RearmReplacesPendingOccurrence) {
   Simulator s(GetParam());
+  Closures calls;
   int fired = 0;
-  Timer t(&s, [&] { ++fired; });
+  Timer t(&s, &calls, calls.Add([&] { ++fired; }), 0);
   t.ScheduleAt(10);
   t.ScheduleAt(30);  // supersedes the first occurrence
   s.RunUntil(20);
@@ -268,8 +305,9 @@ TEST_P(TimerTest, RearmReplacesPendingOccurrence) {
 
 TEST_P(TimerTest, CancelDisarms) {
   Simulator s(GetParam());
+  Closures calls;
   int fired = 0;
-  Timer t(&s, [&] { ++fired; });
+  Timer t(&s, &calls, calls.Add([&] { ++fired; }), 0);
   t.ScheduleAfter(10);
   t.Cancel();
   EXPECT_FALSE(t.pending());
@@ -280,13 +318,15 @@ TEST_P(TimerTest, CancelDisarms) {
 
 TEST_P(TimerTest, CallbackCanRearmItsOwnTimer) {
   Simulator s(GetParam());
+  Closures calls;
   int fired = 0;
   Timer t;
-  t.Bind(&s, [&] {
-    if (++fired < 5) {
-      t.ScheduleAfter(10);
-    }
-  });
+  t.Bind(&s, &calls, calls.Add([&] {
+           if (++fired < 5) {
+             t.ScheduleAfter(10);
+           }
+         }),
+         0);
   t.ScheduleAt(10);
   s.RunAll();
   EXPECT_EQ(fired, 5);
@@ -297,8 +337,9 @@ TEST_P(TimerTest, RearmKeepsSchedulingOrderSemantics) {
   // A timer occurrence armed after a one-shot event at the same instant
   // runs after it (seq is assigned at arm time), and vice versa.
   Simulator s(GetParam());
+  Closures calls;
   std::vector<int> order;
-  Timer t(&s, [&] { order.push_back(2); });
+  Timer t(&s, &calls, calls.Add([&] { order.push_back(2); }), 0);
   s.ScheduleAt(5, [&] { order.push_back(1); });
   t.ScheduleAt(5);
   s.ScheduleAt(5, [&] { order.push_back(3); });
@@ -308,9 +349,10 @@ TEST_P(TimerTest, RearmKeepsSchedulingOrderSemantics) {
 
 TEST_P(TimerTest, DestructorCancelsPendingOccurrence) {
   Simulator s(GetParam());
+  Closures calls;
   int fired = 0;
   {
-    Timer t(&s, [&] { ++fired; });
+    Timer t(&s, &calls, calls.Add([&] { ++fired; }), 0);
     t.ScheduleAfter(10);
     EXPECT_EQ(s.pending_events(), 1u);
   }
@@ -321,8 +363,9 @@ TEST_P(TimerTest, DestructorCancelsPendingOccurrence) {
 
 TEST_P(TimerTest, SlotRecyclingAfterTimerDeathIsSafe) {
   Simulator s(GetParam());
+  Closures calls;
   {
-    Timer t(&s, [] {});
+    Timer t(&s, &calls, calls.Add([] {}), 0);
     t.ScheduleAfter(100);
   }  // timer dies with an occurrence still keyed in the queue
   // The freed slot is recycled by ordinary events; the stale timer key must
@@ -332,6 +375,135 @@ TEST_P(TimerTest, SlotRecyclingAfterTimerDeathIsSafe) {
   s.RunAll();
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(s.executed_events(), 1u);
+}
+
+// A sink that owns its timer and re-arms it from its own OnEvent, the shape
+// of an executor's pull loop.
+class Rearming final : public EventSink {
+ public:
+  Rearming(Simulator* sim, int limit) : limit_(limit) { timer_.Bind(sim, this, 7, 9); }
+  void OnEvent(uint32_t a, uint32_t b) override {
+    EXPECT_EQ(a, 7u);
+    EXPECT_EQ(b, 9u);
+    if (++fired < limit_) {
+      timer_.ScheduleAfter(10);
+    }
+  }
+  Timer& timer() { return timer_; }
+  int fired = 0;
+
+ private:
+  int limit_;
+  Timer timer_;
+};
+
+TEST_P(TimerTest, SinkRearmsItsOwnTimerFromOnEvent) {
+  Simulator s(GetParam());
+  Rearming sink(&s, 5);
+  sink.timer().ScheduleAt(10);
+  EXPECT_EQ(s.pending_events(), 1u);
+  s.RunAll();
+  EXPECT_EQ(sink.fired, 5);
+  EXPECT_EQ(s.Now(), 50);
+  EXPECT_EQ(s.executed_events(), 5u);
+  EXPECT_FALSE(sink.timer().pending());
+  EXPECT_EQ(s.pending_events(), 0u);
+  // The slot stays bound: the timer arms again after its loop ended.
+  sink.timer().ScheduleAfter(1);
+  s.RunAll();
+  EXPECT_EQ(sink.fired, 6);
+}
+
+// The drain-check shape: a polling timer's sink clears the simulator from
+// its own OnEvent while other events, cancellable ones, closures and timers
+// are still pending.
+class Draining final : public EventSink {
+ public:
+  Draining(Simulator* sim, int polls) : sim_(sim), polls_(polls) { timer_.Bind(sim, this, 0, 0); }
+  void OnEvent(uint32_t /*unused*/, uint32_t /*unused*/) override {
+    if (--polls_ == 0) {
+      sim_->Clear();
+      return;
+    }
+    timer_.ScheduleAfter(10);
+  }
+  Timer& timer() { return timer_; }
+
+ private:
+  Simulator* sim_;
+  int polls_;
+  Timer timer_;
+};
+
+TEST_P(TimerTest, ClearFromInsideTimerOnEventLeavesNothingPending) {
+  Simulator s(GetParam());
+  Closures calls;
+  Draining drain(&s, 3);
+  int fired = 0;
+  Timer other(&s, &calls, calls.Add([&] { ++fired; }), 0);
+  drain.timer().ScheduleAt(10);
+  other.ScheduleAt(100);
+  EventHandle h = CancellableAt(s, calls, 200, [&] { ++fired; });
+  s.ScheduleAt(300, [&] { ++fired; });
+  s.ScheduleAt(25, [&] { ++fired; });  // fires before the drain
+  EXPECT_EQ(s.pending_events(), 5u);
+  s.RunAll();
+  EXPECT_EQ(s.Now(), 30);
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(s.pending_events(), 0u);
+  EXPECT_FALSE(drain.timer().pending());
+  EXPECT_FALSE(other.pending());
+  EXPECT_FALSE(h.pending());
+  s.RunAll();
+  EXPECT_EQ(fired, 1);
+  // A timer arms again on the cleared engine.
+  other.ScheduleAfter(5);
+  EXPECT_EQ(s.pending_events(), 1u);
+  s.RunAll();
+  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(s.Now(), 35);
+}
+
+// --- The closure entry (the simulator's closure store) -----------------------
+
+TEST_P(SimulatorTest, StoredClosureIsDestroyedWhenItFires) {
+  Simulator s(GetParam());
+  auto token = std::make_shared<int>(0);
+  s.ScheduleAt(10, [token] { ++*token; });
+  EXPECT_EQ(token.use_count(), 2);
+  s.RunAll();
+  EXPECT_EQ(*token, 1);
+  EXPECT_EQ(token.use_count(), 1);
+  // Its store index is reused by the next closure, which is destroyed too.
+  s.ScheduleAt(20, [token] { ++*token; });
+  s.ScheduleAt(20, [token] { ++*token; });
+  EXPECT_EQ(token.use_count(), 3);
+  s.RunAll();
+  EXPECT_EQ(*token, 3);
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST_P(SimulatorTest, StoredClosureIsDestroyedByClear) {
+  Simulator s(GetParam());
+  auto token = std::make_shared<int>(0);
+  s.ScheduleAt(10, [token] { ++*token; });
+  s.ScheduleAt(20, [token, &s] {
+    ++*token;
+    s.Clear();  // the running closure survives; the one at 30 goes
+  });
+  s.ScheduleAt(30, [token] { ++*token; });
+  EXPECT_EQ(token.use_count(), 4);
+  s.RunUntil(15);
+  EXPECT_EQ(token.use_count(), 3);
+  s.RunAll();
+  EXPECT_EQ(*token, 2);
+  EXPECT_EQ(token.use_count(), 1);
+  s.ScheduleAt(40, [token] { ++*token; });
+  EXPECT_EQ(token.use_count(), 2);
+  s.Clear();
+  EXPECT_EQ(token.use_count(), 1);
+  s.RunAll();
+  EXPECT_EQ(*token, 2);
 }
 
 // --- Typed events (the packet-hop path) --------------------------------------
@@ -355,9 +527,10 @@ class Recorder : public EventSink {
 
 TEST_P(TypedEventTest, InterleaveWithClosuresAndTimersInAtSeqOrder) {
   Simulator s(GetParam());
+  Closures calls;
   std::vector<int> order;
   Recorder sink(&s, &order);
-  Timer timer(&s, [&] { order.push_back(-1); });
+  Timer timer(&s, &calls, calls.Add([&] { order.push_back(-1); }), 0);
   s.ScheduleAt(20, &sink, 4, 0);
   s.ScheduleAt(10, [&] { order.push_back(1); });
   s.ScheduleAt(10, &sink, 2, 0);
@@ -380,9 +553,10 @@ TEST_P(TypedEventTest, InterleaveWithClosuresAndTimersInAtSeqOrder) {
 
 TEST_P(TypedEventTest, ClearDropsThemAndTheirSlotsAreReused) {
   Simulator s(GetParam());
+  Closures calls;
   std::vector<int> order;
   Recorder sink(&s, &order);
-  Timer timer(&s, [&] { order.push_back(-1); });
+  Timer timer(&s, &calls, calls.Add([&] { order.push_back(-1); }), 0);
   for (uint32_t i = 0; i < 5; ++i) {
     s.ScheduleAt(10 + i, &sink, i, 0);
   }
@@ -507,6 +681,32 @@ TEST_P(TypedEventTest, ClearInvalidatesCancellableOnes) {
   EXPECT_TRUE(next.pending());
   s.RunAll();
   EXPECT_EQ(order, (std::vector<int>{2}));
+}
+
+// A sink that fails the test if it is ever called.
+class MustNotFire final : public EventSink {
+ public:
+  void OnEvent(uint32_t a, uint32_t b) override {
+    ADD_FAILURE() << "a cancelled event called its sink with (" << a << ", " << b << ")";
+  }
+};
+
+TEST_P(TypedEventTest, CancelledOneNeverCallsItsSink) {
+  Simulator s(GetParam());
+  MustNotFire never;
+  std::vector<int> order;
+  Recorder sink(&s, &order);
+  EventHandle now = s.ScheduleAt(0, &never, 1, 1, kCancellable);
+  EventHandle later = s.ScheduleAt(50, &never, 2, 2, kCancellable);
+  s.ScheduleAt(0, &sink, 1, 0);
+  now.Cancel();
+  s.ScheduleAt(10, [&] { later.Cancel(); });
+  // Its freed slot is taken by the next event, which fires as scheduled.
+  s.ScheduleAt(50, &sink, 2, 0);
+  s.RunAll();
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_EQ(s.executed_events(), 3u);
+  EXPECT_EQ(s.pending_events(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, TypedEventTest,
