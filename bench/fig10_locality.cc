@@ -3,7 +3,8 @@
 // lives on exactly one node. Intra-rack data access costs 20 us, inter-rack
 // 100 us.
 //
-// Paper headline: with rack_start_limit=3 / global_start_limit=9 the policy
+// Paper headline: with rack_start_limit=3 / global_start_limit=9 (the
+// LocalityPolicy::Limits defaults the deployment builds) the policy
 // places 27.66% of tasks data-local and 38.82% rack-local (vs 10.03% /
 // 24.05% for FCFS); median end-to-end latency drops from 203.87 us to
 // 131.35 us, with FCFS winning again past the ~66th percentile.
@@ -28,7 +29,6 @@ ExperimentConfig LocalityConfig(PolicyKind policy, TimeNs horizon) {
   config.policy = policy;
   config.num_racks = 3;
   config.locality_access_model = true;
-  config.locality_limits = core::LocalityPolicy::Limits{3, 9};
   // Completion = scheduling delay (deliberately stretched by the locality
   // escalation) + data access (up to 100 us) + 100 us of execution: use a
   // client timeout in the paper's "typical 5-10x" band so the policy's

@@ -29,7 +29,6 @@ ExperimentResult RunScan(PolicyKind policy) {
   config.num_clients = 2;
   config.max_tasks_per_packet = 1;
   config.locality_access_model = true;  // 0 / 20us / 100us data access
-  config.locality_limits = core::LocalityPolicy::Limits{3, 9};
   config.timeout_multiplier = 10.0;
   config.warmup = FromMillis(5);
   config.horizon = FromMillis(60);

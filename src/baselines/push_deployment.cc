@@ -31,7 +31,7 @@ void PushDeployment::Build(cluster::Testbed& testbed) {
       break;
   }
   program_->SetRecorder(testbed.recorder());
-  pipeline_ = std::make_unique<p4::SwitchPipeline>(testbed, program_.get(), cfg.pipeline);
+  pipeline_ = std::make_unique<p4::SwitchPipeline>(testbed, program_.get(), p4::PipelineConfig{});
   scheduler_nodes_.push_back(pipeline_->node_id());
 }
 

@@ -84,10 +84,6 @@ std::string ExperimentConfig::Validate(std::optional<TimeNs> last_arrival) const
     return "executor_template.max_retry must be >= 1 ns (it caps the idle-poll backoff, "
            "which draws a jitter below the current interval)";
   }
-  if (!(pipeline.recirc_rate_pps >= 1.0)) {
-    return "pipeline.recirc_rate_pps must be >= 1 (packets per second through the "
-           "recirculation port)";
-  }
 
   const DeploymentInfo& info = DeploymentRegistry::Get().Info(scheduler);
   if (num_schedulers > 1 && !info.multi_scheduler) {

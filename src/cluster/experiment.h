@@ -31,7 +31,6 @@
 #include "cluster/executor.h"
 #include "cluster/metrics.h"
 #include "cluster/scheduler_counters.h"
-#include "core/policy.h"
 #include "core/rank_function.h"
 #include "fault/plan.h"
 #include "net/network.h"
@@ -93,7 +92,6 @@ struct ExperimentConfig {
   baselines::IntraNodePolicy racksched_intra_policy =
       baselines::IntraNodePolicy::kFcfs;                 // RackSched (§2.2)
   size_t priority_levels = 4;                            // Draconis priority
-  core::LocalityPolicy::Limits locality_limits{};        // Draconis locality
   bool locality_access_model = false;                    // data-fetch penalty
   std::vector<uint32_t> worker_resources;                // resource bitmaps
   size_t queue_capacity = 164 * 1024;
@@ -124,7 +122,6 @@ struct ExperimentConfig {
   size_t max_tasks_per_packet = 0;  // 0: kind-appropriate default
   TimeNs node_series_bucket = kSecond;
 
-  p4::PipelineConfig pipeline{};
   net::NetworkConfig network{};
   ExecutorConfig executor_template{};
   uint64_t seed = 1;

@@ -24,7 +24,7 @@ DraconisDeployment::Instance DraconisDeployment::BuildInstance(cluster::Testbed&
       inst.policy = std::make_unique<ResourcePolicy>();
       break;
     case cluster::PolicyKind::kLocality:
-      inst.policy = std::make_unique<LocalityPolicy>(&testbed.topology(), cfg.locality_limits);
+      inst.policy = std::make_unique<LocalityPolicy>(&testbed.topology(), LocalityPolicy::Limits{});
       break;
   }
   DraconisConfig dc;
@@ -38,7 +38,8 @@ DraconisDeployment::Instance DraconisDeployment::BuildInstance(cluster::Testbed&
   inst.program = std::make_unique<DraconisProgram>(inst.policy.get(), dc, nullptr,
                                                    inst.rank_function.get());
   inst.program->SetRecorder(testbed.recorder());
-  inst.pipeline = std::make_unique<p4::SwitchPipeline>(testbed, inst.program.get(), cfg.pipeline);
+  inst.pipeline = std::make_unique<p4::SwitchPipeline>(testbed, inst.program.get(),
+                                                       p4::PipelineConfig{});
   if (PollRoster::Supports(*inst.program)) {
     inst.roster = std::make_unique<PollRoster>(&testbed.simulator(), &testbed.network(),
                                                inst.pipeline.get(), inst.program.get());
@@ -90,17 +91,15 @@ void DraconisDeployment::Build(cluster::Testbed& testbed) {
     testbed.network().SetNodeRack(exchanges_[r]->node_id(), static_cast<uint32_t>(r));
   }
   for (size_t r = 0; r < num_racks; ++r) {
-    policies_.push_back(topology::MakePlacementPolicy(
-        cfg.cluster, testbed.SeedFor(cluster::SeedDomain::kPlacement, r)));
     routers_.push_back(std::make_unique<topology::SubmissionRouter>(
-        static_cast<uint32_t>(r), &scheduler_nodes_, directories_[r].get(), policies_[r].get()));
+        static_cast<uint32_t>(r), &scheduler_nodes_, directories_[r].get(),
+        testbed.SeedFor(cluster::SeedDomain::kPlacement, r)));
   }
   for (size_t r = 0; r < num_racks; ++r) {
     DraconisProgram* program = racks_[r].program.get();
     publishers_.push_back(std::make_unique<topology::SummaryPublisher>(
         &testbed.simulator(), &testbed.network(), static_cast<uint32_t>(r),
-        racks_[r].pipeline->node_id(), [program] { return program->cp_queue_depth(); },
-        cfg.cluster.summary_period));
+        racks_[r].pipeline->node_id(), [program] { return program->cp_queue_depth(); }));
     publishers_[r]->SetLocalDirectory(directories_[r].get());
     for (size_t s = 0; s < num_racks; ++s) {
       if (s != r) {

@@ -21,7 +21,6 @@
 #include "core/poll_roster.h"
 #include "p4/pipeline.h"
 #include "topology/fabric.h"
-#include "topology/placement.h"
 
 namespace draconis::core {
 
@@ -73,7 +72,6 @@ class DraconisDeployment : public cluster::PullBasedDeployment {
   std::vector<std::unique_ptr<topology::DepthDirectory>> directories_;
   std::vector<std::unique_ptr<topology::SummaryExchange>> exchanges_;
   std::vector<std::unique_ptr<topology::SummaryPublisher>> publishers_;
-  std::vector<std::unique_ptr<topology::PlacementPolicy>> policies_;
   std::vector<std::unique_ptr<topology::SubmissionRouter>> routers_;
 
   uint64_t failovers_ = 0;

@@ -205,10 +205,16 @@ class Simulator {
   // Runs until the queue is completely empty.
   uint64_t RunAll();
 
-  // Drops every pending event (used to tear down a run that has reached its
-  // measurement horizon without draining executor loops), and the closures
-  // they held. Outstanding handles and timers all report !pending()
-  // afterwards.
+  // Ends the run: drops every pending event and the closures they held.
+  // Outstanding handles and timers all report !pending() afterwards.
+  //
+  // Only the events go. Their owners keep the state they hold for them:
+  // SwitchPipeline's flush_armed_ and recirculation FIFO, and Client's
+  // queue-full retry FIFO. So nothing may be sent through a pipeline, the
+  // network or a client after Clear(): a same-instant group would never
+  // flush, and the recirculation FIFO would trip its CHECK. The one
+  // production caller is DrainCheck (cluster/experiment.cc), which stops a
+  // run once its source is done and every client has drained.
   void Clear();
 
   // True if a live event is queued to fire at Now(). Called from inside an

@@ -31,15 +31,13 @@ void SummaryExchange::HandlePacket(net::Packet&& pkt) {
 // ---------------------------------------------------------------------------
 
 SummaryPublisher::SummaryPublisher(sim::Simulator* simulator, net::Network* network, uint32_t rack,
-                                   net::NodeId tor_node, DepthProbe probe, TimeNs period)
+                                   net::NodeId tor_node, DepthProbe probe)
     : simulator_(simulator),
       network_(network),
       rack_(rack),
       tor_node_(tor_node),
-      probe_(std::move(probe)),
-      period_(period) {
+      probe_(std::move(probe)) {
   DRACONIS_CHECK(simulator != nullptr && network != nullptr && probe_ != nullptr);
-  DRACONIS_CHECK(period > 0);
   timer_.Bind(simulator_, this, 0, 0);
 }
 
@@ -67,7 +65,7 @@ void SummaryPublisher::OnEvent(uint32_t /*unused*/, uint32_t /*unused*/) {
     network_->Send(tor_node_, std::move(pkt));
     ++summaries_sent_;
   }
-  timer_.ScheduleAfter(period_);
+  timer_.ScheduleAfter(kSummaryPeriod);
 }
 
 // ---------------------------------------------------------------------------
@@ -75,19 +73,51 @@ void SummaryPublisher::OnEvent(uint32_t /*unused*/, uint32_t /*unused*/) {
 // ---------------------------------------------------------------------------
 
 SubmissionRouter::SubmissionRouter(uint32_t home_rack, const std::vector<net::NodeId>* rack_tors,
-                                   const DepthDirectory* directory, PlacementPolicy* policy)
-    : home_rack_(home_rack), rack_tors_(rack_tors), directory_(directory), policy_(policy) {
-  DRACONIS_CHECK(rack_tors != nullptr && directory != nullptr && policy != nullptr);
+                                   const DepthDirectory* directory, uint64_t seed)
+    : home_rack_(home_rack), rack_tors_(rack_tors), directory_(directory), rng_(seed) {
+  DRACONIS_CHECK(rack_tors != nullptr && directory != nullptr);
 }
 
 net::NodeId SubmissionRouter::Route(net::NodeId home_tor) {
-  const uint32_t rack = policy_->ChooseRack(home_rack_, *directory_);
+  const uint32_t rack = ChooseRack();
   if (rack == home_rack_) {
     ++routed_home_;
     return home_tor;
   }
   ++routed_cross_;
   return (*rack_tors_)[rack];
+}
+
+uint32_t SubmissionRouter::ChooseRack() {
+  const size_t n = directory_->num_racks();
+  const uint64_t home_depth = directory_->rack(home_rack_).depth;
+  // Fast path — and the determinism guarantee: at or below the watermark no
+  // randomness is drawn.
+  if (n <= 1 || home_depth <= kOverflowWatermark) {
+    return home_rack_;
+  }
+  // Sample two siblings (with replacement when there is only one).
+  uint32_t a;
+  uint32_t b;
+  if (n == 2) {
+    a = b = home_rack_ == 0 ? 1 : 0;
+  } else {
+    a = static_cast<uint32_t>(rng_.NextBelow(n - 1));
+    if (a >= home_rack_) {
+      ++a;
+    }
+    b = static_cast<uint32_t>(rng_.NextBelow(n - 1));
+    if (b >= home_rack_) {
+      ++b;
+    }
+  }
+  const uint32_t best = directory_->rack(a).depth <= directory_->rack(b).depth ? a : b;
+  // Stale summaries can make every sibling look hot; forwarding onto a rack
+  // that looks no better than home only adds aggregation-tier latency.
+  if (directory_->rack(best).depth >= home_depth) {
+    return home_rack_;
+  }
+  return best;
 }
 
 }  // namespace draconis::topology

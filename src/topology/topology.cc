@@ -31,20 +31,22 @@ std::string ClusterTopology::Validate() const {
   }
   for (size_t r = 0; r < racks.size(); ++r) {
     if (racks[r].num_workers < 1) {
-      return "rack " + std::to_string(r) + " has no workers";
+      return "rack " + std::to_string(r) +
+             " has no workers (each rack's ToR schedules onto its own executor pool)";
     }
     if (racks[r].executors_per_worker < 1) {
-      return "rack " + std::to_string(r) + " has no executors per worker";
+      return "rack " + std::to_string(r) +
+             " has no executors per worker (each rack's ToR schedules onto its own "
+             "executor pool)";
     }
   }
   if (aggregation_latency < 0) {
-    return "aggregation_latency must be >= 0";
+    return "aggregation_latency must be >= 0 (a cross-rack hop cannot be shorter than a "
+           "same-rack one)";
   }
-  if (agg_ns_per_byte < 0.0) {
-    return "agg_ns_per_byte must be >= 0";
-  }
-  if (summary_period <= 0) {
-    return "summary_period must be > 0";
+  if (!(agg_ns_per_byte >= 0.0)) {  // NaN too: the uplink cost casts it to TimeNs
+    return "agg_ns_per_byte must be >= 0 (the ns per byte a rack's uplink serializes; 0 is "
+           "an uplink of unlimited capacity)";
   }
   return "";
 }

@@ -25,12 +25,6 @@
 
 namespace draconis::topology {
 
-// Selects the cross-rack placement policy (placement.h).
-enum class PlacementKind {
-  kHome,        // always submit to the client's home ToR
-  kPowerOfTwo,  // overflow to the less-loaded of two sampled siblings
-};
-
 // One rack: a ToR Draconis switch fronting a private executor pool.
 struct RackSpec {
   size_t num_workers = 0;
@@ -57,16 +51,6 @@ struct ClusterTopology {
   // tier, modeled as a single busy server per source rack; 0 = infinite
   // uplink capacity.
   double agg_ns_per_byte = 0.0;
-
-  // Cross-rack placement (placement.h). The home ToR's queue depth must
-  // exceed overflow_watermark (per the local, possibly stale summary) before
-  // any submission is forwarded to a sibling rack.
-  PlacementKind placement = PlacementKind::kPowerOfTwo;
-  uint64_t overflow_watermark = 128;
-  // Queue-depth summary refresh period. Each rack broadcasts its ToR depth to
-  // every sibling as real packets (net::OpCode::kQueueDepthSummary), so
-  // sibling views are stale by at least the cross-rack flight time.
-  TimeNs summary_period = FromMicros(50);
 
   ClientHoming client_homing = ClientHoming::kRoundRobin;
 

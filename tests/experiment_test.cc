@@ -120,19 +120,6 @@ TEST(ExperimentTest, RackSchedIntraPolicyIsWiredThrough) {
             fcfs.metrics->sched_delay().Percentile(0.99));
 }
 
-TEST(ExperimentTest, PipelineOverridesAreHonored) {
-  ExperimentConfig config = TinyConfig();
-  config.scheduler = SchedulerKind::kR2P2;
-  config.jbsq_k = 1;
-  // Choke the loopback port completely: any spin drops immediately.
-  config.pipeline.recirc_rate_pps = 1e3;
-  config.pipeline.recirc_queue_depth = 1;
-  ExperimentConfig heavy = config;
-  heavy.stream = TinyConfig(76000.0).stream;  // ~95% of 8 executors
-  ExperimentResult result = RunExperiment(heavy);
-  EXPECT_GT(result.recirc_drops, 0u);
-}
-
 TEST(ExperimentTest, SparrowMultiSchedulerDeploysDistinctServers) {
   ExperimentConfig config = TinyConfig();
   config.scheduler = SchedulerKind::kSparrow;
@@ -438,13 +425,6 @@ TEST(ValidateTest, RefusesConfigsTheRunWouldAbortOn) {
        "node_series_bucket"},
       {"zero retry cap", [](ExperimentConfig& c) { c.executor_template.max_retry = 0; },
        "max_retry"},
-      {"no recirculation bandwidth", [](ExperimentConfig& c) { c.pipeline.recirc_rate_pps = 0; },
-       "recirc_rate_pps"},
-      {"NaN recirculation rate",
-       [](ExperimentConfig& c) {
-         c.pipeline.recirc_rate_pps = std::numeric_limits<double>::quiet_NaN();
-       },
-       "recirc_rate_pps"},
       {"NaN timeout multiplier",
        [](ExperimentConfig& c) {
          c.timeout_multiplier = std::numeric_limits<double>::quiet_NaN();

@@ -1,10 +1,11 @@
 // The multi-rack topology subsystem (docs/topology.md): the ClusterTopology
-// description, the placement-policy determinism contract, the summary
-// fabric, the rack-indexed placement seed domain, and the network's
+// description, the router's placement rule and its determinism contract, the
+// summary fabric, the rack-indexed placement seed domain, and the network's
 // two-tier (aggregation) link model.
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -13,7 +14,6 @@
 #include "net/packet.h"
 #include "sim/simulator.h"
 #include "topology/fabric.h"
-#include "topology/placement.h"
 #include "topology/topology.h"
 
 namespace draconis::topology {
@@ -55,12 +55,11 @@ TEST(ClusterTopologyTest, ValidateRejectsDegenerateShapes) {
   topo.agg_ns_per_byte = -0.5;
   EXPECT_NE(topo.Validate().find("agg_ns_per_byte"), std::string::npos);
 
-  topo = ClusterTopology::Uniform(2, 4, 4);
-  topo.summary_period = 0;
-  EXPECT_NE(topo.Validate().find("summary_period"), std::string::npos);
+  topo.agg_ns_per_byte = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_NE(topo.Validate().find("agg_ns_per_byte"), std::string::npos);
 }
 
-// --- Placement policies ------------------------------------------------------
+// --- Depth directory and the router's placement rule -------------------------
 
 TEST(PlacementTest, DepthDirectoryStartsEmptyAndUpdates) {
   DepthDirectory dir(3);
@@ -73,77 +72,59 @@ TEST(PlacementTest, DepthDirectoryStartsEmptyAndUpdates) {
   EXPECT_EQ(dir.rack(0).depth, 0u);
 }
 
-TEST(PlacementTest, HomeOnlyAlwaysReturnsHome) {
-  HomeOnlyPlacement policy;
-  DepthDirectory dir(4);
-  dir.Update(2, 1000000, 0);  // even a drowning home rack stays home
-  EXPECT_EQ(policy.ChooseRack(2, dir), 2u);
-}
-
-// The determinism contract: at or below the watermark ChooseRack returns
-// home without drawing randomness, so two same-seed policies stay in
-// lockstep however many fast-path calls are interleaved between overflows.
+// The determinism contract: at or below the watermark Route stays home
+// without drawing randomness, so two same-seed routers stay in lockstep
+// however many fast-path calls are interleaved between overflows.
 TEST(PlacementTest, PowerOfTwoDrawsNoRandomnessBelowWatermark) {
   const uint64_t kSeed = 9;
-  PowerOfTwoPlacement busy(8, kSeed);
-  PowerOfTwoPlacement idle(8, kSeed);
-
+  const std::vector<net::NodeId> tors = {10, 11, 12, 13, 14};
   DepthDirectory hot(5);
-  hot.Update(0, 9, 0);  // home above watermark; siblings idle
-  DepthDirectory cold(5);
-  cold.Update(0, 8, 0);  // home at the watermark: fast path
+  hot.Update(0, kOverflowWatermark + 1, 0);  // home above watermark; siblings idle
+  DepthDirectory idle_view(5);
+  idle_view.Update(0, kOverflowWatermark, 0);  // home at the watermark: fast path
+  SubmissionRouter busy(0, &tors, &hot, kSeed);
+  SubmissionRouter idle(0, &tors, &idle_view, kSeed);
 
   // `idle` burns thousands of fast-path calls; `busy` none.
   for (int i = 0; i < 5000; ++i) {
-    ASSERT_EQ(idle.ChooseRack(0, cold), 0u);
+    ASSERT_EQ(idle.Route(10), 10u);
   }
   // If the fast path drew randomness the two streams would have diverged.
+  idle_view.Update(0, kOverflowWatermark + 1, 0);
   for (int i = 0; i < 64; ++i) {
-    EXPECT_EQ(busy.ChooseRack(0, hot), idle.ChooseRack(0, hot)) << "call " << i;
+    EXPECT_EQ(busy.Route(10), idle.Route(10)) << "call " << i;
   }
 }
 
 TEST(PlacementTest, PowerOfTwoWithTwoRacksForwardsToTheOnlySibling) {
-  PowerOfTwoPlacement policy(4, 1);
+  const std::vector<net::NodeId> tors = {10, 11};
   DepthDirectory dir(2);
-  dir.Update(0, 100, 0);
+  dir.Update(0, kOverflowWatermark + 100, 0);
   dir.Update(1, 2, 0);
-  EXPECT_EQ(policy.ChooseRack(0, dir), 1u);
-  dir.Update(1, 150, 0);  // sibling looks hotter than home: stay home
-  EXPECT_EQ(policy.ChooseRack(0, dir), 0u);
+  SubmissionRouter router(0, &tors, &dir, 1);
+  EXPECT_EQ(router.Route(10), 11u);
+  dir.Update(1, kOverflowWatermark + 150, 0);  // sibling looks hotter than home: stay home
+  EXPECT_EQ(router.Route(10), 10u);
 }
 
 TEST(PlacementTest, PowerOfTwoPrefersTheShallowerSiblingAndNeverSamplesHome) {
-  PowerOfTwoPlacement policy(0, 33);
+  const std::vector<net::NodeId> tors = {10, 11, 12, 13};
   DepthDirectory dir(4);
-  dir.Update(1, 50, 0);  // home, above watermark 0
-  dir.Update(0, 40, 0);
-  dir.Update(2, 40, 0);
+  dir.Update(1, kOverflowWatermark + 50, 0);  // home, above the watermark
+  dir.Update(0, kOverflowWatermark + 40, 0);
+  dir.Update(2, kOverflowWatermark + 40, 0);
   dir.Update(3, 1, 0);
+  SubmissionRouter router(1, &tors, &dir, 33);
   int to_shallowest = 0;
   for (int i = 0; i < 200; ++i) {
-    const uint32_t choice = policy.ChooseRack(1, dir);
-    ASSERT_NE(choice, 1u);  // sampling skips the home rack
-    if (choice == 3) {
+    const net::NodeId choice = router.Route(11);
+    ASSERT_NE(choice, 11u);  // sampling skips the home rack
+    if (choice == 13) {
       ++to_shallowest;
     }
   }
   // Rack 3 wins every sample that includes it: > half of 200 in expectation.
   EXPECT_GT(to_shallowest, 60);
-}
-
-TEST(PlacementTest, MakePlacementPolicySelectsTheConfiguredKind) {
-  ClusterTopology topo = ClusterTopology::Uniform(3, 1, 1);
-  topo.overflow_watermark = 0;
-  DepthDirectory dir(3);
-  dir.Update(0, 10, 0);
-  dir.Update(1, 1, 0);
-  dir.Update(2, 1, 0);
-
-  topo.placement = PlacementKind::kHome;
-  EXPECT_EQ(MakePlacementPolicy(topo, 1)->ChooseRack(0, dir), 0u);
-  topo.placement = PlacementKind::kPowerOfTwo;
-  EXPECT_NE(MakePlacementPolicy(topo, 1)->ChooseRack(0, dir), 0u);
 }
 
 // --- SubmissionRouter --------------------------------------------------------
@@ -153,20 +134,18 @@ TEST(RouterTest, HomePlacementReturnsTheCallerAddressVerbatim) {
   // undo that by looking the home rack up in the ToR table.
   const std::vector<net::NodeId> tors = {10, 11};
   DepthDirectory dir(2);
-  HomeOnlyPlacement policy;
-  SubmissionRouter router(0, &tors, &dir, &policy);
+  dir.Update(0, kOverflowWatermark, 0);  // at the watermark: home
+  SubmissionRouter router(0, &tors, &dir, 1);
   EXPECT_EQ(router.Route(99), 99u);  // 99 = rehomed standby, not tors[0]
   EXPECT_EQ(router.routed_home(), 1u);
   EXPECT_EQ(router.routed_cross(), 0u);
 }
 
 TEST(RouterTest, CrossPlacementUsesTheSharedTorTableAndCounts) {
-  const uint64_t kWatermark = 4;
   std::vector<net::NodeId> tors = {10, 11};
   DepthDirectory dir(2);
-  dir.Update(0, kWatermark + 1, 0);
-  PowerOfTwoPlacement policy(kWatermark, 5);
-  SubmissionRouter router(0, &tors, &dir, &policy);
+  dir.Update(0, kOverflowWatermark + 1, 0);
+  SubmissionRouter router(0, &tors, &dir, 5);
   EXPECT_EQ(router.Route(10), 11u);
   EXPECT_EQ(router.routed_cross(), 1u);
   // The deployment swaps a failed ToR's entry to its standby in place; the
@@ -336,8 +315,7 @@ TEST(SummaryFabricTest, PublisherRefreshesLocalDirectoryAndBroadcastsRealPackets
   network.SetNodeRack(exchange.node_id(), 1);
 
   uint64_t depth = 40;
-  SummaryPublisher publisher(&sim, &network, /*rack=*/0, tor_node,
-                             [&depth] { return depth; }, /*period=*/FromMicros(10));
+  SummaryPublisher publisher(&sim, &network, /*rack=*/0, tor_node, [&depth] { return depth; });
   publisher.SetLocalDirectory(&local);
   publisher.AddSubscriber(exchange.node_id());
   publisher.Start(/*first_at=*/100);
@@ -353,10 +331,10 @@ TEST(SummaryFabricTest, PublisherRefreshesLocalDirectoryAndBroadcastsRealPackets
   EXPECT_EQ(remote.rack(0).updated_at, 100);
 
   depth = 75;
-  sim.RunUntil(FromMicros(15));
-  // Second tick at t=100 + 10us.
+  sim.RunUntil(kSummaryPeriod + FromMicros(5));
+  // Second tick one period later.
   EXPECT_EQ(local.rack(0).depth, 75u);
-  EXPECT_EQ(local.rack(0).updated_at, 100 + FromMicros(10));
+  EXPECT_EQ(local.rack(0).updated_at, 100 + kSummaryPeriod);
   EXPECT_EQ(remote.rack(0).depth, 75u);
   EXPECT_EQ(publisher.summaries_sent(), 2u);
 }
@@ -390,15 +368,14 @@ TEST(SummaryFabricTest, RetargetSwitchesSourceAndProbe) {
   SummaryExchange exchange(&network, &remote);
   network.SetNodeRack(exchange.node_id(), 1);
 
-  SummaryPublisher publisher(&sim, &network, /*rack=*/0, active_node, [] { return 5; },
-                             /*period=*/FromMicros(10));
+  SummaryPublisher publisher(&sim, &network, /*rack=*/0, active_node, [] { return 5; });
   publisher.AddSubscriber(exchange.node_id());
   publisher.Start(1);
   sim.RunUntil(FromMicros(5));
   EXPECT_EQ(remote.rack(0).depth, 5u);
 
   publisher.Retarget(standby_node, [] { return 11; });
-  sim.RunUntil(FromMicros(15));
+  sim.RunUntil(kSummaryPeriod + FromMicros(5));
   EXPECT_EQ(remote.rack(0).depth, 11u);
   ASSERT_EQ(exchange.summaries_received(), 2u);
 }
