@@ -170,6 +170,18 @@ TEST(DeterminismTest, PinnedGoldensPerSchedulerKind) {
       {cluster::SchedulerKind::kMalcolm, 130, 7423, 369628, 516095, 872365, 10000.0},
       {cluster::SchedulerKind::kRackSchedEdf, 130, 7551, 369943, 516095, 872690, 10000.0},
   };
+  // RackSched under its processor-sharing dispatcher.
+  const SchedulerGolden racksched_ps = {cluster::SchedulerKind::kRackSched, 130, 7423, 8172, 516095,
+                                       689847, 10000.0};
+  auto expect_golden = [](const cluster::ExperimentConfig& config, const SchedulerGolden& golden) {
+    cluster::ExperimentResult result = RunExperiment(config);
+    EXPECT_EQ(result.metrics->tasks_completed(), golden.completions);
+    EXPECT_EQ(result.metrics->sched_delay().Percentile(0.50), golden.sched_p50);
+    EXPECT_EQ(result.metrics->sched_delay().Percentile(0.99), golden.sched_p99);
+    EXPECT_EQ(result.metrics->e2e_delay().Percentile(0.50), golden.e2e_p50);
+    EXPECT_EQ(result.metrics->e2e_delay().Percentile(0.99), golden.e2e_p99);
+    EXPECT_DOUBLE_EQ(result.throughput_tps, golden.throughput_tps);
+  };
   // The same table must hold on every queue backend — the goldens pin the
   // (at, seq) contract, not one queue implementation.
   for (sim::QueueBackend backend : sim::AllQueueBackends()) {
@@ -179,14 +191,14 @@ TEST(DeterminismTest, PinnedGoldensPerSchedulerKind) {
       cluster::ExperimentConfig config = Fig05aMiniConfig();
       config.scheduler = golden.kind;
       config.sim_queue = backend;
-      cluster::ExperimentResult result = RunExperiment(config);
-      EXPECT_EQ(result.metrics->tasks_completed(), golden.completions);
-      EXPECT_EQ(result.metrics->sched_delay().Percentile(0.50), golden.sched_p50);
-      EXPECT_EQ(result.metrics->sched_delay().Percentile(0.99), golden.sched_p99);
-      EXPECT_EQ(result.metrics->e2e_delay().Percentile(0.50), golden.e2e_p50);
-      EXPECT_EQ(result.metrics->e2e_delay().Percentile(0.99), golden.e2e_p99);
-      EXPECT_DOUBLE_EQ(result.throughput_tps, golden.throughput_tps);
+      expect_golden(config, golden);
     }
+    SCOPED_TRACE("RackSched / processor sharing");
+    cluster::ExperimentConfig config = Fig05aMiniConfig();
+    config.scheduler = racksched_ps.kind;
+    config.racksched_intra_policy = baselines::IntraNodePolicy::kProcessorSharing;
+    config.sim_queue = backend;
+    expect_golden(config, racksched_ps);
   }
 }
 
