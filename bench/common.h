@@ -262,7 +262,7 @@ class SweepRunner {
     if (trace_ || !fault_plan_path_.empty() || switch_policy_ != "fifo" ||
         sim_queue_ != sim::QueueBackendName(sim::kDefaultQueueBackend) ||
         !workload_override_.empty() || !service_time_override_.empty() ||
-        heavy_tail_prob_ > 0.0) {
+        heavy_tail_prob_ != 0.0) {
       modified = spec;
       ApplySweepFlags(&modified);
       active = &modified;
@@ -349,12 +349,12 @@ class SweepRunner {
       }
       note("--service-time");
     }
-    if (heavy_tail_prob_ > 0.0) {
+    if (heavy_tail_prob_ != 0.0) {
       note("--heavy-tail-prob");
     }
     const bool workload_overrides = !applied.empty();
     if (workload_overrides &&
-        (heavy_tail_prob_ < 0.0 || heavy_tail_prob_ > 1.0 || heavy_tail_mult_ <= 0.0)) {
+        !(heavy_tail_prob_ >= 0.0 && heavy_tail_prob_ <= 1.0 && heavy_tail_mult_ > 0.0)) {
       std::fprintf(stderr, "--heavy-tail-prob must be in [0, 1] and --heavy-tail-mult > 0\n");
       std::exit(2);
     }

@@ -10,9 +10,10 @@
 // RackSched-EDF read them, so every system sees byte-identical arrivals.
 //
 // Expected shape: Draconis lowest; Malcolm (latency-distribution-aware
-// steering) beats RackSched's power-of-two at the p99 because it avoids
+// steering) beats RackSched's power-of-two at the p99.9 because it avoids
 // nodes whose measured sojourn distribution has gone bad; RackSched-EDF
-// reorders within a node, trading mean for deadline adherence.
+// reorders within a node, trading mean for deadline adherence; RackSched-PS
+// shares each node's cores, so its scheduling delay is the dispatch overhead.
 
 #include <cstdio>
 #include <string>
@@ -110,11 +111,13 @@ int main(int argc, char** argv) {
   }
 
   std::printf(
-      "\nShape check: Draconis clearly lowest into the tail (switch-resident queue,\n"
-      "no per-node dispatch). The three pushers separate at p99: RackSched's\n"
-      "instantaneous power-of-two, Malcolm's sojourn-histogram steering (pays for\n"
-      "stale estimates under homogeneous load, wins when nodes diverge), and\n"
-      "RackSched-EDF, which reorders within a node by deadline and stretches the\n"
-      "delay tail of slack tasks in exchange for the critical ones.\n");
+      "\nShape check: Draconis lowest of the queueing disciplines into the tail\n"
+      "(switch-resident queue, no per-node dispatch). The cFCFS pushers separate\n"
+      "in the tail: RackSched's instantaneous power-of-two, Malcolm's\n"
+      "sojourn-histogram steering (pays for stale estimates under homogeneous\n"
+      "load, wins when nodes diverge), and RackSched-EDF, which reorders within a\n"
+      "node by deadline and stretches the delay tail of slack tasks in exchange\n"
+      "for the critical ones. RackSched-PS queues nothing past its dispatcher:\n"
+      "its elephants share cores and stretch the end-to-end tail instead.\n");
   return 0;
 }

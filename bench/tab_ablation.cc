@@ -7,11 +7,13 @@
 // 2. Multi-task job_submission packets (one recirculation per extra task,
 //    §4.3) vs trains of single-task packets: the recirculation bill of
 //    batched submission.
-// 3. RackSched's intra-node policy (§2.2): cFCFS (light-tailed) vs
-//    preemptive Processor Sharing (heavy-tailed) on the exponential
-//    workload — and how both compare to Draconis' central queue.
+// 3. RackSched's intra-node policy (§2.2): cFCFS (light-tailed, the
+//    RackSched kind) vs preemptive Processor Sharing (heavy-tailed, the
+//    RackSched-PS kind) on the exponential workload — and how both compare
+//    to Draconis' central queue.
 
 #include <cstdio>
+#include <utility>
 
 #include "bench/common.h"
 
@@ -56,24 +58,17 @@ int main(int argc, char** argv) {
 
   // Points 4-6: RackSched intra-node policy (exponential 250 us, 70% load).
   {
-    struct Row {
-      const char* label;
-      SchedulerKind kind;
-      baselines::IntraNodePolicy intra;
+    const std::pair<const char*, SchedulerKind> rows[] = {
+        {"intra-cfcfs", SchedulerKind::kRackSched},
+        {"intra-ps", SchedulerKind::kRackSchedPs},
+        {"intra-draconis", SchedulerKind::kDraconis},
     };
-    const Row rows[] = {
-        {"intra-cfcfs", SchedulerKind::kRackSched, baselines::IntraNodePolicy::kFcfs},
-        {"intra-ps", SchedulerKind::kRackSched, baselines::IntraNodePolicy::kProcessorSharing},
-        {"intra-draconis", SchedulerKind::kDraconis, baselines::IntraNodePolicy::kFcfs},
-    };
-    for (const Row& row : rows) {
+    for (const auto& [label, kind] : rows) {
       sweep::SweepPoint point;
-      point.label = row.label;
+      point.label = label;
       point.series = "intra-node";
-      point.config =
-          SyntheticConfig(row.kind, UtilToTps(0.7, heavy.Mean()), heavy, 23, 10,
-                          runner.horizon());
-      point.config.racksched_intra_policy = row.intra;
+      point.config = SyntheticConfig(kind, UtilToTps(0.7, heavy.Mean()), heavy, 23, 10,
+                                     runner.horizon());
       spec.points.push_back(std::move(point));
     }
   }
@@ -112,7 +107,7 @@ int main(int argc, char** argv) {
               " end-to-end shows the whole trade)\n");
   std::printf("%-28s %12s %12s %12s %12s\n", "configuration", "p50 sched", "p99 sched",
               "p50 e2e", "p99 e2e");
-  const char* intra_names[] = {"RackSched + cFCFS", "RackSched + PS", "Draconis (cFCFS)"};
+  const char* intra_names[] = {"RackSched (cFCFS)", "RackSched-PS", "Draconis (cFCFS)"};
   for (size_t i = 4; i < 7; ++i) {
     const ExperimentResult& result = results[i].result;
     const auto& sched = result.metrics->sched_delay();

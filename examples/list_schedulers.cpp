@@ -102,5 +102,5 @@ int main(int argc, char** argv) {
   std::printf("\nAdd a scheduler by writing one deployment file pair next to it and\n"
               "registering it in the DeploymentRegistry constructor — every bench,\n"
               "name lookup, and the experiment smoke matrix pick it up from there.\n");
-  return registry.all().size() == 8 ? 0 : 1;
+  return registry.all().size() == 9 ? 0 : 1;
 }

@@ -4,18 +4,18 @@
 
 #include "baselines/malcolm.h"
 #include "baselines/r2p2.h"
-#include "baselines/racksched.h"
+#include "common/check.h"
 
 namespace draconis::baselines {
 
 PushDeployment::PushDeployment(const cluster::ExperimentConfig& config, PushRule rule,
-                               PushWorker worker)
-    : cluster::SchedulerDeployment(config), rule_(rule), worker_(worker) {}
+                               IntraNodePolicy dispatcher)
+    : cluster::SchedulerDeployment(config), rule_(rule), dispatcher_(dispatcher) {}
 
 void PushDeployment::Build(cluster::Testbed& testbed) {
   const cluster::ExperimentConfig& cfg = config();
   size_t targets = cfg.num_workers;
-  if (worker_ == PushWorker::kExecutorQueues) {
+  if (rule_ == PushRule::kJbsq) {
     targets *= cfg.executors_per_worker;
   }
   switch (rule_) {
@@ -40,16 +40,13 @@ void PushDeployment::WireWorkers(cluster::Testbed& testbed) {
   const size_t targets_per_worker = program_->num_targets() / cfg.num_workers;
   for (size_t w = 0; w < cfg.num_workers; ++w) {
     const auto node = static_cast<uint32_t>(w);
-    if (worker_ == PushWorker::kExecutorQueues) {
+    if (rule_ == PushRule::kJbsq) {
       workers_.push_back(std::make_unique<R2P2Worker>(&testbed, cfg.executors_per_worker, node,
                                                       scheduler_nodes_[0]));
     } else {
-      const IntraNodePolicy policy = worker_ == PushWorker::kEdfNodeDispatcher
-                                         ? IntraNodePolicy::kEdf
-                                         : cfg.racksched_intra_policy;
       // The latency-aware rule steers by the sojourns the credits carry.
       workers_.push_back(std::make_unique<RackSchedWorker>(
-          &testbed, cfg.executors_per_worker, node, scheduler_nodes_[0], policy,
+          &testbed, cfg.executors_per_worker, node, scheduler_nodes_[0], dispatcher_,
           /*report_latency=*/rule_ == PushRule::kLatencyAware));
     }
     for (size_t t = w * targets_per_worker; t < (w + 1) * targets_per_worker; ++t) {
@@ -59,9 +56,7 @@ void PushDeployment::WireWorkers(cluster::Testbed& testbed) {
 }
 
 void PushDeployment::ConfigureClient(cluster::ClientConfig& client) {
-  if (client.max_tasks_per_packet == 0) {
-    client.max_tasks_per_packet = 1;  // push schedulers route one task per packet
-  }
+  client.max_tasks_per_packet = 1;  // the kind is one_task_per_packet (PushDeploymentInfo)
 }
 
 void PushDeployment::Harvest(cluster::ExperimentResult& result) {
@@ -74,14 +69,18 @@ void PushDeployment::Harvest(cluster::ExperimentResult& result) {
 
 cluster::DeploymentInfo PushDeploymentInfo(cluster::SchedulerKind kind, const char* canonical_name,
                                            const char* flag_name, PushRule rule,
-                                           PushWorker worker) {
+                                           IntraNodePolicy dispatcher) {
+  DRACONIS_CHECK(rule != PushRule::kJbsq || dispatcher == IntraNodePolicy::kFcfs);
   cluster::DeploymentInfo info;
   info.kind = kind;
   info.canonical_name = canonical_name;
   info.flag_name = flag_name;
   info.policies = {cluster::PolicyKind::kFcfs};
-  info.make = [rule, worker](const cluster::ExperimentConfig& config) {
-    return std::make_unique<PushDeployment>(config, rule, worker);
+  // Each push sends a packet's task to one target, so push schedulers route
+  // one task per packet.
+  info.one_task_per_packet = true;
+  info.make = [rule, dispatcher](const cluster::ExperimentConfig& config) {
+    return std::make_unique<PushDeployment>(config, rule, dispatcher);
   };
   return info;
 }

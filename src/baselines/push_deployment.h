@@ -1,8 +1,9 @@
-// Deploys the push-based baselines — R2P2, RackSched, RackSched-EDF and the
-// Malcolm-style balancer — on a Testbed: one PushProgram running the kind's
-// selection rule on a SwitchPipeline, plus the workers that host its targets.
-// The push counterpart of cluster::PullBasedDeployment: a registry entry
-// names only its rule and its worker (cluster/deployment.cc).
+// Deploys the push-based baselines — R2P2, RackSched, RackSched-EDF,
+// RackSched-PS and the Malcolm-style balancer — on a Testbed: one PushProgram
+// running the kind's selection rule on a SwitchPipeline, plus the workers that
+// host its targets. The push counterpart of cluster::PullBasedDeployment: a
+// registry entry names only its rule and its node dispatcher
+// (cluster/deployment.cc).
 
 #ifndef DRACONIS_BASELINES_PUSH_DEPLOYMENT_H_
 #define DRACONIS_BASELINES_PUSH_DEPLOYMENT_H_
@@ -11,30 +12,29 @@
 #include <vector>
 
 #include "baselines/push_program.h"
+#include "baselines/racksched.h"
 #include "cluster/deployment.h"
 #include "cluster/task_runner.h"
 #include "p4/pipeline.h"
 
 namespace draconis::baselines {
 
-// The switch program's selection rule.
+// The switch program's selection rule, which also picks the worker that
+// hosts its targets.
 enum class PushRule {
-  kJbsq,          // R2P2Program: stale-view JBSQ(k), recirculate when full
-  kPowerOfTwo,    // RackSchedProgram: power-of-two choices
-  kLatencyAware,  // MalcolmProgram: (outstanding + 1) x mean sojourn
-};
-
-// The worker that hosts the program's targets.
-enum class PushWorker {
-  kExecutorQueues,     // R2P2Worker: a bounded FIFO, and a target, per executor
-  kNodeDispatcher,     // RackSchedWorker under config.racksched_intra_policy:
-                       // a target per node
-  kEdfNodeDispatcher,  // RackSchedWorker under the EDF dispatcher
+  kJbsq,          // R2P2Program over R2P2Workers: a bounded FIFO, and a target,
+                  // per executor
+  kPowerOfTwo,    // RackSchedProgram over RackSchedWorkers: a target per node
+  kLatencyAware,  // MalcolmProgram: (outstanding + 1) x mean sojourn, over
+                  // RackSchedWorkers that report their sojourns
 };
 
 class PushDeployment : public cluster::SchedulerDeployment {
  public:
-  PushDeployment(const cluster::ExperimentConfig& config, PushRule rule, PushWorker worker);
+  // `dispatcher` is the RackSchedWorkers' intra-node policy; JBSQ's
+  // per-executor queues are FIFO, so kJbsq takes kFcfs only.
+  PushDeployment(const cluster::ExperimentConfig& config, PushRule rule,
+                 IntraNodePolicy dispatcher);
 
   void Build(cluster::Testbed& testbed) override;
   void WireWorkers(cluster::Testbed& testbed) override;
@@ -43,7 +43,7 @@ class PushDeployment : public cluster::SchedulerDeployment {
 
  private:
   PushRule rule_;
-  PushWorker worker_;
+  IntraNodePolicy dispatcher_;
   std::unique_ptr<PushProgram> program_;
   std::unique_ptr<p4::SwitchPipeline> pipeline_;
   std::vector<std::unique_ptr<cluster::TaskRunner>> workers_;
@@ -51,7 +51,7 @@ class PushDeployment : public cluster::SchedulerDeployment {
 
 cluster::DeploymentInfo PushDeploymentInfo(cluster::SchedulerKind kind, const char* canonical_name,
                                            const char* flag_name, PushRule rule,
-                                           PushWorker worker);
+                                           IntraNodePolicy dispatcher);
 
 }  // namespace draconis::baselines
 

@@ -13,13 +13,14 @@
 // Intra-node: each worker runs a dispatcher that adds a few microseconds of
 // overhead per task — the overhead visible in the paper's Fig. 5a/6 even at
 // low load. Three intra-node policies, the first two as RackSched prescribes
-// (§2.2):
-//   - cFCFS without preemption (their recommendation for light-tailed
-//     workloads; the default everywhere in the paper's comparison), and
-//   - Processor Sharing with preemption (their recommendation for
-//     heavy-tailed workloads): all admitted tasks share the node's cores
-//     equally, so short tasks are not stuck behind long ones, and
-//   - EDF without preemption (the racksched-edf deployment): the dispatcher
+// (§2.2), each its own scheduler kind:
+//   - cFCFS without preemption (the RackSched kind; their recommendation for
+//     light-tailed workloads and the one in the paper's comparison), and
+//   - Processor Sharing with preemption (the RackSched-PS kind; their
+//     recommendation for heavy-tailed workloads): all admitted tasks share
+//     the node's cores equally, so short tasks are not stuck behind long
+//     ones, and
+//   - EDF without preemption (the RackSched-EDF kind): the dispatcher
 //     picks the queued task with the earliest absolute deadline
 //     (enqueue_time + TPROPS us, the deadline-tagger encoding); untagged
 //     streams degenerate to cFCFS because every deadline equals the enqueue
@@ -32,7 +33,6 @@
 #include <deque>
 #include <vector>
 
-#include "baselines/intra_node_policy.h"
 #include "baselines/push_program.h"
 #include "cluster/task_runner.h"
 #include "cluster/testbed.h"
@@ -43,6 +43,14 @@
 #include "sim/simulator.h"
 
 namespace draconis::baselines {
+
+// The intra-node dispatcher; each push registry line names its own
+// (cluster/deployment.cc).
+enum class IntraNodePolicy {
+  kFcfs,              // run-to-completion, no preemption (light-tailed)
+  kProcessorSharing,  // preemptive equal sharing of the cores (heavy-tailed)
+  kEdf,               // earliest-deadline-first over the TPROPS deadline tags
+};
 
 // Power-of-two choices over one target per worker node.
 class RackSchedProgram : public PushProgram {

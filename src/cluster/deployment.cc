@@ -131,20 +131,23 @@ DeploymentRegistry::DeploymentRegistry() {
   infos_.push_back(core::DraconisDeploymentInfo());
   infos_.push_back(baselines::DpdkServerDeploymentInfo());
   infos_.push_back(baselines::SocketServerDeploymentInfo());
+  using baselines::IntraNodePolicy;
   using baselines::PushRule;
-  using baselines::PushWorker;
   infos_.push_back(baselines::PushDeploymentInfo(SchedulerKind::kR2P2, "R2P2", "r2p2",
-                                                 PushRule::kJbsq, PushWorker::kExecutorQueues));
+                                                 PushRule::kJbsq, IntraNodePolicy::kFcfs));
   infos_.push_back(baselines::PushDeploymentInfo(SchedulerKind::kRackSched, "RackSched",
                                                  "racksched", PushRule::kPowerOfTwo,
-                                                 PushWorker::kNodeDispatcher));
+                                                 IntraNodePolicy::kFcfs));
   infos_.push_back(baselines::SparrowDeploymentInfo());
   infos_.push_back(baselines::PushDeploymentInfo(SchedulerKind::kMalcolm, "Malcolm", "malcolm",
                                                  PushRule::kLatencyAware,
-                                                 PushWorker::kNodeDispatcher));
+                                                 IntraNodePolicy::kFcfs));
   infos_.push_back(baselines::PushDeploymentInfo(SchedulerKind::kRackSchedEdf, "RackSched-EDF",
                                                  "racksched-edf", PushRule::kPowerOfTwo,
-                                                 PushWorker::kEdfNodeDispatcher));
+                                                 IntraNodePolicy::kEdf));
+  infos_.push_back(baselines::PushDeploymentInfo(SchedulerKind::kRackSchedPs, "RackSched-PS",
+                                                 "racksched-ps", PushRule::kPowerOfTwo,
+                                                 IntraNodePolicy::kProcessorSharing));
   for (size_t i = 0; i < infos_.size(); ++i) {
     DRACONIS_CHECK_MSG(static_cast<size_t>(infos_[i].kind) == i,
                        "registry order must match the SchedulerKind enum");

@@ -167,6 +167,9 @@ struct DeploymentInfo {
   // multi-rack ClusterTopology (docs/topology.md); configs with
   // cluster.enabled() are rejected for other kinds by Validate.
   bool multi_rack = false;
+  // Whether the scheduler routes one task per packet (the push kinds):
+  // Validate refuses a larger max_tasks_per_packet.
+  bool one_task_per_packet = false;
   DeploymentFactory make;
 };
 

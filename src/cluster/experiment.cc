@@ -91,6 +91,11 @@ std::string ExperimentConfig::Validate(std::optional<TimeNs> last_arrival) const
            " deploys a single scheduler; num_schedulers > 1 is only valid for "
            "multi-scheduler kinds (Sparrow)";
   }
+  if (info.one_task_per_packet && max_tasks_per_packet > 1) {
+    return std::string(info.canonical_name) +
+           " routes one task per packet (its switch pushes each packet to one target); "
+           "max_tasks_per_packet must be 0 or 1";
+  }
   bool policy_supported = false;
   for (PolicyKind p : info.policies) {
     policy_supported = policy_supported || p == policy;

@@ -27,7 +27,6 @@
 #include <string>
 #include <vector>
 
-#include "baselines/intra_node_policy.h"
 #include "cluster/executor.h"
 #include "cluster/metrics.h"
 #include "cluster/scheduler_counters.h"
@@ -52,6 +51,7 @@ enum class SchedulerKind {
   kSparrow,
   kMalcolm,       // latency-distribution-aware balancer (baselines/malcolm.h)
   kRackSchedEdf,  // RackSched with an EDF intra-node dispatcher
+  kRackSchedPs,   // RackSched with a processor-sharing intra-node dispatcher
 };
 
 // Canonical display name ("Draconis", "R2P2", ...).
@@ -59,8 +59,8 @@ const char* SchedulerKindName(SchedulerKind kind);
 
 // Parses a scheduler name — the canonical display name or its lower-case
 // flag spelling ("draconis", "dpdk-server", "socket-server", "r2p2",
-// "racksched", "sparrow", "malcolm", "racksched-edf") — into *out. Returns
-// false on an unknown name.
+// "racksched", "sparrow", "malcolm", "racksched-edf", "racksched-ps") — into
+// *out. Returns false on an unknown name.
 bool SchedulerKindFromName(const std::string& name, SchedulerKind* out);
 
 enum class PolicyKind { kFcfs, kPriority, kResource, kLocality };
@@ -88,12 +88,10 @@ struct ExperimentConfig {
   topology::ClusterTopology cluster{};
 
   // Scheduler-specific knobs.
-  uint32_t jbsq_k = 3;                                   // R2P2
-  baselines::IntraNodePolicy racksched_intra_policy =
-      baselines::IntraNodePolicy::kFcfs;                 // RackSched (§2.2)
-  size_t priority_levels = 4;                            // Draconis priority
-  bool locality_access_model = false;                    // data-fetch penalty
-  std::vector<uint32_t> worker_resources;                // resource bitmaps
+  uint32_t jbsq_k = 3;                     // R2P2
+  size_t priority_levels = 4;              // Draconis priority
+  bool locality_access_model = false;      // data-fetch penalty
+  std::vector<uint32_t> worker_resources;  // resource bitmaps
   size_t queue_capacity = 164 * 1024;
   bool shadow_copy_dequeue = true;  // false: the paper's §4.5 textbook dequeue
   // Switch queueing discipline (docs/pifo.md). kFifo is the paper's circular

@@ -169,18 +169,7 @@ TEST(DeterminismTest, PinnedGoldensPerSchedulerKind) {
       {cluster::SchedulerKind::kSparrow, 130, 24063, 393215, 540671, 900416, 10000.0},
       {cluster::SchedulerKind::kMalcolm, 130, 7423, 369628, 516095, 872365, 10000.0},
       {cluster::SchedulerKind::kRackSchedEdf, 130, 7551, 369943, 516095, 872690, 10000.0},
-  };
-  // RackSched under its processor-sharing dispatcher.
-  const SchedulerGolden racksched_ps = {cluster::SchedulerKind::kRackSched, 130, 7423, 8172, 516095,
-                                       689847, 10000.0};
-  auto expect_golden = [](const cluster::ExperimentConfig& config, const SchedulerGolden& golden) {
-    cluster::ExperimentResult result = RunExperiment(config);
-    EXPECT_EQ(result.metrics->tasks_completed(), golden.completions);
-    EXPECT_EQ(result.metrics->sched_delay().Percentile(0.50), golden.sched_p50);
-    EXPECT_EQ(result.metrics->sched_delay().Percentile(0.99), golden.sched_p99);
-    EXPECT_EQ(result.metrics->e2e_delay().Percentile(0.50), golden.e2e_p50);
-    EXPECT_EQ(result.metrics->e2e_delay().Percentile(0.99), golden.e2e_p99);
-    EXPECT_DOUBLE_EQ(result.throughput_tps, golden.throughput_tps);
+      {cluster::SchedulerKind::kRackSchedPs, 130, 7423, 8172, 516095, 689847, 10000.0},
   };
   // The same table must hold on every queue backend — the goldens pin the
   // (at, seq) contract, not one queue implementation.
@@ -191,21 +180,21 @@ TEST(DeterminismTest, PinnedGoldensPerSchedulerKind) {
       cluster::ExperimentConfig config = Fig05aMiniConfig();
       config.scheduler = golden.kind;
       config.sim_queue = backend;
-      expect_golden(config, golden);
+      cluster::ExperimentResult result = RunExperiment(config);
+      EXPECT_EQ(result.metrics->tasks_completed(), golden.completions);
+      EXPECT_EQ(result.metrics->sched_delay().Percentile(0.50), golden.sched_p50);
+      EXPECT_EQ(result.metrics->sched_delay().Percentile(0.99), golden.sched_p99);
+      EXPECT_EQ(result.metrics->e2e_delay().Percentile(0.50), golden.e2e_p50);
+      EXPECT_EQ(result.metrics->e2e_delay().Percentile(0.99), golden.e2e_p99);
+      EXPECT_DOUBLE_EQ(result.throughput_tps, golden.throughput_tps);
     }
-    SCOPED_TRACE("RackSched / processor sharing");
-    cluster::ExperimentConfig config = Fig05aMiniConfig();
-    config.scheduler = racksched_ps.kind;
-    config.racksched_intra_policy = baselines::IntraNodePolicy::kProcessorSharing;
-    config.sim_queue = backend;
-    expect_golden(config, racksched_ps);
   }
 }
 
 // Push-path pins the table above never reaches: R2P2 with jbsq_k = 1 (tasks
-// wait for a credit in the recirculation port), RackSched's processor-sharing
-// dispatcher, and RackSched-EDF on a deadline-tagged stream. All three run the
-// Fig. 5a mini cluster at 80% load, where queues form.
+// wait for a credit in the recirculation port), RackSched-PS on exponential
+// service times, and RackSched-EDF on a deadline-tagged stream. All three run
+// the Fig. 5a mini cluster at 80% load, where queues form.
 struct PushGolden {
   const char* name;
   uint64_t completions;
@@ -231,8 +220,7 @@ cluster::ExperimentConfig PushMiniConfig(const std::string& name) {
     config.scheduler = cluster::SchedulerKind::kR2P2;
     config.jbsq_k = 1;
   } else if (name == "racksched-ps") {
-    config.scheduler = cluster::SchedulerKind::kRackSched;
-    config.racksched_intra_policy = baselines::IntraNodePolicy::kProcessorSharing;
+    config.scheduler = cluster::SchedulerKind::kRackSchedPs;
     spec.service = workload::ServiceTime::PaperExponential();
   } else {
     config.scheduler = cluster::SchedulerKind::kRackSchedEdf;

@@ -48,22 +48,13 @@ TEST(ExperimentTest, OfferedUtilizationMatchesArithmetic) {
   EXPECT_NEAR(result.offered_tasks_per_second, 40000.0, 2500.0);
 }
 
-// Every kind charges the core time its tasks hold: each registered kind, and
-// RackSched under each intra-node policy.
+// Every kind charges the core time its tasks hold, RackSched's three
+// intra-node dispatchers included.
 TEST(ExperimentTest, BusyFractionTracksOfferedLoad) {
-  using baselines::IntraNodePolicy;
-  std::vector<std::pair<SchedulerKind, IntraNodePolicy>> runs;
   for (const DeploymentInfo& info : DeploymentRegistry::Get().all()) {
-    runs.emplace_back(info.kind, IntraNodePolicy::kFcfs);
-  }
-  runs.emplace_back(SchedulerKind::kRackSched, IntraNodePolicy::kProcessorSharing);
-  runs.emplace_back(SchedulerKind::kRackSched, IntraNodePolicy::kEdf);
-  for (const auto& [kind, intra] : runs) {
-    SCOPED_TRACE(std::string(SchedulerKindName(kind)) + " / intra-node policy " +
-                 std::to_string(static_cast<int>(intra)));
+    SCOPED_TRACE(info.canonical_name);
     ExperimentConfig config = TinyConfig();
-    config.scheduler = kind;
-    config.racksched_intra_policy = intra;
+    config.scheduler = info.kind;
     ExperimentResult result = RunExperiment(config);
     EXPECT_NEAR(result.executor_busy_fraction, result.offered_utilization, 0.06);
   }
@@ -109,10 +100,9 @@ TEST(ExperimentTest, TextbookDequeueModeIsWiredThrough) {
 
 TEST(ExperimentTest, RackSchedIntraPolicyIsWiredThrough) {
   ExperimentConfig config = TinyConfig(64000.0);  // 80%: queues form
-  config.scheduler = SchedulerKind::kRackSched;
-  config.racksched_intra_policy = baselines::IntraNodePolicy::kProcessorSharing;
+  config.scheduler = SchedulerKind::kRackSchedPs;
   ExperimentResult ps = RunExperiment(config);
-  config.racksched_intra_policy = baselines::IntraNodePolicy::kFcfs;
+  config.scheduler = SchedulerKind::kRackSched;
   ExperimentResult fcfs = RunExperiment(config);
   // Both complete the work; PS has the (weakly) smaller queueing tail.
   EXPECT_GT(ps.metrics->tasks_completed(), 0u);
@@ -430,6 +420,12 @@ TEST(ValidateTest, RefusesConfigsTheRunWouldAbortOn) {
          c.timeout_multiplier = std::numeric_limits<double>::quiet_NaN();
        },
        "timeout_multiplier"},
+      {"batched push submissions",
+       [](ExperimentConfig& c) {
+         c.scheduler = SchedulerKind::kRackSched;
+         c.max_tasks_per_packet = 2;
+       },
+       "one task per packet"},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
@@ -450,7 +446,7 @@ TEST(ValidateTest, RunExperimentRefusesInvalidConfigs) {
 
 TEST(DeploymentRegistryTest, EnumeratesAllKindsInEnumOrder) {
   const std::vector<DeploymentInfo>& infos = DeploymentRegistry::Get().all();
-  ASSERT_EQ(infos.size(), 8u);
+  ASSERT_EQ(infos.size(), 9u);
   for (size_t i = 0; i < infos.size(); ++i) {
     EXPECT_EQ(static_cast<size_t>(infos[i].kind), i);
     EXPECT_STREQ(SchedulerKindName(infos[i].kind), infos[i].canonical_name);
@@ -459,9 +455,10 @@ TEST(DeploymentRegistryTest, EnumeratesAllKindsInEnumOrder) {
 
 TEST(DeploymentRegistryTest, FlagChoicesMatchRegistration) {
   const std::vector<std::string> choices = DeploymentRegistry::Get().FlagChoices();
-  const std::vector<std::string> expected = {"draconis",  "dpdk-server", "socket-server",
-                                             "r2p2",      "racksched",   "sparrow",
-                                             "malcolm",   "racksched-edf"};
+  const std::vector<std::string> expected = {"draconis",      "dpdk-server", "socket-server",
+                                             "r2p2",          "racksched",   "sparrow",
+                                             "malcolm",       "racksched-edf",
+                                             "racksched-ps"};
   EXPECT_EQ(choices, expected);
 }
 
@@ -514,6 +511,7 @@ TEST(DeploymentRegistryTest, SmokeMatrixEveryKindCompletesAndHarvests) {
           case SchedulerKind::kRackSched:
           case SchedulerKind::kMalcolm:
           case SchedulerKind::kRackSchedEdf:
+          case SchedulerKind::kRackSchedPs:
             EXPECT_GT(result.counters.tasks_pushed, 0u);
             EXPECT_GT(result.counters.credits, 0u);
             EXPECT_GT(result.switch_counters.passes, 0u);

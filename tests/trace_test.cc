@@ -240,21 +240,13 @@ TEST(TraceExperimentTest, TimelinesCoverEveryLayerInOrder) {
 // the worker its exec spans. So no completed task is partial, processor
 // sharing included.
 TEST(TraceExperimentTest, AttributionTelescopesExactly) {
-  using baselines::IntraNodePolicy;
   using cluster::SchedulerKind;
-  const std::pair<SchedulerKind, IntraNodePolicy> runs[] = {
-      {SchedulerKind::kDraconis, IntraNodePolicy::kFcfs},
-      {SchedulerKind::kR2P2, IntraNodePolicy::kFcfs},
-      {SchedulerKind::kRackSched, IntraNodePolicy::kFcfs},
-      {SchedulerKind::kRackSched, IntraNodePolicy::kProcessorSharing},
-      {SchedulerKind::kSparrow, IntraNodePolicy::kFcfs},
-  };
-  for (const auto& [kind, intra] : runs) {
-    SCOPED_TRACE(std::string(cluster::SchedulerKindName(kind)) + " / intra-node policy " +
-                 std::to_string(static_cast<int>(intra)));
+  for (SchedulerKind kind : {SchedulerKind::kDraconis, SchedulerKind::kR2P2,
+                             SchedulerKind::kRackSched, SchedulerKind::kRackSchedPs,
+                             SchedulerKind::kSparrow}) {
+    SCOPED_TRACE(cluster::SchedulerKindName(kind));
     cluster::ExperimentConfig config = TracedConfig();
     config.scheduler = kind;
-    config.racksched_intra_policy = intra;
     cluster::ExperimentResult result = cluster::RunExperiment(config);
     ASSERT_NE(result.trace, nullptr);
     const trace::AttributionReport report = trace::BuildAttribution(*result.trace);
